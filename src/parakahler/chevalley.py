@@ -20,17 +20,26 @@ constant is forced from these seeds by the standard relations
     N(a,b)/(c,c) = N(b,c)/(a,a) = N(c,a)/(b,b)   for a+b+c = 0,
 
 plus one Jacobi identity per remaining special pair.  The result is exact;
-the test suite checks the Jacobi identity on every basis triple and
+``verify.check_jacobi`` checks the Jacobi identity on every basis triple
+with a nonzero term and ``verify.check_structure_constants`` checks
 |N(a,b)| = p+1 against an independent root-string computation.
+
+Constants, brackets and the Killing Gram are ints.  ``grading_failure``
+certifies that each bracket lands in the sum of its arguments' weights.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from functools import cached_property
+from operator import add
 
 from .errors import DomainError
 from .rootsys import Root, RootSystem, Weight, inner_product
+
+
+_NO_TERMS: dict[int, int] = {}  # every zero bracket; shared, never mutated
 
 
 @dataclass(frozen=True)
@@ -76,8 +85,7 @@ class LieAlgebraData:
         self._root_index = {
             root: self.rank + k for k, root in enumerate(self.roots)
         }
-        self._pair_cache: dict[tuple[int, int], dict[int, Q]] = {}
-        self._killing: list[list[Q]] | None = None
+        self._killing: list[list[int]] | None = None
 
     # -- basis bookkeeping -------------------------------------------------
 
@@ -91,9 +99,6 @@ class LieAlgebraData:
         except KeyError:
             raise DomainError(f"{root} is not a root of {self.rs.type}") from None
 
-    def root_of_index(self, i: int) -> Root | None:
-        return None if i < self.rank else self.roots[i - self.rank]
-
     def coroot(self, root: Root) -> tuple[int, ...]:
         """H_alpha as an integer vector over the H_i (negated for -alpha)."""
         if root.is_positive:
@@ -106,15 +111,60 @@ class LieAlgebraData:
             c * self.rs.cartan[j][i - 1] for j, c in enumerate(root.coeffs) if c
         )
 
+    # -- weight grading --------------------------------------------------------
+
+    @cached_property
+    def weights(self) -> tuple[tuple[int, ...], ...]:
+        """Weight of each basis index: 0 for H_i, the root for X_alpha."""
+        return ((0,) * self.rank,) * self.rank + tuple(r.coeffs for r in self.roots)
+
+    @cached_property
+    def _cancelling(self) -> dict[tuple[int, ...], tuple[int, ...]]:
+        """Weight w -> the indices k with wt(k) = -w: one per root, all H_i for 0."""
+        table = {tuple(-c for c in w): (i,) for i, w in enumerate(self.weights)}
+        table[(0,) * self.rank] = tuple(range(self.rank))
+        return table
+
+    def partners(self, i: int, j: int | None = None) -> tuple[int, ...]:
+        """Indices k with wt(i) + wt(j) + wt(k) = 0; j may be left out."""
+        w = self.weights[i]
+        if j is not None:
+            w = tuple(map(add, w, self.weights[j]))
+        return self._cancelling.get(w, ())
+
+    @cached_property
+    def grading_failure(self) -> str | None:
+        """Where some [e_i, e_j] leaves weight wt(i) + wt(j); None if none does.
+
+        Costs dim^2 brackets, paid on first use only.
+        """
+        wt = self.weights
+        for i in range(self.dim):
+            for j in range(self.dim):
+                for t, c in self.basis_bracket(i, j).items():
+                    if c and wt[t] != tuple(map(add, wt[i], wt[j])):
+                        return f"bracket {(i, j)} leaves weight wt({i}) + wt({j})"
+        return None
+
     # -- brackets ------------------------------------------------------------
 
-    def basis_bracket(self, i: int, j: int) -> dict[int, Q]:
-        """Sparse coordinates of [e_i, e_j]."""
-        key = (i, j)
-        hit = self._pair_cache.get(key)
+    @cached_property
+    def _brackets(self) -> list[dict[int, int] | None]:
+        """[e_i, e_j] cached at i * dim + j, seeded with every N(a, b) term."""
+        dim, idx = self.dim, self._root_index
+        table: list[dict[int, int] | None] = [None] * (dim * dim)
+        for (a, b), n in self.nconst.items():
+            if n:
+                table[idx[a] * dim + idx[b]] = {idx[a + b]: n}
+        return table
+
+    def basis_bracket(self, i: int, j: int) -> dict[int, int]:
+        """Sparse coordinates of [e_i, e_j]; shared, so never mutate them."""
+        key = i * self.dim + j
+        hit = self._brackets[key]
         if hit is not None:
             return hit
-        out: dict[int, Q] = {}
+        out: dict[int, int] = {}
         rk = self.rank
         if i < rk and j < rk:
             pass  # Cartan is abelian
@@ -122,46 +172,46 @@ class LieAlgebraData:
             beta = self.roots[j - rk]
             c = self.root_action(beta, i + 1)
             if c:
-                out[j] = Q(c)
+                out[j] = c
         elif j < rk:
             alpha = self.roots[i - rk]
             c = self.root_action(alpha, j + 1)
             if c:
-                out[i] = Q(-c)
-        else:
+                out[i] = -c
+        else:  # root pairs with a constant are seeded; [X_a, X_-a] = H_a
             alpha = self.roots[i - rk]
-            beta = self.roots[j - rk]
-            total = alpha + beta
-            if all(c == 0 for c in total.coeffs):
+            if self.roots[j - rk] == -alpha:
                 for t, c in enumerate(self.coroot(alpha)):
                     if c:
-                        out[t] = Q(c)
-            else:
-                n = self.nconst.get((alpha, beta))
-                if n:
-                    out[self._root_index[total]] = Q(n)
-        self._pair_cache[key] = out
+                        out[t] = c
+        self._brackets[key] = out = out or _NO_TERMS
         return out
 
-    def killing_basis(self) -> list[list[Q]]:
-        """Gram matrix of the Killing form on the basis, by brute-force trace."""
+    def killing_basis(self) -> list[list[int]]:
+        """Gram matrix of the Killing form on the basis, by brute-force trace.
+
+        Only entries with wt(u) + wt(v) = 0 are traced: ad_u ad_v shifts
+        weights by wt(u) + wt(v), so the other traces vanish once
+        ``grading_failure`` has passed; raises DomainError if it has not.
+        """
         if self._killing is not None:
             return self._killing
+        if self.grading_failure is not None:
+            raise DomainError(f"weight grading fails: {self.grading_failure}")
         dim = self.dim
-        ad = [[self.basis_bracket(u, j) for j in range(dim)] for u in range(dim)]
-        b = [[Q(0)] * dim for _ in range(dim)]
+        pair = self.basis_bracket
+        b = [[0] * dim for _ in range(dim)]
         for u in range(dim):
-            for v in range(u, dim):
-                total = Q(0)
-                adv = ad[v]
-                adu = ad[u]
+            for v in self.partners(u):
+                if v < u:
+                    continue
+                total = 0
                 for j in range(dim):
-                    for m, c in adv[j].items():
-                        c2 = adu[m].get(j)
+                    for m, c in pair(v, j).items():
+                        c2 = pair(u, m).get(j)
                         if c2:
                             total += c * c2
-                b[u][v] = total
-                b[v][u] = total
+                b[u][v] = b[v][u] = total
         self._killing = b
         return b
 
@@ -353,12 +403,13 @@ def ad_matrix(L: LieAlgebraData, x: AlgebraElement) -> list[list[Q]]:
 def killing_form(L: LieAlgebraData, x: AlgebraElement, y: AlgebraElement) -> Q:
     """B(x, y) = tr(ad_x ad_y), bilinear over the cached basis Gram matrix."""
     b = L.killing_basis()
+    ys = [(j, c) for j, c in enumerate(y.coords) if c]
     total = Q(0)
     for i, a in enumerate(x.coords):
         if not a:
             continue
         row = b[i]
-        for j, c in enumerate(y.coords):
-            if c and row[j]:
+        for j, c in ys:
+            if row[j]:
                 total += a * c * row[j]
     return total

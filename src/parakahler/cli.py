@@ -130,6 +130,13 @@ def _weight_payload(rs, xi) -> dict:
     }
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _parse_cross(text: str) -> CrossingSet:
     try:
         nodes = [int(tok) for tok in text.replace(",", " ").split()]
@@ -430,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_einstein)
 
     p = sub.add_parser("verify", help="run the exact oracle sweep")
-    p.add_argument("--max-rank", type=int, default=3)
+    p.add_argument("--max-rank", type=positive_int, default=3)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_verify)
 

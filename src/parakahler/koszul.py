@@ -137,20 +137,17 @@ def koszul_trace(g: Gradation, L: LieAlgebraData, x: AlgebraElement) -> Q:
             s = g.ksign(L.roots[i - rk])
             if s:
                 kx[i] = s * x.coords[i]
+    # Only columns in the support of x or K~x can reach the diagonal.
+    support = [j for j in range(L.dim) if kx[j] or x.coords[j]]
     trace = Q(0)
-    for root in g.nonzero_roots():
-        i = L.index_of_root(root)
-        sign_i = g.ksign(root)
-        diag = Q(0)
-        for j in range(L.dim):
-            cj_k = kx[j]
-            cj_x = x.coords[j]
-            if not cj_k and not cj_x:
-                continue
+    for i in range(rk, L.dim):
+        sign_i = g.ksign(L.roots[i - rk])
+        if not sign_i:
+            continue  # g_0 is not part of m
+        for j in support:
             entry = L.basis_bracket(j, i).get(i)
             if entry:
-                diag += cj_k * entry - sign_i * cj_x * entry
-        trace += diag
+                trace += (kx[j] - sign_i * x.coords[j]) * entry
     return -trace
 
 

@@ -170,17 +170,7 @@ class ChartPotential:
 
     def split_value(self, u, v):
         if self.kind == "polynomial":
-            total = 0
-            for (a, b), coeff in self.plus_poly().items():
-                term = coeff
-                for uk, ak in zip(u, a):
-                    if ak:
-                        term = term * uk**ak
-                for vk, bk in zip(v, b):
-                    if bk:
-                        term = term * vk**bk
-                total = total + term
-            return total
+            return _poly_eval(self.plus_poly(), u, v)
         arg = 1 + sum(uk * vk for uk, vk in zip(u, v))
         if arg <= 0:
             raise SingularPointError(f"log argument {arg} is not positive")

@@ -1,8 +1,9 @@
 """Exact linear algebra over the rationals.
 
 Everything here works on lists of lists of ``fractions.Fraction`` (or ints)
-and never touches floating point.  Sizes stay small (matrices up to the
-dimension of F4, i.e. 52), so plain Gaussian elimination is entirely adequate.
+and never touches floating point.  Matrices reach the dimension of E8 (248)
+but stay sparse, and elimination skips zero entries, so plain Gaussian
+elimination is adequate.
 """
 
 from __future__ import annotations

@@ -1,13 +1,24 @@
 """Brute-force verification sweeps over algebras and gradations.
 
-These checks recompute everything from first principles (basis triples,
+These checks recompute everything from first principles (basis brackets,
 honest traces, exact nullspaces) so they can serve as oracles for the
 closed-form routes.  All arithmetic is exact; a check either passes or
 returns a description of the first failure.
+
+Triple loops skip only basis tuples whose terms all vanish.  Jacobi visits
+triples where [[i,j],k], [[j,k],i] or [[k,i],j] has a nonzero product of
+basis brackets.  Killing invariance, closedness of rho and both
+ad_{g_0}-invariance checks visit triples with wt(i) + wt(j) + wt(k) = 0
+only: each term pairs [e_i, e_j] with e_k under a form that vanishes unless
+the weights cancel (``check_einstein`` checks that of the metric), so other
+triples contribute nothing once every bracket lands in weight wt(i) + wt(j).
+``LieAlgebraData.grading_failure`` certifies that; if it fails, these
+checks return ok: False with its location.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction as Q
 
 from . import ratlin
@@ -41,56 +52,86 @@ def _first_failure(problems: list[str]) -> dict:
     return {"ok": not problems, "first_failure": problems[0] if problems else None}
 
 
+def _certified(check):
+    """Run ``check`` only once the weight grading certificate has passed."""
+
+    @functools.wraps(check)
+    def guarded(L: LieAlgebraData, *args, **kwargs) -> dict:
+        bad = L.grading_failure
+        if bad is not None:
+            return _first_failure([f"weight grading fails: {bad}"])
+        return check(L, *args, **kwargs)
+
+    return guarded
+
+
+def _zero_weight_triples(L: LieAlgebraData, firsts, seconds):
+    """(i, j, k) with i in firsts, j in seconds and wt(i) + wt(j) + wt(k) = 0."""
+    for i in firsts:
+        for j in seconds:
+            for k in L.partners(i, j):
+                yield i, j, k
+
+
+def _invariance_failure(L: LieAlgebraData, form, acting, domain) -> tuple | None:
+    """First (z, x, y) with form([z,x], y) + form(x, [z,y]) != 0.
+
+    z runs over ``acting``, x <= y over ``domain``; ``form(m, k)`` is the
+    bilinear form on basis indices and must be symmetric or antisymmetric.
+    """
+    inside = set(domain)
+    pair = L.basis_bracket
+    for z, x, y in _zero_weight_triples(L, acting, domain):
+        if y < x or y not in inside:
+            continue
+        lhs = sum(c * form(m, y) for m, c in pair(z, x).items())
+        lhs += sum(c * form(x, m) for m, c in pair(z, y).items())
+        if lhs:
+            return z, x, y
+    return None
+
+
 # -- algebra-level checks ------------------------------------------------------
 
 
 def check_jacobi(L: LieAlgebraData) -> dict:
-    """Jacobi identity on every unordered basis triple, exactly."""
+    """Jacobi identity on every unordered basis triple with a nonzero term."""
     dim = L.dim
-    problems: list[str] = []
     pair = L.basis_bracket
+    # ties[m]: the k with [e_m, e_k] != 0.  [[i,j],k] has a nonzero term only
+    # if k is a tie of some m in the support of [e_i, e_j].
+    ties = [[k for k in range(dim) if pair(m, k)] for m in range(dim)]
+    triples = {
+        tuple(sorted((i, j, k)))
+        for i in range(dim)
+        for j in range(i + 1, dim)
+        for m in pair(i, j)
+        for k in ties[m]
+        if k != i and k != j
+    }
+    for count, (i, j, k) in enumerate(sorted(triples), 1):
+        acc: dict[int, int] = {}
+        # [[i,j],k] + [[j,k],i] + [[k,i],j], with [[k,i],j] = -[[i,k],j]
+        for p, q, r, sign in ((i, j, k, 1), (j, k, i, 1), (i, k, j, -1)):
+            for m, c in pair(p, q).items():
+                for t, c2 in pair(m, r).items():
+                    acc[t] = acc.get(t, 0) + sign * c * c2
+        if any(acc.values()):
+            failure = _first_failure([f"jacobi fails on basis triple {(i, j, k)}"])
+            return {**failure, "triples": count}
+    return {**_first_failure([]), "triples": len(triples)}
 
-    def apply(vec: dict[int, Q], k: int, acc: dict[int, Q], sign: int) -> None:
-        for m, c in vec.items():
-            for t, c2 in pair(m, k).items():
-                acc[t] = acc.get(t, Q(0)) + sign * c * c2
 
-    count = 0
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            pij = pair(i, j)
-            for k in range(j + 1, dim):
-                acc: dict[int, Q] = {}
-                apply(pij, k, acc, 1)  # [[i,j],k]
-                apply(pair(j, k), i, acc, 1)  # [[j,k],i]
-                apply(pair(i, k), j, acc, -1)  # [[k,i],j] = -[[i,k],j]
-                count += 1
-                if any(acc.values()):
-                    problems.append(f"jacobi fails on basis triple {(i, j, k)}")
-                    return {**_first_failure(problems), "triples": count}
-    return {**_first_failure(problems), "triples": count}
-
-
+@_certified
 def check_killing_invariance(L: LieAlgebraData) -> dict:
     """B([z,x],y) + B(x,[z,y]) = 0 over all basis triples."""
     b = L.killing_basis()
-    dim = L.dim
-    pair = L.basis_bracket
-
-    def b_vec(vec: dict[int, Q], k: int) -> Q:
-        return sum((c * b[m][k] for m, c in vec.items() if b[m][k]), Q(0))
-
-    for z in range(dim):
-        for x in range(dim):
-            pzx = pair(z, x)
-            for y in range(x, dim):
-                if b_vec(pzx, y) + b_vec(pair(z, y), x) != 0:
-                    return _first_failure(
-                        [f"killing invariance fails on {(z, x, y)}"]
-                    )
-    return _first_failure([])
+    everything = range(L.dim)
+    bad = _invariance_failure(L, lambda m, k: b[m][k], everything, everything)
+    return _first_failure([f"killing invariance fails on {bad}"] if bad else [])
 
 
+@_certified
 def check_killing_cartan(L: LieAlgebraData) -> dict:
     """Killing form restricted to the Cartan subalgebra is nondegenerate."""
     b = L.killing_basis()
@@ -199,12 +240,21 @@ def check_trace_oracle(L: LieAlgebraData, g: Gradation) -> dict:
     return _first_failure(problems)
 
 
+@_certified
 def check_two_form(L: LieAlgebraData, g: Gradation) -> dict:
     """Kernel, closedness, type (1,1), positivity, coefficient consistency."""
     rs = L.rs
+    rk = L.rank
     psi = koszul_form(g)
     rho = two_form_from_weight(rs, psi)
+    g0 = [*range(rk), *map(L.index_of_root, g.roots_of_degree(0))]
     problems: list[str] = []
+
+    def rho_index(m: int, k: int) -> Q:
+        """rho on basis indices; zero whenever a Cartan index is involved."""
+        if m < rk or k < rk:
+            return Q(0)
+        return rho.pair_basis(L.roots[m - rk], L.roots[k - rk])
 
     if not kernel_is_g0(rho, g):
         problems.append("kernel of d(psi) is not g_0")
@@ -220,45 +270,25 @@ def check_two_form(L: LieAlgebraData, g: Gradation) -> dict:
                 f"expected {expected_dim}"
             )
         else:
-            g0_idx = {
-                i
-                for i in range(L.rank, L.dim)
-                if g.degree(L.roots[i - L.rank]) == 0
-            } | set(range(L.rank))
+            g0_idx = set(g0)
             for vec in null:
                 if any(c for i, c in enumerate(vec) if i not in g0_idx):
                     problems.append("matrix nullspace escapes g_0")
                     break
 
-    # Closedness: cyclic sum of rho([x,y],z) over all basis triples.
+    # Closedness: cyclic sum of rho([x,y],z) over the zero-weight triples.
     if not problems:
         pair = L.basis_bracket
 
-        def rho_vec(vec: dict[int, Q], k: int) -> Q:
-            total = Q(0)
-            if k >= L.rank:
-                beta = L.roots[k - L.rank]
-                for m, c in vec.items():
-                    if m >= L.rank:
-                        total += c * rho.pair_basis(L.roots[m - L.rank], beta)
-            return total
+        def rho_vec(vec: dict[int, int], k: int) -> Q:
+            return sum((c * rho_index(m, k) for m, c in vec.items()), Q(0))
 
-        dim = L.dim
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                pij = pair(i, j)
-                for k in range(j + 1, dim):
-                    s = (
-                        rho_vec(pij, k)
-                        + rho_vec(pair(j, k), i)
-                        - rho_vec(pair(i, k), j)
-                    )
-                    if s != 0:
-                        problems.append(f"d(rho) != 0 on triple {(i, j, k)}")
-                        break
-                if problems:
-                    break
-            if problems:
+        for i, j, k in _zero_weight_triples(L, range(L.dim), range(L.dim)):
+            if not i < j < k:
+                continue
+            s = rho_vec(pair(i, j), k) + rho_vec(pair(j, k), i)
+            if s != rho_vec(pair(i, k), j):
+                problems.append(f"d(rho) != 0 on triple {(i, j, k)}")
                 break
 
     # Type (1,1): rho pairs g_i with g_j only when i + j = 0.
@@ -294,40 +324,16 @@ def check_two_form(L: LieAlgebraData, g: Gradation) -> dict:
         if any(a < 2 for a in acoef.values()):
             problems.append("some a_i < 2")
 
-    # ad_h-invariance of rho for every basis element of g_0.
+    # ad_h-invariance of rho for every basis element h of g_0.
     if not problems:
-        g0_indices = list(range(L.rank)) + [
-            L.index_of_root(r) for r in g.roots_of_degree(0)
-        ]
-        m_indices = [L.index_of_root(r) for r in L.roots]
-        for h in g0_indices:
-            for x in m_indices:
-                phx = L.basis_bracket(h, x)
-                for y in m_indices:
-                    if y < x:
-                        continue
-                    lhs = Q(0)
-                    for m, c in phx.items():
-                        if m >= L.rank:
-                            lhs += c * rho.pair_basis(
-                                L.roots[m - L.rank], L.roots[y - L.rank]
-                            )
-                    for m, c in L.basis_bracket(h, y).items():
-                        if m >= L.rank:
-                            lhs += c * rho.pair_basis(
-                                L.roots[x - L.rank], L.roots[m - L.rank]
-                            )
-                    if lhs != 0:
-                        problems.append(f"rho not ad-invariant under index {h}")
-                        break
-                if problems:
-                    break
-            if problems:
-                break
+        bad = _invariance_failure(L, rho_index, g0, range(rk, L.dim))
+        if bad:
+            problems.append(f"rho not ad-invariant under index {bad[0]}")
 
     return _first_failure(problems)
 
 
+@_certified
 def check_killing_dual(L: LieAlgebraData, g: Gradation) -> dict:
     """omega_z with z the Killing dual of psi reproduces d(psi) exactly."""
     psi = koszul_form(g)
@@ -338,8 +344,9 @@ def check_killing_dual(L: LieAlgebraData, g: Gradation) -> dict:
     return {"ok": ok, "first_failure": None if ok else "omega_z != d(psi)"}
 
 
+@_certified
 def check_einstein(L: LieAlgebraData, g: Gradation, lam=Q(1)) -> dict:
-    """Symmetry, K-skewness, ad_{g_0}-invariance, neutral signature."""
+    """Symmetry, K-skewness, weight sparsity, ad_{g_0}-invariance, signature."""
     es = einstein_structure(g, L, lam)
     roots = g.nonzero_roots()
     n = len(roots)
@@ -353,37 +360,21 @@ def check_einstein(L: LieAlgebraData, g: Gradation, lam=Q(1)) -> dict:
             if sa * sb * es.metric[a][b] != -es.metric[a][b]:
                 problems.append("metric not K-skew")
                 break
+            # The invariance check below visits zero-weight triples only.
+            if es.metric[a][b] and any((roots[a] + roots[b]).coeffs):
+                problems.append(f"metric pairs {roots[a]} with {roots[b]}")
+                break
         if problems:
             break
 
     if not problems:
-        # ad-invariance under g_0: transport each metric index by [h, .].
-        pos_of = {L.index_of_root(r): k for k, r in enumerate(roots)}
-        g0_indices = list(range(L.rank)) + [
-            L.index_of_root(r) for r in g.roots_of_degree(0)
-        ]
-        for h in g0_indices:
-            for a in range(n):
-                pha = L.basis_bracket(h, L.index_of_root(roots[a]))
-                for b in range(n):
-                    lhs = Q(0)
-                    for m, c in pha.items():
-                        k = pos_of.get(m)
-                        if k is not None:
-                            lhs += c * es.metric[k][b]
-                    for m, c in L.basis_bracket(
-                        h, L.index_of_root(roots[b])
-                    ).items():
-                        k = pos_of.get(m)
-                        if k is not None:
-                            lhs += c * es.metric[a][k]
-                    if lhs != 0:
-                        problems.append("metric not ad-invariant under g_0")
-                        break
-                if problems:
-                    break
-            if problems:
-                break
+        # ad-invariance under g_0, with the metric keyed by basis indices.
+        index = [L.index_of_root(r) for r in roots]
+        metric = {(index[a], index[b]): v for a, row in enumerate(es.metric)
+                  for b, v in enumerate(row) if v}
+        g0 = [*range(L.rank), *map(L.index_of_root, g.roots_of_degree(0))]
+        if _invariance_failure(L, lambda m, k: metric.get((m, k), 0), g0, index):
+            problems.append("metric not ad-invariant under g_0")
 
     if not problems:
         pos, neg = es.signature()

@@ -125,6 +125,17 @@ def test_verify_rank1(capsys):
     assert "[pass] all oracle checks" in out
 
 
+@pytest.mark.parametrize("max_rank", ["0", "-3"])
+def test_verify_max_rank_below_one_is_usage_error(capsys, max_rank):
+    # Checking no algebra at all must not report a pass.
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--max-rank", max_rank])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "must be at least 1" in captured.err
+    assert "[pass]" not in captured.out
+
+
 def test_catalog(capsys):
     code, out, _ = run(capsys, "catalog")
     assert code == 0

@@ -1,11 +1,20 @@
+import time
+
+import pytest
+
 from parakahler.chevalley import LieAlgebraData
+from parakahler.errors import DomainError
 from parakahler.gradation import CrossingSet, grade_from_crossing
+from parakahler import verify
+from parakahler.koszul import einstein_structure
 from parakahler.rootsys import Root
 from parakahler.verify import (
     check_algebra,
     check_einstein,
     check_jacobi,
+    check_killing_cartan,
     check_killing_dual,
+    check_killing_invariance,
     check_structure_constants,
     check_trace_oracle,
     check_two_form,
@@ -34,14 +43,19 @@ def test_run_sweep_rank2():
     assert result["gradations"] == 10  # A1 + A2 + B2 + G2 crossings
 
 
+def _copy(L: LieAlgebraData, nconst=None) -> LieAlgebraData:
+    """A fresh algebra with empty caches, optionally with other constants."""
+    coroots = {r: L.coroot(r) for r in L.rs.positive_roots}
+    return LieAlgebraData(L.rs, dict(nconst or L.nconst), coroots)
+
+
 def _corrupted(L: LieAlgebraData) -> LieAlgebraData:
     """Flip one pair of structure constants, keeping antisymmetry."""
     a, b = Root((1, 0)), Root((0, 1))
     bad = dict(L.nconst)
     bad[(a, b)] = -bad[(a, b)]
     bad[(b, a)] = -bad[(b, a)]
-    coroots = {r: L.coroot(r) for r in L.rs.positive_roots}
-    return LieAlgebraData(L.rs, bad, coroots)
+    return _copy(L, bad)
 
 
 def test_corrupted_constants_fail_jacobi(algebra):
@@ -64,3 +78,97 @@ def test_individual_checks_on_g2(algebra):
     assert check_two_form(L, g)["ok"]
     assert check_killing_dual(L, g)["ok"]
     assert check_einstein(L, g)["ok"]
+
+
+def test_bracket_off_its_weight_fails_every_sparse_check(algebra):
+    # The sparse checks skip triples whose weights cannot cancel; a bracket
+    # outside its weight voids that skip, so none of them may pass.
+    rs, shared = algebra("G2")
+    L = _copy(shared)
+    i = L.index_of_root(Root((1, 0)))
+    j = L.index_of_root(Root((0, 1)))
+    wrong = L.index_of_root(Root((2, 1)))  # [X_a1, X_a2] lies in weight a1+a2
+    L._brackets[i * L.dim + j] = {wrong: 1}
+    assert f"bracket {(i, j)}" in L.grading_failure
+    g = grade_from_crossing(rs, CrossingSet.of(1))
+    reports = {
+        "killing_invariance": check_killing_invariance(L),
+        "killing_cartan": check_killing_cartan(L),
+        "two_form": check_two_form(L, g),
+        "killing_dual": check_killing_dual(L, g),
+        "einstein": check_einstein(L, g),
+    }
+    for name, report in reports.items():
+        assert not report["ok"], name
+        assert f"bracket {(i, j)}" in report["first_failure"], name
+    with pytest.raises(DomainError, match="weight grading fails"):
+        L.killing_basis()
+    # Jacobi reads the bracket table directly and sees the same corruption.
+    assert not check_jacobi(L)["ok"]
+
+
+def test_metric_off_its_weights_fails_einstein(algebra, monkeypatch):
+    # The sparse ad-invariance check skips triples whose weights do not
+    # cancel, so a metric entry off the weight pairs must be caught first.
+    rs, L = algebra("G2")
+    g = grade_from_crossing(rs, CrossingSet.of(1))
+    es = einstein_structure(g, L, 1)
+    roots = g.nonzero_roots()
+    a = next(k for k, r in enumerate(roots) if g.ksign(r) > 0)
+    b = next(k for k, r in enumerate(roots) if g.ksign(r) < 0 and r != -roots[a])
+    metric = [list(row) for row in es.metric]
+    metric[a][b] = metric[b][a] = 1  # symmetric and K-skew, wrong weight
+    es.metric = tuple(tuple(row) for row in metric)
+    monkeypatch.setattr(verify, "einstein_structure", lambda *args: es)
+    report = check_einstein(L, g)
+    assert not report["ok"]
+    assert "metric pairs" in report["first_failure"]
+
+
+def test_sign_flip_keeping_weights_fails_sparse_jacobi(algebra):
+    rs, L = algebra("G2")
+    broken = _corrupted(L)
+    assert broken.grading_failure is None
+    report = check_jacobi(broken)
+    assert not report["ok"]
+    assert "jacobi fails" in report["first_failure"]
+    assert report["triples"] < 364  # C(14, 3): only triples with a term
+
+
+def test_jacobi_examines_exactly_the_triples_with_a_term(algebra):
+    # Dense count: triples i < j < k where [[i,j],k], [[j,k],i] or [[k,i],j]
+    # has a nonzero product of basis brackets.
+    _, L = algebra("B3")
+    pair = L.basis_bracket
+
+    def has_term(i, j, k):
+        return any(pair(m, k) for m in pair(i, j))
+
+    dense = sum(
+        has_term(i, j, k) or has_term(j, k, i) or has_term(k, i, j)
+        for i in range(L.dim)
+        for j in range(i + 1, L.dim)
+        for k in range(j + 1, L.dim)
+    )
+    report = check_jacobi(L)
+    assert report["ok"]
+    assert report["triples"] == dense < 1330  # C(21, 3)
+
+
+@pytest.mark.parametrize(
+    "name, signature", [("E7", (33, 33)), ("E8", (78, 78))]
+)
+def test_exceptional_oracles_at_crossing_one(algebra, name, signature):
+    # Jacobi on E7 runs in test_chevalley.test_structure_constants_high_rank.
+    rs, L = algebra(name)
+    g = grade_from_crossing(rs, CrossingSet.of(1))
+    reports = {
+        "killing_invariance": check_killing_invariance(L),
+        "two_form": check_two_form(L, g),
+        "einstein": check_einstein(L, g),
+        "trace_oracle": check_trace_oracle(L, g),
+        "killing_dual": check_killing_dual(L, g),
+    }
+    for check, report in reports.items():
+        assert report["ok"], (check, report["first_failure"])
+    assert einstein_structure(g, L, 1).signature() == signature
