@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction as Q
@@ -350,9 +351,10 @@ def cmd_potential(args) -> Report:
     else:
         lam = fit_lambda(potential, center)
         lam_source = "fitted"
-    residual = einstein_residual(potential, lam, pts)
+    residual, argmax = einstein_residual(potential, lam, pts, locate=True)
+    det_points = pts[:5]
     det_residual = max(
-        determinant_identity_residual(potential, p, axis=0) for p in pts[:5]
+        determinant_identity_residual(potential, p, axis=0) for p in det_points
     )
     payload = {
         "config": str(args.config),
@@ -363,7 +365,9 @@ def cmd_potential(args) -> Report:
         "lambda": lam,
         "lambda_source": lam_source,
         "einstein_residual": residual,
+        "residual_argmax": list(argmax),
         "determinant_identity_residual": det_residual,
+        "det_identity_points": len(det_points),
     }
     checks = [
         {"name": "einstein residual below 1e-5", "ok": residual < 1e-5},
@@ -465,7 +469,13 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(report.to_json() if args.json else report.render_text())
+    try:
+        print(report.to_json() if args.json else report.render_text())
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader is gone (`| head`): send the exit-time flush to devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     if any(not check["ok"] for check in report.checks):
         return 1
     return 0

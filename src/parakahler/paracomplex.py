@@ -18,9 +18,10 @@ frame:
 The Ricci sign is the one that makes F = log(1 + z zbar) Einstein with a
 positive constant (lambda = 2 for n = 1); the opposite sign fails that model.
 
-Polynomial potentials are differentiated symbolically (exact rational
-coefficients); builtin potentials use 5-point central differences, fourth
-order, with the step scaled by the coordinate magnitude.
+Every f is c log P + Q (builtin: c = scale, P = 1 + sum u_k v_k; polynomial:
+c = 0, P = 1).  ``DerivativeTable`` differentiates it exactly, once, and
+evaluates in floats.  ``split_value``, ``fd_partial`` (5-point stencils) and
+``mixed_partial_pc`` stay off that path as independent oracles.
 """
 
 from __future__ import annotations
@@ -95,7 +96,6 @@ class ParaComplex:
 
 
 E = ParaComplex(0, 1)
-PC_ONE = ParaComplex(1, 0)
 
 
 def pc(x, y=0) -> ParaComplex:
@@ -120,6 +120,8 @@ Monomial = tuple[tuple[int, ...], tuple[int, ...], Q]  # (z exps, zbar exps, coe
 
 BUILTIN_NAMES = ("log1p_zzbar",)
 
+PolyTable = dict[tuple[tuple[int, ...], tuple[int, ...]], Q]
+
 
 @dataclass(frozen=True)
 class ChartPotential:
@@ -140,15 +142,14 @@ class ChartPotential:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise DomainError("chart dimension must be at least 1")
+        table: PolyTable = {}
         if self.kind == "polynomial":
-            table: dict[tuple, Q] = {}
             for a, b, coeff in self.monomials:
                 if len(a) != self.n or len(b) != self.n:
                     raise DomainError("monomial exponent length != chart dimension")
-                key = (a, b)
-                table[key] = table.get(key, Q(0)) + coeff
+                table[(a, b)] = table.get((a, b), 0) + coeff
             for (a, b), coeff in table.items():
-                if table.get((b, a), Q(0)) != coeff:
+                if table.get((b, a), 0) != coeff:
                     raise DomainError(
                         "potential is not real-valued: coefficient of "
                         f"z^{a} zbar^{b} has no matching conjugate term"
@@ -158,32 +159,34 @@ class ChartPotential:
                 raise DomainError(f"unknown builtin potential {self.builtin!r}")
         else:
             raise DomainError(f"unknown potential kind {self.kind!r}")
+        # Sums that cancel to 0 are checked above but not kept.
+        object.__setattr__(self, "_plus", {k: c for k, c in table.items() if c})
 
     # The split-plus coordinate function f(u, v); the full potential value at
     # an adapted point is ParaComplex.from_split(f(u, v), f(v, u)).
-    def plus_poly(self) -> dict[tuple[tuple[int, ...], tuple[int, ...]], Q]:
-        table: dict[tuple, Q] = {}
-        for a, b, coeff in self.monomials:
-            key = (a, b)
-            table[key] = table.get(key, Q(0)) + coeff
-        return {k: c for k, c in table.items() if c}
+    def plus_poly(self) -> PolyTable:
+        return dict(self._plus)
 
     def split_value(self, u, v):
         if self.kind == "polynomial":
-            return _poly_eval(self.plus_poly(), u, v)
+            return _poly_eval(self._plus, u, v)
         arg = 1 + sum(uk * vk for uk, vk in zip(u, v))
         if arg <= 0:
             raise SingularPointError(f"log argument {arg} is not positive")
         return float(self.scale) * math.log(arg)
 
+    @property
+    def derivatives(self) -> DerivativeTable:
+        """The exact derivative table of f, built on first use and kept."""
+        if "_derivatives" not in self.__dict__:
+            object.__setattr__(self, "_derivatives", DerivativeTable(self))
+        return self.__dict__["_derivatives"]
+
 
 def flat_potential(n: int) -> ChartPotential:
     """F = sum_k z^k zbar^k: constant identity metric, zero curvature."""
-    monomials = []
-    for k in range(n):
-        a = tuple(int(i == k) for i in range(n))
-        monomials.append((a, a, Q(1)))
-    return ChartPotential(n=n, kind="polynomial", monomials=tuple(monomials))
+    units = [tuple(int(i == k) for i in range(n)) for k in range(n)]
+    return polynomial_potential(n, [(a, a, Q(1)) for a in units])
 
 
 def log_model_potential(n: int = 1, scale=1) -> ChartPotential:
@@ -207,12 +210,8 @@ def paraholomorphic_coords(point, n: int) -> list[ParaComplex]:
 def admissible(F: ChartPotential, point, margin: float = 0.1) -> bool:
     """Is the point clear of potential singularities and the null cone?"""
     n = F.n
-    u, v = point[:n], point[n:]
-    if F.kind == "builtin":
-        arg = 1 + sum(uk * vk for uk, vk in zip(u, v))
-        mirror = 1 + sum(vk * uk for uk, vk in zip(u, v))
-        return min(arg, mirror) >= margin
-    return True
+    uv = sum(uk * vk for uk, vk in zip(point[:n], point[n:]))
+    return F.kind != "builtin" or 1 + uv >= margin
 
 
 def grid_points(
@@ -228,16 +227,11 @@ def grid_points(
     )
     if len(axis) ** (2 * F.n) > 200_000:
         raise DomainError("grid too large; reduce count or dimension")
-    pts = []
-    for combo in itertools.product(axis, repeat=2 * F.n):
-        if admissible(F, combo, margin):
-            pts.append(tuple(combo))
-    return pts
+    combos = itertools.product(axis, repeat=2 * F.n)
+    return [tuple(c) for c in combos if admissible(F, c, margin)]
 
 
 # -- symbolic polynomial derivatives ----------------------------------------------
-
-PolyTable = dict[tuple[tuple[int, ...], tuple[int, ...]], Q]
 
 
 def _poly_diff(table: PolyTable, axis: int, side: str) -> PolyTable:
@@ -249,7 +243,7 @@ def _poly_diff(table: PolyTable, axis: int, side: str) -> PolyTable:
             continue
         reduced = tuple(x - int(i == axis) for i, x in enumerate(exps))
         key = (reduced, b) if side == "u" else (a, reduced)
-        out[key] = out.get(key, Q(0)) + coeff * e
+        out[key] = out.get(key, 0) + coeff * e
     return out
 
 
@@ -257,30 +251,85 @@ def _poly_eval(table: PolyTable, u, v):
     total = 0
     for (a, b), coeff in table.items():
         term = coeff
-        for uk, ak in zip(u, a):
-            if ak:
-                term = term * uk**ak
-        for vk, bk in zip(v, b):
-            if bk:
-                term = term * vk**bk
+        for x, e in zip((*u, *v), (*a, *b)):
+            if e:
+                term = term * x**e
         total = total + term
     return total
 
 
-def poly_mixed_hessian_exact(F: ChartPotential, u, v) -> list[list[Q]]:
-    """Metric block d^2 f / du^a dv^b by symbolic differentiation.
+# (u exps, v exps, k) -> coeff, standing for sum coeff * u^a v^b / P^k.
+QuotientTable = dict[tuple[tuple[int, ...], tuple[int, ...], int], Q]
 
-    Exact (Fraction-valued) when the point is rational; float otherwise.
+
+class DerivativeTable:
+    """Exact derivatives of the split-plus function f = c log P + Q.
+
+    ``exact`` lists g_ab = d^2 f / du_a dv_b, then d g_ab / du_c,
+    d g_ab / dv_d and d^2 g_ab / du_c dv_d, each flattened in index order
+    (c, d, a, b), as quotient tables with rational coefficients (int where
+    integral).  The float arrays that evaluate them are built once.
     """
+
+    def __init__(self, F: ChartPotential) -> None:
+        n = self.n = F.n
+        units = [tuple(int(i == k) for i in range(n)) for k in range(n)]
+        self.p: PolyTable = {((0,) * n, (0,) * n): 1}
+        if F.kind == "builtin":
+            self.p.update(((e, e), 1) for e in units)
+        g = []
+        for a in range(n):  # df / du_a = dQ / du_a + c (dP / du_a) / P
+            first = {(*key, 0): c for key, c in _poly_diff(F._plus, a, "u").items()}
+            if F.kind == "builtin":
+                first[((0,) * n, units[a], 1)] = F.scale  # dP / du_a = v_a
+            g.extend(self._diff(first, b, "v") for b in range(n))
+        gu = [self._diff(gab, c, "u") for c in range(n) for gab in g]
+        gv = [self._diff(gab, d, "v") for d in range(n) for gab in g]
+        self.exact = g + gu + gv + [self._diff(x, c, "u") for c in range(n) for x in gv]
+        self.ends = np.cumsum([n**2, n**3, n**3, n**4])
+
+        p_terms = {(*key, 0): c for key, c in self.p.items()}
+        monos = sorted({key for table in self.exact for key in table} | set(p_terms))
+        col = {key: i for i, key in enumerate(monos)}
+        self.exps = np.array([(*a, *b, k) for a, b, k in monos])
+        self.coeffs = np.zeros((len(self.exact) + 1, len(monos)))  # last row: P
+        for row, table in enumerate([*self.exact, p_terms]):
+            for key, c in table.items():
+                self.coeffs[row, col[key]] = float(c)
+
+    def _diff(self, table: QuotientTable, axis: int, side: str) -> QuotientTable:
+        """Quotient rule per term: d(N / P^k) = N' / P^k - k N P' / P^(k+1)."""
+        dp = _poly_diff(self.p, axis, side)
+        out: QuotientTable = {}
+        for (a, b, k), coeff in table.items():
+            for (da, db), c in _poly_diff({(a, b): coeff}, axis, side).items():
+                out[(da, db, k)] = out.get((da, db, k), 0) + c
+            for (pa, pb), c in dp.items():
+                key = (tuple(map(sum, zip(a, pa))), tuple(map(sum, zip(b, pb))), k + 1)
+                out[key] = out.get(key, 0) - k * coeff * c
+        return {m: c if c.denominator > 1 else c.numerator for m, c in out.items() if c}
+
+    def at(self, point, blocks: int = 4) -> list[np.ndarray]:
+        """The first ``blocks`` of g[a, b], d_u g[c, a, b], d_v g[d, a, b] and
+        d_u d_v g[c, d, a, b] at a float point."""
+        if len(point) != 2 * self.n:
+            raise DomainError("point length must be twice the chart dimension")
+        mono = np.prod(np.asarray(point, dtype=float) ** self.exps[:, :-1], axis=1)
+        p = float(self.coeffs[-1] @ mono)
+        if p <= 0:
+            raise SingularPointError(f"log argument {p} is not positive")
+        vals = self.coeffs[: self.ends[blocks - 1]] @ (mono * p ** -self.exps[:, -1])
+        parts = np.split(vals, self.ends[: blocks - 1])
+        return [part.reshape((self.n,) * d) for part, d in zip(parts, (2, 3, 3, 4))]
+
+
+def poly_mixed_hessian_exact(F: ChartPotential, u, v) -> list[list[Q]]:
+    """Metric block d^2 f / du^a dv^b; exact (Fractions) at rational points."""
     if F.kind != "polynomial":
         raise DomainError("exact Hessian needs a polynomial potential")
-    base = F.plus_poly()
-    n = F.n
-    out = []
-    for a in range(n):
-        da = _poly_diff(base, a, "u")
-        out.append([_poly_eval(_poly_diff(da, b, "v"), u, v) for b in range(n)])
-    return out
+    n, g = F.n, F.derivatives.exact  # a polynomial's quotient terms all have k = 0
+    g = [{m[:2]: c for m, c in gab.items()} for gab in g[: n * n]]
+    return [[_poly_eval(g[a * n + b], u, v) for b in range(n)] for a in range(n)]
 
 
 def mixed_partial_pc(F: ChartPotential, a_idx: int, b_idx: int, z) -> ParaComplex:
@@ -337,7 +386,6 @@ def fd_partial(fn, point, axes, h: float) -> float:
 
 # -- metric, Christoffel, Ricci -------------------------------------------------------
 
-FD_STEP = 1e-3
 FD_STEP_OUTER = 1e-2
 
 
@@ -358,92 +406,34 @@ class MetricSample:
 
 def metric_matrix(F: ChartPotential, point) -> np.ndarray:
     """The n x n adapted metric block at a point (floats)."""
-    n = F.n
-    if len(point) != 2 * n:
-        raise DomainError("point length must be twice the chart dimension")
-    if F.kind == "polynomial":
-        exact = poly_mixed_hessian_exact(F, point[:n], point[n:])
-        return np.array([[float(x) for x in row] for row in exact])
-
-    def f(q):
-        return F.split_value(q[:n], q[n:])
-
-    m = np.empty((n, n))
-    for a in range(n):
-        for b in range(n):
-            m[a, b] = fd_partial(f, point, (a, n + b), FD_STEP)
-    return m
+    return F.derivatives.at(point, 1)[0]
 
 
-def _logdet_fn(F: ChartPotential):
-    n = F.n
-    ref_sign: list[float] = []
-
-    def phi(q) -> float:
-        d = float(np.linalg.det(metric_matrix(F, q)))
-        if d == 0:
-            raise SingularPointError(f"metric degenerates at {q}")
-        if not ref_sign:
-            ref_sign.append(math.copysign(1.0, d))
-        elif math.copysign(1.0, d) != ref_sign[0]:
-            raise SingularPointError(
-                "det(g) changes sign near the sample point; log undefined"
-            )
-        return math.log(abs(d))
-
-    return phi
+def _inverse(g: np.ndarray, point) -> np.ndarray:
+    if abs(float(np.linalg.det(g))) < 1e-12:
+        raise SingularPointError(f"metric is singular at {point}")
+    return np.linalg.inv(g)
 
 
 def metric_from_potential(F: ChartPotential, point) -> MetricSample:
-    """Metric block and log-det Hessian at an admissible point."""
+    """Metric block and log-det Hessian at an admissible point.
+
+    d_ua d_vb log|det g| = tr(g^-1 d_ua d_vb g) - tr(g^-1 d_ua g g^-1 d_vb g).
+    """
     point = tuple(float(c) for c in point)
-    g = metric_matrix(F, point)
-    if abs(float(np.linalg.det(g))) < 1e-12:
-        raise SingularPointError(f"metric is singular at {point}")
-    n = F.n
-    phi = _logdet_fn(F)
-    ldh = np.empty((n, n))
-    for a in range(n):
-        for b in range(n):
-            ldh[a, b] = fd_partial(phi, point, (a, n + b), FD_STEP_OUTER)
+    g, gu, gv, guv = F.derivatives.at(point)
+    ginv = _inverse(g, point)
+    ldh = np.einsum("ij,cdji->cd", ginv, guv)
+    ldh -= np.einsum("cij,dji->cd", ginv @ gu, ginv @ gv)
     return MetricSample(point=point, g=g, logdet_hessian=ldh)
 
 
 def christoffel(F: ChartPotential, point) -> np.ndarray:
     """Christoffel block G[a][b][c], symmetric in (b, c); mixed blocks vanish."""
     point = tuple(float(c) for c in point)
-    n = F.n
-    m = metric_matrix(F, point)
-    det = float(np.linalg.det(m))
-    if abs(det) < 1e-12:
-        raise SingularPointError(f"metric is singular at {point}")
-    minv = np.linalg.inv(m)
-    third = np.empty((n, n, n))  # d^3 f / du^b du^c dv^mu
-    if F.kind == "polynomial":
-        base = F.plus_poly()
-        for b in range(n):
-            db = _poly_diff(base, b, "u")
-            for c in range(b, n):
-                dbc = _poly_diff(db, c, "u")
-                for mu in range(n):
-                    val = float(
-                        _poly_eval(_poly_diff(dbc, mu, "v"), point[:n], point[n:])
-                    )
-                    third[b, c, mu] = val
-                    third[c, b, mu] = val
-    else:
-
-        def f(q):
-            return F.split_value(q[:n], q[n:])
-
-        for b in range(n):
-            for c in range(b, n):
-                for mu in range(n):
-                    val = fd_partial(f, point, (b, c, n + mu), FD_STEP)
-                    third[b, c, mu] = val
-                    third[c, b, mu] = val
-    # G[a,b,c] = sum_mu (M^-1)[mu,a] * third[b,c,mu]
-    return np.einsum("ma,bcm->abc", minv, third)
+    g, gu = F.derivatives.at(point, 2)
+    # gu[b, c, m] = d^3 f / du^b du^c dv^m; G[a,b,c] = sum_m (g^-1)[m,a] gu[b,c,m]
+    return np.einsum("ma,bcm->abc", _inverse(g, point), gu)
 
 
 def ricci(F: ChartPotential, point) -> np.ndarray:
@@ -451,14 +441,19 @@ def ricci(F: ChartPotential, point) -> np.ndarray:
     return -metric_from_potential(F, point).logdet_hessian
 
 
-def einstein_residual(F: ChartPotential, lam: float, points) -> float:
-    """Max-norm of ric - lambda * g over a list of admissible points."""
-    worst = 0.0
+def einstein_residual(F: ChartPotential, lam: float, points, locate: bool = False):
+    """Max-norm of ric - lambda * g over a list of admissible points.
+
+    With ``locate``, returns ``(residual, point)`` for the first point where
+    the maximum is attained (``(0.0, None)`` for no points).
+    """
+    defects = []
     for p in points:
         sample = metric_from_potential(F, p)
         defect = np.max(np.abs(-sample.logdet_hessian - lam * sample.g))
-        worst = max(worst, float(defect))
-    return worst
+        defects.append((float(defect), sample.point))
+    worst = max(defects, key=lambda d: d[0], default=(0.0, None))
+    return worst if locate else worst[0]
 
 
 def fit_lambda(F: ChartPotential, point) -> float:
@@ -473,21 +468,16 @@ def fit_lambda(F: ChartPotential, point) -> float:
 
 
 def determinant_identity_residual(F: ChartPotential, point, axis: int = 0) -> float:
-    """|d det(g)/du_axis - det(g) tr(g^-1 dg/du_axis)| at a point."""
+    """|d det(g)/du_axis - det(g) tr(g^-1 dg/du_axis)|, by finite differences."""
     point = tuple(float(c) for c in point)
-    n = F.n
 
     def detf(q) -> float:
         return float(np.linalg.det(metric_matrix(F, q)))
 
     lhs = fd_partial(detf, point, (axis,), FD_STEP_OUTER)
     m = metric_matrix(F, point)
-    dm = np.empty((n, n))
-    for a in range(n):
-        for b in range(n):
-            dm[a, b] = fd_partial(
-                lambda q: float(metric_matrix(F, q)[a, b]), point, (axis,), FD_STEP_OUTER
-            )
+    # The stencil is elementwise, so it differentiates the whole block at once.
+    dm = fd_partial(lambda q: metric_matrix(F, q), point, (axis,), FD_STEP_OUTER)
     rhs = float(np.linalg.det(m)) * float(np.trace(np.linalg.inv(m) @ dm))
     return abs(lhs - rhs)
 
@@ -495,6 +485,8 @@ def determinant_identity_residual(F: ChartPotential, point, axis: int = 0) -> fl
 # -- config parsing --------------------------------------------------------------------
 
 _MONO_FACTOR = re.compile(r"^(z|zbar)(\d+)(?:\^(\d+))?$")
+_COMMON_KEYS = ("n", "kind", "lambda", "extent", "grid", "margin")
+_KIND_KEYS = {"builtin": ("builtin", "scale"), "polynomial": ("monomial",)}
 
 
 def _parse_monomial(text: str, n: int) -> Monomial:
@@ -526,9 +518,11 @@ def parse_potential_config(text: str) -> tuple[ChartPotential, dict]:
 
     Keys: ``n``, ``kind`` (polynomial | builtin), ``builtin``, ``scale``,
     repeated ``monomial = coeff * z1^a1 * zbar1^b1 ...`` lines, and the
-    sampling options ``lambda``, ``extent``, ``grid``, ``margin``.
+    sampling options ``lambda``, ``extent``, ``grid``, ``margin``.  Unknown
+    keys and keys of the other kind are errors.
     """
     fields: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     monomial_lines: list[str] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -538,6 +532,9 @@ def parse_potential_config(text: str) -> tuple[ChartPotential, dict]:
             raise ConfigError(f"line {lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
         key = key.lower()
+        if key not in _COMMON_KEYS + sum(_KIND_KEYS.values(), ()):
+            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        first_line.setdefault(key, lineno)
         if key == "monomial":
             monomial_lines.append(value)
         elif key in fields:
@@ -551,6 +548,11 @@ def parse_potential_config(text: str) -> tuple[ChartPotential, dict]:
     except ValueError:
         raise ConfigError(f"n must be an integer, got {fields['n']!r}") from None
     kind = fields.get("kind", "polynomial").lower()
+    if kind not in _KIND_KEYS:
+        raise ConfigError(f"unknown kind {kind!r}")
+    for key, lineno in first_line.items():
+        if key not in _COMMON_KEYS + _KIND_KEYS[kind]:
+            raise ConfigError(f"line {lineno}: {key!r} is not valid for kind = {kind}")
     if kind == "builtin":
         potential = ChartPotential(
             n=n,
@@ -558,13 +560,11 @@ def parse_potential_config(text: str) -> tuple[ChartPotential, dict]:
             builtin=fields.get("builtin", "log1p_zzbar"),
             scale=Q(fields.get("scale", "1")),
         )
-    elif kind == "polynomial":
+    else:
         if not monomial_lines:
             raise ConfigError("polynomial potential needs at least one monomial")
         monos = tuple(_parse_monomial(m, n) for m in monomial_lines)
         potential = ChartPotential(n=n, kind="polynomial", monomials=monos)
-    else:
-        raise ConfigError(f"unknown kind {kind!r}")
     options = {
         "lambda": Q(fields["lambda"]) if "lambda" in fields else None,
         "extent": float(fields.get("extent", "0.3")),

@@ -189,3 +189,40 @@ def test_potential_missing_file(capsys):
     code, _, err = run(capsys, "potential", "/no/such/file.cfg")
     assert code == 1
     assert "error" in err
+
+
+def test_potential_reports_checked_points_and_residual_argmax(tmp_path, capsys):
+    cfg = tmp_path / "log2.cfg"
+    cfg.write_text("n = 2\nkind = builtin\nbuiltin = log1p_zzbar\ngrid = 3\n")
+    code, out, _ = run(capsys, "potential", str(cfg), "--json")
+    assert code == 0
+    payload = json.loads(out)["payload"]
+    assert payload["det_identity_points"] == 5
+    where = payload["residual_argmax"]
+    assert len(where) == 4 and all(abs(c) <= 0.3 for c in where)
+    assert payload["einstein_residual"] < 1e-12
+
+
+def test_potential_unknown_key_fails(tmp_path, capsys):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("n = 1\nkind = builtin\nlamda = 7\ngrid = 3\n")
+    code, out, err = run(capsys, "potential", str(cfg))
+    assert code == 1
+    assert out == ""
+    assert "line 3" in err and "'lamda'" in err
+
+
+def test_closed_stdout_pipe_exits_without_traceback():
+    # The reader of a pipe may leave early (`| head`); no traceback follows.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "parakahler", "roots", "A", "1"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b""

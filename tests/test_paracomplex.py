@@ -415,3 +415,104 @@ def test_parse_potential_config_builtin_and_errors():
         parse_potential_config("n = 1\nkind = polynomial\n")
     with pytest.raises(ConfigError):
         parse_potential_config("n = 1\nmonomial = 1 * q1\n")
+
+
+def test_not_real_valued_message_names_cancelled_key():
+    # z1 zbar1^2 cancels to 0 while z1^2 zbar1 has no mirror: the error names
+    # the cancelled key, whose conjugate coefficient is the one that differs.
+    with pytest.raises(DomainError) as exc:
+        polynomial_potential(
+            1, [((1,), (2,), Q(1)), ((1,), (2,), Q(-1)), ((2,), (1,), Q(1))]
+        )
+    assert str(exc.value) == (
+        "potential is not real-valued: coefficient of z^(1,) zbar^(2,) "
+        "has no matching conjugate term"
+    )
+
+
+# -- exact derivative table ---------------------------------------------------------
+
+
+def test_derivative_table_is_exact():
+    # log(1 + uv): g = 1/P - uv/P^2, with int coefficients; scale 1/2 keeps
+    # the rational.  Evaluated at a rational point it is (1 + uv)^-2 exactly.
+    table = log_model_potential(1).derivatives
+    assert table.exact[0] == {((0,), (0,), 1): 1, ((1,), (1,), 2): -1}
+    assert all(type(c) is int for c in table.exact[0].values())
+    half = log_model_potential(1, Q(1, 2)).derivatives
+    assert half.exact[0] == {((0,), (0,), 1): Q(1, 2), ((1,), (1,), 2): Q(-1, 2)}
+    u, v = Q(1, 3), Q(-2, 5)
+    p = 1 + u * v
+    value = sum(c * u ** a[0] * v ** b[0] / p**k for (a, b, k), c in table.exact[0].items())
+    assert value == 1 / p**2
+
+
+def test_exact_table_matches_nested_finite_differences():
+    # Independent routes at n = 2: 5-point stencils of the plain potential
+    # value for g, nested stencils of log|det(metric_matrix)| for its Hessian.
+    logm = log_model_potential(2)
+
+    def f(q):
+        return logm.split_value(q[:2], q[2:])
+
+    def logdet(q):
+        return float(np.log(abs(np.linalg.det(metric_matrix(logm, q)))))
+
+    for point in [(0.1, -0.2, 0.25, 0.05), (-0.3, 0.2, 0.1, -0.15), (0.0, 0.0, 0.0, 0.0)]:
+        sample = metric_from_potential(logm, point)
+        for a in range(2):
+            for b in range(2):
+                assert abs(sample.g[a, b] - fd_partial(f, point, (a, 2 + b), 1e-3)) < 1e-9
+                fd = fd_partial(logdet, point, (a, 2 + b), 1e-2)
+                assert abs(sample.logdet_hessian[a, b] - fd) < 1e-7
+
+
+@pytest.mark.parametrize("n,scale", [(1, 1), (2, 1), (1, -1)])
+def test_log_model_einstein_to_rounding(n, scale):
+    # The exact table leaves only float rounding: lambda = (n + 1) / scale.
+    logm = log_model_potential(n, scale)
+    pts = grid_points(logm, 0.3, 9 if n == 1 else 4)
+    lam = fit_lambda(logm, (0.0,) * (2 * n))
+    assert abs(lam - (n + 1) / scale) < 1e-12
+    assert einstein_residual(logm, lam, pts) < 1e-12
+
+
+def test_log_model_christoffel_closed_form_n2():
+    # G^a_bc = -(delta_ab v_c + delta_ac v_b) / (1 + u.v).
+    logm = log_model_potential(2)
+    for point in [(0.1, -0.2, 0.25, 0.05), (-0.3, 0.2, 0.1, -0.15)]:
+        v, p = point[2:], 1 + sum(x * y for x, y in zip(point[:2], point[2:]))
+        gamma = christoffel(logm, point)
+        for a in range(2):
+            for b in range(2):
+                for c in range(2):
+                    want = -((a == b) * v[c] + (a == c) * v[b]) / p
+                    assert abs(gamma[a, b, c] - want) < 1e-12
+
+
+def test_einstein_residual_locates_its_maximum():
+    logm = log_model_potential(1)
+    pts = grid_points(logm, 0.3, 3)
+    residual, where = einstein_residual(logm, 1.0, pts, locate=True)
+    assert residual == einstein_residual(logm, 1.0, pts)
+    sample = metric_from_potential(logm, where)
+    assert float(np.max(np.abs(-sample.logdet_hessian - sample.g))) == residual
+    assert einstein_residual(logm, 1.0, [], locate=True) == (0.0, None)
+
+
+@pytest.mark.parametrize(
+    "text,key,line",
+    [
+        ("n = 1\nkind = builtin\nlamda = 7\n", "lamda", 3),
+        ("n = 1\nkind = builtin\nmonomial = 1 * z1 * zbar1\n", "monomial", 3),
+        ("n = 1\nscale = 2\nmonomial = 1 * z1 * zbar1\n", "scale", 2),
+        ("n = 1\nkind = polynomial\nbuiltin = log1p_zzbar\nmonomial = 1 * z1 * zbar1\n",
+         "builtin", 3),
+    ],
+)
+def test_parse_potential_config_rejects_unknown_and_conflicting_keys(text, key, line):
+    from parakahler.errors import ConfigError
+
+    with pytest.raises(ConfigError) as exc:
+        parse_potential_config(text)
+    assert f"line {line}:" in str(exc.value) and repr(key) in str(exc.value)
