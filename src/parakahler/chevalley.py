@@ -24,8 +24,10 @@ plus one Jacobi identity per remaining special pair.  The result is exact;
 with a nonzero term and ``verify.check_structure_constants`` checks
 |N(a,b)| = p+1 against an independent root-string computation.
 
-Constants, brackets and the Killing Gram are ints.  ``grading_failure``
-certifies that each bracket lands in the sum of its arguments' weights.
+Constants, brackets and the Killing Gram are ints.  Root lengths, coroots
+and the pairings alpha(H_i) come from the ``RootSystem``; the relations
+above, through their length ratios, are the only divisions.  ``grading_failure`` certifies that each
+bracket lands in the sum of its arguments' weights.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from functools import cached_property
 from operator import add
 
 from .errors import DomainError
-from .rootsys import Root, RootSystem, Weight, inner_product
+from .rootsys import Root, RootSystem, Weight
 
 
 _NO_TERMS: dict[int, int] = {}  # every zero bracket; shared, never mutated
@@ -70,15 +72,9 @@ class LieAlgebraData:
     Immutable by convention after construction; every cache is derived data.
     """
 
-    def __init__(
-        self,
-        rs: RootSystem,
-        nconst: dict[tuple[Root, Root], int],
-        coroots: dict[Root, tuple[int, ...]],
-    ):
+    def __init__(self, rs: RootSystem, nconst: dict[tuple[Root, Root], int]):
         self.rs = rs
         self.nconst = nconst
-        self._coroots = coroots
         self.rank = rs.rank
         self.roots = rs.all_roots()
         self.dim = self.rank + len(self.roots)
@@ -89,27 +85,11 @@ class LieAlgebraData:
 
     # -- basis bookkeeping -------------------------------------------------
 
-    def basis(self) -> tuple[BasisIndex, ...]:
-        heads = tuple(BasisIndex.H(i) for i in range(1, self.rank + 1))
-        return heads + tuple(BasisIndex.X(r) for r in self.roots)
-
     def index_of_root(self, root: Root) -> int:
         try:
             return self._root_index[root]
         except KeyError:
             raise DomainError(f"{root} is not a root of {self.rs.type}") from None
-
-    def coroot(self, root: Root) -> tuple[int, ...]:
-        """H_alpha as an integer vector over the H_i (negated for -alpha)."""
-        if root.is_positive:
-            return self._coroots[root]
-        return tuple(-c for c in self._coroots[-root])
-
-    def root_action(self, root: Root, i: int) -> int:
-        """alpha(H_i) for 1-based i."""
-        return sum(
-            c * self.rs.cartan[j][i - 1] for j, c in enumerate(root.coeffs) if c
-        )
 
     # -- weight grading --------------------------------------------------------
 
@@ -165,25 +145,18 @@ class LieAlgebraData:
         if hit is not None:
             return hit
         out: dict[int, int] = {}
-        rk = self.rank
+        rk, rs = self.rank, self.rs
         if i < rk and j < rk:
             pass  # Cartan is abelian
-        elif i < rk:
-            beta = self.roots[j - rk]
-            c = self.root_action(beta, i + 1)
+        elif i < rk or j < rk:  # [H_t, X_b] = b(H_t) X_b, antisymmetric
+            h, x, sign = (i, j, 1) if i < rk else (j, i, -1)
+            c = rs.coroot_pairing(Weight(self.roots[x - rk].coeffs), h + 1)
             if c:
-                out[j] = c
-        elif j < rk:
-            alpha = self.roots[i - rk]
-            c = self.root_action(alpha, j + 1)
-            if c:
-                out[i] = -c
+                out[x] = sign * c
         else:  # root pairs with a constant are seeded; [X_a, X_-a] = H_a
             alpha = self.roots[i - rk]
             if self.roots[j - rk] == -alpha:
-                for t, c in enumerate(self.coroot(alpha)):
-                    if c:
-                        out[t] = c
+                out = {t: c for t, c in enumerate(rs.coroot(alpha)) if c}
         self._brackets[key] = out = out or _NO_TERMS
         return out
 
@@ -270,29 +243,14 @@ def is_cartan(L: LieAlgebraData, x: AlgebraElement) -> bool:
 def chevalley_constants(rs: RootSystem) -> LieAlgebraData:
     """Structure constants of the Chevalley basis for a root system."""
     pos = rs.positive_roots
-    pos_set = {r.coeffs for r in pos}
-    rank = rs.rank
-    simple = [rs.simple_root(i) for i in range(1, rank + 1)]
-
-    lensq_cache: dict[Root, Q] = {}
-
-    def lensq(root: Root) -> Q:
-        key = root if root.is_positive else -root
-        val = lensq_cache.get(key)
-        if val is None:
-            w = Weight.from_root(key)
-            val = inner_product(rs, w, w)
-            lensq_cache[key] = val
-        return val
-
-    def is_root(root: Root) -> bool:
-        return root.coeffs in pos_set or (-root).coeffs in pos_set
+    simple = [rs.simple_root(i) for i in range(1, rs.rank + 1)]
+    sq = rs.root_length_sq
 
     def string_down(s: Root, r: Root) -> int:
         """Largest p with s - p*r a root."""
         p = 0
         cur = s - r
-        while is_root(cur):
+        while rs.is_root(cur):
             p += 1
             cur = cur - r
         return p
@@ -300,9 +258,9 @@ def chevalley_constants(rs: RootSystem) -> LieAlgebraData:
     order = {root: k for k, root in enumerate(pos)}
 
     # Seed constants on positive special pairs (r, s): r before s, r+s a root.
-    npos: dict[tuple[Root, Root], Q] = {}
+    npos: dict[tuple[Root, Root], Q | int] = {}
 
-    def nfull(al: Root, be: Root) -> Q:
+    def nfull(al: Root, be: Root) -> Q | int:
         """N(al, be) for any root pair with al+be a root."""
         pa, pb = al.is_positive, be.is_positive
         if pa and pb:
@@ -316,32 +274,33 @@ def chevalley_constants(rs: RootSystem) -> LieAlgebraData:
         # al positive, be negative, al+be a root
         total = al + be
         if total.is_positive:
-            return -(lensq(total) / lensq(al)) * nfull(-be, total)
-        return (lensq(total) / lensq(be)) * nfull(-total, al)
+            return -Q(sq(total), sq(al)) * nfull(-be, total)
+        return Q(sq(total), sq(be)) * nfull(-total, al)
 
     for gamma in pos:
         if gamma.height < 2:
             continue
-        # Extraspecial pair: smallest simple root that stays inside R+.
-        a = next(s for s in simple if (gamma - s).coeffs in pos_set)
+        # Extraspecial pair: smallest simple root that stays inside R+ (gamma
+        # has height >= 2, so gamma - s is a root only if it is positive).
+        a = next(s for s in simple if rs.is_root(gamma - s))
         b = gamma - a
-        npos[(a, b)] = Q(string_down(b, a) + 1)
+        npos[(a, b)] = string_down(b, a) + 1
         for r in pos:
             if order[r] >= order[gamma]:
                 break
-            s = gamma - r
-            if s.coeffs not in pos_set or order[r] >= order[s] or (r, s) == (a, b):
+            s = gamma - r  # height(s) >= 0, so a root s is positive
+            if not rs.is_root(s) or order[r] >= order[s] or (r, s) == (a, b):
                 continue
             # One Jacobi identity on (X_a, X_b, X_-r) pins N(r, s).
-            t_b = Q(0)
+            t_b = 0
             br = b - r
-            if is_root(br):
+            if rs.is_root(br):
                 t_b = nfull(b, -r) * nfull(br, a)
-            t_a = Q(0)
+            t_a = 0
             ar = a - r
-            if is_root(ar):
+            if rs.is_root(ar):
                 t_a = nfull(-r, a) * nfull(ar, b)
-            npos[(r, s)] = (lensq(gamma) / (lensq(s) * npos[(a, b)])) * (t_b + t_a)
+            npos[(r, s)] = Q(sq(gamma), sq(s) * npos[(a, b)]) * (t_b + t_a)
 
     # Materialize the full table over every bracketable root pair.
     all_roots = rs.all_roots()
@@ -349,20 +308,11 @@ def chevalley_constants(rs: RootSystem) -> LieAlgebraData:
     for al in all_roots:
         for be in all_roots:
             total = al + be
-            if any(total.coeffs) and is_root(total):
+            if any(total.coeffs) and rs.is_root(total):
                 val = nfull(al, be)
                 assert val.denominator == 1 and val != 0
                 nconst[(al, be)] = int(val)
-
-    # Coroots: H_a = sum_i k_i (d_i / d_a) H_i for a = sum_i k_i alpha_i.
-    coroots: dict[Root, tuple[int, ...]] = {}
-    for root in pos:
-        d_a = lensq(root) / 2
-        row = [Q(k) * rs.d[i] / d_a for i, k in enumerate(root.coeffs)]
-        assert all(c.denominator == 1 for c in row)
-        coroots[root] = tuple(int(c) for c in row)
-
-    return LieAlgebraData(rs, nconst, coroots)
+    return LieAlgebraData(rs, nconst)
 
 
 # -- operations ---------------------------------------------------------------

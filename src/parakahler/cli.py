@@ -121,6 +121,10 @@ def _rat(x) -> str:
     return str(Q(x))
 
 
+def _rho_rows(rho) -> list[dict]:
+    return [{"root": str(r), "coefficient": _rat(c)} for r, c in rho.coeffs.items()]
+
+
 def _weight_payload(rs, xi) -> dict:
     pi = weight_in_pi_basis(rs, xi)
     return {
@@ -214,10 +218,7 @@ def _koszul_payload(rs, crossing: CrossingSet) -> tuple[dict, list[dict]]:
         "coefficients": [
             {"node": i, "a": a, "b": a - 2} for i, a in sorted(acoef.items())
         ],
-        "rho": [
-            {"root": str(r), "coefficient": _rat(rho.coeffs[r])}
-            for r in rs.positive_roots
-        ],
+        "rho": _rho_rows(rho),
         "degree_zero_positive": [str(r) for r in g.zero_degree_positive()],
     }
     checks = [
@@ -274,10 +275,7 @@ def cmd_rho(args) -> Report:
     payload = {
         "type": str(stype),
         "crossed": crossing.sorted(),
-        "rho": [
-            {"root": str(r), "coefficient": _rat(rho.coeffs[r])}
-            for r in rs.positive_roots
-        ],
+        "rho": _rho_rows(rho),
         "kernel_basis": [bi.label() for bi in kernel],
         "kernel_dimension": len(kernel),
     }
@@ -352,9 +350,12 @@ def cmd_potential(args) -> Report:
         lam = fit_lambda(potential, center)
         lam_source = "fitted"
     residual, argmax = einstein_residual(potential, lam, pts, locate=True)
-    det_points = pts[:5]
+    # Five points spread over the grid, first and last included; the
+    # derivative cycles through all 2n coordinates u_1..u_n, v_1..v_n.
+    det_points = [pts[i] for i in sorted({k * (len(pts) - 1) // 4 for k in range(5)})]
     det_residual = max(
-        determinant_identity_residual(potential, p, axis=0) for p in det_points
+        determinant_identity_residual(potential, p, axis=k % len(p))
+        for k, p in enumerate(det_points)
     )
     payload = {
         "config": str(args.config),
@@ -412,9 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="emit JSON")
 
     p = sub.add_parser("roots", help="positive roots and fundamental weights")
-    p.add_argument("family")
-    p.add_argument("rank", type=int)
-    p.add_argument("--json", action="store_true")
+    common(p, cross_required=None)
     p.set_defaults(fn=cmd_roots)
 
     p = sub.add_parser("gradations", help="gradations from crossing sets")
@@ -463,10 +462,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         report = args.fn(args)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # DomainError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
@@ -476,9 +472,7 @@ def main(argv=None) -> int:
         # The reader is gone (`| head`): send the exit-time flush to devnull.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    if any(not check["ok"] for check in report.checks):
-        return 1
-    return 0
+    return int(any(not check["ok"] for check in report.checks))
 
 
 if __name__ == "__main__":

@@ -90,9 +90,7 @@ def grade_from_crossing(rs: RootSystem, crossing: CrossingSet) -> Gradation:
             f"crossed node {max(crossing.crossed)} exceeds rank {rs.rank}"
         )
     crossed0 = [i - 1 for i in crossing.sorted()]
-    degrees: dict[Root, int] = {}
-    for root in rs.all_roots():
-        degrees[root] = sum(root.coeffs[i] for i in crossed0)
+    degrees = {root: sum(root.coeffs[i] for i in crossed0) for root in rs.all_roots()}
     depth = max(degrees.values())
     # Grading element d with alpha_i(d) = [i crossed]; the coroot pairing
     # matrix is the Cartan matrix, so d is a column sum of its inverse,
@@ -151,7 +149,7 @@ def enumerate_crossings(rank: int) -> list[CrossingSet]:
 
 @dataclass(frozen=True)
 class SatakeDiagram:
-    """Dynkin diagram decorated with black nodes and arrows between nodes."""
+    """Dynkin diagram with black nodes and arrows (pairs one involution swaps)."""
 
     type: SimpleType
     black: frozenset[int]
@@ -168,11 +166,26 @@ class SatakeDiagram:
                 raise DomainError(f"bad arrow {pair} for {self.type}")
             if i in self.black or j in self.black:
                 raise DomainError(f"arrow {pair} touches a black node")
+        pairs = {tuple(sorted(p)) for p in self.arrows}
+        if pairs and not any(pairs <= swap for swap in _diagram_involutions(self.type)):
+            raise DomainError(
+                f"arrows {sorted(pairs)} are not one involution of {self.type}"
+            )
 
     @staticmethod
     def make(stype: SimpleType, black=(), arrows=()) -> "SatakeDiagram":
         normal = frozenset(tuple(sorted(p)) for p in arrows)
         return SatakeDiagram(stype, frozenset(black), normal)
+
+
+def _diagram_involutions(stype: SimpleType) -> list[set[tuple[int, int]]]:
+    """Nontrivial involutions of the Dynkin diagram, each as its swapped pairs."""
+    r = stype.rank
+    return {  # D4 has three, one per pair of outer nodes
+        "A": [{(i, r + 1 - i) for i in range(1, r // 2 + 1)}],
+        "D": [{p} for p in ((1, 3), (1, 4), (3, 4))] if r == 4 else [{(r - 1, r)}],
+        "E": [{(1, 6), (3, 5)}] if r == 6 else [],
+    }.get(stype.family, [])
 
 
 def satake_violations(diagram: SatakeDiagram, crossing: CrossingSet) -> list[str]:
@@ -231,6 +244,8 @@ def catalog_names() -> list[str]:
 
 def catalog_lookup(name: str) -> SatakeDiagram:
     """Find a diagram by name, preferring files in $PARAKAHLER_CATALOG."""
+    if ".." in name or "/" in name or os.sep in name:
+        raise DomainError(f"Satake diagram name {name!r} must not contain a path")
     directory = os.environ.get(CATALOG_ENV)
     if directory:
         for candidate in (Path(directory) / name, Path(directory) / f"{name}.satake"):

@@ -42,25 +42,17 @@ class TwoForm:
     """
 
     rs: RootSystem
-    coeffs: dict[Root, Q]
+    coeffs: dict[Root, Q | int]
 
     def __post_init__(self) -> None:
         missing = [r for r in self.rs.positive_roots if r not in self.coeffs]
         if missing:
             raise DomainError(f"coefficients missing for {missing[0]}")
 
-    def coefficient(self, root: Root) -> Q:
-        if not root.is_positive:
-            raise DomainError("coefficient lookup expects a positive root")
-        return self.coeffs[root]
-
-    def support(self) -> tuple[Root, ...]:
-        return tuple(r for r in self.rs.positive_roots if self.coeffs[r])
-
-    def pair_basis(self, alpha: Root, beta: Root) -> Q:
+    def pair_basis(self, alpha: Root, beta: Root) -> Q | int:
         """Value on (X_alpha, X_beta); zero unless beta = -alpha."""
         if any(a + b for a, b in zip(alpha.coeffs, beta.coeffs)):
-            return Q(0)
+            return 0
         return self.coeffs[alpha] if alpha.is_positive else -self.coeffs[-alpha]
 
     def evaluate(self, L: LieAlgebraData, x: AlgebraElement, y: AlgebraElement) -> Q:
@@ -89,18 +81,18 @@ class TwoForm:
 
 
 def delta_sum(rs: RootSystem, subset) -> Weight:
-    """Exact sum of a collection of positive roots, as a weight."""
+    """Sum of a collection of positive roots, as a weight with int coordinates."""
     total = [0] * rs.rank
     for root in subset:
-        if root.coeffs not in rs._positive_set:
+        if not (root.is_positive and rs.is_root(root)):
             raise DomainError(f"{root} is not a positive root of {rs.type}")
         for i, c in enumerate(root.coeffs):
             total[i] += c
-    return Weight(tuple(Q(c) for c in total))
+    return Weight(tuple(total))
 
 
 def koszul_form(g: Gradation) -> Weight:
-    """The Koszul 1-form in simple-root coordinates: 2(delta_g - delta_h)."""
+    """The Koszul 1-form psi = 2(delta_g - delta_h) in int simple-root coordinates."""
     delta_g = delta_sum(g.rs, g.rs.positive_roots)
     delta_h = delta_sum(g.rs, g.zero_degree_positive())
     return (delta_g - delta_h).scale(2)
@@ -115,8 +107,8 @@ def koszul_coefficients(g: Gradation) -> dict[int, int]:
     out: dict[int, int] = {}
     for i in g.crossing.sorted():
         b = -n_pairing(g.rs, delta_h, g.rs.simple_root(i))
-        assert b.denominator == 1 and b >= 0
-        out[i] = 2 + int(b)
+        assert b >= 0
+        out[i] = 2 + b
     return out
 
 
@@ -152,7 +144,10 @@ def koszul_trace(g: Gradation, L: LieAlgebraData, x: AlgebraElement) -> Q:
 
 
 def two_form_from_weight(rs: RootSystem, xi: Weight) -> TwoForm:
-    """Differential of a Cartan 1-form: coefficient n(xi, a) on each pair."""
+    """Differential of a Cartan 1-form: coefficient n(xi, a) on each pair.
+
+    The coefficients are ints when xi has int coordinates (psi does).
+    """
     return TwoForm(rs, {r: n_pairing(rs, xi, r) for r in rs.positive_roots})
 
 
@@ -182,7 +177,7 @@ def omega_z(L: LieAlgebraData, z: AlgebraElement) -> TwoForm:
         raise DomainError("omega_z needs an element of the Cartan subalgebra")
     coeffs = {}
     for root in L.rs.positive_roots:
-        h = cartan_element(L, L.coroot(root))
+        h = cartan_element(L, L.rs.coroot(root))
         coeffs[root] = killing_form(L, z, h)
     return TwoForm(L.rs, coeffs)
 
@@ -224,15 +219,13 @@ def einstein_structure(g: Gradation, L: LieAlgebraData, lam) -> EinsteinStructur
     rho = two_form_from_weight(g.rs, koszul_form(g))
     roots = g.nonzero_roots()
     inv = Q(1) / lam
-    n = len(roots)
-    metric = [[Q(0)] * n for _ in range(n)]
+    index = {root: a for a, root in enumerate(roots)}
+    metric = [[Q(0)] * len(roots) for _ in roots]
+    # rho pairs X_alpha with X_-alpha only; m is closed under negation.
     for a, alpha in enumerate(roots):
-        for b, beta in enumerate(roots):
-            s = g.ksign(beta)
-            if s:
-                val = rho.pair_basis(alpha, beta)
-                if val:
-                    metric[a][b] = inv * s * val
+        val = rho.pair_basis(alpha, -alpha)
+        if val:
+            metric[a][index[-alpha]] = inv * g.ksign(-alpha) * val
     return EinsteinStructure(
         gradation=g,
         lam=lam,

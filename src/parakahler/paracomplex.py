@@ -66,9 +66,6 @@ class ParaComplex:
         """z * conj(z) = x^2 - y^2 (negative inside the cone)."""
         return self.x * self.x - self.y * self.y
 
-    def is_null(self) -> bool:
-        return self.modulus_sq() == 0
-
     def inverse(self) -> "ParaComplex":
         m = self.modulus_sq()
         if m == 0:
@@ -220,13 +217,13 @@ def grid_points(
     """Admissible points of a regular grid with |coordinate| <= extent."""
     if count < 1:
         raise DomainError("grid count must be positive")
+    if count ** (2 * F.n) > 200_000:
+        raise DomainError("grid too large; reduce count or dimension")
     axis = (
         [0.0]
         if count == 1
         else [-extent + 2 * extent * k / (count - 1) for k in range(count)]
     )
-    if len(axis) ** (2 * F.n) > 200_000:
-        raise DomainError("grid too large; reduce count or dimension")
     combos = itertools.product(axis, repeat=2 * F.n)
     return [tuple(c) for c in combos if admissible(F, c, margin)]
 
@@ -487,6 +484,8 @@ def determinant_identity_residual(F: ChartPotential, point, axis: int = 0) -> fl
 _MONO_FACTOR = re.compile(r"^(z|zbar)(\d+)(?:\^(\d+))?$")
 _COMMON_KEYS = ("n", "kind", "lambda", "extent", "grid", "margin")
 _KIND_KEYS = {"builtin": ("builtin", "scale"), "polynomial": ("monomial",)}
+_NUMBER_KINDS = {int: "an integer", Q: "a float-range rational", float: "a finite float"}
+_MAX_CHART_DIM = 8  # beyond it, 2+ points per axis exceed the grid_points limit
 
 
 def _parse_monomial(text: str, n: int) -> Monomial:
@@ -543,10 +542,25 @@ def parse_potential_config(text: str) -> tuple[ChartPotential, dict]:
             fields[key] = value
     if "n" not in fields:
         raise ConfigError("missing required key 'n'")
-    try:
-        n = int(fields["n"])
-    except ValueError:
-        raise ConfigError(f"n must be an integer, got {fields['n']!r}") from None
+
+    def number(key: str, convert, default=None):
+        """``key`` as an int, or as a rational or float that a float can hold."""
+        if key not in fields:
+            return default
+        try:
+            value = convert(fields[key])
+            if convert is not int and not math.isfinite(float(value)):
+                raise ValueError
+        except (ValueError, ZeroDivisionError, OverflowError):
+            raise ConfigError(
+                f"line {first_line[key]}: {key} must be {_NUMBER_KINDS[convert]}, "
+                f"got {fields[key]!r}"
+            ) from None
+        return value
+
+    n = number("n", int)
+    if n > _MAX_CHART_DIM:  # exponent vectors have length n
+        raise ConfigError(f"line {first_line['n']}: n must be at most {_MAX_CHART_DIM}")
     kind = fields.get("kind", "polynomial").lower()
     if kind not in _KIND_KEYS:
         raise ConfigError(f"unknown kind {kind!r}")
@@ -558,7 +572,7 @@ def parse_potential_config(text: str) -> tuple[ChartPotential, dict]:
             n=n,
             kind="builtin",
             builtin=fields.get("builtin", "log1p_zzbar"),
-            scale=Q(fields.get("scale", "1")),
+            scale=number("scale", Q, Q(1)),
         )
     else:
         if not monomial_lines:
@@ -566,9 +580,9 @@ def parse_potential_config(text: str) -> tuple[ChartPotential, dict]:
         monos = tuple(_parse_monomial(m, n) for m in monomial_lines)
         potential = ChartPotential(n=n, kind="polynomial", monomials=monos)
     options = {
-        "lambda": Q(fields["lambda"]) if "lambda" in fields else None,
-        "extent": float(fields.get("extent", "0.3")),
-        "grid": int(fields.get("grid", "9")),
-        "margin": float(fields.get("margin", "0.1")),
+        "lambda": number("lambda", Q),
+        "extent": number("extent", float, 0.3),
+        "grid": number("grid", int, 9),
+        "margin": number("margin", float, 0.1),
     }
     return potential, options

@@ -3,7 +3,9 @@
 Everything here works on lists of lists of ``fractions.Fraction`` (or ints)
 and never touches floating point.  Matrices reach the dimension of E8 (248)
 but stay sparse, and elimination skips zero entries, so plain Gaussian
-elimination is adequate.
+elimination is adequate.  ``inverse``, ``det`` and ``nullspace`` share one
+reduced-row-echelon routine, ``rref``; ``symmetric_signature`` diagonalizes
+by congruence instead, because it must keep the form's signature.
 """
 
 from __future__ import annotations
@@ -41,21 +43,45 @@ def mat_vec(a, v) -> list[Q]:
     return [sum((c * x for c, x in zip(row, v) if c), Q(0)) for row in a]
 
 
+def rref(a) -> tuple[Matrix, list[int], Q]:
+    """Reduced row echelon form of a copy of a (rows may exceed columns).
+
+    Returns the reduced rows, the pivot columns in order, and the product of
+    the pivots signed by the row swaps, which is det(a) when a is square and
+    nonsingular.  Every elimination in this module except the congruence in
+    ``symmetric_signature`` runs through here.
+    """
+    m = mat_copy(a)
+    rows, cols = len(m), len(m[0]) if m else 0
+    pivots: list[int] = []
+    scale = Q(1)
+    for c in range(cols):
+        r = len(pivots)
+        if r == rows:
+            break
+        piv = next((i for i in range(r, rows) if m[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            scale = -scale
+        scale *= m[r][c]
+        inv_p = Q(1) / m[r][c]
+        m[r] = [x * inv_p for x in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    return m, pivots, scale
+
+
 def inverse(a) -> Matrix:
     """Inverse of a square rational matrix; raises on singular input."""
     n = len(a)
-    m = [row[:] + ident_row for row, ident_row in zip(mat_copy(a), identity(n))]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col]), None)
-        if piv is None:
-            raise ZeroDivisionError("matrix is singular")
-        m[col], m[piv] = m[piv], m[col]
-        inv_p = Q(1) / m[col][col]
-        m[col] = [x * inv_p for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col]:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+    m, pivots, _ = rref([[*row, *e] for row, e in zip(a, identity(n))])
+    if pivots != list(range(n)):
+        raise ZeroDivisionError("matrix is singular")
     return [row[n:] for row in m]
 
 
@@ -65,52 +91,18 @@ def solve(a, b) -> list[Q]:
 
 
 def det(a) -> Q:
-    n = len(a)
-    m = mat_copy(a)
-    sign = 1
-    result = Q(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col]), None)
-        if piv is None:
-            return Q(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            sign = -sign
-        result *= m[col][col]
-        inv_p = Q(1) / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col]:
-                f = m[r][col] * inv_p
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return sign * result
+    _, pivots, scale = rref(a)
+    return scale if len(pivots) == len(a) else Q(0)
 
 
 def nullspace(a) -> list[list[Q]]:
     """Basis of the right kernel of a (rows may exceed columns)."""
     if not a:
         return []
-    rows, cols = len(a), len(a[0])
-    m = mat_copy(a)
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv_p = Q(1) / m[r][c]
-        m[r] = [x * inv_p for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    free = [c for c in range(cols) if c not in pivots]
+    m, pivots, _ = rref(a)
+    cols = len(a[0])
     basis = []
-    for fc in free:
+    for fc in (c for c in range(cols) if c not in pivots):
         v = [Q(0)] * cols
         v[fc] = Q(1)
         for pr, pc in enumerate(pivots):

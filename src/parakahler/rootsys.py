@@ -12,7 +12,11 @@ Conventions, fixed once and used everywhere:
   roots come first (descending lexicographic on coefficient vectors).
   Rebuilding a root system is bit-identical.
 
-All arithmetic is exact (ints and ``fractions.Fraction``).
+``RootSystem`` owns the integer root data: ``coroot`` (H_alpha over the H_i)
+and ``root_length_sq`` come from one table over the positive roots, and
+``n_pairing`` is xi(H_alpha).  All arithmetic is exact: plain ints wherever
+a value is an integer (roots, coroots, lengths, and pairings of integral
+weights), ``fractions.Fraction`` only for weights such as the pi_i.
 """
 
 from __future__ import annotations
@@ -108,17 +112,17 @@ class Root:
 
 @dataclass(frozen=True)
 class Weight:
-    """A rational vector in simple-root coordinates."""
+    """A rational vector in simple-root coordinates (ints when integral)."""
 
-    coords: tuple[Q, ...]
+    coords: tuple[Q | int, ...]
 
     @staticmethod
     def zero(rank: int) -> "Weight":
-        return Weight((Q(0),) * rank)
+        return Weight((0,) * rank)
 
     @staticmethod
     def from_root(root: Root) -> "Weight":
-        return Weight(tuple(Q(c) for c in root.coeffs))
+        return Weight(root.coeffs)
 
     def __add__(self, other: "Weight") -> "Weight":
         return Weight(tuple(a + b for a, b in zip(self.coords, other.coords)))
@@ -127,8 +131,7 @@ class Weight:
         return Weight(tuple(a - b for a, b in zip(self.coords, other.coords)))
 
     def scale(self, factor) -> "Weight":
-        f = Q(factor)
-        return Weight(tuple(f * c for c in self.coords))
+        return Weight(tuple(factor * c for c in self.coords))
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
@@ -185,21 +188,18 @@ def cartan_matrix(stype: SimpleType) -> tuple[tuple[int, ...], ...]:
 def _symmetrizers(cartan) -> tuple[int, ...]:
     """Integers d_i with d_i = (alpha_i,alpha_i)/2 and min d_i = 1."""
     r = len(cartan)
-    d: list[Q | None] = [None] * r
-    d[0] = Q(1)
+    d: list[Q | None] = [Q(1)] + [None] * (r - 1)
     stack = [0]
     while stack:
         i = stack.pop()
         for j in range(r):
             if i != j and cartan[i][j] and d[j] is None:
                 # (alpha_i,alpha_j) symmetric: A[i][j] d_j = A[j][i] d_i
-                d[j] = d[i] * cartan[j][i] / cartan[i][j]
+                d[j] = d[i] * Q(cartan[j][i], cartan[i][j])
                 stack.append(j)
-    vals = [x for x in d]
-    if any(v is None for v in vals):
+    if None in d:
         raise DomainError("Dynkin diagram is not connected")
-    low = min(vals)
-    scaled = [v / low for v in vals]
+    scaled = [v / min(d) for v in d]
     assert all(v.denominator == 1 for v in scaled)
     return tuple(int(v) for v in scaled)
 
@@ -218,13 +218,8 @@ class RootSystem:
     def rank(self) -> int:
         return self.type.rank
 
-    @cached_property
-    def _positive_set(self) -> frozenset[tuple[int, ...]]:
-        return frozenset(r.coeffs for r in self.positive_roots)
-
     def is_root(self, root: Root) -> bool:
-        c = root.coeffs
-        return c in self._positive_set or tuple(-x for x in c) in self._positive_set
+        return root.coeffs in self._coroots
 
     def all_roots(self) -> tuple[Root, ...]:
         """Positive roots in canonical order, then their negatives."""
@@ -238,15 +233,43 @@ class RootSystem:
     def highest_root(self) -> Root:
         return self.positive_roots[-1]
 
-    def root_length_sq(self, root: Root) -> Q:
-        w = Weight.from_root(root)
-        return inner_product(self, w, w)
+    @cached_property
+    def _coroots(self) -> dict[tuple[int, ...], tuple[tuple[int, ...], int]]:
+        """Root coefficients -> (coroot, squared length), for both signs.
 
-    def coroot_pairing(self, xi: Weight, i: int) -> Q:
-        """xi(H_i) = 2(xi, alpha_i)/(alpha_i, alpha_i), 1-based i."""
-        return sum(
-            (c * self.cartan[j][i - 1] for j, c in enumerate(xi.coords) if c), Q(0)
-        )
+        For a = sum_i k_i alpha_i, (a, a) = sum_ij k_i k_j A[i][j] d_j and
+        H_a = sum_i k_i (d_i / d_a) H_i with d_a = (a, a)/2.
+        """
+        table = {}
+        for root in self.positive_roots:
+            k = root.coeffs
+            lensq = sum(
+                ki * kj * self.cartan[i][j] * self.d[j]
+                for i, ki in enumerate(k) if ki
+                for j, kj in enumerate(k) if kj
+            )
+            coroot = tuple(2 * ki * di // lensq for ki, di in zip(k, self.d))
+            table[k] = (coroot, lensq)
+            table[(-root).coeffs] = (tuple(-c for c in coroot), lensq)
+        return table
+
+    def _coroot_entry(self, root: Root) -> tuple[tuple[int, ...], int]:
+        try:
+            return self._coroots[root.coeffs]
+        except KeyError:
+            raise DomainError(f"{root} is not a root of {self.type}") from None
+
+    def coroot(self, root: Root) -> tuple[int, ...]:
+        """H_alpha as an integer vector over the H_i (negated for -alpha)."""
+        return self._coroot_entry(root)[0]
+
+    def root_length_sq(self, root: Root) -> int:
+        """(alpha, alpha), with short roots of squared length 2."""
+        return self._coroot_entry(root)[1]
+
+    def coroot_pairing(self, xi: Weight, i: int) -> Q | int:
+        """xi(H_i) = 2(xi, alpha_i)/(alpha_i, alpha_i), 1-based i; int for int xi."""
+        return sum(c * self.cartan[j][i - 1] for j, c in enumerate(xi.coords) if c)
 
 
 def build_root_system(stype: SimpleType) -> RootSystem:
@@ -331,14 +354,14 @@ def inner_product(rs: RootSystem, xi: Weight, eta: Weight) -> Q:
     return total
 
 
-def n_pairing(rs: RootSystem, xi: Weight, alpha: Root) -> Q:
-    """The Cartan pairing n(xi, alpha) = 2 (xi, alpha) / (alpha, alpha)."""
-    if not rs.is_root(alpha):
-        raise DomainError(f"{alpha} is not a root of {rs.type}")
-    aw = Weight.from_root(alpha)
-    return 2 * inner_product(rs, xi, aw) / inner_product(rs, aw, aw)
+def n_pairing(rs: RootSystem, xi: Weight, alpha: Root) -> Q | int:
+    """n(xi, alpha) = 2 (xi, alpha) / (alpha, alpha) = xi(H_alpha); int for int xi."""
+    return sum(
+        c * rs.coroot_pairing(xi, i)
+        for i, c in enumerate(rs.coroot(alpha), start=1) if c
+    )
 
 
-def weight_in_pi_basis(rs: RootSystem, xi: Weight) -> tuple[Q, ...]:
+def weight_in_pi_basis(rs: RootSystem, xi: Weight) -> tuple:
     """Coordinates of xi over the fundamental weights: c_i = n(xi, alpha_i)."""
     return tuple(rs.coroot_pairing(xi, i) for i in range(1, rs.rank + 1))

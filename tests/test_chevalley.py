@@ -61,10 +61,10 @@ def test_bracket_basis_rules(algebra):
 def test_coroot_expansion(algebra):
     rs, L = algebra("G2")
     # alpha = 3a1+2a2 is long: H_alpha = k_i d_i / d_alpha -> (1, 2)
-    assert L.coroot(Root((3, 2))) == (1, 2)
+    assert rs.coroot(Root((3, 2))) == (1, 2)
     # short root 2a1+a2: d_alpha = 1 -> (2, 3)
-    assert L.coroot(Root((2, 1))) == (2, 3)
-    assert L.coroot(-Root((2, 1))) == (-2, -3)
+    assert rs.coroot(Root((2, 1))) == (2, 3)
+    assert rs.coroot(-Root((2, 1))) == (-2, -3)
 
 
 def test_ad_matrix_diagonal_on_cartan(algebra):

@@ -226,3 +226,64 @@ def test_closed_stdout_pipe_exits_without_traceback():
         os.close(write_end)
     assert proc.returncode == 1
     assert proc.stderr == b""
+
+
+@pytest.mark.parametrize(
+    "line, key",
+    [("extent = nan", "extent"), ("extent = inf", "extent"), ("extent = abc", "extent"),
+     ("margin = x", "margin"), ("grid = 2.5", "grid"), ("lambda = 1/0", "lambda"),
+     ("lambda = 1e400", "lambda"), ("scale = -1e400", "scale"), ("n = two", "n"),
+     ("n = 1000", "n")],
+)
+def test_potential_bad_numbers_name_key_and_line(tmp_path, capsys, line, key):
+    # extent = nan used to sample all-NaN points and pass both checks with
+    # exit 0; extent = abc failed with Python's bare float-conversion message.
+    cfg = tmp_path / "number.cfg"
+    cfg.write_text(f"kind = builtin\n{line}\n" + ("" if key == "n" else "n = 1\n"))
+    code, out, err = run(capsys, "potential", str(cfg))
+    assert code == 1
+    assert out == ""
+    assert f"line 2: {key} must be" in err
+
+
+def test_potential_determinant_identity_spread_over_grid(tmp_path, capsys, monkeypatch):
+    from parakahler import cli
+
+    seen = []
+    real = cli.determinant_identity_residual
+
+    def spy(potential, point, axis=0):
+        seen.append((point, axis))
+        return real(potential, point, axis=axis)
+
+    monkeypatch.setattr(cli, "determinant_identity_residual", spy)
+    cfg = tmp_path / "log2.cfg"
+    cfg.write_text("n = 2\nkind = builtin\nbuiltin = log1p_zzbar\ngrid = 3\n")
+    code, out, _ = run(capsys, "potential", str(cfg), "--json")
+    assert code == 0
+    assert json.loads(out)["payload"]["det_identity_points"] == 5
+    points = [p for p, _ in seen]
+    assert len(set(points)) == 5
+    assert points[0] == (-0.3,) * 4 and points[-1] == (0.3,) * 4
+    assert [axis for _, axis in seen] == [0, 1, 2, 3, 0]
+
+
+def _satake_file(tmp_path, text):
+    path = tmp_path / "form.satake"
+    path.write_text(text)
+    return str(path)
+
+
+def test_koszul_satake_arrow_outside_involution_fails(tmp_path, capsys):
+    path = _satake_file(tmp_path, "type = G\nrank = 2\narrows = 1-2\n")
+    code, out, err = run(capsys, "koszul", "G", "2", "--cross", "1", "--satake", path)
+    assert code == 1
+    assert out == ""
+    assert "involution" in err
+
+
+def test_koszul_satake_a3_arrow_accepted(tmp_path, capsys):
+    path = _satake_file(tmp_path, "type = A\nrank = 3\narrows = 1-3\n")
+    code, out, _ = run(capsys, "koszul", "A", "3", "--cross", "1,3", "--satake", path, "--json")
+    assert code == 0
+    assert json.loads(out)["payload"]["satake"]["arrows"] == [[1, 3]]

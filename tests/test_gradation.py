@@ -180,3 +180,36 @@ def test_gradation_for_diagram_rejects_inconsistent():
         gradation_for_diagram(diagram, CrossingSet.of(1))
     g = gradation_for_diagram(diagram, CrossingSet.of(2))
     assert orbit_dimension(g) == 8
+
+
+def test_catalog_lookup_rejects_paths(tmp_path, monkeypatch):
+    catalog = tmp_path / "catalog"
+    catalog.mkdir()
+    (tmp_path / "outside.satake").write_text("type = A\nrank = 3\n")
+    (catalog / "inside.satake").write_text("type = A\nrank = 3\n")
+    monkeypatch.setenv("PARAKAHLER_CATALOG", str(catalog))
+    for name in ("../outside", str(tmp_path / "outside"), "sub/inside", ".."):
+        with pytest.raises(DomainError, match="path"):
+            catalog_lookup(name)
+    assert catalog_lookup("inside").type == SimpleType("A", 3)
+
+
+@pytest.mark.parametrize(
+    "name, arrows",
+    [("A3", [(1, 3)]), ("A5", [(1, 5), (2, 4)]), ("A5", [(2, 4)]), ("D3", [(2, 3)]),
+     ("D4", [(1, 3)]), ("D4", [(3, 4)]), ("D5", [(4, 5)]), ("E6", [(1, 6), (3, 5)])],
+)
+def test_arrows_of_one_diagram_involution_accepted(name, arrows):
+    diagram = SatakeDiagram.make(SimpleType.parse(name), arrows=arrows)
+    assert diagram.arrows == frozenset(arrows)
+
+
+@pytest.mark.parametrize(
+    "name, arrows",
+    [("G2", [(1, 2)]), ("A3", [(1, 2)]), ("A4", [(1, 3)]), ("B3", [(1, 3)]),
+     ("D4", [(1, 3), (1, 4)]), ("D5", [(1, 2)]), ("E6", [(1, 6), (2, 4)]),
+     ("E7", [(1, 7)]), ("F4", [(1, 4)])],
+)
+def test_arrows_outside_diagram_involutions_rejected(name, arrows):
+    with pytest.raises(DomainError, match="involution"):
+        SatakeDiagram.make(SimpleType.parse(name), arrows=arrows)

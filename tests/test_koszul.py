@@ -23,7 +23,8 @@ from parakahler.koszul import (
     omega_z,
     two_form_from_weight,
 )
-from parakahler.rootsys import Root, Weight
+from parakahler.rootsys import Root, Weight, build_root_system
+from parakahler.verify import sweep_types
 
 
 def W(*coords):
@@ -223,3 +224,17 @@ def test_two_form_requires_full_coefficients(algebra):
     rs, _ = algebra("A2")
     with pytest.raises(DomainError):
         TwoForm(rs, {Root((1, 0)): Q(1)})
+
+
+@pytest.mark.parametrize("stype", sweep_types(8), ids=str)
+def test_integer_root_data_are_plain_ints(stype):
+    rs = build_root_system(stype)
+    for root in rs.all_roots():
+        assert type(rs.root_length_sq(root)) is int
+        assert all(type(c) is int for c in rs.coroot(root))
+    for crossing in (CrossingSet.of(1), CrossingSet(frozenset(range(1, rs.rank + 1)))):
+        g = grade_from_crossing(rs, crossing)
+        psi = koszul_form(g)
+        assert all(type(c) is int for c in psi.coords)
+        assert all(type(c) is int for c in two_form_from_weight(rs, psi).coeffs.values())
+        assert all(type(a) is int for a in koszul_coefficients(g).values())

@@ -50,3 +50,29 @@ def test_signature_diagonal_and_hyperbolic():
     assert ratlin.symmetric_signature(dense) == (2, 1)
     with pytest.raises(ZeroDivisionError):
         ratlin.symmetric_signature(M([[0, 0], [0, 0]]))
+
+
+def test_inverse_singular_after_row_swap():
+    # The first pivot needs a swap; the third column is the sum of the others.
+    with pytest.raises(ZeroDivisionError):
+        ratlin.inverse(M([[0, 1, 1], [2, 0, 2], [1, 1, 2]]))
+
+
+def test_nullspace_rectangular():
+    # More rows than columns: rank 2 of 4 rows, kernel spanned by (1, -1, 1).
+    tall = M([[1, 1, 0], [0, 1, 1], [1, 2, 1], [2, 2, 0]])
+    assert ratlin.nullspace(tall) == [M([[1, -1, 1]])[0]]
+    # More columns than rows: a 2 x 4 matrix of rank 2 has a 2-dim kernel.
+    wide = M([[0, 2, 0, 4], [1, 0, 3, 0]])
+    basis = ratlin.nullspace(wide)
+    assert basis == M([[-3, 0, 1, 0], [0, -2, 0, 1]])
+    for vec in basis:
+        assert ratlin.mat_vec(wide, vec) == [0, 0]
+
+
+def test_det_with_row_swaps():
+    # One swap at the first pivot flips the sign of the pivot product.
+    assert ratlin.det(M([[0, 2, 1], [3, 1, 0], [1, 0, 2]])) == -13
+    assert ratlin.det(M([[0, 0, 1], [0, 1, 0], [1, 0, 0]])) == -1
+    assert ratlin.det(M([[0, 1, 0], [0, 0, 1], [1, 0, 0]])) == 1
+    assert ratlin.det(M([[0, 1], [0, 2]])) == 0

@@ -15,6 +15,7 @@ from parakahler.rootsys import (
     inner_product,
     n_pairing,
 )
+from parakahler.verify import sweep_types
 
 # Classical positive-root counts per (family, rank).
 COUNTS = {
@@ -174,3 +175,22 @@ def test_n_pairing_integral_on_weight_lattice(coeffs, data):
         xi = xi + w.scale(c)
     alpha = data.draw(st.sampled_from(rs.all_roots()))
     assert n_pairing(rs, xi, alpha).denominator == 1
+
+
+ALL_TYPES = [str(t) for t in sweep_types(8)]
+
+
+@pytest.mark.parametrize("name", ALL_TYPES)
+def test_n_pairing_matches_inner_product_reference(name):
+    # Reference route: 2(xi, alpha)/(alpha, alpha), both from inner_product;
+    # (xi, alpha) is expanded bilinearly over the simple roots.
+    rs = build_root_system(SimpleType.parse(name))
+    simple = [Weight.from_root(rs.simple_root(j)) for j in range(1, rs.rank + 1)]
+    gram = [[inner_product(rs, xi, s) for s in simple] for xi in rs.weights]
+    for alpha in rs.all_roots():
+        aw = Weight.from_root(alpha)
+        length = inner_product(rs, aw, aw)
+        assert rs.root_length_sq(alpha) == length
+        for xi, row in zip(rs.weights, gram):
+            pairing = sum(k * g for k, g in zip(alpha.coeffs, row))
+            assert n_pairing(rs, xi, alpha) == 2 * pairing / length

@@ -45,8 +45,7 @@ def test_run_sweep_rank2():
 
 def _copy(L: LieAlgebraData, nconst=None) -> LieAlgebraData:
     """A fresh algebra with empty caches, optionally with other constants."""
-    coroots = {r: L.coroot(r) for r in L.rs.positive_roots}
-    return LieAlgebraData(L.rs, dict(nconst or L.nconst), coroots)
+    return LieAlgebraData(L.rs, dict(nconst or L.nconst))
 
 
 def _corrupted(L: LieAlgebraData) -> LieAlgebraData:
