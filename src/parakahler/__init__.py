@@ -52,9 +52,6 @@ from .paracomplex import (
     flat_potential,
     log_model_potential,
     metric_from_potential,
-    pc_conj,
-    pc_inv,
-    pc_mul,
     ricci,
 )
 from .rootsys import (

@@ -18,6 +18,7 @@ from fractions import Fraction as Q
 from pathlib import Path
 
 from .chevalley import chevalley_constants
+from .config import nodes, rational
 from .errors import DomainError
 from .gradation import (
     CrossingSet,
@@ -26,8 +27,8 @@ from .gradation import (
     catalog_names,
     enumerate_crossings,
     grade_from_crossing,
-    load_diagram,
     orbit_dimension,
+    parse_diagram_config,
     satake_violations,
 )
 from .koszul import (
@@ -143,17 +144,13 @@ def positive_int(text: str) -> int:
 
 
 def _parse_cross(text: str) -> CrossingSet:
-    try:
-        nodes = [int(tok) for tok in text.replace(",", " ").split()]
-    except ValueError:
-        raise DomainError(f"--cross expects 1-based node indices, got {text!r}")
-    return CrossingSet(frozenset(nodes))
+    return CrossingSet(frozenset(nodes(text, "--cross")))
 
 
 def _resolve_satake(name: str) -> SatakeDiagram:
     path = Path(name)
     if path.is_file():
-        diagram, _ = load_diagram(path)
+        diagram, _ = parse_diagram_config(path.read_text())
         return diagram
     return catalog_lookup(name)
 
@@ -287,7 +284,7 @@ def cmd_einstein(args) -> Report:
     stype = SimpleType(args.family.upper(), args.rank)
     rs = build_root_system(stype)
     crossing = _parse_cross(args.cross)
-    lam = Q(args.lam)
+    lam = rational(args.lam, "--lambda")
     g = grade_from_crossing(rs, crossing)
     L = chevalley_constants(rs)
     es = einstein_structure(g, L, lam)
@@ -359,9 +356,9 @@ def cmd_potential(args) -> Report:
     )
     payload = {
         "config": str(args.config),
-        "kind": potential.kind,
+        "kind": options["kind"],
         "n": potential.n,
-        "builtin": potential.builtin,
+        "builtin": options["builtin"],
         "points": len(pts),
         "lambda": lam,
         "lambda_source": lam_source,

@@ -11,13 +11,13 @@ together.
 from __future__ import annotations
 
 import os
-import re
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from itertools import combinations
 from pathlib import Path
 
-from .errors import ConfigError, DomainError
+from .config import Fields, integer, nodes
+from .errors import DomainError
 from .rootsys import Root, RootSystem, SimpleType, build_root_system
 
 
@@ -258,66 +258,19 @@ def catalog_lookup(name: str) -> SatakeDiagram:
         raise DomainError(f"unknown Satake diagram {name!r}") from None
 
 
-_KEY_RE = re.compile(r"^\s*([a-zA-Z_]+)\s*=\s*(.*?)\s*$")
-
-
-def _parse_nodes(text: str) -> list[int]:
-    text = text.strip()
-    if not text:
-        return []
-    try:
-        return [int(tok) for tok in re.split(r"[,\s]+", text) if tok]
-    except ValueError:
-        raise ConfigError(f"expected node indices, got {text!r}") from None
-
-
 def parse_diagram_config(text: str) -> tuple[SatakeDiagram, CrossingSet | None]:
     """Parse line-oriented ``key = value`` diagram text.
 
     Keys: ``type`` (family letter), ``rank``, ``black`` (node list),
     ``arrows`` (pairs like ``1-6, 3-5``), ``crossed`` (node list; optional).
-    Node indices are 1-based.
+    Node indices are 1-based.  Unknown keys are errors.
     """
-    fields: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        m = _KEY_RE.match(line)
-        if not m:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key = m.group(1).lower()
-        if key in fields:
-            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        fields[key] = m.group(2)
-    for required in ("type", "rank"):
-        if required not in fields:
-            raise ConfigError(f"missing required key {required!r}")
-    try:
-        rank = int(fields["rank"])
-    except ValueError:
-        raise ConfigError(f"rank must be an integer, got {fields['rank']!r}") from None
-    stype = SimpleType(fields["type"].strip().upper(), rank)
-    black = _parse_nodes(fields.get("black", ""))
-    arrows = []
-    arrow_text = fields.get("arrows", "").strip()
-    if arrow_text:
-        for chunk in re.split(r"[,\s]+", arrow_text):
-            if not chunk:
-                continue
-            m = re.fullmatch(r"(\d+)-(\d+)", chunk)
-            if not m:
-                raise ConfigError(f"expected arrow like '1-6', got {chunk!r}")
-            arrows.append((int(m.group(1)), int(m.group(2))))
-    diagram = SatakeDiagram.make(stype, black=black, arrows=arrows)
-    crossing = None
-    if fields.get("crossed", "").strip():
-        crossing = CrossingSet(frozenset(_parse_nodes(fields["crossed"])))
-    return diagram, crossing
-
-
-def load_diagram(path) -> tuple[SatakeDiagram, CrossingSet | None]:
-    return parse_diagram_config(Path(path).read_text())
+    fields = Fields(text, ("type", "rank", "black", "arrows", "crossed"), required=("type", "rank"))
+    stype = SimpleType(fields.get("type").upper(), fields.get("rank", integer))
+    arrows = fields.get("arrows", lambda value, where: nodes(value, where, pairs=True), ())
+    diagram = SatakeDiagram.make(stype, black=fields.get("black", nodes, ()), arrows=arrows)
+    crossed = fields.get("crossed", nodes)
+    return diagram, CrossingSet(frozenset(crossed)) if crossed else None
 
 
 def gradation_for_diagram(

@@ -18,8 +18,9 @@ frame:
 The Ricci sign is the one that makes F = log(1 + z zbar) Einstein with a
 positive constant (lambda = 2 for n = 1); the opposite sign fails that model.
 
-Every f is c log P + Q (builtin: c = scale, P = 1 + sum u_k v_k; polynomial:
-c = 0, P = 1).  ``DerivativeTable`` differentiates it exactly, once, and
+A ``ChartPotential`` is the data (c, P, Q) of f = c log P + Q, P and Q
+polynomials (log model: c = scale, P = 1 + sum u_k v_k, Q = 0; polynomial:
+c = 0, P = 1).  ``DerivativeTable`` differentiates f exactly, once, and
 evaluates in floats.  ``split_value``, ``fd_partial`` (5-point stencils) and
 ``mixed_partial_pc`` stay off that path as independent oracles.
 """
@@ -34,6 +35,7 @@ from fractions import Fraction as Q
 
 import numpy as np
 
+from .config import Fields, finite_float, float_rational, integer
 from .errors import ConfigError, DomainError, NullConeError, SingularPointError
 
 
@@ -99,78 +101,52 @@ def pc(x, y=0) -> ParaComplex:
     return ParaComplex(x, y)
 
 
-def pc_mul(z: ParaComplex, w: ParaComplex) -> ParaComplex:
-    return z * w
-
-
-def pc_conj(z: ParaComplex) -> ParaComplex:
-    return z.conj()
-
-
-def pc_inv(z: ParaComplex) -> ParaComplex:
-    return z.inverse()
-
-
 # -- potentials -----------------------------------------------------------------
 
 Monomial = tuple[tuple[int, ...], tuple[int, ...], Q]  # (z exps, zbar exps, coeff)
-
-BUILTIN_NAMES = ("log1p_zzbar",)
 
 PolyTable = dict[tuple[tuple[int, ...], tuple[int, ...]], Q]
 
 
 @dataclass(frozen=True)
 class ChartPotential:
-    """A real-valued potential on a chart of C^n.
+    """The real-valued potential f = c log P + Q on a chart of C^n.
 
-    Polynomial kind: sum of coeff * z^a * zbar^b monomials with rational
-    coefficients; real-valuedness demands the coefficient map be symmetric
-    under swapping a and b.  Builtin kind: a named closed form, currently
-    ``log1p_zzbar`` = scale * log(1 + sum z^k zbar^k).
+    P and Q map (z exponents, zbar exponents) to rational coefficients; real
+    values demand each table be symmetric under swapping the two.  Entries
+    that sum to 0 are dropped after that check.
     """
 
     n: int
-    kind: str
-    monomials: tuple[Monomial, ...] = ()
-    builtin: str | None = None
-    scale: Q = Q(1)
+    c: Q
+    p: PolyTable
+    q: PolyTable
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise DomainError("chart dimension must be at least 1")
-        table: PolyTable = {}
-        if self.kind == "polynomial":
-            for a, b, coeff in self.monomials:
+        for name in ("p", "q"):
+            table = getattr(self, name)
+            for (a, b), coeff in table.items():
                 if len(a) != self.n or len(b) != self.n:
                     raise DomainError("monomial exponent length != chart dimension")
-                table[(a, b)] = table.get((a, b), 0) + coeff
-            for (a, b), coeff in table.items():
                 if table.get((b, a), 0) != coeff:
                     raise DomainError(
                         "potential is not real-valued: coefficient of "
                         f"z^{a} zbar^{b} has no matching conjugate term"
                     )
-        elif self.kind == "builtin":
-            if self.builtin not in BUILTIN_NAMES:
-                raise DomainError(f"unknown builtin potential {self.builtin!r}")
-        else:
-            raise DomainError(f"unknown potential kind {self.kind!r}")
-        # Sums that cancel to 0 are checked above but not kept.
-        object.__setattr__(self, "_plus", {k: c for k, c in table.items() if c})
+            object.__setattr__(self, name, {k: c for k, c in table.items() if c})
 
     # The split-plus coordinate function f(u, v); the full potential value at
     # an adapted point is ParaComplex.from_split(f(u, v), f(v, u)).
-    def plus_poly(self) -> PolyTable:
-        return dict(self._plus)
-
     def split_value(self, u, v):
-        if self.kind == "polynomial":
-            return _poly_eval(self._plus, u, v)
-        arg = 1 + sum(uk * vk for uk, vk in zip(u, v))
-        if arg <= 0:
-            raise SingularPointError(f"log argument {arg} is not positive")
-        return float(self.scale) * math.log(arg)
+        value = _poly_eval(self.q, u, v)
+        if self.c:  # no float log term in an exact polynomial value
+            arg = _poly_eval(self.p, u, v)
+            if arg <= 0:
+                raise SingularPointError(f"log argument {arg} is not positive")
+            value = value + float(self.c) * math.log(arg)
+        return value
 
     @property
     def derivatives(self) -> DerivativeTable:
@@ -183,16 +159,21 @@ class ChartPotential:
 def flat_potential(n: int) -> ChartPotential:
     """F = sum_k z^k zbar^k: constant identity metric, zero curvature."""
     units = [tuple(int(i == k) for i in range(n)) for k in range(n)]
-    return polynomial_potential(n, [(a, a, Q(1)) for a in units])
+    return polynomial_potential(n, [(a, a, 1) for a in units])
 
 
 def log_model_potential(n: int = 1, scale=1) -> ChartPotential:
     """F = scale * log(1 + sum z^k zbar^k), the nonflat Einstein model."""
-    return ChartPotential(n=n, kind="builtin", builtin="log1p_zzbar", scale=Q(scale))
+    zero = (0,) * n
+    return ChartPotential(n, Q(scale), {(zero, zero): 1, **flat_potential(n).q}, {})
 
 
 def polynomial_potential(n: int, monomials) -> ChartPotential:
-    return ChartPotential(n=n, kind="polynomial", monomials=tuple(monomials))
+    """F = sum of coeff * z^a * zbar^b over the (a, b, coeff) monomials."""
+    q: PolyTable = {}
+    for a, b, coeff in monomials:
+        q[(a, b)] = q.get((a, b), 0) + coeff
+    return ChartPotential(n, 0, {((0,) * n, (0,) * n): 1}, q)
 
 
 # -- points ----------------------------------------------------------------------
@@ -205,10 +186,14 @@ def paraholomorphic_coords(point, n: int) -> list[ParaComplex]:
 
 
 def admissible(F: ChartPotential, point, margin: float = 0.1) -> bool:
-    """Is the point clear of potential singularities and the null cone?"""
-    n = F.n
-    uv = sum(uk * vk for uk, vk in zip(point[:n], point[n:]))
-    return F.kind != "builtin" or 1 + uv >= margin
+    """Is the point clear of the log singularity: P >= margin (any point if c = 0)?"""
+    return bool(_admissible(F, [point], margin)[0])
+
+
+def _admissible(F: ChartPotential, points, margin: float) -> np.ndarray:
+    x = np.asarray(points, dtype=float)
+    p = sum(float(c) * np.prod(x ** np.array(a + b), axis=1) for (a, b), c in F.p.items())
+    return (p >= margin) | (not F.c)
 
 
 def grid_points(
@@ -224,8 +209,8 @@ def grid_points(
         if count == 1
         else [-extent + 2 * extent * k / (count - 1) for k in range(count)]
     )
-    combos = itertools.product(axis, repeat=2 * F.n)
-    return [tuple(c) for c in combos if admissible(F, c, margin)]
+    combos = list(itertools.product(axis, repeat=2 * F.n))
+    return [c for c, ok in zip(combos, _admissible(F, combos, margin)) if ok]
 
 
 # -- symbolic polynomial derivatives ----------------------------------------------
@@ -270,15 +255,11 @@ class DerivativeTable:
 
     def __init__(self, F: ChartPotential) -> None:
         n = self.n = F.n
-        units = [tuple(int(i == k) for i in range(n)) for k in range(n)]
-        self.p: PolyTable = {((0,) * n, (0,) * n): 1}
-        if F.kind == "builtin":
-            self.p.update(((e, e), 1) for e in units)
+        self.p = F.p
         g = []
         for a in range(n):  # df / du_a = dQ / du_a + c (dP / du_a) / P
-            first = {(*key, 0): c for key, c in _poly_diff(F._plus, a, "u").items()}
-            if F.kind == "builtin":
-                first[((0,) * n, units[a], 1)] = F.scale  # dP / du_a = v_a
+            first = {(*key, 0): c for key, c in _poly_diff(F.q, a, "u").items()}
+            first.update(((*key, 1), F.c * dp) for key, dp in _poly_diff(F.p, a, "u").items())
             g.extend(self._diff(first, b, "v") for b in range(n))
         gu = [self._diff(gab, c, "u") for c in range(n) for gab in g]
         gv = [self._diff(gab, d, "v") for d in range(n) for gab in g]
@@ -290,9 +271,12 @@ class DerivativeTable:
         col = {key: i for i, key in enumerate(monos)}
         self.exps = np.array([(*a, *b, k) for a, b, k in monos])
         self.coeffs = np.zeros((len(self.exact) + 1, len(monos)))  # last row: P
-        for row, table in enumerate([*self.exact, p_terms]):
-            for key, c in table.items():
-                self.coeffs[row, col[key]] = float(c)
+        try:
+            for row, table in enumerate([*self.exact, p_terms]):
+                for key, c in table.items():
+                    self.coeffs[row, col[key]] = float(c)
+        except OverflowError:
+            raise DomainError("a derivative coefficient is outside the float range") from None
 
     def _diff(self, table: QuotientTable, axis: int, side: str) -> QuotientTable:
         """Quotient rule per term: d(N / P^k) = N' / P^k - k N P' / P^(k+1)."""
@@ -322,38 +306,38 @@ class DerivativeTable:
 
 def poly_mixed_hessian_exact(F: ChartPotential, u, v) -> list[list[Q]]:
     """Metric block d^2 f / du^a dv^b; exact (Fractions) at rational points."""
-    if F.kind != "polynomial":
-        raise DomainError("exact Hessian needs a polynomial potential")
-    n, g = F.n, F.derivatives.exact  # a polynomial's quotient terms all have k = 0
-    g = [{m[:2]: c for m, c in gab.items()} for gab in g[: n * n]]
-    return [[_poly_eval(g[a * n + b], u, v) for b in range(n)] for a in range(n)]
+    n, p, g = F.n, Q(_poly_eval(F.p, u, v)), F.derivatives.exact
+    flat = [sum(_poly_eval({(a, b): c / p**k}, u, v) for (a, b, k), c in gab.items())
+            for gab in g[: n * n]]
+    return [flat[a * n : (a + 1) * n] for a in range(n)]
 
 
 def mixed_partial_pc(F: ChartPotential, a_idx: int, b_idx: int, z) -> ParaComplex:
     """d_a d_bbar F at para-complex chart values z, via split-complex algebra.
 
-    Differentiates the z / zbar monomials symbolically and evaluates the
-    result with ParaComplex arithmetic; an independent route to the metric.
+    Evaluates the differentiated z / zbar monomials of P and Q with ParaComplex
+    arithmetic and d_a d_bbar (c log P) = c (P P_abbar - P_a P_bbar) / P^2: a
+    route to the metric that shares only ``_poly_diff`` with the table.
     """
-    if F.kind != "polynomial":
-        raise DomainError("para-holomorphic differentiation needs a polynomial")
-    zbar = [w.conj() for w in z]
-    total = ParaComplex(0, 0)
-    for a, b, coeff in F.monomials:
-        if not a[a_idx] or not b[b_idx]:
-            continue
-        factor = Q(a[a_idx]) * b[b_idx] * coeff
-        term = ParaComplex(factor, factor * 0)
-        for k, ak in enumerate(a):
-            e = ak - int(k == a_idx)
-            for _ in range(e):
-                term = term * z[k]
-        for k, bk in enumerate(b):
-            e = bk - int(k == b_idx)
-            for _ in range(e):
-                term = term * zbar[k]
-        total = total + term
-    return total
+    zs = [*z, *(w.conj() for w in z)]
+
+    def at(table: PolyTable, *sides: str) -> ParaComplex:
+        for side in sides:  # "u" differentiates along z^a_idx, "v" along zbar^b_idx
+            table = _poly_diff(table, a_idx if side == "u" else b_idx, side)
+        total = ParaComplex(0, 0)
+        for (a, b), coeff in table.items():
+            term = ParaComplex(coeff, coeff * 0)
+            for w, e in zip(zs, a + b):
+                for _ in range(e):
+                    term = term * w
+            total = total + term
+        return total
+
+    value = at(F.q, "u", "v")
+    if F.c:
+        p, pa, pb = at(F.p), at(F.p, "u"), at(F.p, "v")
+        value = value + ParaComplex(F.c, F.c * 0) * (p * at(F.p, "u", "v") - pa * pb) / (p * p)
+    return value
 
 
 # -- finite differences -------------------------------------------------------------
@@ -484,32 +468,26 @@ def determinant_identity_residual(F: ChartPotential, point, axis: int = 0) -> fl
 _MONO_FACTOR = re.compile(r"^(z|zbar)(\d+)(?:\^(\d+))?$")
 _COMMON_KEYS = ("n", "kind", "lambda", "extent", "grid", "margin")
 _KIND_KEYS = {"builtin": ("builtin", "scale"), "polynomial": ("monomial",)}
-_NUMBER_KINDS = {int: "an integer", Q: "a float-range rational", float: "a finite float"}
+_BUILTINS = {"log1p_zzbar": log_model_potential}
 _MAX_CHART_DIM = 8  # beyond it, 2+ points per axis exceed the grid_points limit
 
 
-def _parse_monomial(text: str, n: int) -> Monomial:
+def _parse_monomial(text: str, where: str, n: int) -> Monomial:
     parts = [p.strip() for p in text.split("*") if p.strip()]
     if not parts:
-        raise ConfigError(f"empty monomial in {text!r}")
-    try:
-        coeff = Q(parts[0])
-    except (ValueError, ZeroDivisionError):
-        raise ConfigError(f"monomial must start with a rational, got {parts[0]!r}")
-    a = [0] * n
-    b = [0] * n
+        raise ConfigError(f"{where} is empty")
+    coeff = float_rational(parts[0], f"{where} coefficient")
+    exps = {"z": [0] * n, "zbar": [0] * n}
     for factor in parts[1:]:
         m = _MONO_FACTOR.match(factor)
         if not m:
-            raise ConfigError(f"bad monomial factor {factor!r}")
-        which, idx, exp = m.group(1), int(m.group(2)), int(m.group(3) or 1)
+            raise ConfigError(f"{where} has a bad factor {factor!r}")
+        idx = integer(m.group(2), f"{where} variable index")
+        exp = integer(m.group(3) or "1", f"{where} exponent")
         if not 1 <= idx <= n:
-            raise ConfigError(f"variable index {idx} out of range 1..{n}")
-        if which == "z":
-            a[idx - 1] += exp
-        else:
-            b[idx - 1] += exp
-    return tuple(a), tuple(b), coeff
+            raise ConfigError(f"{where} has variable index {idx} out of range 1..{n}")
+        exps[m.group(1)][idx - 1] += exp
+    return tuple(exps["z"]), tuple(exps["zbar"]), coeff
 
 
 def parse_potential_config(text: str) -> tuple[ChartPotential, dict]:
@@ -518,71 +496,37 @@ def parse_potential_config(text: str) -> tuple[ChartPotential, dict]:
     Keys: ``n``, ``kind`` (polynomial | builtin), ``builtin``, ``scale``,
     repeated ``monomial = coeff * z1^a1 * zbar1^b1 ...`` lines, and the
     sampling options ``lambda``, ``extent``, ``grid``, ``margin``.  Unknown
-    keys and keys of the other kind are errors.
+    keys and keys of the other kind are errors.  The options also carry
+    ``kind`` and ``builtin`` (None for a polynomial) for the report.
     """
-    fields: dict[str, str] = {}
-    first_line: dict[str, int] = {}
-    monomial_lines: list[str] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value'")
-        key, value = (part.strip() for part in line.split("=", 1))
-        key = key.lower()
-        if key not in _COMMON_KEYS + sum(_KIND_KEYS.values(), ()):
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        first_line.setdefault(key, lineno)
-        if key == "monomial":
-            monomial_lines.append(value)
-        elif key in fields:
-            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        else:
-            fields[key] = value
-    if "n" not in fields:
-        raise ConfigError("missing required key 'n'")
-
-    def number(key: str, convert, default=None):
-        """``key`` as an int, or as a rational or float that a float can hold."""
-        if key not in fields:
-            return default
-        try:
-            value = convert(fields[key])
-            if convert is not int and not math.isfinite(float(value)):
-                raise ValueError
-        except (ValueError, ZeroDivisionError, OverflowError):
-            raise ConfigError(
-                f"line {first_line[key]}: {key} must be {_NUMBER_KINDS[convert]}, "
-                f"got {fields[key]!r}"
-            ) from None
-        return value
-
-    n = number("n", int)
+    all_keys = _COMMON_KEYS + sum(_KIND_KEYS.values(), ())
+    fields = Fields(text, all_keys, required=("n",), repeated=("monomial",))
+    n = fields.get("n", integer)
     if n > _MAX_CHART_DIM:  # exponent vectors have length n
-        raise ConfigError(f"line {first_line['n']}: n must be at most {_MAX_CHART_DIM}")
-    kind = fields.get("kind", "polynomial").lower()
+        raise ConfigError(f"line {fields.line('n')}: n must be at most {_MAX_CHART_DIM}")
+    kind = fields.get("kind", default="polynomial").lower()
     if kind not in _KIND_KEYS:
-        raise ConfigError(f"unknown kind {kind!r}")
-    for key, lineno in first_line.items():
+        raise ConfigError(f"line {fields.line('kind')}: unknown kind {kind!r}")
+    for key in fields.lines:
         if key not in _COMMON_KEYS + _KIND_KEYS[kind]:
-            raise ConfigError(f"line {lineno}: {key!r} is not valid for kind = {kind}")
+            raise ConfigError(f"line {fields.line(key)}: {key!r} is not valid for kind = {kind}")
+    builtin = None
     if kind == "builtin":
-        potential = ChartPotential(
-            n=n,
-            kind="builtin",
-            builtin=fields.get("builtin", "log1p_zzbar"),
-            scale=number("scale", Q, Q(1)),
-        )
+        builtin = fields.get("builtin", default="log1p_zzbar")
+        if builtin not in _BUILTINS:
+            raise ConfigError(f"line {fields.line('builtin')}: unknown builtin {builtin!r}")
+        potential = _BUILTINS[builtin](n, fields.get("scale", float_rational, Q(1)))
     else:
-        if not monomial_lines:
+        monomials = fields.all("monomial", lambda value, where: _parse_monomial(value, where, n))
+        if not monomials:
             raise ConfigError("polynomial potential needs at least one monomial")
-        monos = tuple(_parse_monomial(m, n) for m in monomial_lines)
-        potential = ChartPotential(n=n, kind="polynomial", monomials=monos)
+        potential = polynomial_potential(n, monomials)
     options = {
-        "lambda": number("lambda", Q),
-        "extent": number("extent", float, 0.3),
-        "grid": number("grid", int, 9),
-        "margin": number("margin", float, 0.1),
+        "kind": kind,
+        "builtin": builtin,
+        "lambda": fields.get("lambda", float_rational),
+        "extent": fields.get("extent", finite_float, 0.3),
+        "grid": fields.get("grid", integer, 9),
+        "margin": fields.get("margin", finite_float, 0.1),
     }
     return potential, options

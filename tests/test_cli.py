@@ -287,3 +287,35 @@ def test_koszul_satake_a3_arrow_accepted(tmp_path, capsys):
     code, out, _ = run(capsys, "koszul", "A", "3", "--cross", "1,3", "--satake", path, "--json")
     assert code == 0
     assert json.loads(out)["payload"]["satake"]["arrows"] == [[1, 3]]
+
+
+def test_koszul_satake_unknown_key_fails(tmp_path, capsys):
+    # `arrow` (for `arrows`) used to parse silently to a diagram with no arrows.
+    path = _satake_file(tmp_path, "type = A\nrank = 3\narrow = 1-3\n")
+    code, out, err = run(capsys, "koszul", "A", "3", "--cross", "1", "--satake", path)
+    assert code == 1
+    assert out == ""
+    assert "line 3: unknown key 'arrow'" in err
+
+
+def test_einstein_lambda_beyond_digit_limit_names_option(capsys):
+    # Python's own "Exceeds the limit (4300 digits)" message used to surface.
+    code, out, err = run(capsys, "einstein", "A", "1", "--cross", "1", "--lambda", "1e5000")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: --lambda must be a rational") and "Exceeds" not in err
+
+
+@pytest.mark.parametrize(
+    "monomial, message",
+    [("1e400 * z1 * zbar1", "line 2: monomial coefficient must be a float-range rational"),
+     ("1e308 * z1^2 * zbar1^2", "coefficient is outside the float range")],
+)
+def test_potential_coefficients_outside_float_range(tmp_path, capsys, monomial, message):
+    # Both used to crash with an OverflowError traceback from the derivative table.
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(f"n = 1\nmonomial = {monomial}\n")
+    code, out, err = run(capsys, "potential", str(cfg))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and message in err

@@ -2,6 +2,7 @@
 
 ``ConfigError`` is a ``DomainError``; anything else (a bare ValueError,
 IndexError, OverflowError, ...) would reach the CLI as an unexplained failure.
+A potential that parses must also build its derivative table.
 Each key gets either a well-formed value or an arbitrary one, so that
 mostly-valid configs reach the later checks too.
 """
@@ -26,7 +27,8 @@ POTENTIAL = {
     "kind": ["builtin", "polynomial"],
     "builtin": ["log1p_zzbar"],
     "scale": ["1", "-2/3"],
-    "monomial": ["1 * z1 * zbar1", "2 * z1^2 * zbar1^2", "1 * z1 * zbar2", "1 * z3"],
+    "monomial": ["1 * z1 * zbar1", "2 * z1^2 * zbar1^2", "1 * z1 * zbar2", "1 * z3",
+                 "1e308 * z1^2 * zbar1^2"],
     "lambda": ["0", "3/2"],
     "extent": ["0.3", "1e-3"],
     "grid": ["3", "-1"],
@@ -70,10 +72,15 @@ def _parses_or_domain_error(parse, text):
         pass
 
 
+def _potential_derivatives(text):
+    potential, _ = parse_potential_config(text)
+    return potential.derivatives
+
+
 @settings(max_examples=150, deadline=None)
 @given(config_text(POTENTIAL, ["n", "kind"]))
 def test_potential_config_fuzz(text):
-    _parses_or_domain_error(parse_potential_config, text)
+    _parses_or_domain_error(_potential_derivatives, text)
 
 
 @settings(max_examples=150, deadline=None)

@@ -172,6 +172,8 @@ def test_diagram_config_parsing():
         parse_diagram_config("type = A\nrank = x")
     with pytest.raises(ConfigError):
         parse_diagram_config("type = A\nrank = 3\narrows = 1:3")
+    with pytest.raises(ConfigError, match="line 3: unknown key 'arrow'"):
+        parse_diagram_config("type = A\nrank = 3\narrow = 1-3\n")
 
 
 def test_gradation_for_diagram_rejects_inconsistent():
