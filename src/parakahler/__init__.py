@@ -10,7 +10,6 @@ from .chevalley import (
     AlgebraElement,
     BasisIndex,
     LieAlgebraData,
-    ad_matrix,
     bracket,
     cartan_element,
     chevalley_constants,

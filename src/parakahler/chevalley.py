@@ -1,4 +1,4 @@
-"""Chevalley bases: structure constants, brackets, ad matrices, Killing form.
+"""Chevalley bases: structure constants, brackets, Killing form.
 
 The basis is {H_1..H_l} followed by {X_alpha} for the positive roots in
 canonical order and then their negatives in the same order.  Brackets follow
@@ -213,10 +213,6 @@ class AlgebraElement:
         return not any(self.coords)
 
 
-def zero_element(L: LieAlgebraData) -> AlgebraElement:
-    return AlgebraElement((Q(0),) * L.dim)
-
-
 def basis_element(L: LieAlgebraData, i: int) -> AlgebraElement:
     return AlgebraElement(tuple(Q(int(j == i)) for j in range(L.dim)))
 
@@ -336,18 +332,6 @@ def bracket(L: LieAlgebraData, x: AlgebraElement, y: AlgebraElement) -> AlgebraE
     for t, c in acc.items():
         coords[t] = c
     return AlgebraElement(tuple(coords))
-
-
-def ad_matrix(L: LieAlgebraData, x: AlgebraElement) -> list[list[Q]]:
-    """Matrix of ad_x = [x, .] over the basis (column j is [x, e_j])."""
-    mat = [[Q(0)] * L.dim for _ in range(L.dim)]
-    for i, a in enumerate(x.coords):
-        if not a:
-            continue
-        for j in range(L.dim):
-            for t, c in L.basis_bracket(i, j).items():
-                mat[t][j] += a * c
-    return mat
 
 
 def killing_form(L: LieAlgebraData, x: AlgebraElement, y: AlgebraElement) -> Q:

@@ -55,16 +55,6 @@ class TwoForm:
             return 0
         return self.coeffs[alpha] if alpha.is_positive else -self.coeffs[-alpha]
 
-    def evaluate(self, L: LieAlgebraData, x: AlgebraElement, y: AlgebraElement) -> Q:
-        total = Q(0)
-        for root, c in self.coeffs.items():
-            if not c:
-                continue
-            i = L.index_of_root(root)
-            j = L.index_of_root(-root)
-            total += c * (x.coords[i] * y.coords[j] - x.coords[j] * y.coords[i])
-        return total
-
     def matrix(self, L: LieAlgebraData) -> list[list[Q]]:
         m = [[Q(0)] * L.dim for _ in range(L.dim)]
         for root, c in self.coeffs.items():
@@ -206,7 +196,7 @@ class EinsteinStructure:
 
     def signature(self) -> tuple[int, int]:
         """Exact signature via rational congruence diagonalization."""
-        return ratlin.symmetric_signature([list(row) for row in self.metric])
+        return ratlin.symmetric_signature(self.metric)
 
 
 def einstein_structure(g: Gradation, L: LieAlgebraData, lam) -> EinsteinStructure:

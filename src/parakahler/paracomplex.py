@@ -179,12 +179,6 @@ def polynomial_potential(n: int, monomials) -> ChartPotential:
 # -- points ----------------------------------------------------------------------
 
 
-def paraholomorphic_coords(point, n: int) -> list[ParaComplex]:
-    """The chart values z^k as para-complex numbers, from adapted coords."""
-    u, v = point[:n], point[n:]
-    return [ParaComplex.from_split(uk, vk) for uk, vk in zip(u, v)]
-
-
 def admissible(F: ChartPotential, point, margin: float = 0.1) -> bool:
     """Is the point clear of the log singularity: P >= margin (any point if c = 0)?"""
     return bool(_admissible(F, [point], margin)[0])

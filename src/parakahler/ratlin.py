@@ -1,93 +1,94 @@
 """Exact linear algebra over the rationals.
 
-Everything here works on lists of lists of ``fractions.Fraction`` (or ints)
-and never touches floating point.  Matrices reach the dimension of E8 (248)
-but stay sparse, and elimination skips zero entries, so plain Gaussian
-elimination is adequate.  ``inverse``, ``det`` and ``nullspace`` share one
-reduced-row-echelon routine, ``rref``; ``symmetric_signature`` diagonalizes
-by congruence instead, because it must keep the form's signature.
+Matrices come in as lists of rows of ``fractions.Fraction`` (or ints) and
+never touch floating point.  They reach the dimension of E8 (248) but are
+sparse, so they are held as dict rows ``{column: value}`` that never store a
+zero.  Every elimination in the module is one step, ``_eliminate``: subtract
+from every row with an entry in the pivot column the multiple of the pivot
+row that clears it.  ``rref`` takes that step column by column, pivoting on
+the sparsest candidate row, and ``det``, ``inverse``, ``solve`` and
+``nullspace`` read its result.  ``symmetric_signature`` takes the same step
+as a congruence: clearing a pivot's column from the remaining rows leaves
+their Schur complement, which is symmetric again, so the pivot index is
+dropped and its sign counted.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction as Q
 
-Matrix = list[list[Q]]
+Row = dict[int, Q]
 
 
-def identity(n: int) -> Matrix:
-    return [[Q(int(i == j)) for j in range(n)] for i in range(n)]
+def _rows(a) -> list[Row]:
+    return [{j: Q(x) for j, x in enumerate(row) if x} for row in a]
 
 
-def mat_copy(a) -> Matrix:
-    return [[Q(x) for x in row] for row in a]
+def _eliminate(rows: list[Row], targets, pivot: int, col: int) -> None:
+    """Clear ``col`` in every target row but ``pivot`` with multiples of it."""
+    p = rows[pivot]
+    pc = p[col]
+    for t in targets:
+        row = rows[t]
+        if t == pivot or col not in row:
+            continue
+        f = row[col] / pc
+        for c, v in p.items():
+            x = row.get(c, 0) - f * v
+            if x:
+                row[c] = x
+            else:
+                del row[c]
 
 
-def mat_mul(a, b) -> Matrix:
-    n, k, m = len(a), len(b), len(b[0])
-    out = [[Q(0)] * m for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for t in range(k):
-            c = ai[t]
-            if c:
-                bt = b[t]
-                for j in range(m):
-                    if bt[j]:
-                        oi[j] += c * bt[j]
-    return out
+def rref(a) -> tuple[list[Row], list[int], Q]:
+    """Reduced row echelon form of a (rows may exceed columns).
 
-
-def mat_vec(a, v) -> list[Q]:
-    return [sum((c * x for c, x in zip(row, v) if c), Q(0)) for row in a]
-
-
-def rref(a) -> tuple[Matrix, list[int], Q]:
-    """Reduced row echelon form of a copy of a (rows may exceed columns).
-
-    Returns the reduced rows, the pivot columns in order, and the product of
-    the pivots signed by the row swaps, which is det(a) when a is square and
-    nonsingular.  Every elimination in this module except the congruence in
-    ``symmetric_signature`` runs through here.
+    Returns the nonzero reduced rows as dict rows, their pivot columns in
+    order, and the product of the pivots signed by the row swaps, which is
+    det(a) when a is square and nonsingular.
     """
-    m = mat_copy(a)
-    rows, cols = len(m), len(m[0]) if m else 0
+    rows = _rows(a)
+    cols = len(a[0]) if a else 0
+    order = list(range(len(rows)))  # order[k]: the row in position k
     pivots: list[int] = []
     scale = Q(1)
     for c in range(cols):
-        r = len(pivots)
-        if r == rows:
-            break
-        piv = next((i for i in range(r, rows) if m[i][c]), None)
-        if piv is None:
+        k = len(pivots)
+        cand = [i for i in range(k, len(rows)) if c in rows[order[i]]]
+        if not cand:
             continue
-        if piv != r:
-            m[r], m[piv] = m[piv], m[r]
+        i = min(cand, key=lambda i: len(rows[order[i]]))
+        if i != k:
+            order[k], order[i] = order[i], order[k]
             scale = -scale
-        scale *= m[r][c]
-        inv_p = Q(1) / m[r][c]
-        m[r] = [x * inv_p for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        r = order[k]
+        p = rows[r][c]
+        scale *= p
+        rows[r] = {j: v / p for j, v in rows[r].items()}
+        _eliminate(rows, order, r, c)
         pivots.append(c)
-    return m, pivots, scale
+    return [rows[r] for r in order[: len(pivots)]], pivots, scale
 
 
-def inverse(a) -> Matrix:
+def inverse(a) -> list[list[Q]]:
     """Inverse of a square rational matrix; raises on singular input."""
     n = len(a)
-    m, pivots, _ = rref([[*row, *e] for row, e in zip(a, identity(n))])
+    rows, pivots, _ = rref(
+        [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(a)]
+    )
     if pivots != list(range(n)):
         raise ZeroDivisionError("matrix is singular")
-    return [row[n:] for row in m]
+    return [[row.get(j, Q(0)) for j in range(n, 2 * n)] for row in rows]
 
 
 def solve(a, b) -> list[Q]:
-    """Solve a x = b exactly for square nonsingular a."""
-    return mat_vec(inverse(a), [Q(x) for x in b])
+    """Solve a x = b exactly for square nonsingular a, by reducing [a | b]."""
+    n = len(a)
+    rows, pivots, _ = rref([[*row, x] for row, x in zip(a, b)])
+    if pivots != list(range(n)):
+        raise ZeroDivisionError("matrix is singular")
+    return [row.get(n, Q(0)) for row in rows]
 
 
 def det(a) -> Q:
@@ -96,65 +97,57 @@ def det(a) -> Q:
 
 
 def nullspace(a) -> list[list[Q]]:
-    """Basis of the right kernel of a (rows may exceed columns)."""
+    """Basis of the right kernel of a (rows may exceed columns).
+
+    One vector per free column c: 1 at c and minus the reduced rows'
+    entries in column c at their pivots.
+    """
     if not a:
         return []
-    m, pivots, _ = rref(a)
+    rows, pivots, _ = rref(a)
     cols = len(a[0])
-    basis = []
-    for fc in (c for c in range(cols) if c not in pivots):
-        v = [Q(0)] * cols
-        v[fc] = Q(1)
-        for pr, pc in enumerate(pivots):
-            v[pc] = -m[pr][fc]
-        basis.append(v)
-    return basis
+    bound = set(pivots)
+    basis = {
+        c: [Q(int(j == c)) for j in range(cols)]
+        for c in range(cols)
+        if c not in bound
+    }
+    for row, pc in zip(rows, pivots):
+        for c, v in row.items():
+            if c != pc:
+                basis[c][pc] = -v
+    return list(basis.values())
 
 
 def symmetric_signature(a) -> tuple[int, int]:
     """Signature (positives, negatives) of a symmetric rational matrix.
 
-    Uses congruence (Lagrange) diagonalization, so the count is exact.  The
-    matrix must be nondegenerate.
+    Congruence by Schur complements, so the count is exact.  A nonzero
+    diagonal pivot counts by its sign.  When every remaining diagonal entry
+    vanishes, an entry b at (i, j) is a hyperbolic block [[0, b], [b, 0]]:
+    clearing column i with row j and column j with row i drops both indices,
+    and the block counts once each way.  The matrix must be nondegenerate.
     """
-    n = len(a)
-    m = mat_copy(a)
+    rows = _rows(a)
+    alive = set(range(len(rows)))
     pos = neg = 0
-    idx = list(range(n))
-    for step in range(n):
-        k = len(idx)
-        if k == 0:
-            break
-        # Find a nonzero diagonal entry, creating one if necessary.
-        dpos = next((t for t in range(k) if m[idx[t]][idx[t]]), None)
-        if dpos is None:
-            # All diagonal entries vanish; use a nonzero off-diagonal pair.
-            pair = next(
-                ((s, t) for s in range(k) for t in range(s + 1, k) if m[idx[s]][idx[t]]),
-                None,
-            )
-            if pair is None:
-                raise ZeroDivisionError("form is degenerate")
-            s, t = pair
-            i, j = idx[s], idx[t]
-            # Row/column operation: e_i <- e_i + e_j makes the (i,i) entry 2*m[i][j].
-            for c in range(n):
-                m[i][c] += m[j][c]
-            for r in range(n):
-                m[r][i] += m[r][j]
-            dpos = s
-        i = idx[dpos]
-        d = m[i][i]
-        if d > 0:
-            pos += 1
-        else:
-            neg += 1
-        idx.pop(dpos)
-        for t in list(idx):
-            f = m[t][i] / d
-            if f:
-                for c in range(n):
-                    m[t][c] -= f * m[i][c]
-                for r in range(n):
-                    m[r][t] -= f * m[r][i]
+    while alive:
+        diagonal = [t for t in alive if t in rows[t]]
+        i = min(diagonal or alive, key=lambda t: (len(rows[t]), t))
+        if diagonal:
+            _eliminate(rows, alive, i, i)
+            alive.remove(i)
+            if rows[i][i] > 0:
+                pos += 1
+            else:
+                neg += 1
+            continue
+        if not rows[i]:
+            raise ZeroDivisionError("form is degenerate")
+        j = min(rows[i])
+        _eliminate(rows, alive, j, i)
+        _eliminate(rows, alive, i, j)
+        alive -= {i, j}
+        pos += 1
+        neg += 1
     return pos, neg

@@ -320,7 +320,7 @@ def build_root_system(stype: SimpleType) -> RootSystem:
     top = positive[-1].height
     assert sum(1 for p in positive if p.height == top) == 1, "highest root not unique"
 
-    inv = ratlin.inverse([[Q(x) for x in row] for row in cartan])
+    inv = ratlin.inverse(cartan)
     weights = tuple(Weight(tuple(row)) for row in inv)
     return RootSystem(
         type=stype,

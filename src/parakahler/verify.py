@@ -171,23 +171,19 @@ def check_algebra(L: LieAlgebraData) -> dict:
 # -- gradation-level checks ----------------------------------------------------
 
 
+@_certified
 def check_grading(L: LieAlgebraData, g: Gradation) -> dict:
-    """Brackets respect degrees and the grading element acts by the degree."""
+    """Brackets respect degrees and the grading element acts by the degree.
+
+    Every bracket lands in weight wt(i) + wt(j) (the certificate), so brackets
+    add degrees once the degree is linear: the sum of crossed coefficients.
+    """
     problems: list[str] = []
-    dim = L.dim
-    rk = L.rank
-
-    def degree_of_index(i: int) -> int:
-        return 0 if i < rk else g.degree(L.roots[i - rk])
-
-    for i in range(dim):
-        di = degree_of_index(i)
-        for j in range(i + 1, dim):
-            target = di + degree_of_index(j)
-            for t, c in L.basis_bracket(i, j).items():
-                if c and degree_of_index(t) != target:
-                    problems.append(f"bracket leaves its degree on {(i, j)}")
-                    return _first_failure(problems)
+    crossed = [i - 1 for i in g.crossing.sorted()]
+    for root in L.roots:
+        if g.degree(root) != sum(root.coeffs[i] for i in crossed):
+            problems.append(f"degree of {root} is not its crossed coefficient sum")
+            return _first_failure(problems)
 
     d = cartan_element(L, g.grading_element)
     for root in L.roots:
@@ -242,7 +238,11 @@ def check_trace_oracle(L: LieAlgebraData, g: Gradation) -> dict:
 
 @_certified
 def check_two_form(L: LieAlgebraData, g: Gradation) -> dict:
-    """Kernel, closedness, type (1,1), positivity, coefficient consistency."""
+    """Kernel, closedness, positivity, coefficient consistency, invariance.
+
+    Type (1,1) needs no check: rho pairs X_alpha with X_-alpha only, and the
+    degree is linear, so the two degrees always cancel.
+    """
     rs = L.rs
     rk = L.rank
     psi = koszul_form(g)
@@ -289,17 +289,6 @@ def check_two_form(L: LieAlgebraData, g: Gradation) -> dict:
             s = rho_vec(pair(i, j), k) + rho_vec(pair(j, k), i)
             if s != rho_vec(pair(i, k), j):
                 problems.append(f"d(rho) != 0 on triple {(i, j, k)}")
-                break
-
-    # Type (1,1): rho pairs g_i with g_j only when i + j = 0.
-    if not problems:
-        for alpha in rs.all_roots():
-            for beta in rs.all_roots():
-                if g.degree(alpha) + g.degree(beta) != 0:
-                    if rho.pair_basis(alpha, beta) != 0:
-                        problems.append(f"rho({alpha},{beta}) nonzero off-type")
-                        break
-            if problems:
                 break
 
     # Coefficient positivity and the a_i expansion.

@@ -5,15 +5,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parakahler.chevalley import (
-    ad_matrix,
+    AlgebraElement,
     basis_element,
     bracket,
     cartan_element,
     killing_form,
     root_vector,
-    zero_element,
 )
 from parakahler.rootsys import Root
+
+
+def zero_element(L):
+    return AlgebraElement((Q(0),) * L.dim)
+
+
+def ad_matrix(L, x):
+    """Matrix of ad_x = [x, .] over the basis (column j is [x, e_j])."""
+    columns = [bracket(L, x, basis_element(L, j)).coords for j in range(L.dim)]
+    return [list(row) for row in zip(*columns)]
 
 
 def test_a1_has_no_n_constants(algebra):

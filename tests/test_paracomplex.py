@@ -75,14 +75,6 @@ def test_split_coordinates_multiplicative(z):
     assert ParaComplex.from_split(z.plus, z.minus) == z
 
 
-def test_paraholomorphic_coords_layout():
-    from parakahler.paracomplex import paraholomorphic_coords
-
-    z = paraholomorphic_coords((0.3, -0.2, 0.1, 0.5), 2)
-    assert z[0].plus == pytest.approx(0.3) and z[0].minus == pytest.approx(0.1)
-    assert z[1].plus == pytest.approx(-0.2) and z[1].minus == pytest.approx(0.5)
-
-
 # -- potentials and realness -----------------------------------------------------
 
 

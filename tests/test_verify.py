@@ -1,3 +1,4 @@
+import dataclasses
 import time
 
 import pytest
@@ -11,6 +12,7 @@ from parakahler.rootsys import Root
 from parakahler.verify import (
     check_algebra,
     check_einstein,
+    check_grading,
     check_jacobi,
     check_killing_cartan,
     check_killing_dual,
@@ -93,6 +95,7 @@ def test_bracket_off_its_weight_fails_every_sparse_check(algebra):
     reports = {
         "killing_invariance": check_killing_invariance(L),
         "killing_cartan": check_killing_cartan(L),
+        "grading": check_grading(L, g),
         "two_form": check_two_form(L, g),
         "killing_dual": check_killing_dual(L, g),
         "einstein": check_einstein(L, g),
@@ -104,6 +107,17 @@ def test_bracket_off_its_weight_fails_every_sparse_check(algebra):
         L.killing_basis()
     # Jacobi reads the bracket table directly and sees the same corruption.
     assert not check_jacobi(L)["ok"]
+
+
+def test_tampered_degree_fails_grading(algebra):
+    rs, L = algebra("G2")
+    g = grade_from_crossing(rs, CrossingSet.of(1))
+    assert check_grading(L, g)["ok"]
+    root = Root((1, 1))
+    bad = dataclasses.replace(g, degrees={**g.degrees, root: g.degrees[root] + 1})
+    report = check_grading(L, bad)
+    assert not report["ok"]
+    assert str(root) in report["first_failure"]
 
 
 def test_metric_off_its_weights_fails_einstein(algebra, monkeypatch):
@@ -170,4 +184,24 @@ def test_exceptional_oracles_at_crossing_one(algebra, name, signature):
     }
     for check, report in reports.items():
         assert report["ok"], (check, report["first_failure"])
+    assert einstein_structure(g, L, 1).signature() == signature
+
+
+@pytest.mark.parametrize(
+    "name, crossed, signature",
+    [
+        ("E6", (1, 4, 6), (33, 33)),
+        ("E6", tuple(range(1, 7)), (36, 36)),
+        ("E7", (1, 4, 7), (58, 58)),
+        ("E7", tuple(range(1, 8)), (63, 63)),
+        ("E8", (1, 4, 8), (112, 112)),
+        ("E8", tuple(range(1, 9)), (120, 120)),
+    ],
+)
+def test_exceptional_two_form_and_einstein(algebra, name, crossed, signature):
+    rs, L = algebra(name)
+    g = grade_from_crossing(rs, CrossingSet.of(*crossed))
+    for check in (check_two_form, check_einstein):
+        report = check(L, g)
+        assert report["ok"], (check.__name__, report["first_failure"])
     assert einstein_structure(g, L, 1).signature() == signature
