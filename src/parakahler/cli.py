@@ -22,14 +22,15 @@ from .config import nodes, rational
 from .errors import DomainError
 from .gradation import (
     CrossingSet,
+    Gradation,
     SatakeDiagram,
     catalog_lookup,
     catalog_names,
     enumerate_crossings,
     grade_from_crossing,
+    gradation_for_diagram,
     orbit_dimension,
     parse_diagram_config,
-    satake_violations,
 )
 from .koszul import (
     einstein_structure,
@@ -201,14 +202,14 @@ def cmd_gradations(args) -> Report:
     return Report("gradations", inputs, payload, [])
 
 
-def _koszul_payload(rs, crossing: CrossingSet) -> tuple[dict, list[dict]]:
-    g = grade_from_crossing(rs, crossing)
+def _koszul_payload(g: Gradation) -> tuple[dict, list[dict]]:
+    rs = g.rs
     psi = koszul_form(g)
     acoef = koszul_coefficients(g)
     rho = two_form_from_weight(rs, psi)
     payload = {
         "type": str(rs.type),
-        "crossed": crossing.sorted(),
+        "crossed": g.crossing.sorted(),
         "depth": g.depth,
         "orbit_dimension": orbit_dimension(g),
         "psi": _weight_payload(rs, psi),
@@ -240,19 +241,15 @@ def cmd_koszul(args) -> Report:
         "satake": args.satake,
     }
     diagram = _resolve_satake(args.satake) if args.satake else None
-    if diagram is not None:
-        if diagram.type != stype:
-            raise DomainError(
-                f"Satake diagram {args.satake} is of type {diagram.type}, "
-                f"not {stype}"
-            )
-        problems = satake_violations(diagram, crossing)
-        if problems:
-            raise DomainError(
-                "crossing is inconsistent with the Satake diagram: "
-                + "; ".join(problems)
-            )
-    payload, checks = _koszul_payload(rs, crossing)
+    if diagram is None:
+        g = grade_from_crossing(rs, crossing)
+    elif diagram.type != stype:
+        raise DomainError(
+            f"Satake diagram {args.satake} is of type {diagram.type}, not {stype}"
+        )
+    else:
+        g = gradation_for_diagram(diagram, crossing)
+    payload, checks = _koszul_payload(g)
     if diagram is not None:
         payload["satake"] = {
             "name": args.satake,
@@ -289,17 +286,12 @@ def cmd_einstein(args) -> Report:
     L = chevalley_constants(rs)
     es = einstein_structure(g, L, lam)
     pos, neg = es.signature()
-    entries = []
-    for i, bi in enumerate(es.basis):
-        for j in range(i, len(es.basis)):
-            if es.metric[i][j]:
-                entries.append(
-                    {
-                        "x": bi.label(),
-                        "y": es.basis[j].label(),
-                        "value": _rat(es.metric[i][j]),
-                    }
-                )
+    entries = [
+        {"x": bi.label(), "y": es.basis[j].label(), "value": _rat(v)}
+        for i, bi in enumerate(es.basis)
+        for j, v in sorted(es.metric[i].items())
+        if j >= i
+    ]
     payload = {
         "type": str(stype),
         "crossed": crossing.sorted(),

@@ -66,9 +66,6 @@ class TwoForm:
             m[j][i] = -c
         return m
 
-    def is_zero(self) -> bool:
-        return not any(self.coeffs.values())
-
 
 def delta_sum(rs: RootSystem, subset) -> Weight:
     """Sum of a collection of positive roots, as a weight with int coordinates."""
@@ -185,14 +182,17 @@ class EinsteinStructure:
     """Para-Kahler Einstein data on the orbit tangent space.
 
     ``metric`` is lambda^{-1} rho(X, K Y) over the nonzero-degree root-vector
-    basis listed in ``basis``; the Einstein constant is ``lam``.
+    basis listed in ``basis``, as ``ratlin`` dict rows ``{column: value}``
+    that store no zeros: rho pairs X_alpha with X_-alpha only, so row alpha
+    holds its one entry in the column of -alpha.  The Einstein constant is
+    ``lam``.
     """
 
     gradation: Gradation
     lam: Q
     rho: TwoForm
     basis: tuple[BasisIndex, ...]
-    metric: tuple[tuple[Q, ...], ...]
+    metric: tuple[dict[int, Q], ...]
 
     def signature(self) -> tuple[int, int]:
         """Exact signature via rational congruence diagonalization."""
@@ -210,16 +210,15 @@ def einstein_structure(g: Gradation, L: LieAlgebraData, lam) -> EinsteinStructur
     roots = g.nonzero_roots()
     inv = Q(1) / lam
     index = {root: a for a, root in enumerate(roots)}
-    metric = [[Q(0)] * len(roots) for _ in roots]
-    # rho pairs X_alpha with X_-alpha only; m is closed under negation.
-    for a, alpha in enumerate(roots):
+    # m is closed under negation, so -alpha always has a column.
+    metric = []
+    for alpha in roots:
         val = rho.pair_basis(alpha, -alpha)
-        if val:
-            metric[a][index[-alpha]] = inv * g.ksign(-alpha) * val
+        metric.append({index[-alpha]: inv * g.ksign(-alpha) * val} if val else {})
     return EinsteinStructure(
         gradation=g,
         lam=lam,
         rho=rho,
         basis=tuple(BasisIndex.X(r) for r in roots),
-        metric=tuple(tuple(row) for row in metric),
+        metric=tuple(metric),
     )

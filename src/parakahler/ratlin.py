@@ -3,14 +3,15 @@
 Matrices come in as lists of rows of ``fractions.Fraction`` (or ints) and
 never touch floating point.  They reach the dimension of E8 (248) but are
 sparse, so they are held as dict rows ``{column: value}`` that never store a
-zero.  Every elimination in the module is one step, ``_eliminate``: subtract
-from every row with an entry in the pivot column the multiple of the pivot
-row that clears it.  ``rref`` takes that step column by column, pivoting on
-the sparsest candidate row, and ``det``, ``inverse``, ``solve`` and
-``nullspace`` read its result.  ``symmetric_signature`` takes the same step
-as a congruence: clearing a pivot's column from the remaining rows leaves
-their Schur complement, which is symmetric again, so the pivot index is
-dropped and its sign counted.
+zero; ``symmetric_signature`` also takes such rows (of Fractions) as input
+and copies them as given.  Every elimination in the module is one step,
+``_eliminate``: subtract from every row with an entry in the pivot column
+the multiple of the pivot row that clears it.  ``rref`` takes that step
+column by column, pivoting on the sparsest candidate row, and ``det``,
+``inverse``, ``solve`` and ``nullspace`` read its result.
+``symmetric_signature`` takes the same step as a congruence: clearing a
+pivot's column from the remaining rows leaves their Schur complement, which
+is symmetric again, so the pivot index is dropped and its sign counted.
 """
 
 from __future__ import annotations
@@ -21,7 +22,11 @@ Row = dict[int, Q]
 
 
 def _rows(a) -> list[Row]:
-    return [{j: Q(x) for j, x in enumerate(row) if x} for row in a]
+    """Copies of a's rows as dict rows; a dict row is copied as given."""
+    return [
+        dict(row) if isinstance(row, dict) else {j: Q(x) for j, x in enumerate(row) if x}
+        for row in a
+    ]
 
 
 def _eliminate(rows: list[Row], targets, pivot: int, col: int) -> None:

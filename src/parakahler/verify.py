@@ -13,7 +13,10 @@ only: each term pairs [e_i, e_j] with e_k under a form that vanishes unless
 the weights cancel (``check_einstein`` checks that of the metric), so other
 triples contribute nothing once every bracket lands in weight wt(i) + wt(j).
 ``LieAlgebraData.grading_failure`` certifies that; if it fails, these
-checks return ok: False with its location.
+checks return ok: False with its location.  The same certificate leaves the
+trace oracle only the Cartan to check: ad_{X_b} and K~ ad_{X_b} shift
+weights by b != 0, so their traces vanish.  ``check_einstein`` reads the
+entries the metric's dict rows store, one per row, instead of all n^2.
 """
 
 from __future__ import annotations
@@ -216,24 +219,23 @@ def check_gradation(L: LieAlgebraData, g: Gradation) -> dict:
 # -- Koszul / Einstein checks ----------------------------------------------------
 
 
+@_certified
 def check_trace_oracle(L: LieAlgebraData, g: Gradation) -> dict:
-    """Trace formula equals the weight formula on the Cartan, zero on roots."""
+    """Trace formula equals the weight formula on the Cartan.
+
+    On root vectors both vanish with nothing to check: psi is a Cartan
+    1-form, and ad_{X_b} and K~ ad_{X_b} shift weights by b != 0 (the
+    certificate), so neither has a diagonal entry.
+    """
     psi = koszul_form(g)
-    problems: list[str] = []
     for i in range(1, L.rank + 1):
         via_trace = koszul_trace(g, L, basis_element(L, i - 1))
         via_weight = L.rs.coroot_pairing(psi, i)
         if via_trace != via_weight:
-            problems.append(
-                f"trace {via_trace} != weight value {via_weight} on H{i}"
+            return _first_failure(
+                [f"trace {via_trace} != weight value {via_weight} on H{i}"]
             )
-            break
-    if not problems:
-        for root in L.roots:
-            if koszul_trace(g, L, basis_element(L, L.index_of_root(root))) != 0:
-                problems.append(f"trace does not vanish on X[{root}]")
-                break
-    return _first_failure(problems)
+    return _first_failure([])
 
 
 @_certified
@@ -241,27 +243,22 @@ def check_two_form(L: LieAlgebraData, g: Gradation) -> dict:
     """Kernel, closedness, positivity, coefficient consistency, invariance.
 
     Type (1,1) needs no check: rho pairs X_alpha with X_-alpha only, and the
-    degree is linear, so the two degrees always cancel.
+    degree is linear, so the two degrees always cancel.  Closedness and
+    invariance read rho from the matrix whose nullspace is checked.
     """
     rs = L.rs
     rk = L.rank
     psi = koszul_form(g)
     rho = two_form_from_weight(rs, psi)
+    mat = rho.matrix(L)
     g0 = [*range(rk), *map(L.index_of_root, g.roots_of_degree(0))]
     problems: list[str] = []
-
-    def rho_index(m: int, k: int) -> Q:
-        """rho on basis indices; zero whenever a Cartan index is involved."""
-        if m < rk or k < rk:
-            return Q(0)
-        return rho.pair_basis(L.roots[m - rk], L.roots[k - rk])
 
     if not kernel_is_g0(rho, g):
         problems.append("kernel of d(psi) is not g_0")
 
     # Exact nullspace of the assembled matrix must also be g_0.
     if not problems:
-        mat = rho.matrix(L)
         null = ratlin.nullspace(mat)
         expected_dim = L.rank + 2 * len(g.zero_degree_positive())
         if len(null) != expected_dim:
@@ -281,7 +278,7 @@ def check_two_form(L: LieAlgebraData, g: Gradation) -> dict:
         pair = L.basis_bracket
 
         def rho_vec(vec: dict[int, int], k: int) -> Q:
-            return sum((c * rho_index(m, k) for m, c in vec.items()), Q(0))
+            return sum((c * mat[m][k] for m, c in vec.items()), Q(0))
 
         for i, j, k in _zero_weight_triples(L, range(L.dim), range(L.dim)):
             if not i < j < k:
@@ -315,7 +312,7 @@ def check_two_form(L: LieAlgebraData, g: Gradation) -> dict:
 
     # ad_h-invariance of rho for every basis element h of g_0.
     if not problems:
-        bad = _invariance_failure(L, rho_index, g0, range(rk, L.dim))
+        bad = _invariance_failure(L, lambda m, k: mat[m][k], g0, range(rk, L.dim))
         if bad:
             problems.append(f"rho not ad-invariant under index {bad[0]}")
 
@@ -335,42 +332,33 @@ def check_killing_dual(L: LieAlgebraData, g: Gradation) -> dict:
 
 @_certified
 def check_einstein(L: LieAlgebraData, g: Gradation, lam=Q(1)) -> dict:
-    """Symmetry, K-skewness, weight sparsity, ad_{g_0}-invariance, signature."""
+    """Symmetry, K-skewness, weight sparsity, ad_{g_0}-invariance, signature.
+
+    The first three run over the entries the metric's dict rows store.
+    """
     es = einstein_structure(g, L, lam)
     roots = g.nonzero_roots()
-    n = len(roots)
-    problems: list[str] = []
-    for a in range(n):
-        for b in range(a, n):
-            if es.metric[a][b] != es.metric[b][a]:
-                problems.append("metric not symmetric")
-                break
-            sa, sb = g.ksign(roots[a]), g.ksign(roots[b])
-            if sa * sb * es.metric[a][b] != -es.metric[a][b]:
-                problems.append("metric not K-skew")
-                break
+    index = [L.index_of_root(r) for r in roots]
+    metric: dict[tuple[int, int], Q] = {}  # keyed by basis indices
+    for a, row in enumerate(es.metric):
+        for b, v in row.items():
+            if es.metric[b].get(a, 0) != v:
+                return _first_failure(["metric not symmetric"])
+            if g.ksign(roots[a]) * g.ksign(roots[b]) * v != -v:
+                return _first_failure(["metric not K-skew"])
             # The invariance check below visits zero-weight triples only.
-            if es.metric[a][b] and any((roots[a] + roots[b]).coeffs):
-                problems.append(f"metric pairs {roots[a]} with {roots[b]}")
-                break
-        if problems:
-            break
+            if v and any((roots[a] + roots[b]).coeffs):
+                return _first_failure([f"metric pairs {roots[a]} with {roots[b]}"])
+            metric[index[a], index[b]] = v
 
-    if not problems:
-        # ad-invariance under g_0, with the metric keyed by basis indices.
-        index = [L.index_of_root(r) for r in roots]
-        metric = {(index[a], index[b]): v for a, row in enumerate(es.metric)
-                  for b, v in enumerate(row) if v}
-        g0 = [*range(L.rank), *map(L.index_of_root, g.roots_of_degree(0))]
-        if _invariance_failure(L, lambda m, k: metric.get((m, k), 0), g0, index):
-            problems.append("metric not ad-invariant under g_0")
+    g0 = [*range(L.rank), *map(L.index_of_root, g.roots_of_degree(0))]
+    if _invariance_failure(L, lambda m, k: metric.get((m, k), 0), g0, index):
+        return _first_failure(["metric not ad-invariant under g_0"])
 
-    if not problems:
-        pos, neg = es.signature()
-        if not (pos == neg == n // 2):
-            problems.append(f"signature {(pos, neg)} is not neutral")
-
-    return _first_failure(problems)
+    pos, neg = es.signature()
+    if not (pos == neg == len(roots) // 2):
+        return _first_failure([f"signature {(pos, neg)} is not neutral"])
+    return _first_failure([])
 
 
 # -- sweep orchestration ---------------------------------------------------------

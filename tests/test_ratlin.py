@@ -66,6 +66,11 @@ def test_signature_diagonal_and_hyperbolic():
     assert ratlin.symmetric_signature(dense) == (2, 1)
     with pytest.raises(ZeroDivisionError):
         ratlin.symmetric_signature(M([[0, 0], [0, 0]]))
+    # Dict rows, the form the Einstein metric is stored in, are read as
+    # given and left as they were.
+    rows = ({1: Q(3)}, {0: Q(3)}, {3: Q(-7)}, {2: Q(-7)})
+    assert ratlin.symmetric_signature(rows) == (2, 2)
+    assert rows == ({1: Q(3)}, {0: Q(3)}, {3: Q(-7)}, {2: Q(-7)})
 
 
 def test_inverse_singular_after_row_swap():
@@ -185,3 +190,5 @@ def test_signature_of_a_null_corner_block(block):
     b, a = block
     assume(leibniz(b))
     assert ratlin.symmetric_signature(a) == (len(b), len(b))
+    rows = [{j: Q(x) for j, x in enumerate(row) if x} for row in a]
+    assert ratlin.symmetric_signature(rows) == (len(b), len(b))

@@ -1,5 +1,6 @@
 import dataclasses
 import time
+from fractions import Fraction as Q
 
 import pytest
 
@@ -96,6 +97,7 @@ def test_bracket_off_its_weight_fails_every_sparse_check(algebra):
         "killing_invariance": check_killing_invariance(L),
         "killing_cartan": check_killing_cartan(L),
         "grading": check_grading(L, g),
+        "trace_oracle": check_trace_oracle(L, g),
         "two_form": check_two_form(L, g),
         "killing_dual": check_killing_dual(L, g),
         "einstein": check_einstein(L, g),
@@ -120,21 +122,64 @@ def test_tampered_degree_fails_grading(algebra):
     assert str(root) in report["first_failure"]
 
 
-def test_metric_off_its_weights_fails_einstein(algebra, monkeypatch):
-    # The sparse ad-invariance check skips triples whose weights do not
-    # cancel, so a metric entry off the weight pairs must be caught first.
+def test_trace_oracle_sees_a_wrong_cartan_action(algebra):
+    # Negating [H1, X_a1] keeps every bracket in its weight, so the
+    # certificate passes and only the trace itself can see it.
+    rs, shared = algebra("G2")
+    L = _copy(shared)
+    h, a = 0, L.index_of_root(Root((1, 0)))
+    L._brackets[h * L.dim + a] = {m: -c for m, c in shared.basis_bracket(h, a).items()}
+    assert L.grading_failure is None
+    g = grade_from_crossing(rs, CrossingSet.of(1))
+    assert check_trace_oracle(shared, g)["ok"]
+    report = check_trace_oracle(L, g)
+    assert not report["ok"]
+    assert report["first_failure"].endswith("on H1")
+
+
+def _tampered_einstein(algebra, monkeypatch, tamper) -> dict:
+    """check_einstein on G2 {1} after ``tamper(metric, roots, g)`` edits rows."""
     rs, L = algebra("G2")
     g = grade_from_crossing(rs, CrossingSet.of(1))
     es = einstein_structure(g, L, 1)
-    roots = g.nonzero_roots()
-    a = next(k for k, r in enumerate(roots) if g.ksign(r) > 0)
-    b = next(k for k, r in enumerate(roots) if g.ksign(r) < 0 and r != -roots[a])
-    metric = [list(row) for row in es.metric]
-    metric[a][b] = metric[b][a] = 1  # symmetric and K-skew, wrong weight
-    es.metric = tuple(tuple(row) for row in metric)
+    metric = [dict(row) for row in es.metric]
+    tamper(metric, g.nonzero_roots(), g)
+    es.metric = tuple(metric)
     monkeypatch.setattr(verify, "einstein_structure", lambda *args: es)
     report = check_einstein(L, g)
     assert not report["ok"]
+    return report
+
+
+def test_metric_entry_without_transpose_fails_einstein(algebra, monkeypatch):
+    def tamper(metric, roots, g):
+        metric[roots.index(Root((-1, 0)))].clear()  # (a1, -a1) stays stored
+
+    report = _tampered_einstein(algebra, monkeypatch, tamper)
+    assert report["first_failure"] == "metric not symmetric"
+
+
+def test_metric_pairing_equal_degree_signs_fails_einstein(algebra, monkeypatch):
+    def tamper(metric, roots, g):
+        a, b = roots.index(Root((1, 0))), roots.index(Root((1, 1)))
+        assert g.ksign(roots[a]) == g.ksign(roots[b]) == 1
+        metric[a][b] = metric[b][a] = Q(1)
+
+    report = _tampered_einstein(algebra, monkeypatch, tamper)
+    assert report["first_failure"] == "metric not K-skew"
+
+
+def test_metric_off_its_weights_fails_einstein(algebra, monkeypatch):
+    # The sparse ad-invariance check skips triples whose weights do not
+    # cancel, so a metric entry off the weight pairs must be caught first.
+    def tamper(metric, roots, g):
+        a = next(k for k, r in enumerate(roots) if g.ksign(r) > 0)
+        b = next(
+            k for k, r in enumerate(roots) if g.ksign(r) < 0 and r != -roots[a]
+        )
+        metric[a][b] = metric[b][a] = Q(1)  # symmetric and K-skew, wrong weight
+
+    report = _tampered_einstein(algebra, monkeypatch, tamper)
     assert "metric pairs" in report["first_failure"]
 
 
