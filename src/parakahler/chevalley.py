@@ -24,10 +24,11 @@ plus one Jacobi identity per remaining special pair.  The result is exact;
 with a nonzero term and ``verify.check_structure_constants`` checks
 |N(a,b)| = p+1 against an independent root-string computation.
 
-Constants, brackets and the Killing Gram are ints.  Root lengths, coroots
-and the pairings alpha(H_i) come from the ``RootSystem``; the relations
-above, through their length ratios, are the only divisions.  ``grading_failure`` certifies that each
-bracket lands in the sum of its arguments' weights.
+The constants are computed on root indices with ``root_sum_table``; each
+length ratio is an exact int division that asserts a zero remainder, so no
+``Fraction`` arises.  Brackets are stored as sparse int rows of the nonzero
+[e_i, e_j], built on first use; ``grading_failure`` certifies that each one
+lands in the sum of its arguments' weights.
 """
 
 from __future__ import annotations
@@ -69,7 +70,8 @@ class BasisIndex:
 class LieAlgebraData:
     """Structure constants and cached bracket/Killing data for one algebra.
 
-    Immutable by convention after construction; every cache is derived data.
+    ``plus`` is the ``root_sum_table`` of ``roots``.  Immutable by convention
+    after construction; every cache is derived data.
     """
 
     def __init__(self, rs: RootSystem, nconst: dict[tuple[Root, Root], int]):
@@ -78,8 +80,9 @@ class LieAlgebraData:
         self.rank = rs.rank
         self.roots = rs.all_roots()
         self.dim = self.rank + len(self.roots)
+        self.plus = root_sum_table(self.roots)
         self._root_index = {
-            root: self.rank + k for k, root in enumerate(self.roots)
+            root.coeffs: self.rank + k for k, root in enumerate(self.roots)
         }
         self._killing: list[list[int]] | None = None
 
@@ -87,7 +90,7 @@ class LieAlgebraData:
 
     def index_of_root(self, root: Root) -> int:
         try:
-            return self._root_index[root]
+            return self._root_index[root.coeffs]
         except KeyError:
             raise DomainError(f"{root} is not a root of {self.rs.type}") from None
 
@@ -116,49 +119,50 @@ class LieAlgebraData:
     def grading_failure(self) -> str | None:
         """Where some [e_i, e_j] leaves weight wt(i) + wt(j); None if none does.
 
-        Costs dim^2 brackets, paid on first use only.
+        Visits the stored bracket entries only, on first use.
         """
         wt = self.weights
-        for i in range(self.dim):
-            for j in range(self.dim):
-                for t, c in self.basis_bracket(i, j).items():
-                    if c and wt[t] != tuple(map(add, wt[i], wt[j])):
+        for i, row in enumerate(self.brackets):
+            for j, out in row.items():
+                w = tuple(map(add, wt[i], wt[j]))
+                for t, c in out.items():
+                    if c and wt[t] != w:
                         return f"bracket {(i, j)} leaves weight wt({i}) + wt({j})"
         return None
 
     # -- brackets ------------------------------------------------------------
 
     @cached_property
-    def _brackets(self) -> list[dict[int, int] | None]:
-        """[e_i, e_j] cached at i * dim + j, seeded with every N(a, b) term."""
-        dim, idx = self.dim, self._root_index
-        table: list[dict[int, int] | None] = [None] * (dim * dim)
+    def brackets(self) -> list[dict[int, dict[int, int]]]:
+        """Sparse rows: brackets[i][j] is [e_i, e_j] as {t: c}, if nonzero.
+
+        Built on first use from the basis rules and ``nconst``; raises
+        DomainError on a constant stored for a pair whose sum is not a root.
+        """
+        rk, rs, plus = self.rank, self.rs, self.plus
+        half = len(self.roots) // 2
+        rows: list[dict[int, dict[int, int]]] = [{} for _ in range(self.dim)]
+        for x, root in enumerate(self.roots, rk):
+            minus = x + half if x < rk + half else x - half  # [X_a, X_-a] = H_a
+            rows[x][minus] = {t: c for t, c in enumerate(rs.coroot(root)) if c}
+            for h in range(rk):  # [H_h, X_b] = b(H_h) X_b, antisymmetric
+                c = rs.coroot_pairing(Weight(root.coeffs), h + 1)
+                if c:
+                    rows[h][x] = {x: c}
+                    rows[x][h] = {x: -c}
+        idx = self._root_index
         for (a, b), n in self.nconst.items():
+            i, j = idx.get(a.coeffs), idx.get(b.coeffs)
+            total = -1 if i is None or j is None else plus[i - rk][j - rk]
+            if total < 0:
+                raise DomainError(f"N({a}, {b}) is stored for a pair without a root sum")
             if n:
-                table[idx[a] * dim + idx[b]] = {idx[a + b]: n}
-        return table
+                rows[i][j] = {total + rk: n}
+        return rows
 
     def basis_bracket(self, i: int, j: int) -> dict[int, int]:
         """Sparse coordinates of [e_i, e_j]; shared, so never mutate them."""
-        key = i * self.dim + j
-        hit = self._brackets[key]
-        if hit is not None:
-            return hit
-        out: dict[int, int] = {}
-        rk, rs = self.rank, self.rs
-        if i < rk and j < rk:
-            pass  # Cartan is abelian
-        elif i < rk or j < rk:  # [H_t, X_b] = b(H_t) X_b, antisymmetric
-            h, x, sign = (i, j, 1) if i < rk else (j, i, -1)
-            c = rs.coroot_pairing(Weight(self.roots[x - rk].coeffs), h + 1)
-            if c:
-                out[x] = sign * c
-        else:  # root pairs with a constant are seeded; [X_a, X_-a] = H_a
-            alpha = self.roots[i - rk]
-            if self.roots[j - rk] == -alpha:
-                out = {t: c for t, c in enumerate(rs.coroot(alpha)) if c}
-        self._brackets[key] = out = out or _NO_TERMS
-        return out
+        return self.brackets[i].get(j, _NO_TERMS)
 
     def killing_basis(self) -> list[list[int]]:
         """Gram matrix of the Killing form on the basis, by brute-force trace.
@@ -166,22 +170,23 @@ class LieAlgebraData:
         Only entries with wt(u) + wt(v) = 0 are traced: ad_u ad_v shifts
         weights by wt(u) + wt(v), so the other traces vanish once
         ``grading_failure`` has passed; raises DomainError if it has not.
+        Each trace sums over the stored brackets [e_v, e_j] only.
         """
         if self._killing is not None:
             return self._killing
         if self.grading_failure is not None:
             raise DomainError(f"weight grading fails: {self.grading_failure}")
-        dim = self.dim
-        pair = self.basis_bracket
+        dim, rows = self.dim, self.brackets
         b = [[0] * dim for _ in range(dim)]
         for u in range(dim):
+            row_u = rows[u]
             for v in self.partners(u):
                 if v < u:
                     continue
                 total = 0
-                for j in range(dim):
-                    for m, c in pair(v, j).items():
-                        c2 = pair(u, m).get(j)
+                for j, out in rows[v].items():
+                    for m, c in out.items():
+                        c2 = row_u.get(m, _NO_TERMS).get(j)
                         if c2:
                             total += c * c2
                 b[u][v] = b[v][u] = total
@@ -198,11 +203,6 @@ class AlgebraElement:
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         return AlgebraElement(
             tuple(a + b for a, b in zip(self.coords, other.coords))
-        )
-
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return AlgebraElement(
-            tuple(a - b for a, b in zip(self.coords, other.coords))
         )
 
     def scale(self, factor) -> "AlgebraElement":
@@ -236,79 +236,82 @@ def is_cartan(L: LieAlgebraData, x: AlgebraElement) -> bool:
 # -- construction of the constants -------------------------------------------
 
 
+def root_sum_table(roots: tuple[Root, ...]) -> list[list[int]]:
+    """plus[i][j]: the index of roots[i] + roots[j] in ``roots``, or -1.
+
+    Each root gets the linear key sum_k c_k B^k, which is injective on
+    vectors with |c_k| < B/2, so it tells apart every sum of two roots.
+    """
+    base = 4 * max(abs(c) for r in roots for c in r.coeffs) + 1
+    keys = [sum(c * base**k for k, c in enumerate(r.coeffs)) for r in roots]
+    at = {key: i for i, key in enumerate(keys)}
+    return [[at.get(a + b, -1) for b in keys] for a in keys]
+
+
+def _exact(num: int, den: int) -> int:
+    q, rem = divmod(num, den)
+    assert rem == 0, "a length ratio left a remainder"
+    return q
+
+
 def chevalley_constants(rs: RootSystem) -> LieAlgebraData:
     """Structure constants of the Chevalley basis for a root system."""
-    pos = rs.positive_roots
-    simple = [rs.simple_root(i) for i in range(1, rs.rank + 1)]
-    sq = rs.root_length_sq
+    nconst: dict[tuple[Root, Root], int] = {}
+    L = LieAlgebraData(rs, nconst)  # nconst is filled below; every cache is lazy
+    roots, plus = L.roots, L.plus
+    npos_count = len(rs.positive_roots)
+    neg = [*range(npos_count, 2 * npos_count), *range(npos_count)]  # index of -roots[i]
+    sq = [rs.root_length_sq(r) for r in roots]
 
-    def string_down(s: Root, r: Root) -> int:
-        """Largest p with s - p*r a root."""
-        p = 0
-        cur = s - r
-        while rs.is_root(cur):
-            p += 1
-            cur = cur - r
-        return p
+    # Seed constants on positive special pairs (r, s): r < s (canonical
+    # order is by height), r+s a root.  None marks a pair not yet pinned.
+    npos: list[list[int | None]] = [[None] * npos_count for _ in range(npos_count)]
 
-    order = {root: k for k, root in enumerate(pos)}
-
-    # Seed constants on positive special pairs (r, s): r before s, r+s a root.
-    npos: dict[tuple[Root, Root], Q | int] = {}
-
-    def nfull(al: Root, be: Root) -> Q | int:
+    def nfull(al: int, be: int) -> int:
         """N(al, be) for any root pair with al+be a root."""
-        pa, pb = al.is_positive, be.is_positive
+        pa, pb = al < npos_count, be < npos_count
         if pa and pb:
-            if order[al] < order[be]:
-                return npos[(al, be)]
-            return -npos[(be, al)]
+            return npos[al][be] if al < be else -npos[be][al]
         if not pa and not pb:
-            return -nfull(-al, -be)
+            return -nfull(neg[al], neg[be])
         if not pa:
             return -nfull(be, al)
         # al positive, be negative, al+be a root
-        total = al + be
-        if total.is_positive:
-            return -Q(sq(total), sq(al)) * nfull(-be, total)
-        return Q(sq(total), sq(be)) * nfull(-total, al)
+        total = plus[al][be]
+        if total < npos_count:
+            return -_exact(sq[total] * nfull(neg[be], total), sq[al])
+        return _exact(sq[total] * nfull(neg[total], al), sq[be])
 
-    for gamma in pos:
-        if gamma.height < 2:
-            continue
-        # Extraspecial pair: smallest simple root that stays inside R+ (gamma
-        # has height >= 2, so gamma - s is a root only if it is positive).
-        a = next(s for s in simple if rs.is_root(gamma - s))
-        b = gamma - a
-        npos[(a, b)] = string_down(b, a) + 1
-        for r in pos:
-            if order[r] >= order[gamma]:
-                break
-            s = gamma - r  # height(s) >= 0, so a root s is positive
-            if not rs.is_root(s) or order[r] >= order[s] or (r, s) == (a, b):
+    # The simple roots lead the canonical order; the others have height >= 2.
+    for gamma in range(rs.rank, npos_count):
+        # Extraspecial pair: smallest simple root that stays inside R+.
+        up = plus[gamma]
+        a = next(s for s in range(rs.rank) if up[neg[s]] >= 0)
+        b = up[neg[a]]
+        p, cur = 0, plus[b][neg[a]]  # p: the length of the a-string below b
+        while cur >= 0:
+            p, cur = p + 1, plus[cur][neg[a]]
+        seed = npos[a][b] = p + 1
+        for r in range(gamma):
+            s = up[neg[r]]  # height(s) >= 0, so a root s is positive
+            if s < 0 or r >= s or (r, s) == (a, b):
                 continue
             # One Jacobi identity on (X_a, X_b, X_-r) pins N(r, s).
-            t_b = 0
-            br = b - r
-            if rs.is_root(br):
-                t_b = nfull(b, -r) * nfull(br, a)
-            t_a = 0
-            ar = a - r
-            if rs.is_root(ar):
-                t_a = nfull(-r, a) * nfull(ar, b)
-            npos[(r, s)] = Q(sq(gamma), sq(s) * npos[(a, b)]) * (t_b + t_a)
+            t = 0
+            if (br := plus[b][neg[r]]) >= 0:
+                t += nfull(b, neg[r]) * nfull(br, a)
+            if (ar := plus[a][neg[r]]) >= 0:
+                t += nfull(neg[r], a) * nfull(ar, b)
+            npos[r][s] = _exact(sq[gamma] * t, sq[s] * seed)
 
     # Materialize the full table over every bracketable root pair.
-    all_roots = rs.all_roots()
-    nconst: dict[tuple[Root, Root], int] = {}
-    for al in all_roots:
-        for be in all_roots:
-            total = al + be
-            if any(total.coeffs) and rs.is_root(total):
-                val = nfull(al, be)
-                assert val.denominator == 1 and val != 0
-                nconst[(al, be)] = int(val)
-    return LieAlgebraData(rs, nconst)
+    for i, row in enumerate(plus):
+        for j, total in enumerate(row):
+            if total >= 0:
+                val = nfull(i, j)
+                assert val != 0
+                nconst[(roots[i], roots[j])] = val
+    return L
 
 
 # -- operations ---------------------------------------------------------------

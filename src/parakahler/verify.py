@@ -22,7 +22,9 @@ entries the metric's dict rows store, one per row, instead of all n^2.
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from fractions import Fraction as Q
+from itertools import product
 
 from . import ratlin
 from .chevalley import (
@@ -99,16 +101,17 @@ def _invariance_failure(L: LieAlgebraData, form, acting, domain) -> tuple | None
 
 def check_jacobi(L: LieAlgebraData) -> dict:
     """Jacobi identity on every unordered basis triple with a nonzero term."""
-    dim = L.dim
+    rows = L.brackets
     pair = L.basis_bracket
     # ties[m]: the k with [e_m, e_k] != 0.  [[i,j],k] has a nonzero term only
     # if k is a tie of some m in the support of [e_i, e_j].
-    ties = [[k for k in range(dim) if pair(m, k)] for m in range(dim)]
+    ties = [[k for k, out in row.items() if out] for row in rows]
     triples = {
         tuple(sorted((i, j, k)))
-        for i in range(dim)
-        for j in range(i + 1, dim)
-        for m in pair(i, j)
+        for i, row in enumerate(rows)
+        for j, out in row.items()
+        if j > i
+        for m in out
         for k in ties[m]
         if k != i and k != j
     }
@@ -144,22 +147,39 @@ def check_killing_cartan(L: LieAlgebraData) -> dict:
 
 
 def check_structure_constants(L: LieAlgebraData) -> dict:
-    """|N(a,b)| = p+1 against an independent root-string walk; antisymmetry."""
-    rs = L.rs
-    problems: list[str] = []
-    for (al, be), n in L.nconst.items():
-        if L.nconst[(be, al)] != -n:
-            problems.append(f"antisymmetry fails on ({al}, {be})")
-            break
+    """|N(a,b)| = p+1 against an independent root-string walk; antisymmetry.
+
+    Every stored pair must have a stored reverse and a root sum, and every
+    pair of roots with a root sum must have a stored constant.
+    """
+    rs, nconst = L.rs, L.nconst
+    for (al, be), n in nconst.items():
+        rev = nconst.get((be, al))
+        if rev is None:
+            return _first_failure([f"N({al}, {be}) is stored without N({be}, {al})"])
+        if rev != -n:
+            return _first_failure([f"antisymmetry fails on ({al}, {be})"])
+        if not rs.is_root(al + be):
+            return _first_failure([f"N({al}, {be}) is stored for a pair without a root sum"])
         p = 0
         cur = be - al
         while rs.is_root(cur):
             p += 1
             cur = cur - al
         if abs(n) != p + 1:
-            problems.append(f"|N| != p+1 on ({al}, {be}): {n} vs p={p}")
-            break
-    return _first_failure(problems)
+            return _first_failure([f"|N| != p+1 on ({al}, {be}): {n} vs p={p}"])
+    # The stored pairs are distinct and bracketable, so none is missing if as
+    # many are stored as there are bracketable pairs.  W permutes the roots of
+    # one length transitively, so one root of each length counts its pairs.
+    lengths = Counter(map(rs.root_length_sq, L.roots))
+    one_of = {rs.root_length_sq(al): al for al in L.roots}
+    if len(nconst) != sum(
+        lengths[k] * sum(rs.is_root(al + be) for be in L.roots) for k, al in one_of.items()
+    ):
+        for al, be in product(L.roots, L.roots):
+            if (al, be) not in nconst and rs.is_root(al + be):
+                return _first_failure([f"({al}, {be}) has a root sum but no stored N"])
+    return _first_failure([])
 
 
 def check_algebra(L: LieAlgebraData) -> dict:
@@ -181,12 +201,10 @@ def check_grading(L: LieAlgebraData, g: Gradation) -> dict:
     Every bracket lands in weight wt(i) + wt(j) (the certificate), so brackets
     add degrees once the degree is linear: the sum of crossed coefficients.
     """
-    problems: list[str] = []
     crossed = [i - 1 for i in g.crossing.sorted()]
     for root in L.roots:
         if g.degree(root) != sum(root.coeffs[i] for i in crossed):
-            problems.append(f"degree of {root} is not its crossed coefficient sum")
-            return _first_failure(problems)
+            return _first_failure([f"degree of {root} is not its crossed coefficient sum"])
 
     d = cartan_element(L, g.grading_element)
     for root in L.roots:
@@ -199,9 +217,8 @@ def check_grading(L: LieAlgebraData, g: Gradation) -> dict:
         out = {t: c for t, c in acc.items() if c}
         want = {i: Q(g.degree(root))} if g.degree(root) else {}
         if out != want:
-            problems.append(f"grading element acts wrongly on {root}")
-            break
-    return _first_failure(problems)
+            return _first_failure([f"grading element acts wrongly on {root}"])
+    return _first_failure([])
 
 
 def check_gradation(L: LieAlgebraData, g: Gradation) -> dict:
@@ -246,77 +263,57 @@ def check_two_form(L: LieAlgebraData, g: Gradation) -> dict:
     degree is linear, so the two degrees always cancel.  Closedness and
     invariance read rho from the matrix whose nullspace is checked.
     """
-    rs = L.rs
-    rk = L.rank
+    rs, rk = L.rs, L.rank
     psi = koszul_form(g)
     rho = two_form_from_weight(rs, psi)
     mat = rho.matrix(L)
     g0 = [*range(rk), *map(L.index_of_root, g.roots_of_degree(0))]
-    problems: list[str] = []
-
     if not kernel_is_g0(rho, g):
-        problems.append("kernel of d(psi) is not g_0")
+        return _first_failure(["kernel of d(psi) is not g_0"])
 
     # Exact nullspace of the assembled matrix must also be g_0.
-    if not problems:
-        null = ratlin.nullspace(mat)
-        expected_dim = L.rank + 2 * len(g.zero_degree_positive())
-        if len(null) != expected_dim:
-            problems.append(
-                f"matrix nullspace has dimension {len(null)}, "
-                f"expected {expected_dim}"
-            )
-        else:
-            g0_idx = set(g0)
-            for vec in null:
-                if any(c for i, c in enumerate(vec) if i not in g0_idx):
-                    problems.append("matrix nullspace escapes g_0")
-                    break
+    null = ratlin.nullspace(mat)
+    want = L.rank + 2 * len(g.zero_degree_positive())
+    if len(null) != want:
+        return _first_failure([f"matrix nullspace has dimension {len(null)}, expected {want}"])
+    g0_idx = set(g0)
+    if any(c for vec in null for i, c in enumerate(vec) if i not in g0_idx):
+        return _first_failure(["matrix nullspace escapes g_0"])
 
     # Closedness: cyclic sum of rho([x,y],z) over the zero-weight triples.
-    if not problems:
-        pair = L.basis_bracket
+    pair = L.basis_bracket
 
-        def rho_vec(vec: dict[int, int], k: int) -> Q:
-            return sum((c * mat[m][k] for m, c in vec.items()), Q(0))
+    def rho_vec(vec: dict[int, int], k: int) -> Q:
+        return sum((c * mat[m][k] for m, c in vec.items()), Q(0))
 
-        for i, j, k in _zero_weight_triples(L, range(L.dim), range(L.dim)):
-            if not i < j < k:
-                continue
-            s = rho_vec(pair(i, j), k) + rho_vec(pair(j, k), i)
-            if s != rho_vec(pair(i, k), j):
-                problems.append(f"d(rho) != 0 on triple {(i, j, k)}")
-                break
+    for i, j, k in _zero_weight_triples(L, range(L.dim), range(L.dim)):
+        if not i < j < k:
+            continue
+        if rho_vec(pair(i, j), k) + rho_vec(pair(j, k), i) != rho_vec(pair(i, k), j):
+            return _first_failure([f"d(rho) != 0 on triple {(i, j, k)}"])
 
     # Coefficient positivity and the a_i expansion.
-    if not problems:
-        zero_pos = set(g.zero_degree_positive())
-        for root in rs.positive_roots:
-            c = rho.coeffs[root]
-            if root in zero_pos:
-                if c != 0:
-                    problems.append(f"coefficient on {root} should vanish")
-                    break
-            elif c <= 0:
-                problems.append(f"coefficient on {root} not positive: {c}")
-                break
-    if not problems:
-        acoef = koszul_coefficients(g)
-        recon = Weight.zero(rs.rank)
-        for i, a in acoef.items():
-            recon = recon + rs.weights[i - 1].scale(2 * a)
-        if recon != psi:
-            problems.append("2 sum a_i pi_i != psi")
-        if any(a < 2 for a in acoef.values()):
-            problems.append("some a_i < 2")
+    zero_pos = set(g.zero_degree_positive())
+    for root in rs.positive_roots:
+        c = rho.coeffs[root]
+        if root in zero_pos and c != 0:
+            return _first_failure([f"coefficient on {root} should vanish"])
+        if root not in zero_pos and c <= 0:
+            return _first_failure([f"coefficient on {root} not positive: {c}"])
+    acoef = koszul_coefficients(g)
+    recon = Weight.zero(rs.rank)
+    for i, a in acoef.items():
+        recon = recon + rs.weights[i - 1].scale(2 * a)
+    if recon != psi:
+        return _first_failure(["2 sum a_i pi_i != psi"])
+    if any(a < 2 for a in acoef.values()):
+        return _first_failure(["some a_i < 2"])
 
     # ad_h-invariance of rho for every basis element h of g_0.
-    if not problems:
-        bad = _invariance_failure(L, lambda m, k: mat[m][k], g0, range(rk, L.dim))
-        if bad:
-            problems.append(f"rho not ad-invariant under index {bad[0]}")
-
-    return _first_failure(problems)
+    bad = _invariance_failure(L, lambda m, k: mat[m][k], g0, range(rk, L.dim))
+    if bad:
+        return _first_failure([f"rho not ad-invariant under index {bad[0]}"])
+    return _first_failure([])
 
 
 @_certified

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import time
 from fractions import Fraction as Q
 
@@ -90,7 +91,7 @@ def test_bracket_off_its_weight_fails_every_sparse_check(algebra):
     i = L.index_of_root(Root((1, 0)))
     j = L.index_of_root(Root((0, 1)))
     wrong = L.index_of_root(Root((2, 1)))  # [X_a1, X_a2] lies in weight a1+a2
-    L._brackets[i * L.dim + j] = {wrong: 1}
+    L.brackets[i][j] = {wrong: 1}
     assert f"bracket {(i, j)}" in L.grading_failure
     g = grade_from_crossing(rs, CrossingSet.of(1))
     reports = {
@@ -111,6 +112,69 @@ def test_bracket_off_its_weight_fails_every_sparse_check(algebra):
     assert not check_jacobi(L)["ok"]
 
 
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        ("H1", (1, 0)),  # Cartan rule [H_t, X_b] = b(H_t) X_b
+        ((1, 0), (0, 1)),  # constant [X_a, X_b] = N(a, b) X_{a+b}
+        ((1, 0), (-1, 0)),  # coroot rule [X_a, X_-a] = H_a
+    ],
+)
+def test_grading_certificate_names_each_bracket_rule(algebra, first, second):
+    rs, shared = algebra("G2")
+    L = _copy(shared)
+    i = 0 if first == "H1" else L.index_of_root(Root(first))
+    j = L.index_of_root(Root(second))
+    assert L.basis_bracket(i, j)  # a stored entry of that rule
+    wrong = L.index_of_root(Root((2, 1)))  # no rule lands here from (i, j)
+    L.brackets[i][j] = {wrong: 1}
+    assert L.grading_failure == f"bracket {(i, j)} leaves weight wt({i}) + wt({j})"
+
+
+def _with_constants(L: LieAlgebraData, edit) -> LieAlgebraData:
+    nconst = dict(L.nconst)
+    edit(nconst)
+    return LieAlgebraData(L.rs, nconst)
+
+
+def test_stray_constant_fails_structure_check_and_bracket_rows(algebra):
+    # a1 + (a1+a2) is not a root of A2, yet N = 2 with its antisymmetric
+    # partner used to pass the magnitude check.
+    rs, L = algebra("A2")
+    a, b = Root((1, 0)), Root((1, 1))
+
+    def stray(nconst):
+        nconst[(a, b)], nconst[(b, a)] = 2, -2
+
+    broken = _with_constants(L, stray)
+    report = check_structure_constants(broken)
+    assert not report["ok"]
+    assert report["first_failure"] == f"N({a}, {b}) is stored for a pair without a root sum"
+    with pytest.raises(DomainError, match=re.escape(f"N({a}, {b})")):
+        check_jacobi(broken)
+
+
+def test_missing_reverse_fails_structure_check(algebra):
+    rs, L = algebra("A2")
+    a, b = Root((1, 0)), Root((0, 1))
+    broken = _with_constants(L, lambda nconst: nconst.pop((b, a)))
+    report = check_structure_constants(broken)
+    assert not report["ok"]
+    assert report["first_failure"] == f"N({a}, {b}) is stored without N({b}, {a})"
+
+
+def test_missing_bracketable_pair_fails_structure_check(algebra):
+    rs, L = algebra("A2")
+    a, b = Root((1, 0)), Root((0, 1))
+
+    def drop(nconst):
+        del nconst[(a, b)], nconst[(b, a)]
+
+    report = check_structure_constants(_with_constants(L, drop))
+    assert not report["ok"]
+    assert report["first_failure"] == f"({a}, {b}) has a root sum but no stored N"
+
+
 def test_tampered_degree_fails_grading(algebra):
     rs, L = algebra("G2")
     g = grade_from_crossing(rs, CrossingSet.of(1))
@@ -128,7 +192,7 @@ def test_trace_oracle_sees_a_wrong_cartan_action(algebra):
     rs, shared = algebra("G2")
     L = _copy(shared)
     h, a = 0, L.index_of_root(Root((1, 0)))
-    L._brackets[h * L.dim + a] = {m: -c for m, c in shared.basis_bracket(h, a).items()}
+    L.brackets[h][a] = {m: -c for m, c in shared.basis_bracket(h, a).items()}
     assert L.grading_failure is None
     g = grade_from_crossing(rs, CrossingSet.of(1))
     assert check_trace_oracle(shared, g)["ok"]
