@@ -28,7 +28,10 @@ The constants are computed on root indices with ``root_sum_table``; each
 length ratio is an exact int division that asserts a zero remainder, so no
 ``Fraction`` arises.  Brackets are stored as sparse int rows of the nonzero
 [e_i, e_j], built on first use; ``grading_failure`` certifies that each one
-lands in the sum of its arguments' weights.
+lands in the sum of its arguments' weights.  The Killing Gram is held the
+same way, as rows {v: B(e_u, e_v)} of its nonzero entries, and an
+``AlgebraElement`` is one such row {basis index: coefficient}, so brackets
+and Killing values visit stored entries only.
 """
 
 from __future__ import annotations
@@ -164,22 +167,22 @@ class LieAlgebraData:
         """Sparse coordinates of [e_i, e_j]; shared, so never mutate them."""
         return self.brackets[i].get(j, _NO_TERMS)
 
-    def killing_basis(self) -> list[list[int]]:
-        """Gram matrix of the Killing form on the basis, by brute-force trace.
+    def killing_basis(self) -> list[dict[int, int]]:
+        """Killing Gram on the basis as rows {v: B(e_u, e_v)}, by brute-force trace.
 
         Only entries with wt(u) + wt(v) = 0 are traced: ad_u ad_v shifts
         weights by wt(u) + wt(v), so the other traces vanish once
         ``grading_failure`` has passed; raises DomainError if it has not.
-        Each trace sums over the stored brackets [e_v, e_j] only.
+        Each trace sums over the stored brackets [e_v, e_j] only, and rows
+        store nonzero entries only.
         """
         if self._killing is not None:
             return self._killing
         if self.grading_failure is not None:
             raise DomainError(f"weight grading fails: {self.grading_failure}")
-        dim, rows = self.dim, self.brackets
-        b = [[0] * dim for _ in range(dim)]
-        for u in range(dim):
-            row_u = rows[u]
+        rows = self.brackets
+        b: list[dict[int, int]] = [{} for _ in range(self.dim)]
+        for u, row_u in enumerate(rows):
             for v in self.partners(u):
                 if v < u:
                     continue
@@ -189,40 +192,59 @@ class LieAlgebraData:
                         c2 = row_u.get(m, _NO_TERMS).get(j)
                         if c2:
                             total += c * c2
-                b[u][v] = b[v][u] = total
+                if total:
+                    b[u][v] = b[v][u] = total
         self._killing = b
         return b
+
+    def cartan_block(self) -> list[list[int]]:
+        """The Killing Gram on the Cartan H_1..H_l, as a dense matrix."""
+        b = self.killing_basis()
+        return [[b[i].get(j, 0) for j in range(self.rank)] for i in range(self.rank)]
 
 
 @dataclass(frozen=True)
 class AlgebraElement:
-    """An element of the algebra as rational coordinates over the basis."""
+    """An element of the algebra as sparse coordinates {basis index: coefficient}.
 
-    coords: tuple[Q, ...]
+    Zero coefficients are dropped on construction, so equal elements have
+    equal ``coords``; the other values are kept as given.
+    """
+
+    coords: dict[int, Q | int]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "coords", {i: c for i, c in self.coords.items() if c})
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return AlgebraElement(
-            tuple(a + b for a, b in zip(self.coords, other.coords))
-        )
+        a, b = self.coords, other.coords
+        return AlgebraElement({i: a.get(i, 0) + b.get(i, 0) for i in {**a, **b}})
 
     def scale(self, factor) -> "AlgebraElement":
         f = Q(factor)
-        return AlgebraElement(tuple(f * c for c in self.coords))
+        return AlgebraElement({i: f * c for i, c in self.coords.items()})
 
     def is_zero(self) -> bool:
-        return not any(self.coords)
+        return not self.coords
+
+
+def check_support(L: LieAlgebraData, x: AlgebraElement) -> AlgebraElement:
+    """x itself; DomainError if one of its keys is not a basis index of L."""
+    for i in x.coords:
+        if not 0 <= i < L.dim:
+            raise DomainError(f"basis index {i} is outside 0..{L.dim - 1}")
+    return x
 
 
 def basis_element(L: LieAlgebraData, i: int) -> AlgebraElement:
-    return AlgebraElement(tuple(Q(int(j == i)) for j in range(L.dim)))
+    return check_support(L, AlgebraElement({i: 1}))
 
 
 def cartan_element(L: LieAlgebraData, coords) -> AlgebraElement:
     """Element sum_i coords[i] * H_i of the Cartan subalgebra."""
     if len(coords) != L.rank:
         raise DomainError("Cartan coordinate length does not match rank")
-    pad = (Q(0),) * (L.dim - L.rank)
-    return AlgebraElement(tuple(Q(c) for c in coords) + pad)
+    return AlgebraElement(dict(enumerate(coords)))
 
 
 def root_vector(L: LieAlgebraData, root: Root) -> AlgebraElement:
@@ -230,7 +252,7 @@ def root_vector(L: LieAlgebraData, root: Root) -> AlgebraElement:
 
 
 def is_cartan(L: LieAlgebraData, x: AlgebraElement) -> bool:
-    return not any(x.coords[L.rank:])
+    return all(i < L.rank for i in x.coords)
 
 
 # -- construction of the constants -------------------------------------------
@@ -318,35 +340,22 @@ def chevalley_constants(rs: RootSystem) -> LieAlgebraData:
 
 
 def bracket(L: LieAlgebraData, x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    """Lie bracket [x, y], extended bilinearly from the basis rules."""
-    if len(x.coords) != L.dim or len(y.coords) != L.dim:
-        raise DomainError("element dimension does not match the algebra")
-    acc: dict[int, Q] = {}
-    for i, a in enumerate(x.coords):
-        if not a:
-            continue
-        for j, b in enumerate(y.coords):
-            if not b:
-                continue
-            ab = a * b
-            for t, c in L.basis_bracket(i, j).items():
-                acc[t] = acc.get(t, Q(0)) + ab * c
-    coords = [Q(0)] * L.dim
-    for t, c in acc.items():
-        coords[t] = c
-    return AlgebraElement(tuple(coords))
+    """Lie bracket [x, y], extended bilinearly over the stored basis brackets."""
+    xs, ys = check_support(L, x).coords, check_support(L, y).coords
+    rows = L.brackets
+    acc: dict[int, Q | int] = {}
+    for i, a in xs.items():
+        row = rows[i]
+        for j, b in ys.items():
+            for t, c in row.get(j, _NO_TERMS).items():
+                acc[t] = acc.get(t, 0) + a * (b * c)
+    return AlgebraElement(acc)
 
 
-def killing_form(L: LieAlgebraData, x: AlgebraElement, y: AlgebraElement) -> Q:
-    """B(x, y) = tr(ad_x ad_y), bilinear over the cached basis Gram matrix."""
-    b = L.killing_basis()
-    ys = [(j, c) for j, c in enumerate(y.coords) if c]
-    total = Q(0)
-    for i, a in enumerate(x.coords):
-        if not a:
-            continue
-        row = b[i]
-        for j, c in ys:
-            if row[j]:
-                total += a * c * row[j]
-    return total
+def killing_form(L: LieAlgebraData, x: AlgebraElement, y: AlgebraElement) -> Q | int:
+    """B(x, y) = tr(ad_x ad_y), bilinear over the stored Killing Gram entries."""
+    b, ys = L.killing_basis(), check_support(L, y).coords
+    return sum(
+        a * sum(c * b[i][j] for j, c in ys.items() if j in b[i])
+        for i, a in check_support(L, x).coords.items()
+    )

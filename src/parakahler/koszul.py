@@ -6,7 +6,8 @@ Two independent routes to the same 1-form are kept side by side on purpose:
   the degree-zero positive roots (``koszul_form``),
 * the trace formula: -tr over the complement of g_0 of
   (ad_{K~x} - K~ ad_x), where K~ is the sign-of-degree endomorphism with
-  kernel g_0 (``koszul_trace``).
+  kernel g_0 (``koszul_trace``), summed over the stored coordinates of x
+  and the stored brackets only.
 
 The differential convention is d(xi)(X, Y) = xi([X, Y]), which makes
 d(xi)(X_a, X_-a) = n(xi, a) for positive a; the Killing-dual pairing
@@ -25,6 +26,7 @@ from .chevalley import (
     BasisIndex,
     LieAlgebraData,
     cartan_element,
+    check_support,
     is_cartan,
     killing_form,
 )
@@ -99,34 +101,24 @@ def koszul_coefficients(g: Gradation) -> dict[int, int]:
     return out
 
 
-def koszul_trace(g: Gradation, L: LieAlgebraData, x: AlgebraElement) -> Q:
+def koszul_trace(g: Gradation, L: LieAlgebraData, x: AlgebraElement) -> Q | int:
     """Koszul form by brute-force traces of ad matrices.
 
     Computes -tr(pr_m (ad_{K~x} - K~ ad_x) |_m) where m is the span of the
     nonzero-degree root vectors (the canonical complement of g_0) and K~
     multiplies a root vector by the sign of its degree and kills g_0.
     """
-    if len(x.coords) != L.dim:
-        raise DomainError("element dimension does not match the algebra")
-    rk = L.rank
-    # K~ x: drop the Cartan part, scale root coordinates by the degree sign.
-    kx = [Q(0)] * L.dim
-    for i in range(rk, L.dim):
-        if x.coords[i]:
-            s = g.ksign(L.roots[i - rk])
-            if s:
-                kx[i] = s * x.coords[i]
-    # Only columns in the support of x or K~x can reach the diagonal.
-    support = [j for j in range(L.dim) if kx[j] or x.coords[j]]
-    trace = Q(0)
-    for i in range(rk, L.dim):
-        sign_i = g.ksign(L.roots[i - rk])
-        if not sign_i:
-            continue  # g_0 is not part of m
-        for j in support:
-            entry = L.basis_bracket(j, i).get(i)
-            if entry:
-                trace += (kx[j] - sign_i * x.coords[j]) * entry
+    rk, roots, rows = L.rank, L.roots, L.brackets
+
+    def sign(i: int) -> int:  # K~ on e_i
+        return g.ksign(roots[i - rk]) if i >= rk else 0
+
+    trace = 0
+    for j, a in check_support(L, x).coords.items():
+        kx = sign(j) * a  # the coordinate of K~x at e_j
+        for i, out in rows[j].items():
+            if i in out and (s := sign(i)):
+                trace += (kx - s * a) * out[i]
     return -trace
 
 
@@ -171,10 +163,8 @@ def omega_z(L: LieAlgebraData, z: AlgebraElement) -> TwoForm:
 
 def killing_dual(L: LieAlgebraData, xi: Weight) -> AlgebraElement:
     """The Cartan element z with B(z, h) = xi(h) for every Cartan h."""
-    b = L.killing_basis()
-    block = [[b[i][j] for j in range(L.rank)] for i in range(L.rank)]
     rhs = [L.rs.coroot_pairing(xi, i) for i in range(1, L.rank + 1)]
-    return cartan_element(L, ratlin.solve(block, rhs))
+    return cartan_element(L, ratlin.solve(L.cartan_block(), rhs))
 
 
 @dataclass

@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cached_property
+from operator import mul
 
 from . import ratlin
 from .errors import DomainError
@@ -103,9 +104,6 @@ class Root:
     def __sub__(self, other: "Root") -> "Root":
         return Root(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
-    def sort_key(self) -> tuple:
-        return (self.height, tuple(-c for c in self.coeffs))
-
     def __str__(self) -> str:
         return format_coeffs(self.coeffs)
 
@@ -120,10 +118,6 @@ class Weight:
     def zero(rank: int) -> "Weight":
         return Weight((0,) * rank)
 
-    @staticmethod
-    def from_root(root: Root) -> "Weight":
-        return Weight(root.coeffs)
-
     def __add__(self, other: "Weight") -> "Weight":
         return Weight(tuple(a + b for a, b in zip(self.coords, other.coords)))
 
@@ -132,9 +126,6 @@ class Weight:
 
     def scale(self, factor) -> "Weight":
         return Weight(tuple(factor * c for c in self.coords))
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
 
     def __str__(self) -> str:
         return format_coeffs(self.coords)
@@ -223,6 +214,10 @@ class RootSystem:
 
     def all_roots(self) -> tuple[Root, ...]:
         """Positive roots in canonical order, then their negatives."""
+        return self._all_roots
+
+    @cached_property
+    def _all_roots(self) -> tuple[Root, ...]:
         return self.positive_roots + tuple(-r for r in self.positive_roots)
 
     def simple_root(self, i: int) -> Root:
@@ -275,41 +270,29 @@ class RootSystem:
 def build_root_system(stype: SimpleType) -> RootSystem:
     """Construct the full root system of a simple type.
 
-    Positive roots are generated level by level: a candidate beta + alpha_i is
-    a root iff its alpha_i-string through beta climbs, i.e.
+    The closure runs on coefficient tuples: a candidate beta + alpha_i is a
+    root iff its alpha_i-string through beta climbs, i.e.
     q = p - <beta, alpha_i^v> > 0 where p is the largest k with
-    beta - k*alpha_i still a root.
+    beta - k*alpha_i still a (positive) root.  Roots are read in height
+    order while the list grows, so every root below beta is known when
+    beta is read.
     """
     cartan = cartan_matrix(stype)
     r = stype.rank
-    simple = [Root(tuple(int(j == i) for j in range(r))) for i in range(r)]
-    known: set[tuple[int, ...]] = {s.coeffs for s in simple}
-    level = list(simple)
-    positive = list(simple)
-    while level:
-        nxt: list[Root] = []
-        for beta in level:
-            pairing = [
-                sum(beta.coeffs[j] * cartan[j][i] for j in range(r)) for i in range(r)
-            ]
-            for i in range(r):
-                p = 0
-                down = beta
-                while True:
-                    down = down - simple[i]
-                    if down.coeffs in known or (-down).coeffs in known:
-                        p += 1
-                    else:
-                        break
-                if p - pairing[i] > 0:
-                    up = beta + simple[i]
-                    if up.coeffs not in known:
-                        known.add(up.coeffs)
-                        nxt.append(up)
-        nxt.sort(key=Root.sort_key)
-        positive.extend(nxt)
-        level = nxt
-    positive.sort(key=Root.sort_key)
+    found = [tuple(int(j == i) for j in range(r)) for i in range(r)]
+    known = set(found)
+    for beta in found:  # appended roots are read too, one height higher
+        for i, column in enumerate(zip(*cartan)):
+            head, tail = beta[:i], beta[i + 1:]
+            p = 0
+            while head + (beta[i] - p - 1,) + tail in known:
+                p += 1
+            up = head + (beta[i] + 1,) + tail
+            if p > sum(map(mul, beta, column)) and up not in known:
+                known.add(up)
+                found.append(up)
+    found.sort(key=lambda k: (sum(k), [-c for c in k]))
+    positive = tuple(map(Root, found))
 
     expected = _POSITIVE_COUNTS[stype.family](r)
     if len(positive) != expected:
@@ -326,7 +309,7 @@ def build_root_system(stype: SimpleType) -> RootSystem:
         type=stype,
         cartan=cartan,
         d=_symmetrizers(cartan),
-        positive_roots=tuple(positive),
+        positive_roots=positive,
         weights=weights,
     )
 

@@ -13,17 +13,18 @@ from parakahler.chevalley import (
     killing_form,
     root_vector,
 )
+from parakahler.errors import DomainError
 from parakahler.rootsys import Root
 
 
 def zero_element(L):
-    return AlgebraElement((Q(0),) * L.dim)
+    return AlgebraElement({})
 
 
 def ad_matrix(L, x):
     """Matrix of ad_x = [x, .] over the basis (column j is [x, e_j])."""
     columns = [bracket(L, x, basis_element(L, j)).coords for j in range(L.dim)]
-    return [list(row) for row in zip(*columns)]
+    return [[col.get(i, 0) for col in columns] for i in range(L.dim)]
 
 
 def test_a1_has_no_n_constants(algebra):
@@ -117,6 +118,33 @@ def test_killing_grading_orthogonality(algebra):
             assert killing_form(L, root_vector(L, a), root_vector(L, b)) == 0
 
 
+# A3 has B(H_1, H_3) = 0, a traced entry that must not be stored.
+@pytest.mark.parametrize("name", ["A2", "A3", "G2"])
+def test_killing_rows_match_ad_traces(name, algebra):
+    _, L = algebra(name)
+    ads = [ad_matrix(L, basis_element(L, u)) for u in range(L.dim)]
+    rows = L.killing_basis()
+    for u in range(L.dim):
+        assert all(rows[u].values())
+        for v in range(L.dim):
+            trace = sum(
+                ads[u][i][j] * ads[v][j][i] for i in range(L.dim) for j in range(L.dim)
+            )
+            assert rows[u].get(v, 0) == trace
+
+
+@pytest.mark.parametrize("index", [99, 14, -1])
+def test_basis_index_out_of_range_raises(index, algebra):
+    _, L = algebra("G2")
+    with pytest.raises(DomainError):
+        basis_element(L, index)
+    stray = AlgebraElement({index: 1})
+    with pytest.raises(DomainError):
+        bracket(L, stray, basis_element(L, 0))
+    with pytest.raises(DomainError):
+        bracket(L, basis_element(L, 0), stray)
+
+
 @pytest.mark.parametrize("name", ["A8", "B6", "C6", "D6", "E6", "E7", "E8"])
 def test_structure_constants_high_rank(name, algebra):
     # Branch topologies and long chains beyond the acceptance sweep.
@@ -193,8 +221,8 @@ def test_bracket_bilinear_antisymmetric(algebra, xs, ys, c):
     rs, L = algebra("A2")
     from parakahler.chevalley import AlgebraElement
 
-    x = AlgebraElement(tuple(Q(v) for v in xs))
-    y = AlgebraElement(tuple(Q(v) for v in ys))
+    x = AlgebraElement({i: Q(v) for i, v in enumerate(xs)})
+    y = AlgebraElement({i: Q(v) for i, v in enumerate(ys)})
     assert bracket(L, x, y) == bracket(L, y, x).scale(-1)
     assert bracket(L, x.scale(c), y) == bracket(L, x, y).scale(c)
     z = basis_element(L, 3)

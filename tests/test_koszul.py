@@ -32,7 +32,7 @@ def W(*coords):
 
 
 def zero_element(L):
-    return AlgebraElement((Q(0),) * L.dim)
+    return AlgebraElement({})
 
 
 def evaluate(f: TwoForm, L, x, y):
@@ -40,7 +40,8 @@ def evaluate(f: TwoForm, L, x, y):
     total = Q(0)
     for root, c in f.coeffs.items():
         i, j = L.index_of_root(root), L.index_of_root(-root)
-        total += c * (x.coords[i] * y.coords[j] - x.coords[j] * y.coords[i])
+        x_i, x_j = x.coords.get(i, 0), x.coords.get(j, 0)
+        total += c * (x_i * y.coords.get(j, 0) - x_j * y.coords.get(i, 0))
     return total
 
 
@@ -108,6 +109,14 @@ def test_trace_oracle_matches_weight_formula(algebra):
         d = cartan_element(L, g.grading_element)
         expected = 2 * sum(g.degree(r) for r in g.nonzero_positive())
         assert koszul_trace(g, L, d) == expected
+
+
+@pytest.mark.parametrize("index", [99, 14, -1])
+def test_koszul_trace_rejects_out_of_range_index(index, algebra):
+    rs, L = algebra("G2")
+    g = grade_from_crossing(rs, CrossingSet.of(1))
+    with pytest.raises(DomainError):
+        koszul_trace(g, L, AlgebraElement({index: 1}))
 
 
 def test_koszul_trace_on_mixed_elements(algebra):

@@ -277,6 +277,34 @@ def test_jacobi_examines_exactly_the_triples_with_a_term(algebra):
     assert report["triples"] == dense < 1330  # C(21, 3)
 
 
+@pytest.mark.parametrize("upper", [True, False])
+def test_jacobi_streams_sorted_triples_without_antisymmetry(algebra, upper):
+    # Drop one stored root-root bracket, so its reverse has no partner; the
+    # stream must still be exactly the sorted triples whose checked terms
+    # [[i,j],k], [[j,k],i] and [[i,k],j] have a nonzero product.
+    _, shared = algebra("G2")
+    L = _copy(shared)
+    rows = L.brackets
+    i, j = next(
+        (i, j) for i in range(L.rank, L.dim) for j in rows[i]
+        if j >= L.rank and (i < j) == upper
+    )
+    del rows[i][j]
+    pair = L.basis_bracket
+
+    def has_term(i, j, k):
+        return any(pair(m, k) for m in pair(i, j))
+
+    dense = [
+        (i, j, k)
+        for i in range(L.dim)
+        for j in range(i + 1, L.dim)
+        for k in range(j + 1, L.dim)
+        if has_term(i, j, k) or has_term(j, k, i) or has_term(i, k, j)
+    ]
+    assert list(verify._jacobi_triples(rows)) == dense
+
+
 @pytest.mark.parametrize(
     "name, signature", [("E7", (33, 33)), ("E8", (78, 78))]
 )
