@@ -59,7 +59,6 @@ from .rootsys import (
     SimpleType,
     Weight,
     build_root_system,
-    fundamental_weights,
     inner_product,
     n_pairing,
 )

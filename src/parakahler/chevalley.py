@@ -42,7 +42,7 @@ from functools import cached_property
 from operator import add
 
 from .errors import DomainError
-from .rootsys import Root, RootSystem, Weight
+from .rootsys import Root, RootSystem, Weight, exact_div
 
 
 _NO_TERMS: dict[int, int] = {}  # every zero bracket; shared, never mutated
@@ -270,12 +270,6 @@ def root_sum_table(roots: tuple[Root, ...]) -> list[list[int]]:
     return [[at.get(a + b, -1) for b in keys] for a in keys]
 
 
-def _exact(num: int, den: int) -> int:
-    q, rem = divmod(num, den)
-    assert rem == 0, "a length ratio left a remainder"
-    return q
-
-
 def chevalley_constants(rs: RootSystem) -> LieAlgebraData:
     """Structure constants of the Chevalley basis for a root system."""
     nconst: dict[tuple[Root, Root], int] = {}
@@ -301,8 +295,8 @@ def chevalley_constants(rs: RootSystem) -> LieAlgebraData:
         # al positive, be negative, al+be a root
         total = plus[al][be]
         if total < npos_count:
-            return -_exact(sq[total] * nfull(neg[be], total), sq[al])
-        return _exact(sq[total] * nfull(neg[total], al), sq[be])
+            return -exact_div(sq[total] * nfull(neg[be], total), sq[al])
+        return exact_div(sq[total] * nfull(neg[total], al), sq[be])
 
     # The simple roots lead the canonical order; the others have height >= 2.
     for gamma in range(rs.rank, npos_count):
@@ -324,7 +318,7 @@ def chevalley_constants(rs: RootSystem) -> LieAlgebraData:
                 t += nfull(b, neg[r]) * nfull(br, a)
             if (ar := plus[a][neg[r]]) >= 0:
                 t += nfull(neg[r], a) * nfull(ar, b)
-            npos[r][s] = _exact(sq[gamma] * t, sq[s] * seed)
+            npos[r][s] = exact_div(sq[gamma] * t, sq[s] * seed)
 
     # Materialize the full table over every bracketable root pair.
     for i, row in enumerate(plus):

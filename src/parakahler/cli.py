@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from pathlib import Path
 
-from .chevalley import chevalley_constants
 from .config import nodes, rational
 from .errors import DomainError
 from .gradation import (
@@ -137,10 +136,12 @@ def _weight_payload(rs, xi) -> dict:
     }
 
 
-def positive_int(text: str) -> int:
+def sweep_rank(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if value > 8:
+        raise argparse.ArgumentTypeError(f"must be at most 8, got {value}")
     return value
 
 
@@ -183,9 +184,8 @@ def cmd_roots(args) -> Report:
 def cmd_gradations(args) -> Report:
     stype = SimpleType(args.family.upper(), args.rank)
     rs = build_root_system(stype)
-    crossings = (
-        [_parse_cross(args.cross)] if args.cross else enumerate_crossings(rs.rank)
-    )
+    cross = args.cross
+    crossings = enumerate_crossings(rs.rank) if cross is None else [_parse_cross(cross)]
     rows = []
     for crossing in crossings:
         g = grade_from_crossing(rs, crossing)
@@ -283,8 +283,7 @@ def cmd_einstein(args) -> Report:
     crossing = _parse_cross(args.cross)
     lam = rational(args.lam, "--lambda")
     g = grade_from_crossing(rs, crossing)
-    L = chevalley_constants(rs)
-    es = einstein_structure(g, L, lam)
+    es = einstein_structure(g, None, lam)
     pos, neg = es.signature()
     entries = [
         {"x": bi.label(), "y": es.basis[j].label(), "value": _rat(v)}
@@ -429,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_einstein)
 
     p = sub.add_parser("verify", help="run the exact oracle sweep")
-    p.add_argument("--max-rank", type=positive_int, default=3)
+    p.add_argument("--max-rank", type=sweep_rank, default=3)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_verify)
 

@@ -32,7 +32,7 @@ from .chevalley import (
 )
 from .errors import DomainError
 from .gradation import Gradation
-from .rootsys import Root, RootSystem, Weight, n_pairing
+from .rootsys import Root, RootSystem, Weight, n_pairing, weight_in_pi_basis
 
 
 @dataclass
@@ -123,11 +123,13 @@ def koszul_trace(g: Gradation, L: LieAlgebraData, x: AlgebraElement) -> Q | int:
 
 
 def two_form_from_weight(rs: RootSystem, xi: Weight) -> TwoForm:
-    """Differential of a Cartan 1-form: coefficient n(xi, a) on each pair.
+    """Differential of a Cartan 1-form: n(xi, a) = sum_i H_a[i] xi(H_i) on each pair.
 
-    The coefficients are ints when xi has int coordinates (psi does).
+    Each xi(H_i) is computed once; ints when xi has int coordinates (psi does).
     """
-    return TwoForm(rs, {r: n_pairing(rs, xi, r) for r in rs.positive_roots})
+    p = weight_in_pi_basis(rs, xi)
+    n = {r: sum(c * x for c, x in zip(rs.coroot(r), p) if c) for r in rs.positive_roots}
+    return TwoForm(rs, n)
 
 
 def kernel_of(f: TwoForm, g: Gradation) -> tuple[BasisIndex, ...]:
@@ -189,12 +191,15 @@ class EinsteinStructure:
         return ratlin.symmetric_signature(self.metric)
 
 
-def einstein_structure(g: Gradation, L: LieAlgebraData, lam) -> EinsteinStructure:
-    """Assemble the invariant Einstein metric lambda^{-1} rho(., K .)."""
+def einstein_structure(g: Gradation, L: LieAlgebraData | None, lam) -> EinsteinStructure:
+    """Assemble the invariant Einstein metric lambda^{-1} rho(., K .).
+
+    The metric depends on g alone; ``L`` is optional and only checked.
+    """
     lam = Q(lam)
     if lam == 0:
         raise DomainError("the Einstein constant lambda must be nonzero")
-    if L.rs != g.rs:
+    if L is not None and L.rs != g.rs:
         raise DomainError("algebra and gradation use different root systems")
     rho = two_form_from_weight(g.rs, koszul_form(g))
     roots = g.nonzero_roots()

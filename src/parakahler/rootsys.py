@@ -15,8 +15,8 @@ Conventions, fixed once and used everywhere:
 ``RootSystem`` owns the integer root data: ``coroot`` (H_alpha over the H_i)
 and ``root_length_sq`` come from one table over the positive roots, and
 ``n_pairing`` is xi(H_alpha).  All arithmetic is exact: plain ints wherever
-a value is an integer (roots, coroots, lengths, and pairings of integral
-weights), ``fractions.Fraction`` only for weights such as the pi_i.
+a value is an integer (roots, coroots, lengths, pairings of integral
+weights, integral coordinates of the pi_i), ``fractions.Fraction`` for the rest.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from fractions import Fraction as Q
 from functools import cached_property
 from operator import mul
 
-from . import ratlin
 from .errors import DomainError
 
 FAMILIES = frozenset("ABCDEFG")
@@ -179,20 +178,19 @@ def cartan_matrix(stype: SimpleType) -> tuple[tuple[int, ...], ...]:
 def _symmetrizers(cartan) -> tuple[int, ...]:
     """Integers d_i with d_i = (alpha_i,alpha_i)/2 and min d_i = 1."""
     r = len(cartan)
-    d: list[Q | None] = [Q(1)] + [None] * (r - 1)
+    # Squared lengths differ by a factor 1, 2 or 3: from 6 every step is exact.
+    d: list[int | None] = [6] + [None] * (r - 1)
     stack = [0]
     while stack:
         i = stack.pop()
         for j in range(r):
             if i != j and cartan[i][j] and d[j] is None:
                 # (alpha_i,alpha_j) symmetric: A[i][j] d_j = A[j][i] d_i
-                d[j] = d[i] * Q(cartan[j][i], cartan[i][j])
+                d[j] = exact_div(d[i] * cartan[j][i], cartan[i][j])
                 stack.append(j)
     if None in d:
         raise DomainError("Dynkin diagram is not connected")
-    scaled = [v / min(d) for v in d]
-    assert all(v.denominator == 1 for v in scaled)
-    return tuple(int(v) for v in scaled)
+    return tuple(exact_div(v, min(d)) for v in d)
 
 
 @dataclass(frozen=True)
@@ -232,20 +230,21 @@ class RootSystem:
     def _coroots(self) -> dict[tuple[int, ...], tuple[tuple[int, ...], int]]:
         """Root coefficients -> (coroot, squared length), for both signs.
 
-        For a = sum_i k_i alpha_i, (a, a) = sum_ij k_i k_j A[i][j] d_j and
+        For a = sum_i k_i alpha_i, (a, a) = sum_j k_j d_j <a, alpha_j^v> and
         H_a = sum_i k_i (d_i / d_a) H_i with d_a = (a, a)/2.
         """
+        columns = tuple(zip(*self.cartan))
+        negatives = self._all_roots[len(self.positive_roots):]
         table = {}
-        for root in self.positive_roots:
+        for root, neg in zip(self.positive_roots, negatives):
             k = root.coeffs
             lensq = sum(
-                ki * kj * self.cartan[i][j] * self.d[j]
-                for i, ki in enumerate(k) if ki
-                for j, kj in enumerate(k) if kj
+                kj * dj * sum(map(mul, k, column))
+                for kj, dj, column in zip(k, self.d, columns) if kj
             )
             coroot = tuple(2 * ki * di // lensq for ki, di in zip(k, self.d))
             table[k] = (coroot, lensq)
-            table[(-root).coeffs] = (tuple(-c for c in coroot), lensq)
+            table[neg.coeffs] = (tuple(-c for c in coroot), lensq)
         return table
 
     def _coroot_entry(self, root: Root) -> tuple[tuple[int, ...], int]:
@@ -303,24 +302,38 @@ def build_root_system(stype: SimpleType) -> RootSystem:
     top = positive[-1].height
     assert sum(1 for p in positive if p.height == top) == 1, "highest root not unique"
 
-    inv = ratlin.inverse(cartan)
-    weights = tuple(Weight(tuple(row)) for row in inv)
     return RootSystem(
         type=stype,
         cartan=cartan,
         d=_symmetrizers(cartan),
         positive_roots=positive,
-        weights=weights,
+        weights=_inverse_rows(cartan),
     )
 
 
-def fundamental_weights(rs: RootSystem) -> tuple[Weight, ...]:
-    """Fundamental weights pi_i in simple-root coordinates.
+def _inverse_rows(cartan) -> tuple[Weight, ...]:
+    """The fundamental weights: rows of A^-1 by fraction-free Gauss-Jordan.
 
-    Row i of the inverse Cartan matrix; satisfies n_pairing(pi_i, alpha_j) =
-    delta_ij.
+    Bareiss steps on [A | I] divide exactly and need no row swaps (a Cartan
+    matrix has positive leading minors); the left block ends as det(A) I, and
+    a right entry over det(A) is an int when it divides evenly.
     """
-    return rs.weights
+    r = len(cartan)
+    m = [list(row) + [int(i == j) for j in range(r)] for i, row in enumerate(cartan)]
+    prev = 1
+    for k, top in enumerate(m):
+        for i, row in enumerate(m):
+            if i != k:
+                m[i] = [exact_div(top[k] * x - row[k] * y, prev) for x, y in zip(row, top)]
+        prev = top[k]
+    inv = [[Q(x, prev) if x % prev else x // prev for x in row[r:]] for row in m]
+    return tuple(Weight(tuple(row)) for row in inv)
+
+
+def exact_div(num: int, den: int) -> int:
+    q, rem = divmod(num, den)
+    assert rem == 0, "an exact int division left a remainder"
+    return q
 
 
 def inner_product(rs: RootSystem, xi: Weight, eta: Weight) -> Q:

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from parakahler import chevalley, cli
 from parakahler.cli import main
 
 
@@ -102,6 +103,15 @@ def test_gradations_table(capsys):
     assert out.count("depth=") == 3
 
 
+@pytest.mark.parametrize("cross", ["", ","])
+def test_gradations_empty_cross_is_domain_error(capsys, cross):
+    # An empty --cross is a crossing set with no node, not "all crossings".
+    code, out, err = run(capsys, "gradations", "A", "3", "--cross", cross)
+    assert code == 1
+    assert "crossing set is empty" in err
+    assert out == ""
+
+
 def test_rho_kernel(capsys):
     code, out, _ = run(capsys, "rho", "G", "2", "--cross", "1", "--json")
     assert code == 0
@@ -134,6 +144,31 @@ def test_verify_max_rank_below_one_is_usage_error(capsys, max_rank):
     captured = capsys.readouterr()
     assert "must be at least 1" in captured.err
     assert "[pass]" not in captured.out
+
+
+@pytest.mark.parametrize("max_rank", ["9", "20"])
+def test_verify_max_rank_above_eight_is_usage_error(capsys, max_rank):
+    # No type of rank above 8 is in scope; the bound is a usage error.
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--max-rank", max_rank])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "must be at most 8" in captured.err
+    assert "invalid rank" not in captured.err
+    assert captured.out == ""
+
+
+def test_einstein_report_builds_no_chevalley_constants(capsys, monkeypatch):
+    # The metric depends on the gradation alone.
+    def refuse(rs):
+        raise AssertionError("chevalley_constants called")
+
+    monkeypatch.setattr(chevalley, "chevalley_constants", refuse)
+    # ... and the name a ``from`` import would bind in the cli module.
+    monkeypatch.setattr(cli, "chevalley_constants", refuse, raising=False)
+    code, out, _ = run(capsys, "einstein", "E", "8", "--cross", "1,4,8", "--json")
+    assert code == 0
+    assert json.loads(out)["payload"]["signature"] == [112, 112]
 
 
 def test_catalog(capsys):

@@ -23,7 +23,7 @@ from parakahler.koszul import (
     omega_z,
     two_form_from_weight,
 )
-from parakahler.rootsys import Root, Weight, build_root_system
+from parakahler.rootsys import Root, Weight, build_root_system, n_pairing
 from parakahler.verify import sweep_types
 
 
@@ -266,3 +266,34 @@ def test_integer_root_data_are_plain_ints(stype):
         assert all(type(c) is int for c in psi.coords)
         assert all(type(c) is int for c in two_form_from_weight(rs, psi).coeffs.values())
         assert all(type(a) is int for a in koszul_coefficients(g).values())
+
+
+@pytest.mark.parametrize("stype", sweep_types(8), ids=str)
+def test_two_form_from_weight_matches_n_pairing(stype):
+    # One pairing vector per weight against the per-root n(xi, alpha).
+    rs = build_root_system(stype)
+    g = grade_from_crossing(rs, CrossingSet(frozenset(range(1, rs.rank + 1))))
+    for xi in (koszul_form(g), *rs.weights):
+        coeffs = two_form_from_weight(rs, xi).coeffs
+        assert list(coeffs) == list(rs.positive_roots)
+        for root, c in coeffs.items():
+            want = n_pairing(rs, xi, root)
+            assert c == want and type(c) is type(want)
+
+
+@pytest.mark.parametrize("name", ["E6", "E7", "E8"])
+def test_einstein_structure_without_algebra(name, algebra):
+    rs, L = algebra(name)
+    g = grade_from_crossing(rs, CrossingSet.of(1, 4, rs.rank))
+    with_l, without = einstein_structure(g, L, 3), einstein_structure(g, None, 3)
+    assert without.basis == with_l.basis
+    assert without.metric == with_l.metric
+    assert without.rho.coeffs == with_l.rho.coeffs
+
+
+def test_einstein_structure_rejects_other_root_system(algebra):
+    rs, _ = algebra("A2")
+    _, other = algebra("G2")
+    g = grade_from_crossing(rs, CrossingSet.of(1))
+    with pytest.raises(DomainError, match="different root systems"):
+        einstein_structure(g, other, 1)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from parakahler import ratlin
 from parakahler.errors import DomainError
 from parakahler.rootsys import (
     Root,
@@ -11,7 +12,6 @@ from parakahler.rootsys import (
     Weight,
     build_root_system,
     format_coeffs,
-    fundamental_weights,
     inner_product,
     n_pairing,
 )
@@ -95,14 +95,14 @@ def test_closure_under_root_strings():
 
 def test_fundamental_weights_golden():
     g2 = build_root_system(SimpleType("G", 2))
-    assert fundamental_weights(g2)[0] == Weight((Q(2), Q(1)))
-    assert fundamental_weights(g2)[1] == Weight((Q(3), Q(2)))
+    assert g2.weights[0] == Weight((Q(2), Q(1)))
+    assert g2.weights[1] == Weight((Q(3), Q(2)))
 
     a1 = build_root_system(SimpleType("A", 1))
-    assert fundamental_weights(a1)[0] == Weight((Q(1, 2),))
+    assert a1.weights[0] == Weight((Q(1, 2),))
 
     a3 = build_root_system(SimpleType("A", 3))
-    assert fundamental_weights(a3)[1] == Weight((Q(1, 2), Q(1), Q(1, 2)))
+    assert a3.weights[1] == Weight((Q(1, 2), Q(1), Q(1, 2)))
 
 
 @pytest.mark.parametrize("name", ["A4", "B3", "C3", "D4", "F4", "G2"])
@@ -194,3 +194,24 @@ def test_n_pairing_matches_inner_product_reference(name):
         for xi, row in zip(rs.weights, gram):
             pairing = sum(k * g for k, g in zip(alpha.coeffs, row))
             assert n_pairing(rs, xi, alpha) == 2 * pairing / length
+
+
+@pytest.mark.parametrize("name", ALL_TYPES)
+def test_integer_weights_invert_cartan_matrix(name):
+    # The fraction-free inverse against the independent Fraction elimination.
+    rs = build_root_system(SimpleType.parse(name))
+    inv = [list(w.coords) for w in rs.weights]
+    assert inv == ratlin.inverse(rs.cartan)
+    r = rs.rank
+    for i in range(r):
+        for j in range(r):
+            assert sum(rs.cartan[i][k] * inv[k][j] for k in range(r)) == (i == j)
+    for row in inv:
+        for c in row:
+            assert type(c) is (int if Q(c).denominator == 1 else Q)
+
+
+@pytest.mark.parametrize("name", ["E8", "F4", "G2"])
+def test_unimodular_weights_are_plain_ints(name):
+    rs = build_root_system(SimpleType.parse(name))
+    assert all(type(c) is int for w in rs.weights for c in w.coords)
