@@ -119,6 +119,17 @@ class LieAlgebraData:
         return self._cancelling.get(w, ())
 
     @cached_property
+    def zero_weight_triples(self) -> tuple[tuple[int, int, int], ...]:
+        """Sorted basis triples i < j < k with wt(i) + wt(j) + wt(k) = 0."""
+        return tuple(
+            (i, j, k)
+            for i in range(self.dim)
+            for j in range(i + 1, self.dim)
+            for k in self.partners(i, j)
+            if k > j
+        )
+
+    @cached_property
     def grading_failure(self) -> str | None:
         """Where some [e_i, e_j] leaves weight wt(i) + wt(j); None if none does.
 
@@ -223,9 +234,6 @@ class AlgebraElement:
     def scale(self, factor) -> "AlgebraElement":
         f = Q(factor)
         return AlgebraElement({i: f * c for i, c in self.coords.items()})
-
-    def is_zero(self) -> bool:
-        return not self.coords
 
 
 def check_support(L: LieAlgebraData, x: AlgebraElement) -> AlgebraElement:

@@ -1,5 +1,6 @@
 import hashlib
 from fractions import Fraction as Q
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -63,10 +64,10 @@ def test_bracket_basis_rules(algebra):
     out = bracket(L, h1, root_vector(L, a1))
     assert out == root_vector(L, a1).scale(2)
     # Cartan is abelian
-    assert bracket(L, h1, cartan_element(L, [0, 1])).is_zero()
+    assert not bracket(L, h1, cartan_element(L, [0, 1])).coords
     # antisymmetry on elements
     x = root_vector(L, a1) + cartan_element(L, [1, 2])
-    assert bracket(L, x, x).is_zero()
+    assert not bracket(L, x, x).coords
 
 
 def test_coroot_expansion(algebra):
@@ -227,3 +228,21 @@ def test_bracket_bilinear_antisymmetric(algebra, xs, ys, c):
     assert bracket(L, x.scale(c), y) == bracket(L, x, y).scale(c)
     z = basis_element(L, 3)
     assert bracket(L, x + z, y) == bracket(L, x, y) + bracket(L, z, y)
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "B3", "G2"])
+def test_zero_weight_triples_match_brute_force(algebra, name):
+    _, L = algebra(name)
+    wt = L.weights
+    brute = tuple(
+        (i, j, k)
+        for i, j, k in combinations(range(L.dim), 3)
+        if not any(map(sum, zip(wt[i], wt[j], wt[k])))
+    )
+    assert L.zero_weight_triples == brute
+    assert L.zero_weight_triples is L.zero_weight_triples
+
+
+def test_e8_zero_weight_triple_count(algebra):
+    _, L = algebra("E8")
+    assert len(L.zero_weight_triples) == 3256

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -127,6 +128,23 @@ def test_einstein_signature(capsys):
     assert "signature: 1, 1" in out
     assert "value=-8" in out  # lambda^{-1} scales the block
     assert "k_plus: 1a1" in out and "k_minus: -1a1" in out
+
+
+@pytest.mark.slow
+def test_verify_rank8_sweep(capsys):
+    # The whole advertised scope; deselected by default, run with -m slow.
+    import resource
+
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "verify", "--max-rank", "8", "--json")
+    wall = time.perf_counter() - start
+    payload = json.loads(out)["payload"]
+    assert code == 0
+    assert (payload["algebras"], payload["gradations"]) == (31, 2455)
+    assert payload["failures"] == []
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+    with capsys.disabled():
+        print(f"\nverify --max-rank 8: {wall:.1f} s, peak RSS {peak_mb:.1f} MB")
 
 
 def test_verify_rank1(capsys):

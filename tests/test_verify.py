@@ -7,7 +7,7 @@ import pytest
 
 from parakahler.chevalley import LieAlgebraData
 from parakahler.errors import DomainError
-from parakahler.gradation import CrossingSet, grade_from_crossing
+from parakahler.gradation import CrossingSet, enumerate_crossings, grade_from_crossing
 from parakahler import verify
 from parakahler.koszul import einstein_structure
 from parakahler.rootsys import Root
@@ -199,6 +199,31 @@ def test_trace_oracle_sees_a_wrong_cartan_action(algebra):
     report = check_trace_oracle(L, g)
     assert not report["ok"]
     assert report["first_failure"].endswith("on H1")
+
+
+def test_sign_flip_fails_closedness_at_every_crossing(algebra):
+    # Flipping N(a1, a2) alone breaks the cyclic sum on
+    # (X_a1, X_a2, X_-(a1+a2)), the first zero-weight triple it touches.
+    rs, L = algebra("A2")
+    broken = _corrupted(L)
+    for crossing in enumerate_crossings(rs.rank):
+        report = check_two_form(broken, grade_from_crossing(rs, crossing))
+        assert not report["ok"], crossing
+        assert report["first_failure"] == "d(rho) != 0 on triple (2, 3, 7)"
+
+
+def test_wrong_cartan_action_fails_closedness(algebra):
+    # Negating [H1, X_a1] with its reverse keeps every bracket in its
+    # weight; the cyclic sum on (H1, X_a1, X_-a1) is the first to see it.
+    rs, shared = algebra("A2")
+    L = _copy(shared)
+    h, a = 0, L.index_of_root(Root((1, 0)))
+    for p, q in ((h, a), (a, h)):
+        L.brackets[p][q] = {m: -c for m, c in shared.basis_bracket(p, q).items()}
+    assert L.grading_failure is None
+    report = check_two_form(L, grade_from_crossing(rs, CrossingSet.of(1)))
+    assert not report["ok"]
+    assert report["first_failure"] == "d(rho) != 0 on triple (0, 2, 5)"
 
 
 def _tampered_einstein(algebra, monkeypatch, tamper) -> dict:
