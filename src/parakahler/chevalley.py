@@ -26,12 +26,13 @@ with a nonzero term and ``verify.check_structure_constants`` checks
 
 The constants are computed on root indices with ``root_sum_table``; each
 length ratio is an exact int division that asserts a zero remainder, so no
-``Fraction`` arises.  Brackets are stored as sparse int rows of the nonzero
-[e_i, e_j], built on first use; ``grading_failure`` certifies that each one
-lands in the sum of its arguments' weights.  The Killing Gram is held the
-same way, as rows {v: B(e_u, e_v)} of its nonzero entries, and an
-``AlgebraElement`` is one such row {basis index: coefficient}, so brackets
-and Killing values visit stored entries only.
+``Fraction`` arises.  They are stored once, in the sparse int bracket rows
+of the nonzero [e_i, e_j] that ``chevalley_constants`` builds in the same
+pass; ``grading_failure`` certifies that each bracket lands in the sum of
+its arguments' weights.  The Killing Gram is held the same way, as rows
+{v: B(e_u, e_v)} of its nonzero entries, and an ``AlgebraElement`` is one
+such row {basis index: coefficient}, so brackets and Killing values visit
+stored entries only.
 """
 
 from __future__ import annotations
@@ -71,19 +72,20 @@ class BasisIndex:
 
 
 class LieAlgebraData:
-    """Structure constants and cached bracket/Killing data for one algebra.
+    """The bracket rows of one algebra, with cached weight and Killing data.
 
-    ``plus`` is the ``root_sum_table`` of ``roots``.  Immutable by convention
-    after construction; every cache is derived data.
+    ``brackets[i][j]`` is [e_i, e_j] as sparse int coordinates {t: c}, stored
+    only when nonzero; it is the one store of the structure constants, so
+    N(a, b) is the single coefficient of the row entry (X_a, X_b).
+    Immutable by convention after construction; every cache is derived data.
     """
 
-    def __init__(self, rs: RootSystem, nconst: dict[tuple[Root, Root], int]):
+    def __init__(self, rs: RootSystem, brackets: list[dict[int, dict[int, int]]]):
         self.rs = rs
-        self.nconst = nconst
+        self.brackets = brackets
         self.rank = rs.rank
         self.roots = rs.all_roots()
         self.dim = self.rank + len(self.roots)
-        self.plus = root_sum_table(self.roots)
         self._root_index = {
             root.coeffs: self.rank + k for k, root in enumerate(self.roots)
         }
@@ -145,34 +147,6 @@ class LieAlgebraData:
         return None
 
     # -- brackets ------------------------------------------------------------
-
-    @cached_property
-    def brackets(self) -> list[dict[int, dict[int, int]]]:
-        """Sparse rows: brackets[i][j] is [e_i, e_j] as {t: c}, if nonzero.
-
-        Built on first use from the basis rules and ``nconst``; raises
-        DomainError on a constant stored for a pair whose sum is not a root.
-        """
-        rk, rs, plus = self.rank, self.rs, self.plus
-        half = len(self.roots) // 2
-        rows: list[dict[int, dict[int, int]]] = [{} for _ in range(self.dim)]
-        for x, root in enumerate(self.roots, rk):
-            minus = x + half if x < rk + half else x - half  # [X_a, X_-a] = H_a
-            rows[x][minus] = {t: c for t, c in enumerate(rs.coroot(root)) if c}
-            for h in range(rk):  # [H_h, X_b] = b(H_h) X_b, antisymmetric
-                c = rs.coroot_pairing(Weight(root.coeffs), h + 1)
-                if c:
-                    rows[h][x] = {x: c}
-                    rows[x][h] = {x: -c}
-        idx = self._root_index
-        for (a, b), n in self.nconst.items():
-            i, j = idx.get(a.coeffs), idx.get(b.coeffs)
-            total = -1 if i is None or j is None else plus[i - rk][j - rk]
-            if total < 0:
-                raise DomainError(f"N({a}, {b}) is stored for a pair without a root sum")
-            if n:
-                rows[i][j] = {total + rk: n}
-        return rows
 
     def basis_bracket(self, i: int, j: int) -> dict[int, int]:
         """Sparse coordinates of [e_i, e_j]; shared, so never mutate them."""
@@ -279,10 +253,9 @@ def root_sum_table(roots: tuple[Root, ...]) -> list[list[int]]:
 
 
 def chevalley_constants(rs: RootSystem) -> LieAlgebraData:
-    """Structure constants of the Chevalley basis for a root system."""
-    nconst: dict[tuple[Root, Root], int] = {}
-    L = LieAlgebraData(rs, nconst)  # nconst is filled below; every cache is lazy
-    roots, plus = L.roots, L.plus
+    """The Chevalley basis of a root system, as its sparse bracket rows."""
+    rk, roots = rs.rank, rs.all_roots()
+    plus = root_sum_table(roots)
     npos_count = len(rs.positive_roots)
     neg = [*range(npos_count, 2 * npos_count), *range(npos_count)]  # index of -roots[i]
     sq = [rs.root_length_sq(r) for r in roots]
@@ -307,10 +280,10 @@ def chevalley_constants(rs: RootSystem) -> LieAlgebraData:
         return exact_div(sq[total] * nfull(neg[total], al), sq[be])
 
     # The simple roots lead the canonical order; the others have height >= 2.
-    for gamma in range(rs.rank, npos_count):
+    for gamma in range(rk, npos_count):
         # Extraspecial pair: smallest simple root that stays inside R+.
         up = plus[gamma]
-        a = next(s for s in range(rs.rank) if up[neg[s]] >= 0)
+        a = next(s for s in range(rk) if up[neg[s]] >= 0)
         b = up[neg[a]]
         p, cur = 0, plus[b][neg[a]]  # p: the length of the a-string below b
         while cur >= 0:
@@ -328,14 +301,23 @@ def chevalley_constants(rs: RootSystem) -> LieAlgebraData:
                 t += nfull(neg[r], a) * nfull(ar, b)
             npos[r][s] = exact_div(sq[gamma] * t, sq[s] * seed)
 
-    # Materialize the full table over every bracketable root pair.
-    for i, row in enumerate(plus):
-        for j, total in enumerate(row):
+    # The bracket rows, root by root: the coroot rule, the Cartan rule
+    # (antisymmetric) and [X_a, X_b] = N(a, b) X_{a+b}.
+    rows: list[dict[int, dict[int, int]]] = [{} for _ in range(rk + len(roots))]
+    for i, root in enumerate(roots):
+        x = rk + i
+        rows[x][rk + neg[i]] = {t: c for t, c in enumerate(rs.coroot(root)) if c}
+        for h in range(rk):
+            c = rs.coroot_pairing(Weight(root.coeffs), h + 1)
+            if c:
+                rows[h][x] = {x: c}
+                rows[x][h] = {x: -c}
+        for j, total in enumerate(plus[i]):
             if total >= 0:
-                val = nfull(i, j)
-                assert val != 0
-                nconst[(roots[i], roots[j])] = val
-    return L
+                n = nfull(i, j)
+                assert n != 0
+                rows[x][rk + j] = {rk + total: n}
+    return LieAlgebraData(rs, rows)
 
 
 # -- operations ---------------------------------------------------------------

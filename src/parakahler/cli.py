@@ -382,12 +382,30 @@ def cmd_catalog(args) -> Report:
 # -- entry point ---------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+SUBCOMMANDS = ("roots", "gradations", "koszul", "rho", "einstein", "verify", "potential", "catalog")
+
+
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """The argument parser, with only the subcommand argv[0] names if it names one.
+
+    Building every subcommand's arguments was most of the cost of a small report.
+    """
     parser = argparse.ArgumentParser(
         prog="parakahler",
         description="Invariant para-Kahler Einstein structures on adjoint orbits.",
     )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+    chosen = argv[0] if argv and argv[0] in SUBCOMMANDS else None
+    # An error from the top level still lists every subcommand in its usage.
+    metavar = None if chosen is None else "{" + ",".join(SUBCOMMANDS) + "}"
+    sub = parser.add_subparsers(dest="subcommand", required=True, metavar=metavar)
+
+    def add(name, help_text, fn):
+        """The parser of subcommand ``name``; None when argv[0] chose another."""
+        if chosen not in (None, name):
+            return None
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(fn=fn)
+        return p
 
     def common(p, cross_required=True):
         p.add_argument("family", help="simple type family letter A..G")
@@ -400,54 +418,38 @@ def build_parser() -> argparse.ArgumentParser:
             )
         p.add_argument("--json", action="store_true", help="emit JSON")
 
-    p = sub.add_parser("roots", help="positive roots and fundamental weights")
-    common(p, cross_required=None)
-    p.set_defaults(fn=cmd_roots)
-
-    p = sub.add_parser("gradations", help="gradations from crossing sets")
-    common(p, cross_required=False)
-    p.set_defaults(fn=cmd_gradations)
-
-    p = sub.add_parser("koszul", help="Koszul form and symplectic coefficients")
-    common(p)
-    p.add_argument("--satake", help="catalog name or diagram file to check")
-    p.set_defaults(fn=cmd_koszul)
-
-    p = sub.add_parser("rho", help="two-form coefficients and kernel")
-    common(p)
-    p.set_defaults(fn=cmd_rho)
-
-    p = sub.add_parser("einstein", help="invariant Einstein metric data")
-    common(p)
-    p.add_argument(
-        "--lambda",
-        dest="lam",
-        default="1",
-        help="Einstein constant as a rational p/q",
-    )
-    p.set_defaults(fn=cmd_einstein)
-
-    p = sub.add_parser("verify", help="run the exact oracle sweep")
-    p.add_argument("--max-rank", type=sweep_rank, default=3)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_verify)
-
-    p = sub.add_parser("potential", help="numeric chart pipeline from a config")
-    p.add_argument("config")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_potential)
-
-    p = sub.add_parser("catalog", help="bundled Satake diagrams")
-    p.add_argument("name", nargs="?")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_catalog)
-
+    if p := add("roots", "positive roots and fundamental weights", cmd_roots):
+        common(p, cross_required=None)
+    if p := add("gradations", "gradations from crossing sets", cmd_gradations):
+        common(p, cross_required=False)
+    if p := add("koszul", "Koszul form and symplectic coefficients", cmd_koszul):
+        common(p)
+        p.add_argument("--satake", help="catalog name or diagram file to check")
+    if p := add("rho", "two-form coefficients and kernel", cmd_rho):
+        common(p)
+    if p := add("einstein", "invariant Einstein metric data", cmd_einstein):
+        common(p)
+        p.add_argument(
+            "--lambda",
+            dest="lam",
+            default="1",
+            help="Einstein constant as a rational p/q",
+        )
+    if p := add("verify", "run the exact oracle sweep", cmd_verify):
+        p.add_argument("--max-rank", type=sweep_rank, default=3)
+        p.add_argument("--json", action="store_true")
+    if p := add("potential", "numeric chart pipeline from a config", cmd_potential):
+        p.add_argument("config")
+        p.add_argument("--json", action="store_true")
+    if p := add("catalog", "bundled Satake diagrams", cmd_catalog):
+        p.add_argument("name", nargs="?")
+        p.add_argument("--json", action="store_true")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
         report = args.fn(args)
     except (OSError, ValueError) as exc:  # DomainError is a ValueError

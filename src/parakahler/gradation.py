@@ -55,7 +55,7 @@ class Gradation:
     crossing: CrossingSet
     degrees: dict[Root, int] = field(repr=False)
     depth: int = 0
-    grading_element: tuple[Q, ...] = ()
+    grading_element: tuple[Q | int, ...] = ()
 
     def degree(self, root: Root) -> int:
         try:
@@ -94,17 +94,15 @@ def grade_from_crossing(rs: RootSystem, crossing: CrossingSet) -> Gradation:
     depth = max(degrees.values())
     # Grading element d with alpha_i(d) = [i crossed]; the coroot pairing
     # matrix is the Cartan matrix, so d is a column sum of its inverse,
-    # which the root system already carries as the weight matrix.
-    coords = [
-        sum((rs.weights[j].coords[i] for i in crossed0), Q(0))
-        for j in range(rs.rank)
-    ]
+    # which the root system already carries as the weight matrix.  Integral
+    # coordinates are kept as ints.
+    coords = (sum(rs.weights[j].coords[i] for i in crossed0) for j in range(rs.rank))
     return Gradation(
         rs=rs,
         crossing=crossing,
         degrees=degrees,
         depth=depth,
-        grading_element=tuple(coords),
+        grading_element=tuple(c if c.denominator > 1 else c.numerator for c in coords),
     )
 
 

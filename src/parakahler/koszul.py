@@ -176,15 +176,15 @@ class EinsteinStructure:
     ``metric`` is lambda^{-1} rho(X, K Y) over the nonzero-degree root-vector
     basis listed in ``basis``, as ``ratlin`` dict rows ``{column: value}``
     that store no zeros: rho pairs X_alpha with X_-alpha only, so row alpha
-    holds its one entry in the column of -alpha.  The Einstein constant is
-    ``lam``.
+    holds its one entry in the column of -alpha.  An integral entry is an
+    int, any other a Fraction.  The Einstein constant is ``lam``.
     """
 
     gradation: Gradation
     lam: Q
     rho: TwoForm
     basis: tuple[BasisIndex, ...]
-    metric: tuple[dict[int, Q], ...]
+    metric: tuple[dict[int, Q | int], ...]
 
     def signature(self) -> tuple[int, int]:
         """Exact signature via rational congruence diagonalization."""
@@ -203,13 +203,12 @@ def einstein_structure(g: Gradation, L: LieAlgebraData | None, lam) -> EinsteinS
         raise DomainError("algebra and gradation use different root systems")
     rho = two_form_from_weight(g.rs, koszul_form(g))
     roots = g.nonzero_roots()
-    inv = Q(1) / lam
     index = {root: a for a, root in enumerate(roots)}
     # m is closed under negation, so -alpha always has a column.
     metric = []
     for alpha in roots:
-        val = rho.pair_basis(alpha, -alpha)
-        metric.append({index[-alpha]: inv * g.ksign(-alpha) * val} if val else {})
+        v = g.ksign(-alpha) * rho.pair_basis(alpha, -alpha) / lam  # lam is a Fraction
+        metric.append({index[-alpha]: v if v.denominator > 1 else v.numerator} if v else {})
     return EinsteinStructure(
         gradation=g,
         lam=lam,

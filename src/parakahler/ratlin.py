@@ -3,8 +3,9 @@
 Matrices come in as lists of rows of ``fractions.Fraction`` (or ints) and
 never touch floating point.  They reach the dimension of E8 (248) but are
 sparse, so they are held as dict rows ``{column: value}`` that never store a
-zero; ``symmetric_signature`` also takes such rows (of Fractions) as input
-and copies them as given.  Every elimination in the module is one step,
+zero; ``symmetric_signature`` also takes such rows (of ints or Fractions)
+as input, and every input row is copied with Fraction values, so division
+stays exact.  Every elimination in the module is one step,
 ``_eliminate``: subtract from every row with an entry in the pivot column
 the multiple of the pivot row that clears it.  ``rref`` takes that step
 column by column, pivoting on the sparsest candidate row, and ``det``,
@@ -22,9 +23,9 @@ Row = dict[int, Q]
 
 
 def _rows(a) -> list[Row]:
-    """Copies of a's rows as dict rows; a dict row is copied as given."""
+    """Copies of a's rows (lists or dict rows) as dict rows of Fractions."""
     return [
-        dict(row) if isinstance(row, dict) else {j: Q(x) for j, x in enumerate(row) if x}
+        {j: Q(x) for j, x in (row.items() if isinstance(row, dict) else enumerate(row)) if x}
         for row in a
     ]
 

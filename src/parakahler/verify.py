@@ -18,7 +18,10 @@ triples i < j < k from ``LieAlgebraData.zero_weight_triples``, built once
 per algebra.  The same certificate leaves the trace oracle only the Cartan
 to check: ad_{X_b} and K~ ad_{X_b} shift weights by b != 0, so their
 traces vanish.  ``check_einstein`` reads the entries the metric's dict rows
-store, one per row, instead of all n^2.
+store, one per row, instead of all n^2.  ``check_structure_constants`` reads
+each N(a, b) from the stored bracket rows and walks root strings on
+coefficient tuples against the root system's own roots, not against the
+sum table the constants were built with.
 """
 
 from __future__ import annotations
@@ -27,16 +30,10 @@ import functools
 from collections import Counter
 from fractions import Fraction as Q
 from itertools import product
+from operator import add, sub
 
 from . import ratlin
-from .chevalley import (
-    LieAlgebraData,
-    basis_element,
-    bracket,
-    cartan_element,
-    chevalley_constants,
-    root_vector,
-)
+from .chevalley import LieAlgebraData, basis_element, chevalley_constants
 from .gradation import (
     Gradation,
     enumerate_crossings,
@@ -54,7 +51,7 @@ from .koszul import (
     omega_z,
     two_form_from_weight,
 )
-from .rootsys import SimpleType, Weight, build_root_system
+from .rootsys import Root, SimpleType, Weight, build_root_system
 
 
 def _first_failure(problems: list[str]) -> dict:
@@ -163,35 +160,53 @@ def check_killing_cartan(L: LieAlgebraData) -> dict:
 def check_structure_constants(L: LieAlgebraData) -> dict:
     """|N(a,b)| = p+1 against an independent root-string walk; antisymmetry.
 
-    Every stored pair must have a stored reverse and a root sum, and every
-    pair of roots with a root sum must have a stored constant.
+    N(a, b) is read from the stored [X_a, X_b] with a + b != 0, which must be
+    a single term on X_{a+b}.  Root sums and strings are walked on
+    coefficient tuples against the root system's own roots.  Every stored
+    pair must have a stored reverse and a root sum, and every pair of roots
+    with a root sum must have a stored constant.
     """
-    rs, nconst = L.rs, L.nconst
-    for (al, be), n in nconst.items():
-        rev = nconst.get((be, al))
-        if rev is None:
-            return _first_failure([f"N({al}, {be}) is stored without N({be}, {al})"])
-        if rev != -n:
-            return _first_failure([f"antisymmetry fails on ({al}, {be})"])
-        if not rs.is_root(al + be):
-            return _first_failure([f"N({al}, {be}) is stored for a pair without a root sum"])
-        p = 0
-        cur = be - al
-        while rs.is_root(cur):
-            p += 1
-            cur = cur - al
-        if abs(n) != p + 1:
-            return _first_failure([f"|N| != p+1 on ({al}, {be}): {n} vs p={p}"])
-    # The stored pairs are distinct and bracketable, so none is missing if as
-    # many are stored as there are bracketable pairs.  W permutes the roots of
-    # one length transitively, so one root of each length counts its pairs.
-    lengths = Counter(map(rs.root_length_sq, L.roots))
-    one_of = {rs.root_length_sq(al): al for al in L.roots}
-    if len(nconst) != sum(
-        lengths[k] * sum(rs.is_root(al + be) for be in L.roots) for k, al in one_of.items()
+    rs, rk, roots, rows = L.rs, L.rank, L.roots, L.brackets
+    where = {r.coeffs: k for k, r in enumerate(roots, rk)}  # root -> basis index
+    stored = 0
+    for i, al in enumerate(roots, rk):
+        for j, out in rows[i].items():
+            if j < rk:
+                continue  # the Cartan rule
+            be = roots[j - rk]
+            total = tuple(map(add, al.coeffs, be.coeffs))
+            if not any(total):
+                continue  # the coroot rule [X_a, X_-a] = H_a
+            stored += 1
+            t = where.get(total)
+            if t is None:
+                return _first_failure([f"N({al}, {be}) is stored for a pair without a root sum"])
+            if len(out) != 1 or t not in out:
+                return _first_failure(
+                    [f"[X[{al}], X[{be}]] is not a single term on X[{Root(total)}]"]
+                )
+            n, rev = out[t], rows[j].get(i)
+            if rev is None:
+                return _first_failure([f"N({al}, {be}) is stored without N({be}, {al})"])
+            if rev.get(t) != -n:
+                return _first_failure([f"antisymmetry fails on ({al}, {be})"])
+            p, cur = 0, tuple(map(sub, be.coeffs, al.coeffs))
+            while cur in where:
+                p, cur = p + 1, tuple(map(sub, cur, al.coeffs))
+            if abs(n) != p + 1:
+                return _first_failure([f"|N| != p+1 on ({al}, {be}): {n} vs p={p}"])
+    # The stored pairs are distinct and have root sums, so none is missing if
+    # as many are stored as there are pairs with a root sum.  W permutes the
+    # roots of one length transitively, so one root of each length counts its
+    # pairs.
+    lengths = Counter(map(rs.root_length_sq, roots))
+    one_of = {rs.root_length_sq(al): al.coeffs for al in roots}
+    if stored != sum(
+        lengths[k] * sum(tuple(map(add, a, be.coeffs)) in where for be in roots)
+        for k, a in one_of.items()
     ):
-        for al, be in product(L.roots, L.roots):
-            if (al, be) not in nconst and rs.is_root(al + be):
+        for (i, al), (j, be) in product(enumerate(roots, rk), repeat=2):
+            if j not in rows[i] and tuple(map(add, al.coeffs, be.coeffs)) in where:
                 return _first_failure([f"({al}, {be}) has a root sum but no stored N"])
     return _first_failure([])
 
@@ -214,16 +229,15 @@ def check_grading(L: LieAlgebraData, g: Gradation) -> dict:
 
     Every bracket lands in weight wt(i) + wt(j) (the certificate), so brackets
     add degrees once the degree is linear: the sum of crossed coefficients.
+    [d, X_a] is read from the stored Cartan rows [H_i, X_a].
     """
     crossed = [i - 1 for i in g.crossing.sorted()]
-    for root in L.roots:
+    d = [(h, c) for h, c in enumerate(g.grading_element) if c]
+    for x, root in enumerate(L.roots, L.rank):
         if g.degree(root) != sum(root.coeffs[i] for i in crossed):
             return _first_failure([f"degree of {root} is not its crossed coefficient sum"])
-
-    d = cartan_element(L, g.grading_element)
-    for root in L.roots:
-        x = root_vector(L, root)
-        if bracket(L, d, x) != x.scale(g.degree(root)):
+        # [H_h, X_a] lies in weight a (the certificate), so on X_a alone.
+        if sum(c * L.basis_bracket(h, x).get(x, 0) for h, c in d) != g.degree(root):
             return _first_failure([f"grading element acts wrongly on {root}"])
     return _first_failure([])
 
@@ -336,7 +350,7 @@ def check_einstein(L: LieAlgebraData, g: Gradation, lam=Q(1)) -> dict:
     es = einstein_structure(g, L, lam)
     roots = g.nonzero_roots()
     index = [L.index_of_root(r) for r in roots]
-    metric: dict[tuple[int, int], Q] = {}  # keyed by basis indices
+    metric: dict[tuple[int, int], Q | int] = {}  # keyed by basis indices
     for a, row in enumerate(es.metric):
         for b, v in row.items():
             if es.metric[b].get(a, 0) != v:

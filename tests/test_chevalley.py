@@ -1,6 +1,7 @@
 import hashlib
 from fractions import Fraction as Q
 from itertools import combinations
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -28,9 +29,19 @@ def ad_matrix(L, x):
     return [[col.get(i, 0) for col in columns] for i in range(L.dim)]
 
 
+def constant(L, a: Root, b: Root) -> int:
+    """N(a, b): the one term of the stored [X_a, X_b], on X_{a+b}."""
+    out = L.basis_bracket(L.index_of_root(a), L.index_of_root(b))
+    (t, n), = out.items()
+    assert t == L.index_of_root(a + b)
+    return n
+
+
 def test_a1_has_no_n_constants(algebra):
     rs, L = algebra("A1")
-    assert L.nconst == {}
+    # Each root row holds only the Cartan rule and the coroot rule.
+    assert [sorted(L.brackets[x]) for x in (1, 2)] == [[0, 2], [0, 1]]
+    assert L.brackets[1][2] == {0: 1} and L.brackets[2][1] == {0: -1}
     a = Root((1,))
     h = bracket(L, root_vector(L, a), root_vector(L, -a))
     assert h == cartan_element(L, [1])
@@ -39,7 +50,7 @@ def test_a1_has_no_n_constants(algebra):
 def test_a2_constant_magnitude(algebra):
     # p = 0 for the alpha1-string through alpha2, so |N| = 1.
     rs, L = algebra("A2")
-    assert abs(L.nconst[(Root((1, 0)), Root((0, 1)))]) == 1
+    assert abs(constant(L, Root((1, 0)), Root((0, 1)))) == 1
     out = bracket(L, root_vector(L, Root((1, 0))), root_vector(L, Root((0, 1))))
     assert out.coords[L.index_of_root(Root((1, 1)))] in (Q(1), Q(-1))
 
@@ -47,13 +58,13 @@ def test_a2_constant_magnitude(algebra):
 def test_g2_constant_magnitude(algebra):
     # alpha1-string through alpha1+alpha2 has p = 1, so |N| = 2.
     rs, L = algebra("G2")
-    assert abs(L.nconst[(Root((1, 0)), Root((1, 1)))]) == 2
+    assert abs(constant(L, Root((1, 0)), Root((1, 1)))) == 2
 
 
 def test_extraspecial_seeds_positive(algebra):
     # The seeded pair (alpha1, alpha2) in A2 carries +1.
     rs, L = algebra("A2")
-    assert L.nconst[(Root((1, 0)), Root((0, 1)))] == 1
+    assert constant(L, Root((1, 0)), Root((0, 1))) == 1
 
 
 def test_bracket_basis_rules(algebra):
@@ -202,8 +213,17 @@ def test_constant_digests_cover_every_type():
 
 @pytest.mark.parametrize("name", sorted(NCONST_SHA256))
 def test_constants_digest(name, algebra):
+    # Every N(a, b) in row-major root order, read from the bracket rows.
     _, L = algebra(name)
-    text = repr([(a.coeffs, b.coeffs, n) for (a, b), n in L.nconst.items()])
+    roots = L.roots
+    constants = [
+        (a.coeffs, b.coeffs, n)
+        for i, a in enumerate(roots, L.rank)
+        for j, b in enumerate(roots, L.rank)
+        if any(map(add, a.coeffs, b.coeffs))  # [X_a, X_-a] = H_a is no constant
+        for n in L.basis_bracket(i, j).values()
+    ]
+    text = repr(constants)
     assert hashlib.sha256(text.encode()).hexdigest() == NCONST_SHA256[name]
 
 

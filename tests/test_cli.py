@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -372,3 +373,44 @@ def test_potential_coefficients_outside_float_range(tmp_path, capsys, monomial, 
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and message in err
+
+
+# -- usage pins: stdout, stderr and exit code at COLUMNS=80 ---------------------------
+
+USAGE_GOLDEN = Path(__file__).resolve().parent / "cli_usage_golden.json"
+USAGE_CASES = [
+    ["--help"],
+    *([name, "--help"] for name in (
+        "roots", "gradations", "koszul", "rho", "einstein", "verify", "potential", "catalog",
+    )),
+    ["bogus"],
+    [],
+    ["roots"],
+    ["--help", "roots"],
+    ["roots", "A", "1", "--json"],
+    ["roots", "A", "1", "--cross", "1"],  # the top-level usage names every subcommand
+]
+
+
+def _usage(capsys, monkeypatch, argv) -> dict:
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return {"argv": argv, "code": code, "out": captured.out, "err": captured.err}
+
+
+@pytest.mark.parametrize("argv", USAGE_CASES, ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_usage_output_is_pinned(capsys, monkeypatch, argv):
+    got = _usage(capsys, monkeypatch, argv)
+    golden = json.loads(USAGE_GOLDEN.read_text())
+    # argparse wording moves between Python versions; the golden holds the
+    # output of the version it names, and the full parser is the reference
+    # everywhere.
+    if tuple(golden["python"]) == sys.version_info[:2]:
+        assert got == next(case for case in golden["cases"] if case["argv"] == argv)
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda *args: full())
+    assert got == _usage(capsys, monkeypatch, argv)

@@ -1,3 +1,5 @@
+from fractions import Fraction as Q
+
 import pytest
 
 from parakahler.chevalley import cartan_element, bracket, root_vector
@@ -72,6 +74,19 @@ def test_grading_element_acts_by_degree(algebra):
         for root in rs.all_roots():
             x = root_vector(L, root)
             assert bracket(L, d, x) == x.scale(g.degree(root))
+
+
+def test_grading_element_is_int_where_integral(algebra):
+    rs, _ = algebra("E6")
+    d = grade_from_crossing(rs, CrossingSet.of(1, 4, 6)).grading_element
+    assert d == (4, 5, 7, 10, 7, 4) and all(type(c) is int for c in d)
+    # alpha_i(d) = 1 on the crossed nodes and 0 elsewhere.
+    assert [sum(c * row[i] for c, row in zip(d, rs.cartan)) for i in range(6)] == [
+        1, 0, 0, 1, 0, 1,
+    ]
+    rs2, _ = algebra("A2")  # d = (2/3, 1/3): alpha_1(d) = 1, alpha_2(d) = 0
+    d2 = grade_from_crossing(rs2, CrossingSet.of(1)).grading_element
+    assert d2 == (Q(2, 3), Q(1, 3))
 
 
 def test_bracket_respects_degrees(algebra):

@@ -2,6 +2,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from parakahler import ratlin
 from parakahler.chevalley import (
     AlgebraElement,
     basis_element,
@@ -246,6 +247,23 @@ def test_einstein_structure_g2(algebra):
                 if not any((a + b).coeffs):
                     expected = -es.rho.coeffs[a if a.is_positive else -a]
                 assert es.metric[i].get(j, 0) == expected
+
+
+def test_einstein_metric_entries_are_int_where_integral(algebra):
+    rs, L = algebra("E6")
+    g = grade_from_crossing(rs, CrossingSet.of(1, 4, 6))
+    es = einstein_structure(g, L, 1)
+    values = [v for row in es.metric for v in row.values()]
+    assert values and all(type(v) is int for v in values)
+    assert type(es.lam) is Q
+    as_fractions = [{j: Q(v) for j, v in row.items()} for row in es.metric]
+    half = len(es.basis) // 2
+    assert es.signature() == ratlin.symmetric_signature(as_fractions) == (half, half)
+    # At lambda = 3 the entries divisible by 3 stay ints, the others are thirds.
+    thirds = [v for row in einstein_structure(g, L, 3).metric for v in row.values()]
+    assert thirds == [Q(v, 3) for v in values]
+    assert [type(w) is int for w in thirds] == [v % 3 == 0 for v in values]
+    assert {type(w) for w in thirds} == {int, Q}
 
 
 def test_two_form_requires_full_coefficients(algebra):

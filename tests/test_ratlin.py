@@ -73,6 +73,17 @@ def test_signature_diagonal_and_hyperbolic():
     assert rows == ({1: Q(3)}, {0: Q(3)}, {3: Q(-7)}, {2: Q(-7)})
 
 
+def test_signature_of_int_dict_rows_is_exact():
+    # Positive definite (det = 10**18 + 1 - 10**18 = 1).  Int dict rows used
+    # to be eliminated with float division, which rounds the Schur
+    # complement to 0 and reported the form as degenerate.
+    big = [[1, 10**9], [10**9, 10**18 + 1]]
+    rows = [{j: x for j, x in enumerate(row)} for row in big]
+    assert ratlin.symmetric_signature(big) == (2, 0)
+    assert ratlin.symmetric_signature(rows) == (2, 0)
+    assert rows == [{0: 1, 1: 10**9}, {0: 10**9, 1: 10**18 + 1}]
+
+
 def test_inverse_singular_after_row_swap():
     # The first pivot needs a swap; the third column is the sum of the others.
     with pytest.raises(ZeroDivisionError):

@@ -1,5 +1,4 @@
 import dataclasses
-import re
 import time
 from fractions import Fraction as Q
 
@@ -47,18 +46,19 @@ def test_run_sweep_rank2():
     assert result["gradations"] == 10  # A1 + A2 + B2 + G2 crossings
 
 
-def _copy(L: LieAlgebraData, nconst=None) -> LieAlgebraData:
-    """A fresh algebra with empty caches, optionally with other constants."""
-    return LieAlgebraData(L.rs, dict(nconst or L.nconst))
+def _copy(L: LieAlgebraData) -> LieAlgebraData:
+    """A fresh algebra with empty caches over deep copies of the bracket rows."""
+    rows = [{j: dict(out) for j, out in row.items()} for row in L.brackets]
+    return LieAlgebraData(L.rs, rows)
 
 
 def _corrupted(L: LieAlgebraData) -> LieAlgebraData:
     """Flip one pair of structure constants, keeping antisymmetry."""
-    a, b = Root((1, 0)), Root((0, 1))
-    bad = dict(L.nconst)
-    bad[(a, b)] = -bad[(a, b)]
-    bad[(b, a)] = -bad[(b, a)]
-    return _copy(L, bad)
+    bad = _copy(L)
+    i, j = L.index_of_root(Root((1, 0))), L.index_of_root(Root((0, 1)))
+    for p, q in ((i, j), (j, i)):
+        bad.brackets[p][q] = {t: -c for t, c in bad.brackets[p][q].items()}
+    return bad
 
 
 def test_corrupted_constants_fail_jacobi(algebra):
@@ -132,9 +132,10 @@ def test_grading_certificate_names_each_bracket_rule(algebra, first, second):
 
 
 def _with_constants(L: LieAlgebraData, edit) -> LieAlgebraData:
-    nconst = dict(L.nconst)
-    edit(nconst)
-    return LieAlgebraData(L.rs, nconst)
+    """A copy of L after ``edit(rows, i, j)`` on the rows of X_a1 (i) and X_a2 (j)."""
+    broken = _copy(L)
+    edit(broken.brackets, L.index_of_root(Root((1, 0))), L.index_of_root(Root((0, 1))))
+    return broken
 
 
 def test_stray_constant_fails_structure_check_and_bracket_rows(algebra):
@@ -142,22 +143,23 @@ def test_stray_constant_fails_structure_check_and_bracket_rows(algebra):
     # partner used to pass the magnitude check.
     rs, L = algebra("A2")
     a, b = Root((1, 0)), Root((1, 1))
+    i, k = L.index_of_root(a), L.index_of_root(b)
 
-    def stray(nconst):
-        nconst[(a, b)], nconst[(b, a)] = 2, -2
+    def stray(rows, *_):
+        rows[i][k], rows[k][i] = {k: 2}, {k: -2}
 
     broken = _with_constants(L, stray)
     report = check_structure_constants(broken)
     assert not report["ok"]
     assert report["first_failure"] == f"N({a}, {b}) is stored for a pair without a root sum"
-    with pytest.raises(DomainError, match=re.escape(f"N({a}, {b})")):
-        check_jacobi(broken)
+    # No weight lies at a1 + (a1+a2), so the weight certificate names it too.
+    assert broken.grading_failure == f"bracket {(i, k)} leaves weight wt({i}) + wt({k})"
 
 
 def test_missing_reverse_fails_structure_check(algebra):
     rs, L = algebra("A2")
     a, b = Root((1, 0)), Root((0, 1))
-    broken = _with_constants(L, lambda nconst: nconst.pop((b, a)))
+    broken = _with_constants(L, lambda rows, i, j: rows[j].pop(i))
     report = check_structure_constants(broken)
     assert not report["ok"]
     assert report["first_failure"] == f"N({a}, {b}) is stored without N({b}, {a})"
@@ -167,12 +169,49 @@ def test_missing_bracketable_pair_fails_structure_check(algebra):
     rs, L = algebra("A2")
     a, b = Root((1, 0)), Root((0, 1))
 
-    def drop(nconst):
-        del nconst[(a, b)], nconst[(b, a)]
+    def drop(rows, i, j):
+        del rows[i][j], rows[j][i]
 
     report = check_structure_constants(_with_constants(L, drop))
     assert not report["ok"]
     assert report["first_failure"] == f"({a}, {b}) has a root sum but no stored N"
+
+
+@pytest.mark.parametrize(
+    "both, factor, message",
+    [
+        (False, -1, "antisymmetry fails on (1a1, 1a2)"),
+        (True, 2, "|N| != p+1 on (1a1, 1a2): 2 vs p=0"),  # the a1-string through a2 has p = 0
+    ],
+)
+def test_wrong_constant_value_fails_structure_check(algebra, both, factor, message):
+    # Scale [X_a1, X_a2], and its reverse too when ``both``.
+    rs, L = algebra("A2")
+
+    def scale(rows, i, j):
+        for p, q in ((i, j), (j, i))[: 1 + both]:
+            rows[p][q] = {t: factor * c for t, c in rows[p][q].items()}
+
+    report = check_structure_constants(_with_constants(L, scale))
+    assert report["first_failure"] == message
+
+
+@pytest.mark.parametrize("target", [(-1, 0), (1, 0), None])
+def test_constant_off_its_root_sum_fails_structure_check(algebra, target):
+    # [X_a1, X_a2] moved off X_{a1+a2}, or given a second term there.
+    rs, L = algebra("A2")
+    a, b = Root((1, 0)), Root((0, 1))
+
+    def move(rows, i, j):
+        (t, n), = rows[i][j].items()
+        if target is None:
+            rows[i][j] = {t: n, L.index_of_root(a): 1}
+        else:
+            rows[i][j] = {L.index_of_root(Root(target)): n}
+
+    report = check_structure_constants(_with_constants(L, move))
+    assert not report["ok"]
+    assert report["first_failure"] == f"[X[{a}], X[{b}]] is not a single term on X[{a + b}]"
 
 
 def test_tampered_degree_fails_grading(algebra):
@@ -184,6 +223,20 @@ def test_tampered_degree_fails_grading(algebra):
     report = check_grading(L, bad)
     assert not report["ok"]
     assert str(root) in report["first_failure"]
+
+
+def test_grading_sees_a_wrong_cartan_action(algebra):
+    # Negating [H1, X_a1] keeps it in weight a1, so the certificate passes,
+    # but the grading element no longer acts on X_a1 by its degree.
+    rs, shared = algebra("G2")
+    L = _copy(shared)
+    h, a = 0, L.index_of_root(Root((1, 0)))
+    L.brackets[h][a] = {m: -c for m, c in shared.basis_bracket(h, a).items()}
+    assert L.grading_failure is None
+    g = grade_from_crossing(rs, CrossingSet.of(1))
+    assert check_grading(shared, g)["ok"]
+    report = check_grading(L, g)
+    assert report["first_failure"] == "grading element acts wrongly on 1a1"
 
 
 def test_trace_oracle_sees_a_wrong_cartan_action(algebra):
