@@ -26,7 +26,6 @@ from .gradation import (
     enumerate_crossings,
     grade_from_crossing,
     orbit_dimension,
-    satake_consistent,
 )
 from .koszul import (
     EinsteinStructure,

@@ -113,21 +113,19 @@ class LieAlgebraData:
         table[(0,) * self.rank] = tuple(range(self.rank))
         return table
 
-    def partners(self, i: int, j: int | None = None) -> tuple[int, ...]:
-        """Indices k with wt(i) + wt(j) + wt(k) = 0; j may be left out."""
-        w = self.weights[i]
-        if j is not None:
-            w = tuple(map(add, w, self.weights[j]))
-        return self._cancelling.get(w, ())
+    def partners(self, i: int) -> tuple[int, ...]:
+        """Indices k with wt(i) + wt(k) = 0."""
+        return self._cancelling[self.weights[i]]
 
     @cached_property
     def zero_weight_triples(self) -> tuple[tuple[int, int, int], ...]:
         """Sorted basis triples i < j < k with wt(i) + wt(j) + wt(k) = 0."""
+        wt, cancelling = self.weights, self._cancelling
         return tuple(
             (i, j, k)
             for i in range(self.dim)
             for j in range(i + 1, self.dim)
-            for k in self.partners(i, j)
+            for k in cancelling.get(tuple(map(add, wt[i], wt[j])), ())
             if k > j
         )
 

@@ -204,11 +204,6 @@ def satake_violations(diagram: SatakeDiagram, crossing: CrossingSet) -> list[str
     return problems
 
 
-def satake_consistent(diagram: SatakeDiagram, crossing: CrossingSet) -> bool:
-    """True iff the crossing set defines a gradation of this real form."""
-    return not satake_violations(diagram, crossing)
-
-
 def _builtin_catalog() -> dict[str, SatakeDiagram]:
     cat: dict[str, SatakeDiagram] = {}
 

@@ -57,16 +57,17 @@ class TwoForm:
             return 0
         return self.coeffs[alpha] if alpha.is_positive else -self.coeffs[-alpha]
 
-    def matrix(self, L: LieAlgebraData) -> list[list[Q]]:
-        m = [[Q(0)] * L.dim for _ in range(L.dim)]
+    def rows(self, L: LieAlgebraData) -> list[dict[int, Q | int]]:
+        """Dict rows {j: f(e_i, e_j)} over basis indices; zeros are not stored."""
+        rows: list[dict[int, Q | int]] = [{} for _ in range(L.dim)]
         for root, c in self.coeffs.items():
-            if not c:
-                continue
-            i = L.index_of_root(root)
-            j = L.index_of_root(-root)
-            m[i][j] = c
-            m[j][i] = -c
-        return m
+            if c:
+                i, j = L.index_of_root(root), L.index_of_root(-root)
+                rows[i][j], rows[j][i] = c, -c
+        return rows
+
+    def matrix(self, L: LieAlgebraData) -> list[list[Q]]:
+        return [[row.get(j, Q(0)) for j in range(L.dim)] for row in self.rows(L)]
 
 
 def delta_sum(rs: RootSystem, subset) -> Weight:

@@ -8,20 +8,16 @@ either passes or returns a description of the first failure.
 Triple loops skip only basis tuples whose terms all vanish.  Jacobi visits
 triples where [[i,j],k], [[j,k],i] or [[k,i],j] has a nonzero product of
 basis brackets.  Killing invariance, closedness of rho and both
-ad_{g_0}-invariance checks visit triples with wt(i) + wt(j) + wt(k) = 0
-only: each term pairs [e_i, e_j] with e_k under a form that vanishes unless
-the weights cancel (``check_einstein`` checks that of the metric), so other
-triples contribute nothing once every bracket lands in weight wt(i) + wt(j).
-``LieAlgebraData.grading_failure`` certifies that; if it fails, these
-checks return ok: False with its location.  Closedness reads the sorted
-triples i < j < k from ``LieAlgebraData.zero_weight_triples``, built once
-per algebra.  The same certificate leaves the trace oracle only the Cartan
-to check: ad_{X_b} and K~ ad_{X_b} shift weights by b != 0, so their
-traces vanish.  ``check_einstein`` reads the entries the metric's dict rows
-store, one per row, instead of all n^2.  ``check_structure_constants`` reads
-each N(a, b) from the stored bracket rows and walks root strings on
-coefficient tuples against the root system's own roots, not against the
-sum table the constants were built with.
+ad_{g_0}-invariance checks pair [e_i, e_j] with e_k under a form that
+vanishes unless the weights cancel (``check_einstein`` checks that of the
+metric), so they visit the triples with wt(i) + wt(j) + wt(k) = 0 only,
+once ``LieAlgebraData.grading_failure`` certifies that every bracket lands
+in weight wt(i) + wt(j); if it fails, they return ok: False with its
+location.  All four read the sorted triples i < j < k of
+``LieAlgebraData.zero_weight_triples``, built once per algebra; the
+invariance checks put the acting index in each place and add the triples
+with a repeated index, which lie in the Cartan because 2a is never a root.
+The same certificate leaves the trace oracle only the Cartan to check.
 """
 
 from __future__ import annotations
@@ -29,7 +25,7 @@ from __future__ import annotations
 import functools
 from collections import Counter
 from fractions import Fraction as Q
-from itertools import product
+from itertools import combinations_with_replacement, product
 from operator import add, sub
 
 from . import ratlin
@@ -71,22 +67,35 @@ def _certified(check):
     return guarded
 
 
+def _invariance_triples(L: LieAlgebraData, acting, domain):
+    """Each (z, x, y) with z in ``acting``, x <= y in ``domain`` and zero weight sum.
+
+    Distinct indices come from ``L.zero_weight_triples`` with z in each of
+    the three places.  With a repeated index, wt(z) = -2 wt(x) or
+    wt(x) = -2 wt(z): 2a is never a root, so all three lie in the Cartan.
+    """
+    acting, domain = set(acting), set(domain)
+    for i, j, k in L.zero_weight_triples:
+        for z, x, y in ((i, j, k), (j, i, k), (k, i, j)):
+            if z in acting and x in domain and y in domain:
+                yield z, x, y
+    for x, y in combinations_with_replacement(range(L.rank), 2):
+        for z in range(L.rank) if x == y else (x, y):
+            if z in acting and x in domain and y in domain:
+                yield z, x, y
+
+
 def _invariance_failure(L: LieAlgebraData, form, acting, domain) -> tuple | None:
     """First (z, x, y) with form([z,x], y) + form(x, [z,y]) != 0.
 
-    z runs over ``acting``, x <= y over ``domain``; ``form(m, k)`` is the
-    bilinear form on basis indices and must be symmetric or antisymmetric.
+    ``form`` is symmetric or antisymmetric, as dict rows over basis indices.
     """
-    inside = set(domain)
     pair = L.basis_bracket
-    for z, x in product(acting, domain):
-        for y in L.partners(z, x):  # wt(z) + wt(x) + wt(y) = 0
-            if y < x or y not in inside:
-                continue
-            lhs = sum(c * form(m, y) for m, c in pair(z, x).items())
-            lhs += sum(c * form(x, m) for m, c in pair(z, y).items())
-            if lhs:
-                return z, x, y
+    for z, x, y in _invariance_triples(L, acting, domain):
+        lhs = sum(c * form[m].get(y, 0) for m, c in pair(z, x).items())
+        lhs += sum(c * form[x].get(m, 0) for m, c in pair(z, y).items())
+        if lhs:
+            return z, x, y
     return None
 
 
@@ -144,9 +153,8 @@ def check_jacobi(L: LieAlgebraData) -> dict:
 @_certified
 def check_killing_invariance(L: LieAlgebraData) -> dict:
     """B([z,x],y) + B(x,[z,y]) = 0 over all basis triples."""
-    b = L.killing_basis()
     everything = range(L.dim)
-    bad = _invariance_failure(L, lambda m, k: b[m].get(k, 0), everything, everything)
+    bad = _invariance_failure(L, L.killing_basis(), everything, everything)
     return _first_failure([f"killing invariance fails on {bad}"] if bad else [])
 
 
@@ -282,24 +290,20 @@ def check_two_form(L: LieAlgebraData, g: Gradation) -> dict:
 
     Type (1,1) needs no check: rho pairs X_alpha with X_-alpha only, and the
     degree is linear, so the two degrees always cancel.  Closedness and
-    invariance read rho from a sparse lookup of its int entries.
+    invariance read rho from dict rows of its int entries.
     """
     rs, rk = L.rs, L.rank
     psi = koszul_form(g)
     rho = two_form_from_weight(rs, psi)
     if not kernel_is_g0(rho, g):
         return _first_failure(["kernel of d(psi) is not g_0"])
-    form: dict[tuple[int, int], int] = {}  # keyed by basis indices
-    for root, c in rho.coeffs.items():
-        if c:
-            i, j = L.index_of_root(root), L.index_of_root(-root)
-            form[i, j], form[j, i] = c, -c
+    form = rho.rows(L)
 
     # Closedness: cyclic sum of rho([x,y],z) over the zero-weight triples.
     pair = L.basis_bracket
 
     def rho_vec(vec: dict[int, int], k: int) -> int:
-        return sum(c * form.get((m, k), 0) for m, c in vec.items())
+        return sum(c * form[m].get(k, 0) for m, c in vec.items())
 
     for i, j, k in L.zero_weight_triples:
         if rho_vec(pair(i, j), k) + rho_vec(pair(j, k), i) != rho_vec(pair(i, k), j):
@@ -324,7 +328,7 @@ def check_two_form(L: LieAlgebraData, g: Gradation) -> dict:
 
     # ad_h-invariance of rho for every basis element h of g_0.
     g0 = [*range(rk), *map(L.index_of_root, g.roots_of_degree(0))]
-    bad = _invariance_failure(L, lambda m, k: form.get((m, k), 0), g0, range(rk, L.dim))
+    bad = _invariance_failure(L, form, g0, range(rk, L.dim))
     if bad:
         return _first_failure([f"rho not ad-invariant under index {bad[0]}"])
     return _first_failure([])
@@ -350,7 +354,7 @@ def check_einstein(L: LieAlgebraData, g: Gradation, lam=Q(1)) -> dict:
     es = einstein_structure(g, L, lam)
     roots = g.nonzero_roots()
     index = [L.index_of_root(r) for r in roots]
-    metric: dict[tuple[int, int], Q | int] = {}  # keyed by basis indices
+    metric: list[dict[int, Q | int]] = [{} for _ in range(L.dim)]  # rows by basis index
     for a, row in enumerate(es.metric):
         for b, v in row.items():
             if es.metric[b].get(a, 0) != v:
@@ -360,10 +364,10 @@ def check_einstein(L: LieAlgebraData, g: Gradation, lam=Q(1)) -> dict:
             # The invariance check below visits zero-weight triples only.
             if v and any((roots[a] + roots[b]).coeffs):
                 return _first_failure([f"metric pairs {roots[a]} with {roots[b]}"])
-            metric[index[a], index[b]] = v
+            metric[index[a]][index[b]] = v
 
     g0 = [*range(L.rank), *map(L.index_of_root, g.roots_of_degree(0))]
-    if _invariance_failure(L, lambda m, k: metric.get((m, k), 0), g0, index):
+    if _invariance_failure(L, metric, g0, index):
         return _first_failure(["metric not ad-invariant under g_0"])
 
     pos, neg = es.signature()

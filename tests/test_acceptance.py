@@ -18,7 +18,7 @@ from parakahler.gradation import (
     enumerate_crossings,
     grade_from_crossing,
     orbit_dimension,
-    satake_consistent,
+    satake_violations,
 )
 from parakahler.koszul import (
     einstein_structure,
@@ -131,8 +131,8 @@ def test_criterion_2_a_series_golden():
     assert koszul_form(g) == Weight((Q(4), Q(8), Q(4)))
     assert orbit_dimension(g) == 8
     diagram = catalog_lookup("sl2H")
-    assert satake_consistent(diagram, CrossingSet.of(2))
-    assert not satake_consistent(diagram, CrossingSet.of(1))
+    assert not satake_violations(diagram, CrossingSet.of(2))
+    assert satake_violations(diagram, CrossingSet.of(1))
 
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0

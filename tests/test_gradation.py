@@ -15,7 +15,6 @@ from parakahler.gradation import (
     is_fundamental,
     orbit_dimension,
     parse_diagram_config,
-    satake_consistent,
     satake_violations,
 )
 from parakahler.rootsys import Root, SimpleType
@@ -129,8 +128,8 @@ def test_enumerate_crossings_count():
 def test_satake_consistency_sl2h():
     diagram = catalog_lookup("sl2H")
     assert diagram.black == frozenset({1, 3})
-    assert satake_consistent(diagram, CrossingSet.of(2))
-    assert not satake_consistent(diagram, CrossingSet.of(1))
+    assert not satake_violations(diagram, CrossingSet.of(2))
+    assert satake_violations(diagram, CrossingSet.of(1))
     reasons = satake_violations(diagram, CrossingSet.of(1))
     assert "black node 1" in reasons[0]
 
@@ -138,7 +137,7 @@ def test_satake_consistency_sl2h():
 def test_satake_split_forms_vacuous():
     diagram = catalog_lookup("sl4R")
     for crossing in enumerate_crossings(3):
-        assert satake_consistent(diagram, crossing)
+        assert not satake_violations(diagram, crossing)
     assert catalog_lookup("g2split").black == frozenset()
 
 
@@ -162,9 +161,9 @@ def test_catalog_env_override(tmp_path, monkeypatch):
 
 def test_arrow_consistency():
     diagram = SatakeDiagram.make(SimpleType("A", 3), arrows=[(1, 3)])
-    assert satake_consistent(diagram, CrossingSet.of(1, 3))
-    assert satake_consistent(diagram, CrossingSet.of(2))
-    assert not satake_consistent(diagram, CrossingSet.of(1))
+    assert not satake_violations(diagram, CrossingSet.of(1, 3))
+    assert not satake_violations(diagram, CrossingSet.of(2))
+    assert satake_violations(diagram, CrossingSet.of(1))
 
 
 def test_diagram_config_parsing():

@@ -1,10 +1,11 @@
+import ast
 import dataclasses
 import time
 from fractions import Fraction as Q
 
 import pytest
 
-from parakahler.chevalley import LieAlgebraData
+from parakahler.chevalley import LieAlgebraData, basis_element, bracket, killing_form
 from parakahler.errors import DomainError
 from parakahler.gradation import CrossingSet, enumerate_crossings, grade_from_crossing
 from parakahler import verify
@@ -277,6 +278,70 @@ def test_wrong_cartan_action_fails_closedness(algebra):
     report = check_two_form(L, grade_from_crossing(rs, CrossingSet.of(1)))
     assert not report["ok"]
     assert report["first_failure"] == "d(rho) != 0 on triple (0, 2, 5)"
+
+
+def _reverse_flipped(L: LieAlgebraData) -> LieAlgebraData:
+    """Negate [X_a2, X_a1] alone; [X_a1, X_a2], which closedness reads, stays."""
+    bad = _copy(L)
+    i, j = L.index_of_root(Root((1, 0))), L.index_of_root(Root((0, 1)))
+    bad.brackets[j][i] = {t: -c for t, c in bad.brackets[j][i].items()}
+    return bad
+
+
+@pytest.mark.parametrize("name", ["A2", "G2"])
+def test_reverse_sign_flip_fails_each_invariance_check(algebra, name):
+    # The flip keeps every bracket in its weight and closedness never reads
+    # the reverse, so only the three invariance checks can see it.  At {1}
+    # X_a2 (index 3) lies in g_0 and acts; at {2} and {1,2} it does not.
+    rs, L = algebra(name)
+    broken = _reverse_flipped(L)
+    assert broken.grading_failure is None
+
+    report = check_killing_invariance(broken)
+    assert not report["ok"]
+    prefix = "killing invariance fails on "
+    assert report["first_failure"].startswith(prefix)
+    where = ast.literal_eval(report["first_failure"][len(prefix):])
+    z, x, y = (basis_element(broken, i) for i in where)
+    assert killing_form(broken, bracket(broken, z, x), y) + killing_form(
+        broken, x, bracket(broken, z, y)
+    )
+
+    g = grade_from_crossing(rs, CrossingSet.of(1))
+    report = check_two_form(broken, g)
+    assert report["first_failure"] == "rho not ad-invariant under index 3"
+    report = check_einstein(broken, g)
+    assert report["first_failure"] == "metric not ad-invariant under g_0"
+    for crossed in ((2,), (1, 2)):
+        g = grade_from_crossing(rs, CrossingSet.of(*crossed))
+        assert check_two_form(broken, g)["ok"], crossed
+        assert check_einstein(broken, g)["ok"], crossed
+
+
+@pytest.mark.parametrize("name", ["A2", "G2", "B3", "F4"])
+def test_invariance_walk_yields_exactly_the_zero_weight_triples(algebra, name):
+    # Brute force: z in acting, x <= y in domain, weights summing to zero.
+    rs, L = algebra(name)
+    g = grade_from_crossing(rs, CrossingSet.of(1))
+    g0 = [*range(L.rank), *map(L.index_of_root, g.roots_of_degree(0))]
+    m = [L.index_of_root(r) for r in g.nonzero_roots()]
+    wt = L.weights
+    shapes = {
+        "all x all": (range(L.dim), range(L.dim)),
+        "g_0 x roots": (g0, range(L.rank, L.dim)),
+        "g_0 x m": (g0, m),
+    }
+    for shape, (acting, domain) in shapes.items():
+        walked = list(verify._invariance_triples(L, acting, domain))
+        brute = {
+            (z, x, y)
+            for z in acting
+            for x in domain
+            for y in domain
+            if x <= y and not any(map(sum, zip(wt[z], wt[x], wt[y])))
+        }
+        assert len(walked) == len(set(walked)), shape
+        assert set(walked) == brute, shape
 
 
 def _tampered_einstein(algebra, monkeypatch, tamper) -> dict:
