@@ -20,20 +20,26 @@ positive constant (lambda = 2 for n = 1); the opposite sign fails that model.
 
 A ``ChartPotential`` is the data (c, P, Q) of f = c log P + Q, P and Q
 polynomials (log model: c = scale, P = 1 + sum u_k v_k, Q = 0; polynomial:
-c = 0, P = 1).  ``DerivativeTable`` differentiates f exactly, once, and
-evaluates in floats.  ``split_value``, ``fd_partial`` (5-point stencils) and
-``mixed_partial_pc`` stay off that path as independent oracles.
+c = 0, P = 1).  ``DerivativeTable`` differentiates f exactly, once, stores
+the result as sparse (row, column, coefficient) triplets and evaluates them
+in plain Python floats; metric samples, Christoffel and Ricci blocks are
+lists of rows, and one Gauss-Jordan helper with partial pivoting gives the
+inverses and determinants.  Sums run in a fixed order of their own, so the
+floats may differ from a BLAS/LAPACK evaluation in the last bits.
+``split_value``, ``fd_partial`` (5-point stencils) and ``mixed_partial_pc``
+stay off that path as independent oracles.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction as Q
-
-import numpy as np
+from operator import add, itemgetter, mul
 
 from .config import Fields, finite_float, float_rational, integer
 from .errors import ConfigError, DomainError, NullConeError, SingularPointError
@@ -181,13 +187,7 @@ def polynomial_potential(n: int, monomials) -> ChartPotential:
 
 def admissible(F: ChartPotential, point, margin: float = 0.1) -> bool:
     """Is the point clear of the log singularity: P >= margin (any point if c = 0)?"""
-    return bool(_admissible(F, [point], margin)[0])
-
-
-def _admissible(F: ChartPotential, points, margin: float) -> np.ndarray:
-    x = np.asarray(points, dtype=float)
-    p = sum(float(c) * np.prod(x ** np.array(a + b), axis=1) for (a, b), c in F.p.items())
-    return (p >= margin) | (not F.c)
+    return not F.c or _poly_eval(F.p, point[: F.n], point[F.n :]) >= margin
 
 
 def grid_points(
@@ -203,8 +203,8 @@ def grid_points(
         if count == 1
         else [-extent + 2 * extent * k / (count - 1) for k in range(count)]
     )
-    combos = list(itertools.product(axis, repeat=2 * F.n))
-    return [c for c, ok in zip(combos, _admissible(F, combos, margin)) if ok]
+    combos = itertools.product(axis, repeat=2 * F.n)
+    return [c for c in combos if admissible(F, c, margin)]
 
 
 # -- symbolic polynomial derivatives ----------------------------------------------
@@ -244,7 +244,11 @@ class DerivativeTable:
     ``exact`` lists g_ab = d^2 f / du_a dv_b, then d g_ab / du_c,
     d g_ab / dv_d and d^2 g_ab / du_c dv_d, each flattened in index order
     (c, d, a, b), as quotient tables with rational coefficients (int where
-    integral).  The float arrays that evaluate them are built once.
+    integral).  ``triplets`` holds the same rows, and last the row of P, as
+    sparse (row, column, float coefficient) entries; column m stands for the
+    monomial u^a v^b / P^k of ``monomials[m]``.  Columns are ordered by the
+    first block that reads them, so a call for fewer blocks evaluates a
+    prefix of them.
     """
 
     def __init__(self, F: ChartPotential) -> None:
@@ -258,19 +262,40 @@ class DerivativeTable:
         gu = [self._diff(gab, c, "u") for c in range(n) for gab in g]
         gv = [self._diff(gab, d, "v") for d in range(n) for gab in g]
         self.exact = g + gu + gv + [self._diff(x, c, "u") for c in range(n) for x in gv]
-        self.ends = np.cumsum([n**2, n**3, n**3, n**4])
+        self.ends = list(itertools.accumulate([n**2, n**3, n**3, n**4]))
 
-        p_terms = {(*key, 0): c for key, c in self.p.items()}
-        monos = sorted({key for table in self.exact for key in table} | set(p_terms))
-        col = {key: i for i, key in enumerate(monos)}
-        self.exps = np.array([(*a, *b, k) for a, b, k in monos])
-        self.coeffs = np.zeros((len(self.exact) + 1, len(monos)))  # last row: P
+        rows = [*self.exact, {(*key, 0): c for key, c in self.p.items()}]  # last: P
+        block = {}  # monomial -> first block that reads it (P counts as block 0)
+        for r, table in enumerate(rows):
+            b = bisect_right(self.ends, r) % 4
+            for key in table:
+                block[key] = min(block.get(key, b), b)
+        self.monomials = sorted(block, key=lambda m: (block[m], m))
+        col = {m: i for i, m in enumerate(self.monomials)}
+        floats: dict[float, float] = {}  # one float object per distinct coefficient
         try:
-            for row, table in enumerate([*self.exact, p_terms]):
-                for key, c in table.items():
-                    self.coeffs[row, col[key]] = float(c)
+            self.triplets = [
+                (r, col[key], floats.setdefault(float(c), float(c)))
+                for r, table in enumerate(rows)
+                for key, c in table.items()
+            ]
         except OverflowError:
             raise DomainError("a derivative coefficient is outside the float range") from None
+
+        # A point's power list is 1.0, then x_i^1..x_i^top_i for each
+        # coordinate i, then P^-1..P^-kmax; monomial m multiplies the entries
+        # _gather[m] picks from it.  Block b reads the first _cols[b]
+        # monomials and the first _rows[b] triplets.
+        self._top = [max((a + b)[i] for a, b, _ in self.monomials) for i in range(2 * n)]
+        start = list(itertools.accumulate(self._top, initial=0))
+        self._gather = [
+            _getter([start[i] + e for i, e in enumerate(a + b) if e] + [start[-1] + k] * (k > 0))
+            for a, b, k in self.monomials
+        ]
+        self._kmax = max(k for _, _, k in self.monomials)
+        self._cols = [bisect_right([block[m] for m in self.monomials], b) for b in range(4)]
+        self._rows = [bisect_right(self.triplets, (e,)) for e in self.ends]  # rows ascend
+        self._p_terms = [(c, self._gather[m]) for _, m, c in self.triplets[self._rows[-1] :]]
 
     def _diff(self, table: QuotientTable, axis: int, side: str) -> QuotientTable:
         """Quotient rule per term: d(N / P^k) = N' / P^k - k N P' / P^(k+1)."""
@@ -284,18 +309,48 @@ class DerivativeTable:
                 out[key] = out.get(key, 0) - k * coeff * c
         return {m: c if c.denominator > 1 else c.numerator for m, c in out.items() if c}
 
-    def at(self, point, blocks: int = 4) -> list[np.ndarray]:
-        """The first ``blocks`` of g[a, b], d_u g[c, a, b], d_v g[d, a, b] and
-        d_u d_v g[c, d, a, b] at a float point."""
+    def values(self, point, blocks: int = 4) -> list[float]:
+        """The rows of the first ``blocks`` blocks at a float point, in one
+        flat list (each block flattened in index order)."""
         if len(point) != 2 * self.n:
             raise DomainError("point length must be twice the chart dimension")
-        mono = np.prod(np.asarray(point, dtype=float) ** self.exps[:, :-1], axis=1)
-        p = float(self.coeffs[-1] @ mono)
+        powers = [1.0]
+        for x, top in zip(point, self._top):
+            powers.extend(itertools.accumulate(itertools.repeat(x, top), mul))
+        p = sum(c * math.prod(gather(powers)) for c, gather in self._p_terms)
         if p <= 0:
             raise SingularPointError(f"log argument {p} is not positive")
-        vals = self.coeffs[: self.ends[blocks - 1]] @ (mono * p ** -self.exps[:, -1])
-        parts = np.split(vals, self.ends[: blocks - 1])
-        return [part.reshape((self.n,) * d) for part, d in zip(parts, (2, 3, 3, 4))]
+        powers.extend(p**-k for k in range(1, self._kmax + 1))
+        gathers = itertools.islice(self._gather, self._cols[blocks - 1])
+        mono = [math.prod(gather(powers)) for gather in gathers]
+        vals = [0.0] * self.ends[blocks - 1]
+        for r, m, c in itertools.islice(self.triplets, self._rows[blocks - 1]):
+            vals[r] += c * mono[m]
+        return vals
+
+    def at(self, point, blocks: int = 4) -> list[list]:
+        """The first ``blocks`` of g[a][b], d_u g[c][a][b], d_v g[d][a][b] and
+        d_u d_v g[c][d][a][b] at a float point, as nested lists of rows."""
+        vals = self.values(point, blocks)
+        starts = [0, *self.ends]
+        return [
+            _nest(vals[starts[i] : starts[i + 1]], self.n, depth)
+            for i, depth in enumerate((2, 3, 3, 4)[:blocks])
+        ]
+
+
+def _getter(indices: list[int]):
+    """``itemgetter(*indices)``, returning a tuple for any number of indices."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    return lambda seq: tuple(seq[i] for i in indices)
+
+
+def _nest(flat: list, n: int, depth: int) -> list:
+    """A flat row-major list of n**depth entries as lists of n, depth deep."""
+    for _ in range(depth - 1):
+        flat = [flat[i : i + n] for i in range(0, len(flat), n)]
+    return flat
 
 
 def poly_mixed_hessian_exact(F: ChartPotential, u, v) -> list[list[Q]]:
@@ -345,7 +400,14 @@ def _fd1(fn, point, axis: int, h: float) -> float:
         q[axis] += offset
         return fn(tuple(q))
 
-    return (at(-2 * step) - 8 * at(-step) + 8 * at(step) - at(2 * step)) / (12 * step)
+    return _stencil(at(-2 * step), at(-step), at(step), at(2 * step), 12 * step)
+
+
+def _stencil(m2, m1, p1, p2, denom: float):
+    """(f(-2h) - 8 f(-h) + 8 f(h) - f(2h)) / 12h, entry by entry on nested lists."""
+    if isinstance(m2, list):
+        return [_stencil(*entries, denom) for entries in zip(m2, m1, p1, p2)]
+    return (m2 - 8 * m1 + 8 * p1 - p2) / denom
 
 
 def fd_partial(fn, point, axes, h: float) -> float:
@@ -366,7 +428,7 @@ FD_STEP_OUTER = 1e-2
 
 @dataclass
 class MetricSample:
-    """Metric data at one chart point.
+    """Metric data at one chart point, as lists of rows of floats.
 
     ``g`` is the adapted mixed Hessian block d^2 F / dz_plus^a dz_minus^b;
     the para-Hermitian components are g_{a bbar} = e_+ g[a][b] + e_- g[b][a].
@@ -375,45 +437,114 @@ class MetricSample:
     """
 
     point: tuple[float, ...]
-    g: np.ndarray
-    logdet_hessian: np.ndarray
+    g: list[list[float]]
+    logdet_hessian: list[list[float]]
 
 
-def metric_matrix(F: ChartPotential, point) -> np.ndarray:
-    """The n x n adapted metric block at a point (floats)."""
+def metric_matrix(F: ChartPotential, point) -> list[list[float]]:
+    """The n x n adapted metric block at a point, as a list of rows of floats."""
     return F.derivatives.at(point, 1)[0]
 
 
-def _inverse(g: np.ndarray, point) -> np.ndarray:
-    if abs(float(np.linalg.det(g))) < 1e-12:
+def _gauss_jordan(m) -> tuple[list[list[float]] | None, float]:
+    """(inverse, determinant) of a square float matrix, by Gauss-Jordan
+    elimination with partial pivoting.  A zero pivot column gives (None, 0.0).
+    """
+    n = len(m)
+    rows = [[*row, *[0.0] * n] for row in m]
+    for i in range(n):
+        rows[i][n + i] = 1.0
+    det = 1.0
+    for c in range(n):
+        r = c
+        for i in range(c + 1, n):
+            if abs(rows[i][c]) > abs(rows[r][c]):
+                r = i
+        pivot = rows[r][c]
+        if pivot == 0:
+            return None, 0.0
+        if r != c:
+            rows[c], rows[r] = rows[r], rows[c]
+            det = -det
+        det *= pivot
+        rows[c] = row = [x / pivot for x in rows[c]]
+        for i in range(n):
+            f = rows[i][c]
+            if i != c and f:
+                rows[i] = [x - f * y for x, y in zip(rows[i], row)]
+    return [row[n:] for row in rows], det
+
+
+def _inverse(g, point) -> tuple[list[list[float]], float]:
+    """(g^-1, det g); a metric with |det g| < 1e-12 is singular."""
+    inverse, det = _gauss_jordan(g)
+    if abs(det) < 1e-12:
         raise SingularPointError(f"metric is singular at {point}")
-    return np.linalg.inv(g)
+    return inverse, det
+
+
+def _dot(x, y) -> float:
+    return sum(map(mul, x, y))
+
+
+@functools.cache
+def _contraction_plan(n: int) -> tuple[list, list, list]:
+    """Index gathers for the log-det Hessian at chart dimension n.
+
+    In the flat table values, M_t = d_ut g for t < n and d_v(t-n) g for
+    t >= n, and M_t[k][j] sits at n^2 + t n^2 + k n + j.  ``rows[k]`` reads
+    row k of every M_t.  With ab = the rows of g^-1 [M_0 | ... | M_2n-1] laid
+    end to end, ``left[c]`` reads g^-1 d_uc g row-major and ``right[d]``
+    reads g^-1 d_vd g transposed.
+    """
+    n2, span, ns = n * n, 2 * n * n, range(n)
+    rows = [_getter([n2 + t * n2 + k * n + j for t in range(2 * n) for j in ns]) for k in ns]
+    left = [_getter([i * span + c * n + j for i in ns for j in ns]) for c in ns]
+    right = [_getter([j * span + (n + d) * n + i for i in ns for j in ns]) for d in ns]
+    return rows, left, right
 
 
 def metric_from_potential(F: ChartPotential, point) -> MetricSample:
     """Metric block and log-det Hessian at an admissible point.
 
-    d_ua d_vb log|det g| = tr(g^-1 d_ua d_vb g) - tr(g^-1 d_ua g g^-1 d_vb g).
+    d_ua d_vb log|det g| = tr(g^-1 d_ua d_vb g) - tr(g^-1 d_ua g g^-1 d_vb g),
+    each trace a flat dot product: tr(A B) = sum_ij A[i][j] B[j][i].  The
+    products with g^-1 are formed a row at a time, row i being
+    sum_k (g^-1)[i][k] (row k of every block).
     """
-    point = tuple(float(c) for c in point)
-    g, gu, gv, guv = F.derivatives.at(point)
-    ginv = _inverse(g, point)
-    ldh = np.einsum("ij,cdji->cd", ginv, guv)
-    ldh -= np.einsum("cij,dji->cd", ginv @ gu, ginv @ gv)
+    point = tuple(map(float, point))
+    table = F.derivatives
+    n, n2, gv_end = table.n, table.n**2, table.ends[2]
+    vals = table.values(point)
+    g = [vals[i : i + n] for i in range(0, n2, n)]
+    ginv, _ = _inverse(g, point)
+    rows, left, right = _contraction_plan(n)
+    blocks = [row(vals) for row in rows]
+    ab = []
+    for weights in ginv:  # sum_k weights[k] * blocks[k], lazily, in k order
+        combination = map(mul, itertools.repeat(weights[0]), blocks[0])
+        for w, block in zip(weights[1:], blocks[1:]):
+            combination = map(add, combination, map(mul, itertools.repeat(w), block))
+        ab.extend(combination)
+    lefts, rights = [gather(ab) for gather in left], [gather(ab) for gather in right]
+    ginv_t = [x for column in zip(*ginv) for x in column]
+    trace = [_dot(vals[i : i + n2], ginv_t) for i in range(gv_end, len(vals), n2)]
+    ldh = [[trace[c * n + d] - _dot(lefts[c], rights[d]) for d in range(n)] for c in range(n)]
     return MetricSample(point=point, g=g, logdet_hessian=ldh)
 
 
-def christoffel(F: ChartPotential, point) -> np.ndarray:
+def christoffel(F: ChartPotential, point) -> list[list[list[float]]]:
     """Christoffel block G[a][b][c], symmetric in (b, c); mixed blocks vanish."""
-    point = tuple(float(c) for c in point)
+    point = tuple(map(float, point))
     g, gu = F.derivatives.at(point, 2)
-    # gu[b, c, m] = d^3 f / du^b du^c dv^m; G[a,b,c] = sum_m (g^-1)[m,a] gu[b,c,m]
-    return np.einsum("ma,bcm->abc", _inverse(g, point), gu)
+    # gu[b][c][m] = d^3 f / du^b du^c dv^m; G[a][b][c] = sum_m (g^-1)[m][a] gu[b][c][m]
+    columns = list(zip(*_inverse(g, point)[0]))
+    return [[[_dot(column, row) for row in block] for block in gu] for column in columns]
 
 
-def ricci(F: ChartPotential, point) -> np.ndarray:
+def ricci(F: ChartPotential, point) -> list[list[float]]:
     """Ricci block ric[a][b] = -d^2 log|det g| / du^a dv^b."""
-    return -metric_from_potential(F, point).logdet_hessian
+    return [[-x for x in row] for row in metric_from_potential(F, point).logdet_hessian]
 
 
 def einstein_residual(F: ChartPotential, lam: float, points, locate: bool = False):
@@ -425,8 +556,12 @@ def einstein_residual(F: ChartPotential, lam: float, points, locate: bool = Fals
     defects = []
     for p in points:
         sample = metric_from_potential(F, p)
-        defect = np.max(np.abs(-sample.logdet_hessian - lam * sample.g))
-        defects.append((float(defect), sample.point))
+        defect = max(
+            abs(-h - lam * x)
+            for hrow, grow in zip(sample.logdet_hessian, sample.g)
+            for h, x in zip(hrow, grow)
+        )
+        defects.append((defect, sample.point))
     worst = max(defects, key=lambda d: d[0], default=(0.0, None))
     return worst if locate else worst[0]
 
@@ -434,26 +569,26 @@ def einstein_residual(F: ChartPotential, lam: float, points, locate: bool = Fals
 def fit_lambda(F: ChartPotential, point) -> float:
     """Least-squares fit of ric = lambda * g at one point."""
     sample = metric_from_potential(F, point)
-    ric = -sample.logdet_hessian
-    g = sample.g
-    denom = float(np.sum(g * g))
+    g = [x for row in sample.g for x in row]
+    denom = _dot(g, g)
     if denom == 0:
         raise SingularPointError("cannot fit lambda against a zero metric")
-    return float(np.sum(ric * g) / denom)
+    return -_dot([x for row in sample.logdet_hessian for x in row], g) / denom
 
 
 def determinant_identity_residual(F: ChartPotential, point, axis: int = 0) -> float:
     """|d det(g)/du_axis - det(g) tr(g^-1 dg/du_axis)|, by finite differences."""
-    point = tuple(float(c) for c in point)
+    point = tuple(map(float, point))
 
     def detf(q) -> float:
-        return float(np.linalg.det(metric_matrix(F, q)))
+        return _gauss_jordan(metric_matrix(F, q))[1]
 
     lhs = fd_partial(detf, point, (axis,), FD_STEP_OUTER)
     m = metric_matrix(F, point)
     # The stencil is elementwise, so it differentiates the whole block at once.
     dm = fd_partial(lambda q: metric_matrix(F, q), point, (axis,), FD_STEP_OUTER)
-    rhs = float(np.linalg.det(m)) * float(np.trace(np.linalg.inv(m) @ dm))
+    inverse, det = _inverse(m, point)
+    rhs = det * _dot([x for row in inverse for x in row], [x for col in zip(*dm) for x in col])
     return abs(lhs - rhs)
 
 

@@ -17,6 +17,7 @@ is symmetric again, so the pivot index is dropped and its sign counted.
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction as Q
 
 Row = dict[int, Q]
@@ -133,15 +134,38 @@ def symmetric_signature(a) -> tuple[int, int]:
     vanishes, an entry b at (i, j) is a hyperbolic block [[0, b], [b, 0]]:
     clearing column i with row j and column j with row i drops both indices,
     and the block counts once each way.  The matrix must be nondegenerate.
+
+    The pivot is the shortest row, ties to the lowest index, among the
+    rows with a diagonal entry if any, else among all remaining rows: the
+    least key (no diagonal, length, index).  A heap holds the keys; one that
+    no longer matches its row, or whose row is used, is stale and skipped.
+    By symmetry the rows with an entry in column c are the columns of row c,
+    so each step visits only those rows.
     """
     rows = _rows(a)
     alive = set(range(len(rows)))
+
+    def key(t: int) -> tuple[bool, int, int]:
+        return t not in rows[t], len(rows[t]), t
+
+    heap = [key(t) for t in alive]
+    heapq.heapify(heap)
+
+    def eliminate(pivot: int, col: int) -> None:
+        targets = list(rows[col])
+        _eliminate(rows, targets, pivot, col)
+        for t in targets:
+            if t != pivot:
+                heapq.heappush(heap, key(t))
+
     pos = neg = 0
     while alive:
-        diagonal = [t for t in alive if t in rows[t]]
-        i = min(diagonal or alive, key=lambda t: (len(rows[t]), t))
-        if diagonal:
-            _eliminate(rows, alive, i, i)
+        entry = heapq.heappop(heap)
+        i = entry[-1]
+        if i not in alive or entry != key(i):
+            continue
+        if i in rows[i]:
+            eliminate(i, i)
             alive.remove(i)
             if rows[i][i] > 0:
                 pos += 1
@@ -151,8 +175,8 @@ def symmetric_signature(a) -> tuple[int, int]:
         if not rows[i]:
             raise ZeroDivisionError("form is degenerate")
         j = min(rows[i])
-        _eliminate(rows, alive, j, i)
-        _eliminate(rows, alive, i, j)
+        eliminate(j, i)
+        eliminate(i, j)
         alive -= {i, j}
         pos += 1
         neg += 1

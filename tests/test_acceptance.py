@@ -291,5 +291,5 @@ def test_criterion_8_verification_scope():
     # (criteria 3-6, exact) plus numerically on charts (criterion 7); no
     # general Lie-theoretic curvature computation is attempted.
     sample = metric_from_potential(log_model_potential(1), (0.1, -0.1))
-    assert sample.g.shape == (1, 1)
+    assert np.shape(sample.g) == (1, 1)
     _report(8, 0.0, "scope: structural suite + chart-level numerics")

@@ -414,3 +414,22 @@ def test_usage_output_is_pinned(capsys, monkeypatch, argv):
     full = cli.build_parser
     monkeypatch.setattr(cli, "build_parser", lambda *args: full())
     assert got == _usage(capsys, monkeypatch, argv)
+
+
+def test_reports_do_not_import_numpy():
+    # numpy is only a test dependency: importing the package and running a
+    # report must not load it (a fresh interpreter, so nothing is cached).
+    import parakahler
+
+    code = (
+        "import sys\n"
+        "import parakahler\n"
+        "import parakahler.cli as cli\n"
+        "cli.main(['roots', 'A', '2', '--json'])\n"
+        "sys.exit('numpy' in sys.modules)\n"
+    )
+    src = str(Path(parakahler.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["command"] == "roots"

@@ -1,3 +1,5 @@
+import random
+import sys
 from fractions import Fraction as Q
 
 import numpy as np
@@ -9,6 +11,8 @@ from parakahler.errors import DomainError, NullConeError, SingularPointError
 from parakahler.paracomplex import (
     E,
     ParaComplex,
+    _gauss_jordan,
+    _inverse,
     admissible,
     christoffel,
     determinant_identity_residual,
@@ -105,14 +109,14 @@ def test_flat_metric_is_identity():
 def test_log_model_metric_at_origin():
     logm = log_model_potential(1)
     sample = metric_from_potential(logm, (0.0, 0.0))
-    assert abs(sample.g[0, 0] - 1.0) < 1e-9
+    assert abs(sample.g[0][0] - 1.0) < 1e-9
 
 
 def test_log_model_metric_closed_form():
     # M = (1 + uv)^-2 from differentiating log(1 + uv) twice.
     logm = log_model_potential(1)
     for u, v in [(0.1, 0.2), (-0.25, 0.3), (0.0, -0.2)]:
-        m = metric_matrix(logm, (u, v))[0, 0]
+        m = metric_matrix(logm, (u, v))[0][0]
         assert abs(m - (1 + u * v) ** -2) < 1e-9
 
 
@@ -130,7 +134,7 @@ def test_metric_closure_relations():
 
     def entry(a, b):
         def f(q):
-            return float(metric_matrix(F, q)[a, b])
+            return float(metric_matrix(F, q)[a][b])
 
         return f
 
@@ -220,9 +224,9 @@ def test_flat_christoffel_vanishes():
 
 def test_log_model_christoffel_closed_form():
     logm = log_model_potential(1)
-    assert abs(christoffel(logm, (0.0, 0.0))[0, 0, 0]) < 1e-8
+    assert abs(christoffel(logm, (0.0, 0.0))[0][0][0]) < 1e-8
     for u, v in [(0.1, 0.0), (0.25, -0.2), (-0.3, 0.15)]:
-        got = christoffel(logm, (u, v))[0, 0, 0]
+        got = christoffel(logm, (u, v))[0][0][0]
         want = -2 * v / (1 + u * v)
         assert abs(got - want) < 1e-7
 
@@ -239,7 +243,7 @@ def test_christoffel_symmetry():
     )
     gamma = christoffel(F, (0.2, -0.1, 0.3, 0.1))
     for a in range(2):
-        assert np.allclose(gamma[a], gamma[a].T, atol=1e-8)
+        assert np.allclose(gamma[a], np.asarray(gamma[a]).T, atol=1e-8)
 
 
 def test_christoffel_against_full_levi_civita():
@@ -255,7 +259,7 @@ def test_christoffel_against_full_levi_civita():
         n = 1
         g = np.zeros((2 * n, 2 * n))
         g[:n, n:] = m
-        g[n:, :n] = m.T
+        g[n:, :n] = np.asarray(m).T
         return g
 
     def entry(i, j):
@@ -278,7 +282,7 @@ def test_christoffel_against_full_levi_civita():
     shortcut = christoffel(logm, point)
     # Pure u-block agrees; every symbol with a v index among (k=u; i,j) or
     # the conjugate block structure vanishes.
-    assert abs(gamma_full[0, 0, 0] - shortcut[0, 0, 0]) < 1e-6
+    assert abs(gamma_full[0, 0, 0] - shortcut[0][0][0]) < 1e-6
     assert abs(gamma_full[1, 0, 0]) < 1e-6  # Gamma^{v}_{uu} = 0
     assert abs(gamma_full[0, 0, 1]) < 1e-6  # Gamma^{u}_{uv} = 0
     assert abs(gamma_full[0, 1, 1]) < 1e-6  # Gamma^{u}_{vv} = 0
@@ -290,11 +294,11 @@ def test_ricci_against_christoffel_contraction():
     point = (0.1, 0.2)
 
     def gamma_trace(q):
-        return float(christoffel(logm, q)[0, 0, 0])
+        return float(christoffel(logm, q)[0][0][0])
 
     # Coarse outer step: gamma_trace carries its own stencil noise.
     via_contraction = -fd_partial(gamma_trace, point, (1,), 1e-2)
-    via_logdet = float(ricci(logm, point)[0, 0])
+    via_logdet = float(ricci(logm, point)[0][0])
     assert abs(via_contraction - via_logdet) < 1e-4
 
 
@@ -304,14 +308,14 @@ def test_log_model_is_einstein_with_lambda_two():
     logm = log_model_potential(1)
     for point in [(0.0, 0.0), (0.2, -0.1), (-0.3, 0.25)]:
         sample = metric_from_potential(logm, point)
-        ric = -sample.logdet_hessian
-        assert np.max(np.abs(ric - 2.0 * sample.g)) < 1e-5
+        ric = -np.asarray(sample.logdet_hessian)
+        assert np.max(np.abs(ric - 2.0 * np.asarray(sample.g))) < 1e-5
 
 
 def test_ricci_is_negative_logdet_hessian():
     logm = log_model_potential(1)
     sample = metric_from_potential(logm, (0.1, 0.2))
-    assert np.allclose(ricci(logm, (0.1, 0.2)), -sample.logdet_hessian, atol=1e-6)
+    assert np.allclose(ricci(logm, (0.1, 0.2)), -np.asarray(sample.logdet_hessian), atol=1e-6)
 
 
 def test_einstein_residual_flat_cases():
@@ -466,9 +470,9 @@ def test_exact_table_matches_nested_finite_differences():
         sample = metric_from_potential(logm, point)
         for a in range(2):
             for b in range(2):
-                assert abs(sample.g[a, b] - fd_partial(f, point, (a, 2 + b), 1e-3)) < 1e-9
+                assert abs(sample.g[a][b] - fd_partial(f, point, (a, 2 + b), 1e-3)) < 1e-9
                 fd = fd_partial(logdet, point, (a, 2 + b), 1e-2)
-                assert abs(sample.logdet_hessian[a, b] - fd) < 1e-7
+                assert abs(sample.logdet_hessian[a][b] - fd) < 1e-7
 
 
 @pytest.mark.parametrize("n,scale", [(1, 1), (2, 1), (1, -1)])
@@ -491,7 +495,7 @@ def test_log_model_christoffel_closed_form_n2():
             for b in range(2):
                 for c in range(2):
                     want = -((a == b) * v[c] + (a == c) * v[b]) / p
-                    assert abs(gamma[a, b, c] - want) < 1e-12
+                    assert abs(gamma[a][b][c] - want) < 1e-12
 
 
 def test_einstein_residual_locates_its_maximum():
@@ -500,7 +504,7 @@ def test_einstein_residual_locates_its_maximum():
     residual, where = einstein_residual(logm, 1.0, pts, locate=True)
     assert residual == einstein_residual(logm, 1.0, pts)
     sample = metric_from_potential(logm, where)
-    assert float(np.max(np.abs(-sample.logdet_hessian - sample.g))) == residual
+    assert float(np.max(np.abs(-np.asarray(sample.logdet_hessian) - sample.g))) == residual
     assert einstein_residual(logm, 1.0, [], locate=True) == (0.0, None)
 
 
@@ -520,3 +524,72 @@ def test_parse_potential_config_rejects_unknown_and_conflicting_keys(text, key, 
     with pytest.raises(ConfigError) as exc:
         parse_potential_config(text)
     assert f"line {line}:" in str(exc.value) and repr(key) in str(exc.value)
+
+
+# -- float kernel (numpy is the independent reference) --------------------------------
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_gauss_jordan_matches_numpy(n):
+    rng = random.Random(n)
+    for _ in range(5):
+        m = [[rng.uniform(-1, 1) + n * (i == j) for j in range(n)] for i in range(n)]
+        inverse, det = _gauss_jordan(m)
+        assert np.max(np.abs(np.asarray(inverse) - np.linalg.inv(m))) < 1e-12
+        assert abs(det - np.linalg.det(m)) < 1e-12 * abs(np.linalg.det(m))
+
+
+def test_gauss_jordan_swaps_rows_for_a_zero_leading_entry():
+    assert _gauss_jordan([[0.0, 1.0], [2.0, 3.0]]) == ([[-1.5, 0.5], [1.0, 0.0]], -2.0)
+    m = [[0.0, 2.0, 1.0], [1.0, 0.0, 3.0], [4.0, 1.0, 0.0]]
+    inverse, det = _gauss_jordan(m)
+    assert np.max(np.abs(np.asarray(inverse) - np.linalg.inv(m))) < 1e-12
+    assert abs(det - np.linalg.det(m)) < 1e-12
+
+
+def test_singular_metric_raises():
+    assert _gauss_jordan([[1.0, 2.0], [2.0, 4.0]]) == (None, 0.0)
+    with pytest.raises(SingularPointError):
+        _inverse([[1.0, 2.0], [2.0, 4.0]], (0.0,) * 4)
+    with pytest.raises(SingularPointError):
+        _inverse([[1e-7, 0.0], [0.0, 1e-7]], (0.0,) * 4)  # |det| below 1e-12
+
+
+def test_log_model_table_is_sparse():
+    # The n = 8 table: 7,361 nonzero triplets, the 9 terms of P included,
+    # instead of a dense 5,185 x 2,027 coefficient matrix.
+    F = log_model_potential(8)
+    table = F.derivatives
+    assert len(table.triplets) == 7361
+    assert all(c != 0 for _, _, c in table.triplets)
+    assert len([t for t in table.triplets if t[0] == len(table.exact)]) == len(F.p) == 9
+    assert len(table.monomials) == 2027
+    entries = {id(x): x for triplet in table.triplets for x in triplet}.values()
+    stored = sys.getsizeof(table.triplets) + sum(map(sys.getsizeof, table.triplets))
+    assert stored + sum(map(sys.getsizeof, entries)) < 1_000_000
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_table_metric_matches_exact_hessian(n):
+    # At rational points the float table and the exact Fraction evaluation agree.
+    first = tuple(int(i == 0) for i in range(n))
+    last2 = tuple(2 * (i == n - 1) for i in range(n))
+    flat = [(a, b, c) for (a, b), c in flat_potential(n).q.items()]
+    cross = [(first, last2, Q(1, 3)), (last2, first, Q(1, 3))]
+    rng = random.Random(n)
+    for F in (log_model_potential(n, Q(3, 2)), polynomial_potential(n, flat + cross)):
+        for _ in range(4):
+            point = [Q(rng.randint(-3, 3), rng.randint(4, 9)) for _ in range(2 * n)]
+            exact = poly_mixed_hessian_exact(F, point[:n], point[n:])
+            got = F.derivatives.at([float(x) for x in point], 1)[0]
+            for a in range(n):
+                for b in range(n):
+                    assert abs(got[a][b] - float(exact[a][b])) < 1e-12
+
+
+def test_fewer_blocks_are_a_prefix():
+    F = log_model_potential(2)
+    point = (0.1, -0.2, 0.25, 0.05)
+    full = F.derivatives.at(point)
+    for blocks in range(1, 4):
+        assert F.derivatives.at(point, blocks) == full[:blocks]
