@@ -22,12 +22,13 @@ A ``ChartPotential`` is the data (c, P, Q) of f = c log P + Q, P and Q
 polynomials (log model: c = scale, P = 1 + sum u_k v_k, Q = 0; polynomial:
 c = 0, P = 1).  ``DerivativeTable`` differentiates f exactly, once, stores
 the result as sparse (row, column, coefficient) triplets and evaluates them
-in plain Python floats; metric samples, Christoffel and Ricci blocks are
-lists of rows, and one Gauss-Jordan helper with partial pivoting gives the
-inverses and determinants.  Sums run in a fixed order of their own, so the
-floats may differ from a BLAS/LAPACK evaluation in the last bits.
-``split_value``, ``fd_partial`` (5-point stencils) and ``mixed_partial_pc``
-stay off that path as independent oracles.
+in plain Python floats into one flat list, which every consumer slices;
+metric samples, Christoffel and Ricci arrays are lists of rows, and one
+Gauss-Jordan helper with partial pivoting gives the inverses and
+determinants.  Sums run in a fixed order of their own, so the floats may
+differ from a BLAS/LAPACK evaluation in the last bits.  ``split_value``,
+``fd_partial`` (5-point stencils) and ``mixed_partial_pc`` stay off that
+path as independent oracles.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ import functools
 import itertools
 import math
 import re
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from operator import add, itemgetter, mul
@@ -154,12 +154,10 @@ class ChartPotential:
             value = value + float(self.c) * math.log(arg)
         return value
 
-    @property
+    @functools.cached_property
     def derivatives(self) -> DerivativeTable:
         """The exact derivative table of f, built on first use and kept."""
-        if "_derivatives" not in self.__dict__:
-            object.__setattr__(self, "_derivatives", DerivativeTable(self))
-        return self.__dict__["_derivatives"]
+        return DerivativeTable(self)
 
 
 def flat_potential(n: int) -> ChartPotential:
@@ -246,9 +244,8 @@ class DerivativeTable:
     (c, d, a, b), as quotient tables with rational coefficients (int where
     integral).  ``triplets`` holds the same rows, and last the row of P, as
     sparse (row, column, float coefficient) entries; column m stands for the
-    monomial u^a v^b / P^k of ``monomials[m]``.  Columns are ordered by the
-    first block that reads them, so a call for fewer blocks evaluates a
-    prefix of them.
+    monomial u^a v^b / P^k of ``monomials[m]``.  ``values`` is the one
+    reader: every row at a float point, in one flat list.
     """
 
     def __init__(self, F: ChartPotential) -> None:
@@ -262,15 +259,9 @@ class DerivativeTable:
         gu = [self._diff(gab, c, "u") for c in range(n) for gab in g]
         gv = [self._diff(gab, d, "v") for d in range(n) for gab in g]
         self.exact = g + gu + gv + [self._diff(x, c, "u") for c in range(n) for x in gv]
-        self.ends = list(itertools.accumulate([n**2, n**3, n**3, n**4]))
 
         rows = [*self.exact, {(*key, 0): c for key, c in self.p.items()}]  # last: P
-        block = {}  # monomial -> first block that reads it (P counts as block 0)
-        for r, table in enumerate(rows):
-            b = bisect_right(self.ends, r) % 4
-            for key in table:
-                block[key] = min(block.get(key, b), b)
-        self.monomials = sorted(block, key=lambda m: (block[m], m))
+        self.monomials = sorted({key for table in rows for key in table})
         col = {m: i for i, m in enumerate(self.monomials)}
         floats: dict[float, float] = {}  # one float object per distinct coefficient
         try:
@@ -284,8 +275,7 @@ class DerivativeTable:
 
         # A point's power list is 1.0, then x_i^1..x_i^top_i for each
         # coordinate i, then P^-1..P^-kmax; monomial m multiplies the entries
-        # _gather[m] picks from it.  Block b reads the first _cols[b]
-        # monomials and the first _rows[b] triplets.
+        # _gather[m] picks from it.
         self._top = [max((a + b)[i] for a, b, _ in self.monomials) for i in range(2 * n)]
         start = list(itertools.accumulate(self._top, initial=0))
         self._gather = [
@@ -293,9 +283,8 @@ class DerivativeTable:
             for a, b, k in self.monomials
         ]
         self._kmax = max(k for _, _, k in self.monomials)
-        self._cols = [bisect_right([block[m] for m in self.monomials], b) for b in range(4)]
-        self._rows = [bisect_right(self.triplets, (e,)) for e in self.ends]  # rows ascend
-        self._p_terms = [(c, self._gather[m]) for _, m, c in self.triplets[self._rows[-1] :]]
+        self._end = len(self.triplets) - len(self.p)  # where the P row starts
+        self._p_terms = [(c, self._gather[m]) for _, m, c in self.triplets[self._end :]]
 
     def _diff(self, table: QuotientTable, axis: int, side: str) -> QuotientTable:
         """Quotient rule per term: d(N / P^k) = N' / P^k - k N P' / P^(k+1)."""
@@ -309,9 +298,9 @@ class DerivativeTable:
                 out[key] = out.get(key, 0) - k * coeff * c
         return {m: c if c.denominator > 1 else c.numerator for m, c in out.items() if c}
 
-    def values(self, point, blocks: int = 4) -> list[float]:
-        """The rows of the first ``blocks`` blocks at a float point, in one
-        flat list (each block flattened in index order)."""
+    def values(self, point) -> list[float]:
+        """Every row of ``exact`` at a float point, in one flat list: g at 0,
+        d_u g at n^2, d_v g at n^2 + n^3 and d_u d_v g at n^2 + 2 n^3."""
         if len(point) != 2 * self.n:
             raise DomainError("point length must be twice the chart dimension")
         powers = [1.0]
@@ -321,22 +310,11 @@ class DerivativeTable:
         if p <= 0:
             raise SingularPointError(f"log argument {p} is not positive")
         powers.extend(p**-k for k in range(1, self._kmax + 1))
-        gathers = itertools.islice(self._gather, self._cols[blocks - 1])
-        mono = [math.prod(gather(powers)) for gather in gathers]
-        vals = [0.0] * self.ends[blocks - 1]
-        for r, m, c in itertools.islice(self.triplets, self._rows[blocks - 1]):
+        mono = [math.prod(gather(powers)) for gather in self._gather]
+        vals = [0.0] * len(self.exact)
+        for r, m, c in itertools.islice(self.triplets, self._end):
             vals[r] += c * mono[m]
         return vals
-
-    def at(self, point, blocks: int = 4) -> list[list]:
-        """The first ``blocks`` of g[a][b], d_u g[c][a][b], d_v g[d][a][b] and
-        d_u d_v g[c][d][a][b] at a float point, as nested lists of rows."""
-        vals = self.values(point, blocks)
-        starts = [0, *self.ends]
-        return [
-            _nest(vals[starts[i] : starts[i + 1]], self.n, depth)
-            for i, depth in enumerate((2, 3, 3, 4)[:blocks])
-        ]
 
 
 def _getter(indices: list[int]):
@@ -344,13 +322,6 @@ def _getter(indices: list[int]):
     if len(indices) > 1:
         return itemgetter(*indices)
     return lambda seq: tuple(seq[i] for i in indices)
-
-
-def _nest(flat: list, n: int, depth: int) -> list:
-    """A flat row-major list of n**depth entries as lists of n, depth deep."""
-    for _ in range(depth - 1):
-        flat = [flat[i : i + n] for i in range(0, len(flat), n)]
-    return flat
 
 
 def poly_mixed_hessian_exact(F: ChartPotential, u, v) -> list[list[Q]]:
@@ -370,7 +341,7 @@ def mixed_partial_pc(F: ChartPotential, a_idx: int, b_idx: int, z) -> ParaComple
     """
     zs = [*z, *(w.conj() for w in z)]
 
-    def at(table: PolyTable, *sides: str) -> ParaComplex:
+    def evaluate(table: PolyTable, *sides: str) -> ParaComplex:
         for side in sides:  # "u" differentiates along z^a_idx, "v" along zbar^b_idx
             table = _poly_diff(table, a_idx if side == "u" else b_idx, side)
         total = ParaComplex(0, 0)
@@ -382,10 +353,10 @@ def mixed_partial_pc(F: ChartPotential, a_idx: int, b_idx: int, z) -> ParaComple
             total = total + term
         return total
 
-    value = at(F.q, "u", "v")
+    value = evaluate(F.q, "u", "v")
     if F.c:
-        p, pa, pb = at(F.p), at(F.p, "u"), at(F.p, "v")
-        value = value + ParaComplex(F.c, F.c * 0) * (p * at(F.p, "u", "v") - pa * pb) / (p * p)
+        p, pa, pb, pab = (evaluate(F.p, *sides) for sides in ("", "u", "v", "uv"))
+        value = value + ParaComplex(F.c, F.c * 0) * (p * pab - pa * pb) / (p * p)
     return value
 
 
@@ -395,12 +366,12 @@ def mixed_partial_pc(F: ChartPotential, a_idx: int, b_idx: int, z) -> ParaComple
 def _fd1(fn, point, axis: int, h: float) -> float:
     step = h * max(1.0, abs(point[axis]))
 
-    def at(offset: float) -> float:
+    def shifted(offset: float) -> float:
         q = list(point)
         q[axis] += offset
         return fn(tuple(q))
 
-    return _stencil(at(-2 * step), at(-step), at(step), at(2 * step), 12 * step)
+    return _stencil(*(shifted(k * step) for k in (-2, -1, 1, 2)), 12 * step)
 
 
 def _stencil(m2, m1, p1, p2, denom: float):
@@ -443,7 +414,8 @@ class MetricSample:
 
 def metric_matrix(F: ChartPotential, point) -> list[list[float]]:
     """The n x n adapted metric block at a point, as a list of rows of floats."""
-    return F.derivatives.at(point, 1)[0]
+    n, vals = F.n, F.derivatives.values(point)
+    return [vals[i : i + n] for i in range(0, n * n, n)]
 
 
 def _gauss_jordan(m) -> tuple[list[list[float]] | None, float]:
@@ -514,32 +486,36 @@ def metric_from_potential(F: ChartPotential, point) -> MetricSample:
     """
     point = tuple(map(float, point))
     table = F.derivatives
-    n, n2, gv_end = table.n, table.n**2, table.ends[2]
+    n, n2 = table.n, table.n**2
     vals = table.values(point)
     g = [vals[i : i + n] for i in range(0, n2, n)]
     ginv, _ = _inverse(g, point)
     rows, left, right = _contraction_plan(n)
-    blocks = [row(vals) for row in rows]
+    stacked = [row(vals) for row in rows]
     ab = []
-    for weights in ginv:  # sum_k weights[k] * blocks[k], lazily, in k order
-        combination = map(mul, itertools.repeat(weights[0]), blocks[0])
-        for w, block in zip(weights[1:], blocks[1:]):
-            combination = map(add, combination, map(mul, itertools.repeat(w), block))
+    for weights in ginv:  # sum_k weights[k] * stacked[k], lazily, in k order
+        combination = map(mul, itertools.repeat(weights[0]), stacked[0])
+        for w, row in zip(weights[1:], stacked[1:]):
+            combination = map(add, combination, map(mul, itertools.repeat(w), row))
         ab.extend(combination)
     lefts, rights = [gather(ab) for gather in left], [gather(ab) for gather in right]
     ginv_t = [x for column in zip(*ginv) for x in column]
-    trace = [_dot(vals[i : i + n2], ginv_t) for i in range(gv_end, len(vals), n2)]
+    trace = [_dot(vals[i : i + n2], ginv_t) for i in range(n2 + 2 * n**3, len(vals), n2)]
     ldh = [[trace[c * n + d] - _dot(lefts[c], rights[d]) for d in range(n)] for c in range(n)]
     return MetricSample(point=point, g=g, logdet_hessian=ldh)
 
 
 def christoffel(F: ChartPotential, point) -> list[list[list[float]]]:
-    """Christoffel block G[a][b][c], symmetric in (b, c); mixed blocks vanish."""
+    """Christoffel block G[a][b][c], symmetric in (b, c); mixed components vanish."""
     point = tuple(map(float, point))
-    g, gu = F.derivatives.at(point, 2)
-    # gu[b][c][m] = d^3 f / du^b du^c dv^m; G[a][b][c] = sum_m (g^-1)[m][a] gu[b][c][m]
-    columns = list(zip(*_inverse(g, point)[0]))
-    return [[[_dot(column, row) for row in block] for block in gu] for column in columns]
+    n, vals = F.n, F.derivatives.values(point)
+    rows = [vals[i : i + n] for i in range(0, n * n + n**3, n)]
+    # rows[n + b n + c][m] = d^3 f / du^b du^c dv^m, the d_u g block, and
+    # G[a][b][c] = sum_m (g^-1)[m][a] rows[n + b n + c][m].
+    columns = list(zip(*_inverse(rows[:n], point)[0]))
+    return [
+        [[_dot(col, rows[n + b * n + c]) for c in range(n)] for b in range(n)] for col in columns
+    ]
 
 
 def ricci(F: ChartPotential, point) -> list[list[float]]:
@@ -580,14 +556,13 @@ def determinant_identity_residual(F: ChartPotential, point, axis: int = 0) -> fl
     """|d det(g)/du_axis - det(g) tr(g^-1 dg/du_axis)|, by finite differences."""
     point = tuple(map(float, point))
 
-    def detf(q) -> float:
-        return _gauss_jordan(metric_matrix(F, q))[1]
+    def det_and_metric(q) -> list:
+        m = metric_matrix(F, q)
+        return [_gauss_jordan(m)[1], m]
 
-    lhs = fd_partial(detf, point, (axis,), FD_STEP_OUTER)
-    m = metric_matrix(F, point)
-    # The stencil is elementwise, so it differentiates the whole block at once.
-    dm = fd_partial(lambda q: metric_matrix(F, q), point, (axis,), FD_STEP_OUTER)
-    inverse, det = _inverse(m, point)
+    # The stencil is elementwise, so one stencil differentiates det g and g.
+    lhs, dm = fd_partial(det_and_metric, point, (axis,), FD_STEP_OUTER)
+    inverse, det = _inverse(metric_matrix(F, point), point)
     rhs = det * _dot([x for row in inverse for x in row], [x for col in zip(*dm) for x in col])
     return abs(lhs - rhs)
 

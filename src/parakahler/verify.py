@@ -346,12 +346,12 @@ def check_killing_dual(L: LieAlgebraData, g: Gradation) -> dict:
 
 
 @_certified
-def check_einstein(L: LieAlgebraData, g: Gradation, lam=Q(1)) -> dict:
+def check_einstein(L: LieAlgebraData, g: Gradation) -> dict:
     """Symmetry, K-skewness, weight sparsity, ad_{g_0}-invariance, signature.
 
     The first three run over the entries the metric's dict rows store.
     """
-    es = einstein_structure(g, L, lam)
+    es = einstein_structure(g, L, 1)
     roots = g.nonzero_roots()
     index = [L.index_of_root(r) for r in roots]
     metric: list[dict[int, Q | int]] = [{} for _ in range(L.dim)]  # rows by basis index

@@ -84,19 +84,20 @@ def test_json_deterministic(capsys):
     assert payload["payload"]["psi"]["alpha_basis"] == "20a1+12a2"
 
 
-def test_json_deterministic_across_processes():
-    # Different hash seeds must not leak into the serialized report.
-    cmd = [
-        sys.executable, "-m", "parakahler.cli",
-        "koszul", "F", "4", "--cross", "1,3", "--json",
-    ]
-    outs = []
-    for seed in ("1", "33"):
-        env = {**os.environ, "PYTHONHASHSEED": seed}
-        proc = subprocess.run(cmd, capture_output=True, env=env)
-        assert proc.returncode == 0, proc.stderr
-        outs.append(proc.stdout)
-    assert outs[0] == outs[1] and outs[0]
+def test_json_deterministic_across_processes(tmp_path):
+    # Different hash seeds must not leak into the serialized report, on the
+    # Lie side or in the chart lab.
+    cfg = tmp_path / "log-n2.cfg"
+    cfg.write_text("n = 2\nkind = builtin\nbuiltin = log1p_zzbar\ngrid = 3\n")
+    for args in (["koszul", "F", "4", "--cross", "1,3"], ["potential", str(cfg)]):
+        cmd = [sys.executable, "-m", "parakahler.cli", *args, "--json"]
+        outs = []
+        for seed in ("1", "33"):
+            env = {**os.environ, "PYTHONHASHSEED": seed}
+            proc = subprocess.run(cmd, capture_output=True, env=env)
+            assert proc.returncode == 0, proc.stderr
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1] and outs[0]
 
 
 def test_gradations_table(capsys):

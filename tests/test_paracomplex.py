@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from parakahler.errors import DomainError, NullConeError, SingularPointError
 from parakahler.paracomplex import (
+    FD_STEP_OUTER,
     E,
+    DerivativeTable,
     ParaComplex,
     _gauss_jordan,
     _inverse,
@@ -581,15 +583,57 @@ def test_table_metric_matches_exact_hessian(n):
         for _ in range(4):
             point = [Q(rng.randint(-3, 3), rng.randint(4, 9)) for _ in range(2 * n)]
             exact = poly_mixed_hessian_exact(F, point[:n], point[n:])
-            got = F.derivatives.at([float(x) for x in point], 1)[0]
+            got = metric_matrix(F, [float(x) for x in point])
             for a in range(n):
                 for b in range(n):
                     assert abs(got[a][b] - float(exact[a][b])) < 1e-12
 
 
-def test_fewer_blocks_are_a_prefix():
-    F = log_model_potential(2)
-    point = (0.1, -0.2, 0.25, 0.05)
-    full = F.derivatives.at(point)
-    for blocks in range(1, 4):
-        assert F.derivatives.at(point, blocks) == full[:blocks]
+def _two_stencil_residual(F, point, axis):
+    # det g and g each through a stencil of their own.
+    def det_at(q):
+        return _gauss_jordan(metric_matrix(F, q))[1]
+
+    lhs = fd_partial(det_at, point, (axis,), FD_STEP_OUTER)
+    dm = fd_partial(lambda q: metric_matrix(F, q), point, (axis,), FD_STEP_OUTER)
+    inverse, det = _inverse(metric_matrix(F, point), point)
+    flat_inverse = [x for row in inverse for x in row]
+    rhs = det * sum(x * y for x, y in zip(flat_inverse, [x for col in zip(*dm) for x in col]))
+    return abs(lhs - rhs)
+
+
+def test_determinant_identity_shares_its_stencil_points(monkeypatch):
+    curved = [((1, 0), (1, 0), Q(1)), ((0, 1), (0, 1), Q(1)), ((2, 1), (2, 1), Q(1, 5)),
+               ((1, 0), (0, 1), Q(1, 4)), ((0, 1), (1, 0), Q(1, 4))]
+    cases = [
+        (log_model_potential(1), (0.1, -0.2)),
+        (log_model_potential(2), (0.1, -0.2, 0.25, 0.05)),
+        (polynomial_potential(2, curved), (0.3, -0.2, 0.15, 0.4)),
+    ]
+    calls = []
+    values = DerivativeTable.values
+    monkeypatch.setattr(
+        DerivativeTable, "values", lambda self, point: calls.append(point) or values(self, point)
+    )
+    for F, point in cases:
+        for axis in range(len(point)):
+            calls.clear()
+            got = determinant_identity_residual(F, point, axis)
+            assert len(calls) == 5  # four stencil points and the centre
+            assert got == _two_stencil_residual(F, point, axis)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_metric_and_christoffel_slice_the_flat_values(n):
+    F = log_model_potential(n)
+    point = tuple(0.2 * (-1) ** k / (k + 1) for k in range(2 * n))
+    vals = F.derivatives.values(point)
+    g = metric_matrix(F, point)
+    assert g == [[vals[a * n + b] for b in range(n)] for a in range(n)]
+    ginv = _inverse(g, point)[0]
+    gamma = christoffel(F, point)
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                third = [vals[n * n + (b * n + c) * n + m] for m in range(n)]
+                assert gamma[a][b][c] == sum(ginv[m][a] * third[m] for m in range(n))
