@@ -118,16 +118,15 @@ class LieAlgebraData:
         return self._cancelling[self.weights[i]]
 
     @cached_property
-    def zero_weight_triples(self) -> tuple[tuple[int, int, int], ...]:
-        """Sorted basis triples i < j < k with wt(i) + wt(j) + wt(k) = 0."""
+    def zero_weight_pairs(self) -> list[list[tuple[int, int]]]:
+        """``[z]``: the sorted pairs x <= y with wt(z) + wt(x) + wt(y) = 0."""
         wt, cancelling = self.weights, self._cancelling
-        return tuple(
-            (i, j, k)
-            for i in range(self.dim)
-            for j in range(i + 1, self.dim)
-            for k in cancelling.get(tuple(map(add, wt[i], wt[j])), ())
-            if k > j
-        )
+        pairs: list[list[tuple[int, int]]] = [[] for _ in range(self.dim)]
+        for x in range(self.dim):
+            for y in range(x, self.dim):
+                for z in cancelling.get(tuple(map(add, wt[x], wt[y])), ()):
+                    pairs[z].append((x, y))
+        return pairs
 
     @cached_property
     def grading_failure(self) -> str | None:

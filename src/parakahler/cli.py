@@ -152,8 +152,7 @@ def _parse_cross(text: str) -> CrossingSet:
 def _resolve_satake(name: str) -> SatakeDiagram:
     path = Path(name)
     if path.is_file():
-        diagram, _ = parse_diagram_config(path.read_text())
-        return diagram
+        return parse_diagram_config(path.read_text())
     return catalog_lookup(name)
 
 

@@ -118,19 +118,11 @@ def is_fundamental(g: Gradation) -> bool:
     parts, which holds for every crossing-set gradation; kept as a runtime
     check rather than an assumption.
     """
-    by_degree: dict[int, set[tuple[int, ...]]] = {}
-    for root, d in g.degrees.items():
-        by_degree.setdefault(d, set()).add(root.coeffs)
-    for root, d in g.degrees.items():
-        if d < 2:
-            continue
-        found = any(
-            (root - Root(one)).coeffs in by_degree.get(d - 1, ())
-            for one in by_degree.get(1, ())
-        )
-        if not found:
-            return False
-    return True
+    ones = [root for root, d in g.degrees.items() if d == 1]
+    return all(
+        any(g.degrees.get(root - one) == d - 1 for one in ones)
+        for root, d in g.degrees.items() if d >= 2
+    )
 
 
 def enumerate_crossings(rank: int) -> list[CrossingSet]:
@@ -243,27 +235,23 @@ def catalog_lookup(name: str) -> SatakeDiagram:
     if directory:
         for candidate in (Path(directory) / name, Path(directory) / f"{name}.satake"):
             if candidate.is_file():
-                diagram, _ = parse_diagram_config(candidate.read_text())
-                return diagram
+                return parse_diagram_config(candidate.read_text())
     try:
         return _CATALOG[name]
     except KeyError:
         raise DomainError(f"unknown Satake diagram {name!r}") from None
 
 
-def parse_diagram_config(text: str) -> tuple[SatakeDiagram, CrossingSet | None]:
+def parse_diagram_config(text: str) -> SatakeDiagram:
     """Parse line-oriented ``key = value`` diagram text.
 
-    Keys: ``type`` (family letter), ``rank``, ``black`` (node list),
-    ``arrows`` (pairs like ``1-6, 3-5``), ``crossed`` (node list; optional).
-    Node indices are 1-based.  Unknown keys are errors.
+    Keys: ``type`` (family letter), ``rank``, ``black`` (node list) and ``arrows``
+    (pairs like ``1-6, 3-5``); nodes are 1-based.  Unknown keys are errors.
     """
-    fields = Fields(text, ("type", "rank", "black", "arrows", "crossed"), required=("type", "rank"))
+    fields = Fields(text, ("type", "rank", "black", "arrows"), required=("type", "rank"))
     stype = SimpleType(fields.get("type").upper(), fields.get("rank", integer))
     arrows = fields.get("arrows", lambda value, where: nodes(value, where, pairs=True), ())
-    diagram = SatakeDiagram.make(stype, black=fields.get("black", nodes, ()), arrows=arrows)
-    crossed = fields.get("crossed", nodes)
-    return diagram, CrossingSet(frozenset(crossed)) if crossed else None
+    return SatakeDiagram.make(stype, black=fields.get("black", nodes, ()), arrows=arrows)
 
 
 def gradation_for_diagram(

@@ -25,6 +25,7 @@ from .chevalley import (
     AlgebraElement,
     BasisIndex,
     LieAlgebraData,
+    basis_element,
     cartan_element,
     check_support,
     is_cartan,
@@ -123,14 +124,18 @@ def koszul_trace(g: Gradation, L: LieAlgebraData, x: AlgebraElement) -> Q | int:
     return -trace
 
 
+def _coroot_expansion(rs: RootSystem, lh) -> TwoForm:
+    """The differential of the Cartan 1-form l with l(H_i) = lh[i], on each pair."""
+    n = {r: sum(c * x for c, x in zip(rs.coroot(r), lh) if c) for r in rs.positive_roots}
+    return TwoForm(rs, n)
+
+
 def two_form_from_weight(rs: RootSystem, xi: Weight) -> TwoForm:
     """Differential of a Cartan 1-form: n(xi, a) = sum_i H_a[i] xi(H_i) on each pair.
 
     Each xi(H_i) is computed once; ints when xi has int coordinates (psi does).
     """
-    p = weight_in_pi_basis(rs, xi)
-    n = {r: sum(c * x for c, x in zip(rs.coroot(r), p) if c) for r in rs.positive_roots}
-    return TwoForm(rs, n)
+    return _coroot_expansion(rs, weight_in_pi_basis(rs, xi))
 
 
 def kernel_of(f: TwoForm, g: Gradation) -> tuple[BasisIndex, ...]:
@@ -153,15 +158,13 @@ def omega_z(L: LieAlgebraData, z: AlgebraElement) -> TwoForm:
     """The pairing B(z, [X, Y]) for a Cartan element z, as a TwoForm.
 
     On the standard pairs this is B(z, H_a), the Killing-dual description of
-    the differential of the 1-form B(z, .).
+    the differential of the 1-form B(z, .).  It is linear in H_a, so B(z, H_i)
+    is evaluated once per simple coroot, as an int where it is integral.
     """
     if not is_cartan(L, z):
         raise DomainError("omega_z needs an element of the Cartan subalgebra")
-    coeffs = {}
-    for root in L.rs.positive_roots:
-        h = cartan_element(L, L.rs.coroot(root))
-        coeffs[root] = killing_form(L, z, h)
-    return TwoForm(L.rs, coeffs)
+    values = [killing_form(L, z, basis_element(L, i)) for i in range(L.rank)]
+    return _coroot_expansion(L.rs, [v.numerator if v.denominator == 1 else v for v in values])
 
 
 def killing_dual(L: LieAlgebraData, xi: Weight) -> AlgebraElement:

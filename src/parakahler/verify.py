@@ -13,10 +13,9 @@ vanishes unless the weights cancel (``check_einstein`` checks that of the
 metric), so they visit the triples with wt(i) + wt(j) + wt(k) = 0 only,
 once ``LieAlgebraData.grading_failure`` certifies that every bracket lands
 in weight wt(i) + wt(j); if it fails, they return ok: False with its
-location.  All four read the sorted triples i < j < k of
-``LieAlgebraData.zero_weight_triples``, built once per algebra; the
-invariance checks put the acting index in each place and add the triples
-with a repeated index, which lie in the Cartan because 2a is never a root.
+location.  All four read ``LieAlgebraData.zero_weight_pairs``, built once
+per algebra: the invariance checks look up the pairs of each acting index,
+and closedness keeps the pairs with z < x < y.
 The same certificate leaves the trace oracle only the Cartan to check.
 """
 
@@ -25,7 +24,7 @@ from __future__ import annotations
 import functools
 from collections import Counter
 from fractions import Fraction as Q
-from itertools import combinations_with_replacement, product
+from itertools import product
 from operator import add, sub
 
 from . import ratlin
@@ -70,18 +69,12 @@ def _certified(check):
 def _invariance_triples(L: LieAlgebraData, acting, domain):
     """Each (z, x, y) with z in ``acting``, x <= y in ``domain`` and zero weight sum.
 
-    Distinct indices come from ``L.zero_weight_triples`` with z in each of
-    the three places.  With a repeated index, wt(z) = -2 wt(x) or
-    wt(x) = -2 wt(z): 2a is never a root, so all three lie in the Cartan.
+    Read from ``L.zero_weight_pairs[z]``, which holds repeated indices too.
     """
-    acting, domain = set(acting), set(domain)
-    for i, j, k in L.zero_weight_triples:
-        for z, x, y in ((i, j, k), (j, i, k), (k, i, j)):
-            if z in acting and x in domain and y in domain:
-                yield z, x, y
-    for x, y in combinations_with_replacement(range(L.rank), 2):
-        for z in range(L.rank) if x == y else (x, y):
-            if z in acting and x in domain and y in domain:
+    domain = set(domain)
+    for z in acting:
+        for x, y in L.zero_weight_pairs[z]:
+            if x in domain and y in domain:
                 yield z, x, y
 
 
@@ -305,9 +298,10 @@ def check_two_form(L: LieAlgebraData, g: Gradation) -> dict:
     def rho_vec(vec: dict[int, int], k: int) -> int:
         return sum(c * form[m].get(k, 0) for m, c in vec.items())
 
-    for i, j, k in L.zero_weight_triples:
-        if rho_vec(pair(i, j), k) + rho_vec(pair(j, k), i) != rho_vec(pair(i, k), j):
-            return _first_failure([f"d(rho) != 0 on triple {(i, j, k)}"])
+    for i, pairs in enumerate(L.zero_weight_pairs):
+        for j, k in (p for p in pairs if i < p[0] < p[1]):
+            if rho_vec(pair(i, j), k) + rho_vec(pair(j, k), i) != rho_vec(pair(i, k), j):
+                return _first_failure([f"d(rho) != 0 on triple {(i, j, k)}"])
 
     # Coefficient positivity and the a_i expansion.
     zero_pos = set(g.zero_degree_positive())
@@ -347,7 +341,7 @@ def check_killing_dual(L: LieAlgebraData, g: Gradation) -> dict:
 
 @_certified
 def check_einstein(L: LieAlgebraData, g: Gradation) -> dict:
-    """Symmetry, K-skewness, weight sparsity, ad_{g_0}-invariance, signature.
+    """Symmetry, K-skewness, weight sparsity, ad_{g_0}-invariance, no empty row, signature.
 
     The first three run over the entries the metric's dict rows store.
     """
@@ -369,6 +363,8 @@ def check_einstein(L: LieAlgebraData, g: Gradation) -> dict:
     g0 = [*range(L.rank), *map(L.index_of_root, g.roots_of_degree(0))]
     if _invariance_failure(L, metric, g0, index):
         return _first_failure(["metric not ad-invariant under g_0"])
+    if empty := [alpha for alpha, row in zip(roots, es.metric) if not row]:
+        return _first_failure([f"metric is degenerate: the row of {empty[0]} is empty"])
 
     pos, neg = es.signature()
     if not (pos == neg == len(roots) // 2):

@@ -1,6 +1,6 @@
 import hashlib
 from fractions import Fraction as Q
-from itertools import combinations
+from itertools import combinations_with_replacement
 from operator import add
 
 import pytest
@@ -251,18 +251,25 @@ def test_bracket_bilinear_antisymmetric(algebra, xs, ys, c):
 
 
 @pytest.mark.parametrize("name", ["A1", "A2", "B3", "G2"])
-def test_zero_weight_triples_match_brute_force(algebra, name):
+def test_zero_weight_pairs_match_brute_force(algebra, name):
     _, L = algebra(name)
     wt = L.weights
-    brute = tuple(
-        (i, j, k)
-        for i, j, k in combinations(range(L.dim), 3)
-        if not any(map(sum, zip(wt[i], wt[j], wt[k])))
-    )
-    assert L.zero_weight_triples == brute
-    assert L.zero_weight_triples is L.zero_weight_triples
+    brute = [
+        [
+            (x, y)
+            for x, y in combinations_with_replacement(range(L.dim), 2)
+            if not any(map(sum, zip(wt[z], wt[x], wt[y])))
+        ]
+        for z in range(L.dim)
+    ]
+    assert L.zero_weight_pairs == brute
+    assert L.zero_weight_pairs is L.zero_weight_pairs
 
 
-def test_e8_zero_weight_triple_count(algebra):
+def test_e8_zero_weight_pair_count(algebra):
+    # Each triple z < x < y appears once per place of z; the other 120 pairs
+    # repeat an index and lie in the Cartan.
     _, L = algebra("E8")
-    assert len(L.zero_weight_triples) == 3256
+    pairs = L.zero_weight_pairs
+    assert sum(map(len, pairs)) == 9888
+    assert sum(z < x < y for z, zs in enumerate(pairs) for x, y in zs) == 3256

@@ -353,6 +353,16 @@ def test_koszul_satake_unknown_key_fails(tmp_path, capsys):
     assert "line 3: unknown key 'arrow'" in err
 
 
+def test_koszul_satake_crossed_key_fails(tmp_path, capsys):
+    # The crossing comes from --cross alone; a `crossed` line that disagrees
+    # with it must not pass silently.
+    path = _satake_file(tmp_path, "type = A\nrank = 3\nblack = 1, 3\ncrossed = 1\n")
+    code, out, err = run(capsys, "koszul", "A", "3", "--cross", "2", "--satake", path)
+    assert code == 1
+    assert out == ""
+    assert "line 4: unknown key 'crossed'" in err
+
+
 def test_einstein_lambda_beyond_digit_limit_names_option(capsys):
     # Python's own "Exceeds the limit (4300 digits)" message used to surface.
     code, out, err = run(capsys, "einstein", "A", "1", "--cross", "1", "--lambda", "1e5000")

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction as Q
 
 import pytest
@@ -17,7 +18,8 @@ from parakahler.gradation import (
     parse_diagram_config,
     satake_violations,
 )
-from parakahler.rootsys import Root, SimpleType
+from parakahler.rootsys import Root, SimpleType, build_root_system
+from parakahler.verify import sweep_types
 
 
 def test_empty_crossing_rejected():
@@ -86,6 +88,34 @@ def test_grading_element_is_int_where_integral(algebra):
     rs2, _ = algebra("A2")  # d = (2/3, 1/3): alpha_1(d) = 1, alpha_2(d) = 0
     d2 = grade_from_crossing(rs2, CrossingSet.of(1)).grading_element
     assert d2 == (Q(2, 3), Q(1, 3))
+
+
+def _fundamental_by_degree(g) -> bool:
+    """Reference: a table degree -> roots, and a degree-1 split for each degree >= 2."""
+    by_degree = {}
+    for root, d in g.degrees.items():
+        by_degree.setdefault(d, set()).add(root)
+    return all(
+        any(root - one in by_degree.get(d - 1, ()) for one in by_degree.get(1, ()))
+        for root, d in g.degrees.items()
+        if d >= 2
+    )
+
+
+def test_is_fundamental_matches_by_degree_reference():
+    # Every crossing of every type of rank <= 5, as graded and with its first
+    # degree-1 root moved to degree 0, which breaks some splits but not all.
+    verdicts = set()
+    for stype in sweep_types(5):
+        rs = build_root_system(stype)
+        for crossing in enumerate_crossings(rs.rank):
+            g = grade_from_crossing(rs, crossing)
+            assert is_fundamental(g) and _fundamental_by_degree(g), (stype, crossing)
+            one = next(r for r in rs.positive_roots if g.degrees[r] == 1)
+            edited = dataclasses.replace(g, degrees={**g.degrees, one: 0})
+            verdicts.add(is_fundamental(edited))
+            assert is_fundamental(edited) == _fundamental_by_degree(edited), (stype, crossing)
+    assert verdicts == {True, False}
 
 
 def test_bracket_respects_degrees(algebra):
@@ -167,19 +197,18 @@ def test_arrow_consistency():
 
 
 def test_diagram_config_parsing():
-    diagram, crossing = parse_diagram_config(
+    diagram = parse_diagram_config(
         """
         # su(2,2)-like decoration
         type = a
         rank = 3
         black =
         arrows = 1-3
-        crossed = 2
         """
     )
     assert diagram.type == SimpleType("A", 3)
     assert diagram.arrows == frozenset({(1, 3)})
-    assert crossing == CrossingSet.of(2)
+    assert diagram.black == frozenset()
     with pytest.raises(ConfigError):
         parse_diagram_config("rank = 3")
     with pytest.raises(ConfigError):

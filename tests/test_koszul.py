@@ -2,11 +2,12 @@ from fractions import Fraction as Q
 
 import pytest
 
-from parakahler import ratlin
+from parakahler import koszul, ratlin
 from parakahler.chevalley import (
     AlgebraElement,
     basis_element,
     cartan_element,
+    killing_form,
     root_vector,
 )
 from parakahler.errors import DomainError
@@ -193,6 +194,38 @@ def test_omega_z_and_killing_dual(algebra):
             psi = koszul_form(g)
             z = killing_dual(L, psi)
             assert omega_z(L, z).coeffs == two_form_from_weight(rs, psi).coeffs
+
+
+def _omega_z_per_root(L, z):
+    """B(z, H_a) on each positive root a, one Killing evaluation per root."""
+    rs = L.rs
+    return {a: killing_form(L, z, cartan_element(L, rs.coroot(a))) for a in rs.positive_roots}
+
+
+@pytest.mark.parametrize(
+    "name, crossings", [("G2", [(1,), (1, 2)]), ("F4", [(1,), (2, 4)]), ("E6", [(1,), (3, 6)])]
+)
+def test_omega_z_matches_per_root_killing_values(algebra, name, crossings):
+    rs, L = algebra(name)
+    gradations = [grade_from_crossing(rs, CrossingSet.of(*c)) for c in crossings]
+    duals = [killing_dual(L, koszul_form(g)) for g in gradations]
+    off_lattice = cartan_element(L, [Q(2 * i - 3, i + 1) for i in range(L.rank)])
+    for z in [*duals, off_lattice]:
+        assert omega_z(L, z).coeffs == _omega_z_per_root(L, z)
+
+
+def test_omega_z_evaluates_the_killing_form_once_per_simple_coroot(algebra, monkeypatch):
+    rs, L = algebra("E6")
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return killing_form(*args)
+
+    monkeypatch.setattr(koszul, "killing_form", counted)
+    z = killing_dual(L, koszul_form(grade_from_crossing(rs, CrossingSet.of(2))))
+    omega_z(L, z)
+    assert len(calls) == L.rank
 
 
 def test_two_form_evaluate_and_matrix(algebra):

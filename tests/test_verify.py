@@ -7,13 +7,24 @@ import pytest
 
 from parakahler.chevalley import LieAlgebraData, basis_element, bracket, killing_form
 from parakahler.errors import DomainError
-from parakahler.gradation import CrossingSet, enumerate_crossings, grade_from_crossing
+from parakahler.gradation import (
+    CrossingSet,
+    enumerate_crossings,
+    grade_from_crossing,
+    is_fundamental,
+)
 from parakahler import verify
-from parakahler.koszul import einstein_structure
+from parakahler.koszul import (
+    TwoForm,
+    einstein_structure,
+    koszul_coefficients,
+    two_form_from_weight,
+)
 from parakahler.rootsys import Root
 from parakahler.verify import (
     check_algebra,
     check_einstein,
+    check_gradation,
     check_grading,
     check_jacobi,
     check_killing_cartan,
@@ -226,6 +237,17 @@ def test_tampered_degree_fails_grading(algebra):
     assert str(root) in report["first_failure"]
 
 
+def test_degree_without_a_degree_one_split_fails_fundamental(algebra):
+    # On A2 {1,2}, a1 + a2 (degree 2) splits only as a1 + a2; with a2 moved
+    # to degree 0, neither summand leaves a degree-1 root of degree 1.
+    rs, L = algebra("A2")
+    g = grade_from_crossing(rs, CrossingSet.of(1, 2))
+    assert check_gradation(L, g)["fundamental"]["ok"]
+    bad = dataclasses.replace(g, degrees={**g.degrees, Root((0, 1)): 0})
+    assert not is_fundamental(bad)
+    assert check_gradation(L, bad)["fundamental"] == {"ok": False, "first_failure": None}
+
+
 def test_grading_sees_a_wrong_cartan_action(algebra):
     # Negating [H1, X_a1] keeps it in weight a1, so the certificate passes,
     # but the grading element no longer acts on X_a1 by its degree.
@@ -344,6 +366,54 @@ def test_invariance_walk_yields_exactly_the_zero_weight_triples(algebra, name):
         assert set(walked) == brute, shape
 
 
+def _two_form_report(algebra, monkeypatch, crossed, **closed_forms) -> dict:
+    """check_two_form on A2 after replacing closed forms in verify's namespace."""
+    rs, L = algebra("A2")
+    g = grade_from_crossing(rs, CrossingSet.of(*crossed))
+    assert check_two_form(L, g)["ok"]
+    for name, replacement in closed_forms.items():
+        monkeypatch.setattr(verify, name, replacement)
+    report = check_two_form(L, g)
+    assert not report["ok"]
+    return report
+
+
+def test_two_form_with_a_kernel_beyond_g0_fails(algebra, monkeypatch):
+    def zeroed(rs, xi):  # X_a1 has degree 1 at {1}
+        return TwoForm(rs, {**two_form_from_weight(rs, xi).coeffs, Root((1, 0)): 0})
+
+    report = _two_form_report(algebra, monkeypatch, (1,), two_form_from_weight=zeroed)
+    assert report["first_failure"] == "kernel of d(psi) is not g_0"
+
+
+def test_negative_two_form_fails_positivity(algebra, monkeypatch):
+    # d(-psi) has the kernel g_0 and is closed, so only the sign can fail.
+    def negated(rs, xi):
+        return two_form_from_weight(rs, xi.scale(-1))
+
+    report = _two_form_report(algebra, monkeypatch, (1,), two_form_from_weight=negated)
+    assert report["first_failure"] == "coefficient on 1a1 not positive: -6"
+
+
+def test_coefficients_off_psi_fail_the_expansion(algebra, monkeypatch):
+    def shifted(g):
+        return {i: a + 1 for i, a in koszul_coefficients(g).items()}
+
+    report = _two_form_report(algebra, monkeypatch, (1,), koszul_coefficients=shifted)
+    assert report["first_failure"] == "2 sum a_i pi_i != psi"
+
+
+def test_coefficient_below_two_fails(algebra, monkeypatch):
+    # psi = 2 pi_1 is consistent with a_1 = 1: kernel g_0, closed, positive.
+    def two_pi_1(g):
+        return g.rs.weights[0].scale(2)
+
+    report = _two_form_report(
+        algebra, monkeypatch, (1,), koszul_form=two_pi_1, koszul_coefficients=lambda g: {1: 1}
+    )
+    assert report["first_failure"] == "some a_i < 2"
+
+
 def _tampered_einstein(algebra, monkeypatch, tamper) -> dict:
     """check_einstein on G2 {1} after ``tamper(metric, roots, g)`` edits rows."""
     rs, L = algebra("G2")
@@ -388,6 +458,30 @@ def test_metric_off_its_weights_fails_einstein(algebra, monkeypatch):
 
     report = _tampered_einstein(algebra, monkeypatch, tamper)
     assert "metric pairs" in report["first_failure"]
+
+
+@pytest.mark.parametrize(
+    "crossed, message",
+    [
+        ((1, 2), "metric is degenerate: the row of 1a1 is empty"),
+        # At {1}, a2 lies in g_0 and the missing pair breaks invariance first.
+        ((1,), "metric not ad-invariant under g_0"),
+    ],
+)
+def test_metric_without_a_root_pair_fails_einstein(algebra, monkeypatch, crossed, message):
+    # The signature step divides by its pivots, so an empty row must fail first.
+    rs, L = algebra("A2")
+    g = grade_from_crossing(rs, CrossingSet.of(*crossed))
+    es = einstein_structure(g, L, 1)
+    roots = g.nonzero_roots()
+    metric = [dict(row) for row in es.metric]
+    for root in (Root((1, 0)), Root((-1, 0))):
+        metric[roots.index(root)].clear()
+    es.metric = tuple(metric)
+    monkeypatch.setattr(verify, "einstein_structure", lambda *args: es)
+    report = check_einstein(L, g)
+    assert not report["ok"]
+    assert report["first_failure"] == message
 
 
 def test_sign_flip_keeping_weights_fails_sparse_jacobi(algebra):
