@@ -29,10 +29,10 @@ length ratio is an exact int division that asserts a zero remainder, so no
 ``Fraction`` arises.  They are stored once, in the sparse int bracket rows
 of the nonzero [e_i, e_j] that ``chevalley_constants`` builds in the same
 pass; ``grading_failure`` certifies that each bracket lands in the sum of
-its arguments' weights.  The Killing Gram is held the same way, as rows
-{v: B(e_u, e_v)} of its nonzero entries, and an ``AlgebraElement`` is one
-such row {basis index: coefficient}, so brackets and Killing values visit
-stored entries only.
+its arguments' weights, compared as the int keys of ``weight_keys``.  The
+Killing Gram is held the same way, as rows {v: B(e_u, e_v)} of its nonzero
+entries, and an ``AlgebraElement`` is one such row {basis index:
+coefficient}, so brackets and Killing values visit stored entries only.
 """
 
 from __future__ import annotations
@@ -40,10 +40,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cached_property
-from operator import add
+from operator import mul
 
 from .errors import DomainError
-from .rootsys import Root, RootSystem, Weight, exact_div
+from .rootsys import Root, RootSystem, exact_div
 
 
 _NO_TERMS: dict[int, int] = {}  # every zero bracket; shared, never mutated
@@ -72,7 +72,7 @@ class BasisIndex:
 
 
 class LieAlgebraData:
-    """The bracket rows of one algebra, with cached weight and Killing data.
+    """The bracket rows of one algebra, with cached int weight keys and Killing data.
 
     ``brackets[i][j]`` is [e_i, e_j] as sparse int coordinates {t: c}, stored
     only when nonzero; it is the one store of the structure constants, so
@@ -86,9 +86,7 @@ class LieAlgebraData:
         self.rank = rs.rank
         self.roots = rs.all_roots()
         self.dim = self.rank + len(self.roots)
-        self._root_index = {
-            root.coeffs: self.rank + k for k, root in enumerate(self.roots)
-        }
+        self._root_index = {r.coeffs: k for k, r in enumerate(self.roots, self.rank)}
         self._killing: list[list[int]] | None = None
 
     # -- basis bookkeeping -------------------------------------------------
@@ -107,24 +105,27 @@ class LieAlgebraData:
         return ((0,) * self.rank,) * self.rank + tuple(r.coeffs for r in self.roots)
 
     @cached_property
-    def _cancelling(self) -> dict[tuple[int, ...], tuple[int, ...]]:
-        """Weight w -> the indices k with wt(k) = -w: one per root, all H_i for 0."""
-        table = {tuple(-c for c in w): (i,) for i, w in enumerate(self.weights)}
-        table[(0,) * self.rank] = tuple(range(self.rank))
-        return table
+    def keys(self) -> tuple[int, ...]:
+        """``weights`` as ``weight_keys`` ints, which add like the weights."""
+        return (0,) * self.rank + tuple(weight_keys(self.roots))
+
+    @cached_property
+    def _cancelling(self) -> dict[int, tuple[int, ...]]:
+        """Key w -> the indices k with key(wt(k)) = -w: one per root, all H_i for 0."""
+        return {**{-w: (i,) for i, w in enumerate(self.keys)}, 0: tuple(range(self.rank))}
 
     def partners(self, i: int) -> tuple[int, ...]:
         """Indices k with wt(i) + wt(k) = 0."""
-        return self._cancelling[self.weights[i]]
+        return self._cancelling[self.keys[i]]
 
     @cached_property
     def zero_weight_pairs(self) -> list[list[tuple[int, int]]]:
         """``[z]``: the sorted pairs x <= y with wt(z) + wt(x) + wt(y) = 0."""
-        wt, cancelling = self.weights, self._cancelling
+        keys, cancelling = self.keys, self._cancelling
         pairs: list[list[tuple[int, int]]] = [[] for _ in range(self.dim)]
-        for x in range(self.dim):
+        for x, kx in enumerate(keys):
             for y in range(x, self.dim):
-                for z in cancelling.get(tuple(map(add, wt[x], wt[y])), ()):
+                for z in cancelling.get(kx + keys[y], ()):
                     pairs[z].append((x, y))
         return pairs
 
@@ -132,14 +133,14 @@ class LieAlgebraData:
     def grading_failure(self) -> str | None:
         """Where some [e_i, e_j] leaves weight wt(i) + wt(j); None if none does.
 
-        Visits the stored bracket entries only, on first use.
+        Visits the stored bracket entries only, on first use; compares ``keys``.
         """
-        wt = self.weights
+        keys = self.keys
         for i, row in enumerate(self.brackets):
             for j, out in row.items():
-                w = tuple(map(add, wt[i], wt[j]))
+                w = keys[i] + keys[j]
                 for t, c in out.items():
-                    if c and wt[t] != w:
+                    if c and keys[t] != w:
                         return f"bracket {(i, j)} leaves weight wt({i}) + wt({j})"
         return None
 
@@ -237,14 +238,20 @@ def is_cartan(L: LieAlgebraData, x: AlgebraElement) -> bool:
 # -- construction of the constants -------------------------------------------
 
 
-def root_sum_table(roots: tuple[Root, ...]) -> list[list[int]]:
-    """plus[i][j]: the index of roots[i] + roots[j] in ``roots``, or -1.
+def weight_keys(roots: tuple[Root, ...]) -> list[int]:
+    """The key sum_k c_k B^k of each root, B = 4 max|c| + 1; keys add like weights.
 
-    Each root gets the linear key sum_k c_k B^k, which is injective on
-    vectors with |c_k| < B/2, so it tells apart every sum of two roots.
+    The key tells apart all x + y and x - y with x, y in R + {0}: any two of
+    those differ by a d with |d_k| <= 4 max|c| < B, and sum_k d_k B^k = 0 makes
+    the lowest d_k != 0 a multiple of B, which forces d = 0.
     """
     base = 4 * max(abs(c) for r in roots for c in r.coeffs) + 1
-    keys = [sum(c * base**k for k, c in enumerate(r.coeffs)) for r in roots]
+    return [sum(c * base**k for k, c in enumerate(r.coeffs)) for r in roots]
+
+
+def root_sum_table(roots: tuple[Root, ...]) -> list[list[int]]:
+    """plus[i][j]: the index of roots[i] + roots[j] in ``roots``, or -1."""
+    keys = weight_keys(roots)
     at = {key: i for i, key in enumerate(keys)}
     return [[at.get(a + b, -1) for b in keys] for a in keys]
 
@@ -301,14 +308,14 @@ def chevalley_constants(rs: RootSystem) -> LieAlgebraData:
     # The bracket rows, root by root: the coroot rule, the Cartan rule
     # (antisymmetric) and [X_a, X_b] = N(a, b) X_{a+b}.
     rows: list[dict[int, dict[int, int]]] = [{} for _ in range(rk + len(roots))]
+    columns = tuple(zip(*rs.cartan))  # a(H_h) = sum_j a_j A[j][h]
     for i, root in enumerate(roots):
         x = rk + i
         rows[x][rk + neg[i]] = {t: c for t, c in enumerate(rs.coroot(root)) if c}
-        for h in range(rk):
-            c = rs.coroot_pairing(Weight(root.coeffs), h + 1)
+        for h, column in enumerate(columns):
+            c = sum(map(mul, root.coeffs, column))
             if c:
-                rows[h][x] = {x: c}
-                rows[x][h] = {x: -c}
+                rows[h][x], rows[x][h] = {x: c}, {x: -c}
         for j, total in enumerate(plus[i]):
             if total >= 0:
                 n = nfull(i, j)

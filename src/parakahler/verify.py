@@ -5,27 +5,27 @@ honest traces, cyclic sums of rho over basis triples) so they can serve as
 oracles for the closed-form routes.  All arithmetic is exact; a check
 either passes or returns a description of the first failure.
 
-Triple loops skip only basis tuples whose terms all vanish.  Jacobi visits
-triples where [[i,j],k], [[j,k],i] or [[k,i],j] has a nonzero product of
-basis brackets.  Killing invariance, closedness of rho and both
-ad_{g_0}-invariance checks pair [e_i, e_j] with e_k under a form that
-vanishes unless the weights cancel (``check_einstein`` checks that of the
-metric), so they visit the triples with wt(i) + wt(j) + wt(k) = 0 only,
-once ``LieAlgebraData.grading_failure`` certifies that every bracket lands
-in weight wt(i) + wt(j); if it fails, they return ok: False with its
-location.  All four read ``LieAlgebraData.zero_weight_pairs``, built once
-per algebra: the invariance checks look up the pairs of each acting index,
-and closedness keeps the pairs with z < x < y.
-The same certificate leaves the trace oracle only the Cartan to check.
+Triple loops skip only basis tuples whose terms all vanish.  Jacobi sums
+each product of stored brackets once, into the triple it belongs to, so it
+visits the triples where [[i,j],k], [[j,k],i] or [[k,i],j] has one.  Killing
+invariance, closedness of rho and both ad_{g_0}-invariance checks pair
+[e_i, e_j] with e_k under a form that vanishes unless the weights cancel
+(``check_einstein`` checks that of the metric), so they visit the triples
+with wt(i) + wt(j) + wt(k) = 0 only, once ``LieAlgebraData.grading_failure``
+certifies that every bracket lands in weight wt(i) + wt(j); if it fails,
+they return ok: False with its location.  All four read
+``LieAlgebraData.zero_weight_pairs``, built once per algebra: the invariance
+checks look up the pairs of each acting index, and closedness keeps the
+pairs with z < x < y.  The same certificate leaves the trace oracle only the
+Cartan to check.
 """
 
 from __future__ import annotations
 
 import functools
-from collections import Counter
+from collections import Counter, defaultdict
 from fractions import Fraction as Q
 from itertools import product
-from operator import add, sub
 
 from . import ratlin
 from .chevalley import LieAlgebraData, basis_element, chevalley_constants
@@ -46,7 +46,7 @@ from .koszul import (
     omega_z,
     two_form_from_weight,
 )
-from .rootsys import Root, SimpleType, Weight, build_root_system
+from .rootsys import SimpleType, Weight, build_root_system
 
 
 def _first_failure(problems: list[str]) -> dict:
@@ -95,51 +95,52 @@ def _invariance_failure(L: LieAlgebraData, form, acting, domain) -> tuple | None
 # -- algebra-level checks ------------------------------------------------------
 
 
-def _jacobi_triples(rows: list[dict[int, dict[int, int]]]):
-    """Basis triples a < b < c with a nonzero Jacobi term, streamed in order.
+def _jacobi_sums(rows: list[dict[int, dict[int, int]]]):
+    """Per a, the sorted ((b, c), J) over the triples a < b < c with a nonzero term.
 
-    [[i,j],k] has a nonzero term only if some m in the support of [e_i, e_j]
-    has [e_m, e_k] != 0.  Grouped by its smallest index a, such a triple
-    comes from a stored pair (a, j) with j > a, or from a stored pair (b, c)
-    with a < b < c that produces an m with [e_m, e_a] != 0.  Neither route
-    assumes the rows are antisymmetric.
+    J = {t: c} is [[a,b],c] + [[b,c],a] - [[a,c],b], each product of stored
+    brackets added once: [[a,j],k] from a stored (a, j) with j, k > a (the last
+    term of J(a, k, j) if j > k), [[b,c],a] from a stored (b, c) with b > a that
+    produces an m with [e_m, e_a] != 0.  Neither route assumes antisymmetry.
     """
-    ties = [[k for k, out in row.items() if out] for row in rows]  # k: [e_m, e_k] != 0
-    tied: list[list[int]] = [[] for _ in rows]  # tied[a]: the m with a in ties[m]
-    producers: list[list[tuple[int, int]]] = [[] for _ in rows]  # b < c: e_m in [e_b, e_c]
-    for m, ks in enumerate(ties):
-        for k in ks:
-            tied[k].append(m)
-    for b, row in enumerate(rows):
-        for c, out in row.items():
-            if c > b:
-                for m in out:
-                    producers[m].append((b, c))
+    tied: list[list[int]] = [[] for _ in rows]  # tied[a]: the m with [e_m, e_a] != 0
+    producers: list[list[tuple]] = [[] for _ in rows]  # (b, c, x): b < c, x e_m in [e_b, e_c]
+    for m, row in enumerate(rows):
+        for k, out in row.items():
+            if out:
+                tied[k].append(m)
+            if k > m:
+                for t, x in out.items():
+                    producers[t].append((m, k, x))
     for a, row in enumerate(rows):
-        pairs = {
-            (min(j, k), max(j, k))
-            for j, out in row.items() if j > a
-            for m in out
-            for k in ties[m] if k > a and k != j
-        }
-        pairs.update(bc for m in tied[a] for bc in producers[m] if bc[0] > a)
-        yield from ((a, b, c) for b, c in sorted(pairs))
+        sums: defaultdict[tuple[int, int], dict[int, int]] = defaultdict(dict)
+        for j, out in row.items():
+            if j <= a:
+                continue
+            for m, x in out.items():
+                for k, out2 in rows[m].items():
+                    if k > a and k != j and out2:
+                        acc, s = (sums[j, k], x) if j < k else (sums[k, j], -x)
+                        for t, y in out2.items():
+                            acc[t] = acc.get(t, 0) + s * y
+        for m in tied[a]:
+            for b, c, x in producers[m]:
+                if b > a:
+                    acc = sums[b, c]
+                    for t, y in rows[m][a].items():
+                        acc[t] = acc.get(t, 0) + x * y
+        yield a, [(bc, sums[bc]) for bc in sorted(sums)]
 
 
 def check_jacobi(L: LieAlgebraData) -> dict:
-    """Jacobi identity on every unordered basis triple with a nonzero term."""
-    pair = L.basis_bracket
+    """Jacobi identity on every unordered basis triple with a nonzero term, in order."""
     count = 0
-    for count, (i, j, k) in enumerate(_jacobi_triples(L.brackets), 1):
-        acc: dict[int, int] = {}
-        # [[i,j],k] + [[j,k],i] + [[k,i],j], with [[k,i],j] = -[[i,k],j]
-        for p, q, r, sign in ((i, j, k, 1), (j, k, i, 1), (i, k, j, -1)):
-            for m, c in pair(p, q).items():
-                for t, c2 in pair(m, r).items():
-                    acc[t] = acc.get(t, 0) + sign * c * c2
-        if any(acc.values()):
-            failure = _first_failure([f"jacobi fails on basis triple {(i, j, k)}"])
-            return {**failure, "triples": count}
+    for a, sums in _jacobi_sums(L.brackets):
+        for (b, c), total in sums:
+            count += 1
+            if any(total.values()):
+                failure = _first_failure([f"jacobi fails on basis triple {(a, b, c)}"])
+                return {**failure, "triples": count}
     return {**_first_failure([]), "triples": count}
 
 
@@ -162,52 +163,44 @@ def check_structure_constants(L: LieAlgebraData) -> dict:
     """|N(a,b)| = p+1 against an independent root-string walk; antisymmetry.
 
     N(a, b) is read from the stored [X_a, X_b] with a + b != 0, which must be
-    a single term on X_{a+b}.  Root sums and strings are walked on
-    coefficient tuples against the root system's own roots.  Every stored
-    pair must have a stored reverse and a root sum, and every pair of roots
-    with a root sum must have a stored constant.
+    a single term on X_{a+b}; root sums and strings are walked on ``L.keys``,
+    not on the constants' sum table.  Every stored pair must have a stored
+    reverse and a root sum, and every root pair with a root sum a constant.
     """
-    rs, rk, roots, rows = L.rs, L.rank, L.roots, L.brackets
-    where = {r.coeffs: k for k, r in enumerate(roots, rk)}  # root -> basis index
+    rs, rk, roots, rows, keys = L.rs, L.rank, L.roots, L.brackets, L.keys
+    where = {keys[k]: k for k in range(rk, L.dim)}  # root key -> basis index
     stored = 0
     for i, al in enumerate(roots, rk):
         for j, out in rows[i].items():
             if j < rk:
                 continue  # the Cartan rule
-            be = roots[j - rk]
-            total = tuple(map(add, al.coeffs, be.coeffs))
-            if not any(total):
+            total = keys[i] + keys[j]
+            if not total:
                 continue  # the coroot rule [X_a, X_-a] = H_a
             stored += 1
-            t = where.get(total)
+            be, t = roots[j - rk], where.get(total)
             if t is None:
                 return _first_failure([f"N({al}, {be}) is stored for a pair without a root sum"])
             if len(out) != 1 or t not in out:
-                return _first_failure(
-                    [f"[X[{al}], X[{be}]] is not a single term on X[{Root(total)}]"]
-                )
+                return _first_failure([f"[X[{al}], X[{be}]] is not a single term on X[{al + be}]"])
             n, rev = out[t], rows[j].get(i)
             if rev is None:
                 return _first_failure([f"N({al}, {be}) is stored without N({be}, {al})"])
             if rev.get(t) != -n:
                 return _first_failure([f"antisymmetry fails on ({al}, {be})"])
-            p, cur = 0, tuple(map(sub, be.coeffs, al.coeffs))
+            p, cur = 0, keys[j] - keys[i]
             while cur in where:
-                p, cur = p + 1, tuple(map(sub, cur, al.coeffs))
+                p, cur = p + 1, cur - keys[i]
             if abs(n) != p + 1:
                 return _first_failure([f"|N| != p+1 on ({al}, {be}): {n} vs p={p}"])
     # The stored pairs are distinct and have root sums, so none is missing if
-    # as many are stored as there are pairs with a root sum.  W permutes the
-    # roots of one length transitively, so one root of each length counts its
-    # pairs.
+    # as many are stored as pairs have a root sum.  W permutes the roots of one
+    # length transitively, so one root of each length counts its pairs.
     lengths = Counter(map(rs.root_length_sq, roots))
-    one_of = {rs.root_length_sq(al): al.coeffs for al in roots}
-    if stored != sum(
-        lengths[k] * sum(tuple(map(add, a, be.coeffs)) in where for be in roots)
-        for k, a in one_of.items()
-    ):
+    one_of = {rs.root_length_sq(al): keys[i] for i, al in enumerate(roots, rk)}
+    if stored != sum(n * sum(one_of[d] + k in where for k in where) for d, n in lengths.items()):
         for (i, al), (j, be) in product(enumerate(roots, rk), repeat=2):
-            if j not in rows[i] and tuple(map(add, al.coeffs, be.coeffs)) in where:
+            if j not in rows[i] and keys[i] + keys[j] in where:
                 return _first_failure([f"({al}, {be}) has a root sum but no stored N"])
     return _first_failure([])
 

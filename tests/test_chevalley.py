@@ -205,10 +205,51 @@ NCONST_SHA256 = {
 }
 
 
+# sha256 of each type's full bracket rows: every stored entry (the Cartan
+# rule, the coroot rule and the root-root constants) in insertion order, as
+# repr([(i, j, t, c), ...]) for [e_i, e_j] = ... + c e_t.  Recorded while the
+# Cartan rule was still computed through ``coroot_pairing``; NCONST_SHA256
+# pins the root-root constants alone.
+BRACKET_ROWS_SHA256 = {
+    "A1": "a3b25a0049e862931a862b419d4ecb4be46c8470fb7dc785525c6ad19e5e7fb0",
+    "A2": "96b84c7ba8b9c7972f0d3563e77cc69fc7905bf0dc5a907031583f8faeb18845",
+    "A3": "7238d76acdcd6aa9e0d153f372efa3403945135433812767bffff67634a63dca",
+    "A4": "e369ee91d425f1b8c63ac1c05966b39b8ebf95f9b83b09e7cced5e9ff4aa265d",
+    "A5": "61aa71b721f7df29a1d501bda7920afea146b5d43c3189c874e37aaa79e2130e",
+    "A6": "87be9c29971c8cd2149b1b1d2bb2ba6560efa6736be6f280f03b4f3344d09069",
+    "A7": "ab1b98767f8d8853434ffa4bb1718ea76ba3362a7de5d3e1a7906c6d67129843",
+    "A8": "2cdeb20d5799b779c1024fa4882e5af87b703a213215fbb9ce8273fe5d6c0bf4",
+    "B2": "109844b56376175822ad490b71da6cfb3308b22b6a0876919be8a28a8b804ec7",
+    "B3": "93e1780db921606f434f79a908f17f5da612a0de51cf6f160fc81a6285f56a1f",
+    "B4": "6eff126025711730836e72fc6e84dcdbc0e1a0adf976fa86e198bdc606bfcd92",
+    "B5": "4dd586c01cce7fafc9809b797ed35543cd64c596f911f0c5719e9235c9d86f63",
+    "B6": "f7ec543ee1ebb84621cc8c4fc2afaf9e890cf56f10f65c44696ecfb4133be4df",
+    "B7": "6d5663f789dac245b3c9cae41bd5f262c570a1ba8e53d106391267bed493ccb2",
+    "B8": "0c6a59acb3f9cbb45986c93231ee33277e47d1a94f2e2d050b379dcebb7694e1",
+    "C3": "09f0512daaf989694faf240e928e512c84548b6d8221df2bb882849e8b6a1f06",
+    "C4": "35dc51de6c9ffa3ec5adadf763a04977e1f5e5edaa52ae0c9b540e8c48cf76bf",
+    "C5": "63da7cd39f3f94af8e58e3eb674831ee241ea39000b900b69f15713ebd555499",
+    "C6": "853dadf8a6d641df00249942c3c961b5d5bde2196d7d67183fc93071f3c770ed",
+    "C7": "ce13caadde0ad03bd24a42acf1175244f5efc65d5d27112535c188dff6f2c72c",
+    "C8": "0669c288a149c36a2413290f389b43e1853d134d1af9f2c925432eef3aea1674",
+    "D4": "4df9b65326b0ca429824fbea4fc4c4c8d3dba297fab08bb5ddf6812956ee262e",
+    "D5": "45b4493196e8b01845539e10e334dd09f144e24dcab8a95dc0ba9f17eb3af4da",
+    "D6": "42fd1f10874cdc324467735f63ca9beec93cc64c13f7cb535fcf75e5576f3262",
+    "D7": "2ab1626137278abbbc5f43dc609795baa52df928a359446f85a4da130bf52165",
+    "D8": "ddaaa8964818c56f20b26c42449231ba8b719af160088ee8e9b243113a6c1968",
+    "E6": "b41522122830c9c8f762cfe5adcb64b64cf7aa8fd13110bbd245aa27df5db998",
+    "E7": "f3679dceb823d3001f93aff15b8746c43657cb5e2d012803b1f964f42d20ed07",
+    "E8": "69f447dd3afd94baf1acc1daf51bb89f77da4f700086dff0de3da3a92a71cb44",
+    "F4": "2ad3efac5d1583557d272185e636f7157ecff1da36bd8177d28022daff228912",
+    "G2": "56742b801a11861b2cf84661caaa620180d9750162a2f98f474b3959b6222933",
+}
+
+
 def test_constant_digests_cover_every_type():
     from parakahler.verify import sweep_types
 
-    assert sorted(NCONST_SHA256) == sorted(str(t) for t in sweep_types(8))
+    types = sorted(str(t) for t in sweep_types(8))
+    assert sorted(NCONST_SHA256) == sorted(BRACKET_ROWS_SHA256) == types
 
 
 @pytest.mark.parametrize("name", sorted(NCONST_SHA256))
@@ -225,6 +266,48 @@ def test_constants_digest(name, algebra):
     ]
     text = repr(constants)
     assert hashlib.sha256(text.encode()).hexdigest() == NCONST_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(BRACKET_ROWS_SHA256))
+def test_bracket_rows_digest(name, algebra):
+    _, L = algebra(name)
+    entries = [
+        (i, j, t, c)
+        for i, row in enumerate(L.brackets)
+        for j, out in row.items()
+        for t, c in out.items()
+    ]
+    text = repr(entries)
+    assert hashlib.sha256(text.encode()).hexdigest() == BRACKET_ROWS_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(NCONST_SHA256))
+def test_weight_keys_tell_apart_sums_and_differences(name, algebra):
+    # Every x + y with x, y in R + {0} has one key, kx + ky, and no two of
+    # them share a key.  R + {0} is closed under negation, so the sums cover
+    # every x - y, and x + 0 covers the weights themselves.
+    _, L = algebra(name)
+    points = set(zip(L.weights, L.keys))  # the H_i share weight 0 and key 0
+    assert len(points) == len(L.roots) + 1
+    seen = {}
+    for x, kx in points:
+        for y, ky in points:
+            assert seen.setdefault(tuple(map(add, x, y)), kx + ky) == kx + ky
+    assert len(set(seen.values())) == len(seen)
+
+
+def test_structure_walk_never_reads_the_sum_table(algebra, monkeypatch):
+    from parakahler import chevalley
+    from parakahler.verify import check_structure_constants
+
+    rs, shared = algebra("F4")
+    L = chevalley.LieAlgebraData(rs, shared.brackets)  # no cached keys yet
+
+    def refuse(roots):
+        raise AssertionError("the structure oracle read root_sum_table")
+
+    monkeypatch.setattr(chevalley, "root_sum_table", refuse)
+    assert check_structure_constants(L)["ok"]
 
 
 small_rationals = st.fractions(
@@ -250,10 +333,14 @@ def test_bracket_bilinear_antisymmetric(algebra, xs, ys, c):
     assert bracket(L, x + z, y) == bracket(L, x, y) + bracket(L, z, y)
 
 
-@pytest.mark.parametrize("name", ["A1", "A2", "B3", "G2"])
+@pytest.mark.parametrize("name", ["A1", "A2", "B3", "G2", "F4"])
 def test_zero_weight_pairs_match_brute_force(algebra, name):
     _, L = algebra(name)
     wt = L.weights
+    everything = range(L.dim)
+    assert [L.partners(i) for i in everything] == [
+        tuple(k for k in everything if not any(map(add, wt[i], wt[k]))) for i in everything
+    ]
     brute = [
         [
             (x, y)

@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import time
+from collections import Counter
 from fractions import Fraction as Q
 
 import pytest
@@ -140,6 +141,15 @@ def test_grading_certificate_names_each_bracket_rule(algebra, first, second):
     assert L.basis_bracket(i, j)  # a stored entry of that rule
     wrong = L.index_of_root(Root((2, 1)))  # no rule lands here from (i, j)
     L.brackets[i][j] = {wrong: 1}
+    assert L.grading_failure == f"bracket {(i, j)} leaves weight wt({i}) + wt({j})"
+
+
+def test_off_weight_bracket_on_a_cartan_index_fails_certificate(algebra):
+    # The Cartan has key 0, which no sum of two nonzero weights may share.
+    rs, shared = algebra("G2")
+    L = _copy(shared)
+    i, j = L.index_of_root(Root((1, 0))), L.index_of_root(Root((0, 1)))
+    L.brackets[i][j] = {0: 1}  # [X_a1, X_a2] = H_1
     assert L.grading_failure == f"bracket {(i, j)} leaves weight wt({i}) + wt({j})"
 
 
@@ -514,6 +524,60 @@ def test_jacobi_examines_exactly_the_triples_with_a_term(algebra):
     assert report["triples"] == dense < 1330  # C(21, 3)
 
 
+def _dense_jacobi_triples(L: LieAlgebraData) -> list[tuple[int, int, int]]:
+    """Sorted triples i < j < k with a nonzero product in [[i,j],k], [[j,k],i] or [[i,k],j].
+
+    A scan over every triple: the reference for the sparse Jacobi walk.
+    """
+    pair = L.basis_bracket
+
+    def has_term(i, j, k):
+        return any(pair(m, k) for m in pair(i, j))
+
+    return [
+        (i, j, k)
+        for i in range(L.dim)
+        for j in range(i + 1, L.dim)
+        for k in range(j + 1, L.dim)
+        if has_term(i, j, k) or has_term(j, k, i) or has_term(i, k, j)
+    ]
+
+
+@pytest.mark.parametrize("name, triples", [("F4", 5654), ("E6", 13056)])
+def test_jacobi_triple_counts(algebra, name, triples):
+    # The exceptional benchmark pass runs Jacobi on these two: 18,710 triples.
+    _, L = algebra(name)
+    assert check_jacobi(L) == {"ok": True, "first_failure": None, "triples": triples}
+
+
+def test_one_flipped_constant_reports_the_dense_first_failure(algebra):
+    # Flip N(a2, a3) but not N(a3, a2).  The reported triple and count must be
+    # those of the first failing triple in the dense sorted list of triples
+    # with a term, each summed from the basis brackets.
+    _, shared = algebra("B3")
+    L = _copy(shared)
+    i, j = L.index_of_root(Root((0, 1, 0))), L.index_of_root(Root((0, 0, 1)))
+    L.brackets[i][j] = {t: -c for t, c in L.brackets[i][j].items()}
+    pair = L.basis_bracket
+
+    def fails(i, j, k):
+        acc = Counter()
+        for p, q, r, sign in ((i, j, k, 1), (j, k, i, 1), (i, k, j, -1)):
+            for m, c in pair(p, q).items():
+                for t, c2 in pair(m, r).items():
+                    acc[t] += sign * c * c2
+        return any(acc.values())
+
+    dense = _dense_jacobi_triples(L)
+    n = next(n for n, triple in enumerate(dense) if fails(*triple))
+    assert 0 < n < len(dense) - 1
+    assert check_jacobi(L) == {
+        "ok": False,
+        "first_failure": f"jacobi fails on basis triple {dense[n]}",
+        "triples": n + 1,
+    }
+
+
 @pytest.mark.parametrize("upper", [True, False])
 def test_jacobi_streams_sorted_triples_without_antisymmetry(algebra, upper):
     # Drop one stored root-root bracket, so its reverse has no partner; the
@@ -527,19 +591,8 @@ def test_jacobi_streams_sorted_triples_without_antisymmetry(algebra, upper):
         if j >= L.rank and (i < j) == upper
     )
     del rows[i][j]
-    pair = L.basis_bracket
-
-    def has_term(i, j, k):
-        return any(pair(m, k) for m in pair(i, j))
-
-    dense = [
-        (i, j, k)
-        for i in range(L.dim)
-        for j in range(i + 1, L.dim)
-        for k in range(j + 1, L.dim)
-        if has_term(i, j, k) or has_term(j, k, i) or has_term(i, k, j)
-    ]
-    assert list(verify._jacobi_triples(rows)) == dense
+    streamed = [(a, b, c) for a, sums in verify._jacobi_sums(rows) for (b, c), _ in sums]
+    assert streamed == _dense_jacobi_triples(L)
 
 
 @pytest.mark.parametrize(
