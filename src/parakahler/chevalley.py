@@ -24,12 +24,14 @@ plus one Jacobi identity per remaining special pair.  The result is exact;
 with a nonzero term and ``verify.check_structure_constants`` checks
 |N(a,b)| = p+1 against an independent root-string computation.
 
-The constants are computed on root indices with ``root_sum_table``; each
-length ratio is an exact int division that asserts a zero remainder, so no
-``Fraction`` arises.  They are stored once, in the sparse int bracket rows
-of the nonzero [e_i, e_j] that ``chevalley_constants`` builds in the same
-pass; ``grading_failure`` certifies that each bracket lands in the sum of
-its arguments' weights, compared as the int keys of ``weight_keys``.  The
+Each constant is computed once, on root indices, when its root triple is
+pinned: N(r, s) fixes by those relations the 11 other ordered pairs of
+{r, s, -(r+s)} and its negative; root sums are found by ``weight_keys``, and
+a length ratio is an int division that raises on a remainder.  They are
+stored once, in the sparse int bracket rows of the nonzero [e_i, e_j] that
+``chevalley_constants`` builds in the same pass; ``grading_failure``
+certifies that each bracket lands in the sum of its arguments' weights,
+compared as the int keys of ``weight_keys``.  The
 Killing Gram is held the same way, as rows {v: B(e_u, e_v)} of its nonzero
 entries, and an ``AlgebraElement`` is one such row {basis index:
 coefficient}, so brackets and Killing values visit stored entries only.
@@ -249,65 +251,50 @@ def weight_keys(roots: tuple[Root, ...]) -> list[int]:
     return [sum(c * base**k for k, c in enumerate(r.coeffs)) for r in roots]
 
 
-def root_sum_table(roots: tuple[Root, ...]) -> list[list[int]]:
-    """plus[i][j]: the index of roots[i] + roots[j] in ``roots``, or -1."""
-    keys = weight_keys(roots)
-    at = {key: i for i, key in enumerate(keys)}
-    return [[at.get(a + b, -1) for b in keys] for a in keys]
-
-
 def chevalley_constants(rs: RootSystem) -> LieAlgebraData:
     """The Chevalley basis of a root system, as its sparse bracket rows."""
     rk, roots = rs.rank, rs.all_roots()
-    plus = root_sum_table(roots)
-    npos_count = len(rs.positive_roots)
-    neg = [*range(npos_count, 2 * npos_count), *range(npos_count)]  # index of -roots[i]
+    L = LieAlgebraData(rs, [{} for _ in range(rk + len(roots))])  # rows filled below
+    rows, keys = L.brackets, L.keys[rk:]
+    at = {key: i for i, key in enumerate(keys)}  # root key -> root index
+    npos = len(rs.positive_roots)
+    neg = [*range(npos, 2 * npos), *range(npos)]  # index of -roots[i]
     sq = [rs.root_length_sq(r) for r in roots]
+    N: list[dict[int, int]] = [{} for _ in roots]  # N[i][j] = N(roots[i], roots[j])
 
-    # Seed constants on positive special pairs (r, s): r < s (canonical
-    # order is by height), r+s a root.  None marks a pair not yet pinned.
-    npos: list[list[int | None]] = [[None] * npos_count for _ in range(npos_count)]
+    def pin(r: int, s: int, n: int) -> None:
+        """N(r, s) = n, and the 11 constants it forces on r, s, t = -(r+s) and -r, -s, -t."""
+        if not n:
+            raise ArithmeticError(f"N({roots[r]}, {roots[s]}) would be 0")
+        t = neg[at[keys[r] + keys[s]]]
+        for x, y, v in ((r, s, n), (s, t, exact_div(n * sq[r], sq[t])),
+                        (t, r, exact_div(n * sq[s], sq[t]))):
+            N[x][y], N[y][x], N[neg[x]][neg[y]], N[neg[y]][neg[x]] = v, -v, -v, v
 
-    def nfull(al: int, be: int) -> int:
-        """N(al, be) for any root pair with al+be a root."""
-        pa, pb = al < npos_count, be < npos_count
-        if pa and pb:
-            return npos[al][be] if al < be else -npos[be][al]
-        if not pa and not pb:
-            return -nfull(neg[al], neg[be])
-        if not pa:
-            return -nfull(be, al)
-        # al positive, be negative, al+be a root
-        total = plus[al][be]
-        if total < npos_count:
-            return -exact_div(sq[total] * nfull(neg[be], total), sq[al])
-        return exact_div(sq[total] * nfull(neg[total], al), sq[be])
-
-    # The simple roots lead the canonical order; the others have height >= 2.
-    for gamma in range(rk, npos_count):
+    # The simple roots lead the canonical order; the others have height >= 2,
+    # and every triple a Jacobi step reads was pinned at a lower height.
+    for gamma in range(rk, npos):
         # Extraspecial pair: smallest simple root that stays inside R+.
-        up = plus[gamma]
-        a = next(s for s in range(rk) if up[neg[s]] >= 0)
-        b = up[neg[a]]
-        p, cur = 0, plus[b][neg[a]]  # p: the length of the a-string below b
-        while cur >= 0:
-            p, cur = p + 1, plus[cur][neg[a]]
-        seed = npos[a][b] = p + 1
+        a = next(a for a in range(rk) if keys[gamma] - keys[a] in at)
+        b = at[keys[gamma] - keys[a]]
+        p, cur = 0, keys[b] - keys[a]  # p: the length of the a-string below b
+        while cur in at:
+            p, cur = p + 1, cur - keys[a]
+        pin(a, b, p + 1)
         for r in range(gamma):
-            s = up[neg[r]]  # height(s) >= 0, so a root s is positive
-            if s < 0 or r >= s or (r, s) == (a, b):
+            s = at.get(keys[gamma] - keys[r], -1)  # height(s) >= 0, so a root s is positive
+            if s <= r or (r, s) == (a, b):
                 continue
             # One Jacobi identity on (X_a, X_b, X_-r) pins N(r, s).
             t = 0
-            if (br := plus[b][neg[r]]) >= 0:
-                t += nfull(b, neg[r]) * nfull(br, a)
-            if (ar := plus[a][neg[r]]) >= 0:
-                t += nfull(neg[r], a) * nfull(ar, b)
-            npos[r][s] = exact_div(sq[gamma] * t, sq[s] * seed)
+            if (br := at.get(keys[b] - keys[r])) is not None:
+                t += N[b][neg[r]] * N[br][a]
+            if (ar := at.get(keys[a] - keys[r])) is not None:
+                t += N[neg[r]][a] * N[ar][b]
+            pin(r, s, exact_div(sq[gamma] * t, sq[s] * (p + 1)))
 
     # The bracket rows, root by root: the coroot rule, the Cartan rule
     # (antisymmetric) and [X_a, X_b] = N(a, b) X_{a+b}.
-    rows: list[dict[int, dict[int, int]]] = [{} for _ in range(rk + len(roots))]
     columns = tuple(zip(*rs.cartan))  # a(H_h) = sum_j a_j A[j][h]
     for i, root in enumerate(roots):
         x = rk + i
@@ -316,12 +303,9 @@ def chevalley_constants(rs: RootSystem) -> LieAlgebraData:
             c = sum(map(mul, root.coeffs, column))
             if c:
                 rows[h][x], rows[x][h] = {x: c}, {x: -c}
-        for j, total in enumerate(plus[i]):
-            if total >= 0:
-                n = nfull(i, j)
-                assert n != 0
-                rows[x][rk + j] = {rk + total: n}
-    return LieAlgebraData(rs, rows)
+        for j in sorted(N[i]):
+            rows[x][rk + j] = {rk + at[keys[i] + keys[j]]: N[i][j]}
+    return L
 
 
 # -- operations ---------------------------------------------------------------

@@ -111,18 +111,23 @@ def orbit_dimension(g: Gradation) -> int:
     return len(g.nonzero_roots())
 
 
-def is_fundamental(g: Gradation) -> bool:
-    """Every root of degree p >= 2 splits off a degree-1 root.
+def unsplit_root(g: Gradation) -> Root | None:
+    """The first root of degree p >= 2 that splits off no degree-1 root, or None.
 
-    Together with antisymmetry this says g_{+-1} generates the nilpotent
-    parts, which holds for every crossing-set gradation; kept as a runtime
-    check rather than an assumption.
+    With none, and antisymmetry, g_{+-1} generates the nilpotent parts, which
+    holds for every crossing-set gradation; kept as a runtime check rather
+    than an assumption.
     """
     ones = [root for root, d in g.degrees.items() if d == 1]
-    return all(
-        any(g.degrees.get(root - one) == d - 1 for one in ones)
-        for root, d in g.degrees.items() if d >= 2
-    )
+    for root, d in g.degrees.items():
+        if d >= 2 and not any(g.degrees.get(root - one) == d - 1 for one in ones):
+            return root
+    return None
+
+
+def is_fundamental(g: Gradation) -> bool:
+    """Every root of degree p >= 2 splits off a degree-1 root (``unsplit_root``)."""
+    return unsplit_root(g) is None
 
 
 def enumerate_crossings(rank: int) -> list[CrossingSet]:

@@ -98,7 +98,8 @@ def koszul_coefficients(g: Gradation) -> dict[int, int]:
     out: dict[int, int] = {}
     for i in g.crossing.sorted():
         b = -n_pairing(g.rs, delta_h, g.rs.simple_root(i))
-        assert b >= 0
+        if b < 0:
+            raise ArithmeticError(f"b_{i} = {b} is negative")
         out[i] = 2 + b
     return out
 

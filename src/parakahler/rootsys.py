@@ -331,8 +331,10 @@ def _inverse_rows(cartan) -> tuple[Weight, ...]:
 
 
 def exact_div(num: int, den: int) -> int:
+    """num / den for a den that divides num; ArithmeticError if it does not."""
     q, rem = divmod(num, den)
-    assert rem == 0, "an exact int division left a remainder"
+    if rem:
+        raise ArithmeticError(f"{num} / {den} is not an exact int division")
     return q
 
 

@@ -33,8 +33,8 @@ from .gradation import (
     Gradation,
     enumerate_crossings,
     grade_from_crossing,
-    is_fundamental,
     orbit_dimension,
+    unsplit_root,
 )
 from .koszul import (
     einstein_structure,
@@ -163,9 +163,9 @@ def check_structure_constants(L: LieAlgebraData) -> dict:
     """|N(a,b)| = p+1 against an independent root-string walk; antisymmetry.
 
     N(a, b) is read from the stored [X_a, X_b] with a + b != 0, which must be
-    a single term on X_{a+b}; root sums and strings are walked on ``L.keys``,
-    not on the constants' sum table.  Every stored pair must have a stored
-    reverse and a root sum, and every root pair with a root sum a constant.
+    a single term on X_{a+b}; root sums and strings are walked on ``L.keys``
+    against this check's own key -> index map.  Every stored pair must have a
+    stored reverse and a root sum, and every root pair with a root sum a constant.
     """
     rs, rk, roots, rows, keys = L.rs, L.rank, L.roots, L.brackets, L.keys
     where = {keys[k]: k for k in range(rk, L.dim)}  # root key -> basis index
@@ -238,9 +238,12 @@ def check_grading(L: LieAlgebraData, g: Gradation) -> dict:
 
 def check_gradation(L: LieAlgebraData, g: Gradation) -> dict:
     dim_m = orbit_dimension(g)
+    bad = unsplit_root(g)
     return {
         "grading": check_grading(L, g),
-        "fundamental": {"ok": is_fundamental(g), "first_failure": None},
+        "fundamental": _first_failure(
+            [] if bad is None else [f"{bad} of degree {g.degree(bad)} has no degree-1 split"]
+        ),
         "orbit_dimension_even": {
             "ok": dim_m % 2 == 0 and dim_m == 2 * len(g.nonzero_positive()),
             "first_failure": None,
@@ -325,11 +328,14 @@ def check_two_form(L: LieAlgebraData, g: Gradation) -> dict:
 def check_killing_dual(L: LieAlgebraData, g: Gradation) -> dict:
     """omega_z with z the Killing dual of psi reproduces d(psi) exactly."""
     psi = koszul_form(g)
-    z = killing_dual(L, psi)
-    direct = two_form_from_weight(L.rs, psi)
-    via_b = omega_z(L, z)
-    ok = via_b.coeffs == direct.coeffs
-    return {"ok": ok, "first_failure": None if ok else "omega_z != d(psi)"}
+    direct = two_form_from_weight(L.rs, psi).coeffs
+    via_b = omega_z(L, killing_dual(L, psi)).coeffs
+    for root in L.rs.positive_roots:
+        if via_b[root] != direct[root]:
+            return _first_failure(
+                [f"omega_z != d(psi) on {root}: {via_b[root]} vs {direct[root]}"]
+            )
+    return _first_failure([])
 
 
 @_certified

@@ -296,18 +296,21 @@ def test_weight_keys_tell_apart_sums_and_differences(name, algebra):
     assert len(set(seen.values())) == len(seen)
 
 
-def test_structure_walk_never_reads_the_sum_table(algebra, monkeypatch):
-    from parakahler import chevalley
-    from parakahler.verify import check_structure_constants
-
-    rs, shared = algebra("F4")
-    L = chevalley.LieAlgebraData(rs, shared.brackets)  # no cached keys yet
-
-    def refuse(roots):
-        raise AssertionError("the structure oracle read root_sum_table")
-
-    monkeypatch.setattr(chevalley, "root_sum_table", refuse)
-    assert check_structure_constants(L)["ok"]
+@pytest.mark.parametrize("name", sorted(NCONST_SHA256))
+def test_stored_constants_obey_the_triple_relations(name, algebra):
+    # Read from the bracket rows alone: N(-a, -b) = -N(a, b), and for
+    # c = -a-b the cyclic N(a,b)/(c,c) = N(b,c)/(a,a) = N(c,a)/(b,b).
+    rs, L = algebra(name)
+    sq = rs.root_length_sq
+    for a in L.roots:
+        for b in L.roots:
+            c = -(a + b)
+            if not any(c.coeffs) or not rs.is_root(c):
+                continue
+            n = constant(L, a, b)
+            assert constant(L, -a, -b) == -n, (a, b)
+            ratio = Q(n, sq(c))
+            assert Q(constant(L, b, c), sq(a)) == ratio == Q(constant(L, c, a), sq(b)), (a, b)
 
 
 small_rationals = st.fractions(

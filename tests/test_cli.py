@@ -132,6 +132,19 @@ def test_einstein_signature(capsys):
     assert "k_plus: 1a1" in out and "k_minus: -1a1" in out
 
 
+def test_einstein_negative_lambda_in_equals_form(capsys):
+    # argparse reads "-1/2" after a space as an option, so a negative value
+    # is given as --lambda=-1/2; it negates every metric entry.
+    def entries(*lam):
+        code, out, _ = run(capsys, "einstein", "A", "1", "--cross", "1", *lam, "--json")
+        assert code == 0
+        return json.loads(out)["payload"]["metric_entries"]
+
+    positive, negative = entries("--lambda", "1/2"), entries("--lambda=-1/2")
+    assert negative == [{**e, "value": str(-int(e["value"]))} for e in positive]
+    assert positive and positive[0]["value"] == "-8"
+
+
 @pytest.mark.slow
 def test_verify_rank8_sweep(capsys):
     # The whole advertised scope; deselected by default, run with -m slow.

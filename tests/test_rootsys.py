@@ -11,6 +11,7 @@ from parakahler.rootsys import (
     SimpleType,
     Weight,
     build_root_system,
+    exact_div,
     format_coeffs,
     inner_product,
     n_pairing,
@@ -215,3 +216,10 @@ def test_integer_weights_invert_cartan_matrix(name):
 def test_unimodular_weights_are_plain_ints(name):
     rs = build_root_system(SimpleType.parse(name))
     assert all(type(c) is int for w in rs.weights for c in w.coords)
+
+
+def test_exact_div_refuses_a_remainder_explicitly():
+    # An explicit raise, not an assert, so ``python -O`` cannot floor it.
+    assert exact_div(-12, 4) == -3
+    with pytest.raises(ArithmeticError):
+        exact_div(7, 2)

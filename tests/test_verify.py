@@ -96,6 +96,25 @@ def test_individual_checks_on_g2(algebra):
     assert check_einstein(L, g)["ok"]
 
 
+def test_killing_dual_names_the_root_where_omega_z_is_off(algebra, monkeypatch):
+    # omega_z off by one on a single root must fail there, with both values.
+    rs, L = algebra("B3")
+    g = grade_from_crossing(rs, CrossingSet.of(2))
+    off = rs.positive_roots[4]
+    true_omega_z = verify.omega_z
+
+    def shifted(L, z):
+        form = true_omega_z(L, z)
+        return TwoForm(form.rs, {**form.coeffs, off: form.coeffs[off] + 1})
+
+    direct = two_form_from_weight(rs, verify.koszul_form(g)).coeffs[off]
+    monkeypatch.setattr(verify, "omega_z", shifted)
+    assert check_killing_dual(L, g) == {
+        "ok": False,
+        "first_failure": f"omega_z != d(psi) on {off}: {direct + 1} vs {direct}",
+    }
+
+
 def test_bracket_off_its_weight_fails_every_sparse_check(algebra):
     # The sparse checks skip triples whose weights cannot cancel; a bracket
     # outside its weight voids that skip, so none of them may pass.
@@ -255,7 +274,10 @@ def test_degree_without_a_degree_one_split_fails_fundamental(algebra):
     assert check_gradation(L, g)["fundamental"]["ok"]
     bad = dataclasses.replace(g, degrees={**g.degrees, Root((0, 1)): 0})
     assert not is_fundamental(bad)
-    assert check_gradation(L, bad)["fundamental"] == {"ok": False, "first_failure": None}
+    assert check_gradation(L, bad)["fundamental"] == {
+        "ok": False,
+        "first_failure": "1a1+1a2 of degree 2 has no degree-1 split",
+    }
 
 
 def test_grading_sees_a_wrong_cartan_action(algebra):
