@@ -79,7 +79,7 @@ class Gradation:
         return tuple(r for r in self.rs.positive_roots if self.degrees[r] != 0)
 
     def nonzero_roots(self) -> tuple[Root, ...]:
-        """Roots spanning the tangent complement m, in canonical order."""
+        """Roots of m in canonical order: positive roots, then their negatives in that order."""
         return tuple(r for r in self.rs.all_roots() if self.degrees[r] != 0)
 
 

@@ -52,19 +52,15 @@ class TwoForm:
         if missing:
             raise DomainError(f"coefficients missing for {missing[0]}")
 
-    def pair_basis(self, alpha: Root, beta: Root) -> Q | int:
-        """Value on (X_alpha, X_beta); zero unless beta = -alpha."""
-        if any(a + b for a, b in zip(alpha.coeffs, beta.coeffs)):
-            return 0
-        return self.coeffs[alpha] if alpha.is_positive else -self.coeffs[-alpha]
-
     def rows(self, L: LieAlgebraData) -> list[dict[int, Q | int]]:
-        """Dict rows {j: f(e_i, e_j)} over basis indices; zeros are not stored."""
+        """Dict rows {j: f(e_i, e_j)}, zeros not stored; X_alpha at x pairs X_-alpha at x+npos."""
+        if L.rs != self.rs:
+            raise DomainError("algebra and two-form use different root systems")
+        npos = len(self.rs.positive_roots)
         rows: list[dict[int, Q | int]] = [{} for _ in range(L.dim)]
-        for root, c in self.coeffs.items():
-            if c:
-                i, j = L.index_of_root(root), L.index_of_root(-root)
-                rows[i][j], rows[j][i] = c, -c
+        for x, root in enumerate(self.rs.positive_roots, L.rank):
+            if c := self.coeffs[root]:
+                rows[x][x + npos], rows[x + npos][x] = c, -c
         return rows
 
     def matrix(self, L: LieAlgebraData) -> list[list[Q]]:
@@ -83,10 +79,8 @@ def delta_sum(rs: RootSystem, subset) -> Weight:
 
 
 def koszul_form(g: Gradation) -> Weight:
-    """The Koszul 1-form psi = 2(delta_g - delta_h) in int simple-root coordinates."""
-    delta_g = delta_sum(g.rs, g.rs.positive_roots)
-    delta_h = delta_sum(g.rs, g.zero_degree_positive())
-    return (delta_g - delta_h).scale(2)
+    """Koszul 1-form psi = 2(delta_g - delta_h) = 2 sum(m+), since R+ splits into R0+ and m+."""
+    return delta_sum(g.rs, g.nonzero_positive()).scale(2)
 
 
 def koszul_coefficients(g: Gradation) -> dict[int, int]:
@@ -140,13 +134,10 @@ def two_form_from_weight(rs: RootSystem, xi: Weight) -> TwoForm:
 
 
 def kernel_of(f: TwoForm, g: Gradation) -> tuple[BasisIndex, ...]:
-    """Kernel of the two-form: the Cartan plus all pairs with zero coefficient."""
-    out = [BasisIndex.H(i) for i in range(1, g.rs.rank + 1)]
-    zero = {r for r in g.rs.positive_roots if not f.coeffs[r]}
-    for root in g.rs.all_roots():
-        if root in zero or -root in zero:
-            out.append(BasisIndex.X(root))
-    return tuple(out)
+    """Kernel of the two-form: the H_i, the zero-coefficient positive roots, their negatives."""
+    zero = [r for r in g.rs.positive_roots if not f.coeffs[r]]
+    cartan = [BasisIndex.H(i) for i in range(1, g.rs.rank + 1)]
+    return (*cartan, *map(BasisIndex.X, zero + [-r for r in zero]))
 
 
 def kernel_is_g0(f: TwoForm, g: Gradation) -> bool:
@@ -178,11 +169,11 @@ def killing_dual(L: LieAlgebraData, xi: Weight) -> AlgebraElement:
 class EinsteinStructure:
     """Para-Kahler Einstein data on the orbit tangent space.
 
-    ``metric`` is lambda^{-1} rho(X, K Y) over the nonzero-degree root-vector
-    basis listed in ``basis``, as ``ratlin`` dict rows ``{column: value}``
-    that store no zeros: rho pairs X_alpha with X_-alpha only, so row alpha
-    holds its one entry in the column of -alpha.  An integral entry is an
-    int, any other a Fraction.  The Einstein constant is ``lam``.
+    ``metric`` is lambda^{-1} rho(X, K Y) over the root vectors of m listed in
+    ``basis``, as ``ratlin`` dict rows ``{column: value}`` storing no zeros:
+    rho pairs X_alpha with X_-alpha only, and -m[a] = m[a + k] with k = |m|/2,
+    so rows a and a + k hold their one entry in each other's column.  An
+    integral entry is an int, any other a Fraction; ``lam`` is the Einstein constant.
     """
 
     gradation: Gradation
@@ -207,17 +198,21 @@ def einstein_structure(g: Gradation, L: LieAlgebraData | None, lam) -> EinsteinS
     if L is not None and L.rs != g.rs:
         raise DomainError("algebra and gradation use different root systems")
     rho = two_form_from_weight(g.rs, koszul_form(g))
-    roots = g.nonzero_roots()
-    index = {root: a for a, root in enumerate(roots)}
-    # m is closed under negation, so -alpha always has a column.
-    metric = []
-    for alpha in roots:
-        v = g.ksign(-alpha) * rho.pair_basis(alpha, -alpha) / lam  # lam is a Fraction
-        metric.append({index[-alpha]: v if v.denominator > 1 else v.numerator} if v else {})
+    m = g.nonzero_roots()
+    k = len(m) // 2
+    if m[k:] != tuple(-alpha for alpha in m[:k]):
+        bad = next((alpha for alpha, beta in zip(m[:k], m[k:]) if beta != -alpha), m[-1])
+        raise DomainError(f"the negative of {bad} is not at its offset in m")
+    # With alpha = m[a]: g[a][a+k] = K(-alpha) c_alpha / lam, g[a+k][a] = -K(alpha) c_alpha / lam.
+    c = [rho.coeffs[alpha] / lam for alpha in m[:k]]  # lam is a Fraction
+    values = [g.ksign(beta) * v for beta, v in zip(m[k:], c)]
+    values += [-g.ksign(alpha) * v for alpha, v in zip(m, c)]
+    metric = [{(a + k) % len(m): v if v.denominator > 1 else v.numerator} if v else {}
+              for a, v in enumerate(values)]
     return EinsteinStructure(
         gradation=g,
         lam=lam,
         rho=rho,
-        basis=tuple(BasisIndex.X(r) for r in roots),
+        basis=tuple(BasisIndex.X(r) for r in m),
         metric=tuple(metric),
     )

@@ -29,11 +29,11 @@ from itertools import product
 
 from . import ratlin
 from .chevalley import LieAlgebraData, basis_element, chevalley_constants
+from .errors import DomainError
 from .gradation import (
     Gradation,
     enumerate_crossings,
     grade_from_crossing,
-    orbit_dimension,
     unsplit_root,
 )
 from .koszul import (
@@ -237,17 +237,17 @@ def check_grading(L: LieAlgebraData, g: Gradation) -> dict:
 
 
 def check_gradation(L: LieAlgebraData, g: Gradation) -> dict:
-    dim_m = orbit_dimension(g)
     bad = unsplit_root(g)
+    unpaired = next((r for r in g.nonzero_roots() if not g.degrees[-r]), None)
     return {
         "grading": check_grading(L, g),
         "fundamental": _first_failure(
             [] if bad is None else [f"{bad} of degree {g.degree(bad)} has no degree-1 split"]
         ),
-        "orbit_dimension_even": {
-            "ok": dim_m % 2 == 0 and dim_m == 2 * len(g.nonzero_positive()),
-            "first_failure": None,
-        },
+        # Closed under negation, m has |m| = 2|m+| and -m[a] at m[a + |m|/2].
+        "orbit_dimension_even": _first_failure(
+            [] if unpaired is None else [f"{unpaired} is in m but {-unpaired} is not"]
+        ),
     }
 
 
@@ -344,7 +344,10 @@ def check_einstein(L: LieAlgebraData, g: Gradation) -> dict:
 
     The first three run over the entries the metric's dict rows store.
     """
-    es = einstein_structure(g, L, 1)
+    try:
+        es = einstein_structure(g, L, 1)
+    except DomainError as err:  # a root of m without its negative at its offset
+        return _first_failure([str(err)])
     roots = g.nonzero_roots()
     index = [L.index_of_root(r) for r in roots]
     metric: list[dict[int, Q | int]] = [{} for _ in range(L.dim)]  # rows by basis index
@@ -355,7 +358,7 @@ def check_einstein(L: LieAlgebraData, g: Gradation) -> dict:
             if g.ksign(roots[a]) * g.ksign(roots[b]) * v != -v:
                 return _first_failure(["metric not K-skew"])
             # The invariance check below visits zero-weight triples only.
-            if v and any((roots[a] + roots[b]).coeffs):
+            if v and L.keys[index[a]] + L.keys[index[b]]:
                 return _first_failure([f"metric pairs {roots[a]} with {roots[b]}"])
             metric[index[a]][index[b]] = v
 

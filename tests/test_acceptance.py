@@ -207,10 +207,11 @@ def test_criterion_6_einstein_structure():
             roots = [bi.root for bi in es.basis]
             n = len(roots)
             # Type (1,1): rho only pairs opposite degrees.
+            form = es.rho.rows(L)
             for a in rs.all_roots():
                 for b in rs.all_roots():
                     if g.degree(a) + g.degree(b) != 0:
-                        assert es.rho.pair_basis(a, b) == 0
+                        assert form[L.index_of_root(a)].get(L.index_of_root(b), 0) == 0
             # Symmetry and K-skewness, exactly.
             for i in range(n):
                 for j in range(n):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 
 from parakahler import chevalley, cli
 from parakahler.cli import main
+from parakahler.verify import sweep_types
 
 
 def run(capsys, *argv):
@@ -143,6 +145,58 @@ def test_einstein_negative_lambda_in_equals_form(capsys):
     positive, negative = entries("--lambda", "1/2"), entries("--lambda=-1/2")
     assert negative == [{**e, "value": str(-int(e["value"]))} for e in positive]
     assert positive and positive[0]["value"] == "-8"
+
+
+# sha256 of each type's `koszul`, `rho`, `einstein` and `einstein --lambda=-3/7`
+# --json reports, concatenated in that order at crossings {1}, {rank} and all
+# nodes.  Recorded while the metric still paired alpha with -alpha through a
+# root-keyed index, so the positional pairing must reproduce these bytes.
+REPORTS_SHA256 = {
+    "A1": "2ad47f75ecb0f97b5ff47cb3c5b31379e3efa08f8ce1b047a366778695a6bfd9",
+    "A2": "8ff42473b8e125a25158f232154dcae8e124299f6a21b8807293cb1d081f564c",
+    "A3": "3aef2aaf3507c0d79a26c3bc4b0f6de38e7f876135c4edf9600b4abb2ff1835c",
+    "A4": "c43c3dcd0239127645196876dbb5031c551b151652fd4c0946db4cbe876dbac5",
+    "A5": "827799cad39dc73b5214056731aa5551c071b63c249a06b42bed409c7ee3eb8d",
+    "A6": "578d6f86f1071c03e6984ee6ab2d7e66a97a77093d65669facc884bc7a0b4c0b",
+    "A7": "8c9d20b0aeb2e1e90215e3a13f5a3a607444253895a2ef9d2363126775d05d8a",
+    "A8": "118000c3d71e855542e973472a9ee8bff89aca018eed4fb8b0edf92da03aa742",
+    "B2": "309a8ff1580b7e27d99c73b081af543c69ef68d76b918f01776f8b65a07d4302",
+    "B3": "1155731654176ee865e6190c473bb65e6526926d948d8a4516e0c8ce5e15b111",
+    "B4": "97a4b72684df582586603bfb910d4a1e038a328b4da5b107e91a48a07582e7f5",
+    "B5": "1bcf648172f19c0cac25f45ea301e6a5640e0d63ddde0c678c324010391721f0",
+    "B6": "be2c96074c4e2254989e0b6a4248672aef75fd43e591f68ff77c4f89edacd187",
+    "B7": "bbd44ee9c1be801ab02707b4faa58b3b079920711a827976c7127c2ad31ff444",
+    "B8": "a0846fddba5c9bb34e3dd0587de923963954644966cf9ef9aac0754442226940",
+    "C3": "5cd944bfc449b06e2975a849caf62ac5005e303234e5b6941337ab3c037786ce",
+    "C4": "ef17f72785a64bff4b430d93dc268d7dbc50808aa4fe708facb367d0b14bef77",
+    "C5": "da9b6ed58b6a79bdc3d1dc3363506bcf79159386171d405beb0a1a4ff30a71d5",
+    "C6": "dd0b108664e322c0ad69335f2f0c5f7ab3ff327b01ad7fda84fac2557a0985e6",
+    "C7": "c627ef2f3ae6e30cd9b2ef1fdd3f18603ed0111806d7ca1985db1fd4aeecbe7a",
+    "C8": "b0820b2ccf6c446a2c75d11c29155c1e530232a7ea5d8a5ce74baaaafe4d9e88",
+    "D4": "7f34d208ada86c0e40bef196e43c555566c1c4c3eb39b1ec8935558691a557e8",
+    "D5": "40376cd52bc8bcfa4181231afa199f3a1ad9b6c664ad5ada4d33f5a8e8fe81cb",
+    "D6": "3838313902402a8fbc552c27908637855527d01b867731ff67a54806b576742d",
+    "D7": "74705a8b21a6e47c728fc94e91ed43ae1dd91cd8a659b98bcc75045a11779c06",
+    "D8": "676d706a48943297fe701793dcc05b87b659687eda405cbc2b6311291943322d",
+    "E6": "ef8abc4582518467806a6ce2388a8b9a123bf0977aab278dec9f864b5bd1edd4",
+    "E7": "2d756d6f1faa199568fcdd0439815df238bed4237896bc4481eb3583acad6583",
+    "E8": "aa10b1dbb61d1eace5988353e3d207467fb3177921e8fdbe988440fbe8ae57e7",
+    "F4": "548f3df88657bfd8baf61a145bbad29899399487e83dabb0ee692caf251dea83",
+    "G2": "07fc2d3bb1c4f7b87bac9987064cfb6be9561715b2868088dadd07b3b00fe052",
+}
+
+
+@pytest.mark.parametrize("name", [str(t) for t in sweep_types(8)])
+def test_report_digest(name, capsys):
+    family, rank = name[0], name[1:]
+    every = ",".join(map(str, range(1, int(rank) + 1)))
+    digest = hashlib.sha256()
+    for cross in dict.fromkeys(("1", rank, every)):
+        for command, *extra in (["koszul"], ["rho"], ["einstein"], ["einstein", "--lambda=-3/7"]):
+            code, out, err = run(capsys, command, family, rank, "--cross", cross, *extra, "--json")
+            assert code == 0, err
+            digest.update(out.encode())
+    assert digest.hexdigest() == REPORTS_SHA256[name]
 
 
 @pytest.mark.slow

@@ -258,3 +258,16 @@ def test_arrows_of_one_diagram_involution_accepted(name, arrows):
 def test_arrows_outside_diagram_involutions_rejected(name, arrows):
     with pytest.raises(DomainError, match="involution"):
         SatakeDiagram.make(SimpleType.parse(name), arrows=arrows)
+
+
+def test_nonzero_roots_put_each_negative_half_way_along():
+    # m[k:] = -m[:k], element by element, on every crossing of rank <= 8:
+    # the Einstein metric pairs alpha = m[a] with m[a + k] by position.
+    for stype in sweep_types(8):
+        rs = build_root_system(stype)
+        for crossing in enumerate_crossings(rs.rank):
+            m = grade_from_crossing(rs, crossing).nonzero_roots()
+            k = len(m) // 2
+            assert len(m) == 2 * k, (stype, crossing)
+            for alpha, beta in zip(m[:k], m[k:]):
+                assert alpha.is_positive and beta == -alpha, (stype, crossing, alpha)

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction as Q
 
 import pytest
@@ -348,3 +349,22 @@ def test_einstein_structure_rejects_other_root_system(algebra):
     g = grade_from_crossing(rs, CrossingSet.of(1))
     with pytest.raises(DomainError, match="different root systems"):
         einstein_structure(g, other, 1)
+
+
+def test_two_form_rows_refuse_another_root_system(algebra):
+    # Rows are read by position, so the algebra must list the same roots.
+    rs, _ = algebra("A2")
+    _, other = algebra("G2")
+    rho = two_form_from_weight(rs, koszul_form(grade_from_crossing(rs, CrossingSet.of(1))))
+    with pytest.raises(DomainError, match="different root systems"):
+        rho.rows(other)
+
+
+def test_einstein_structure_refuses_a_root_of_m_without_its_negative(algebra):
+    # With -a1 moved to degree 0 on A2 {1}, m = {a1, a1+a2, -a1-a2}: pairing
+    # by position would put a1 against a1+a2, so the metric is refused.
+    rs, _ = algebra("A2")
+    g = grade_from_crossing(rs, CrossingSet.of(1))
+    bad = dataclasses.replace(g, degrees={**g.degrees, Root((-1, 0)): 0})
+    with pytest.raises(DomainError, match=r"^the negative of 1a1 is not at its offset in m$"):
+        einstein_structure(bad, None, 1)
