@@ -45,7 +45,7 @@ from functools import cached_property
 from operator import mul
 
 from .errors import DomainError
-from .rootsys import Root, RootSystem, exact_div
+from .rootsys import Root, RootSystem, bareiss_inverse, exact_div
 
 
 _NO_TERMS: dict[int, int] = {}  # every zero bracket; shared, never mutated
@@ -186,6 +186,63 @@ class LieAlgebraData:
         """The Killing Gram on the Cartan H_1..H_l, as a dense matrix."""
         b = self.killing_basis()
         return [[b[i].get(j, 0) for j in range(self.rank)] for i in range(self.rank)]
+
+    # -- the gradation plan: per-gradation oracles compiled once per algebra --
+
+    @cached_property
+    def closedness_functionals(self) -> tuple[tuple[tuple[int, int, int], tuple], ...]:
+        """(first triple, ((p, coefficient), ...)): d(f) on the zero-weight i < j < k.
+
+        A two-form with f(X_a, X_-a) = c_p (a the p-th positive root) pairs
+        e_m with e_t only for m = -t, so f([i,j],k) + f([j,k],i) - f([i,k],j)
+        is an int functional of c.  Each distinct nonzero one is kept once, in
+        walk order, with the first triple that produced it.
+        """
+        rk, npos, rows = self.rank, len(self.rs.positive_roots), self.brackets
+        first: dict[tuple, tuple[int, int, int]] = {}
+        for i, pairs in enumerate(self.zero_weight_pairs):
+            for j, k in (p for p in pairs if i < p[0] < p[1]):
+                f: dict[int, int] = {}
+                for u, v, t, sign in ((i, j, k, 1), (j, k, i, 1), (i, k, j, -1)):
+                    if t >= rk and (a := rows[u].get(v, _NO_TERMS).get(self.partners(t)[0])):
+                        # f(e_-t, e_t) is c_col for a negative root t, -c_col for a positive one.
+                        col = (t - rk) % npos
+                        f[col] = f.get(col, 0) + (sign if t >= rk + npos else -sign) * a
+                if key := tuple(sorted((col, a) for col, a in f.items() if a)):
+                    first.setdefault(key, (i, j, k))
+        return tuple((triple, key) for key, triple in first.items())
+
+    @cached_property
+    def invariance_terms(self) -> list[tuple[tuple[int, int, int, int, int], ...]]:
+        """``[z]``: (x, y, -y, [z,x]_-y, [z,y]_-x) for the root pairs of ``zero_weight_pairs[z]``.
+
+        A form pairing e_u with e_-u only, r[u] = f(e_u, e_-u), has
+        f([z,x],y) + f(x,[z,y]) = [z,x]_-y r[-y] + [z,y]_-x r[x]; terms zero
+        for every r are dropped.
+        """
+        rk, rows = self.rank, self.brackets
+        terms = []
+        for z, pairs in enumerate(self.zero_weight_pairs):
+            kept = []
+            for x, y in (p for p in pairs if p[0] >= rk):
+                (nx,), (ny,) = self.partners(x), self.partners(y)
+                a, b = rows[z].get(x, _NO_TERMS).get(ny, 0), rows[z].get(y, _NO_TERMS).get(nx, 0)
+                if (a + b) if ny == x else (a or b):
+                    kept.append((x, y, ny, a, b))
+            terms.append(tuple(kept))
+        return terms
+
+    @cached_property
+    def cartan_action(self) -> tuple[tuple[int, ...], ...]:
+        """``[p]``: a(H_h) over h for the p-th root a, read from the stored [H_h, X_a]."""
+        rows, rk = self.brackets, self.rank
+        return tuple(tuple(rows[h].get(x, _NO_TERMS).get(x, 0) for h in range(rk))
+                     for x in range(rk, self.dim))
+
+    @cached_property
+    def killing_cartan_inverse(self) -> tuple[list[list[int]], int]:
+        """(M, d) in ints with M = d times the inverse of ``cartan_block``."""
+        return bareiss_inverse(self.cartan_block())
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
+from functools import cached_property
 from itertools import combinations
 from pathlib import Path
 
@@ -61,26 +62,31 @@ class Gradation:
         try:
             return self.degrees[root]
         except KeyError:
-            raise DomainError(f"{root} is not a root of {self.rs.type}") from None
+            raise DomainError(f"{root} has no degree in this gradation of {self.rs.type}") from None
 
     def ksign(self, root: Root) -> int:
         """The para-complex structure on root vectors: sign of the degree."""
         d = self.degree(root)
         return 0 if d == 0 else (1 if d > 0 else -1)
 
+    @cached_property
+    def root_degrees(self) -> tuple[int, ...]:
+        """The degree of each root of ``rs.all_roots()``, by position, read once."""
+        return tuple(map(self.degree, self.rs.all_roots()))
+
     def roots_of_degree(self, p: int) -> tuple[Root, ...]:
-        return tuple(r for r in self.rs.all_roots() if self.degrees[r] == p)
+        return tuple(r for r, d in zip(self.rs.all_roots(), self.root_degrees) if d == p)
 
     def zero_degree_positive(self) -> tuple[Root, ...]:
         """R0+: positive roots spanning the semisimple part of g_0."""
-        return tuple(r for r in self.rs.positive_roots if self.degrees[r] == 0)
+        return tuple(r for r, d in zip(self.rs.positive_roots, self.root_degrees) if d == 0)
 
     def nonzero_positive(self) -> tuple[Root, ...]:
-        return tuple(r for r in self.rs.positive_roots if self.degrees[r] != 0)
+        return tuple(r for r, d in zip(self.rs.positive_roots, self.root_degrees) if d)
 
     def nonzero_roots(self) -> tuple[Root, ...]:
         """Roots of m in canonical order: positive roots, then their negatives in that order."""
-        return tuple(r for r in self.rs.all_roots() if self.degrees[r] != 0)
+        return tuple(r for r, d in zip(self.rs.all_roots(), self.root_degrees) if d)
 
 
 def grade_from_crossing(rs: RootSystem, crossing: CrossingSet) -> Gradation:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from operator import mul
 
 from . import ratlin
 from .chevalley import (
@@ -151,7 +152,8 @@ def omega_z(L: LieAlgebraData, z: AlgebraElement) -> TwoForm:
 
     On the standard pairs this is B(z, H_a), the Killing-dual description of
     the differential of the 1-form B(z, .).  It is linear in H_a, so B(z, H_i)
-    is evaluated once per simple coroot, as an int where it is integral.
+    is evaluated once per simple coroot, through ``killing_form`` on z's own
+    (possibly Fraction) coordinates, as an int where it is integral.
     """
     if not is_cartan(L, z):
         raise DomainError("omega_z needs an element of the Cartan subalgebra")
@@ -160,9 +162,14 @@ def omega_z(L: LieAlgebraData, z: AlgebraElement) -> TwoForm:
 
 
 def killing_dual(L: LieAlgebraData, xi: Weight) -> AlgebraElement:
-    """The Cartan element z with B(z, h) = xi(h) for every Cartan h."""
+    """The Cartan element z with B(z, h) = xi(h) for every Cartan h, in Fractions.
+
+    z = M b / d with b_i = xi(H_i), from the int inverse (M, d) of the Killing
+    Cartan block that ``L.killing_cartan_inverse`` builds once per algebra.
+    """
+    m, d = L.killing_cartan_inverse
     rhs = [L.rs.coroot_pairing(xi, i) for i in range(1, L.rank + 1)]
-    return cartan_element(L, ratlin.solve(L.cartan_block(), rhs))
+    return cartan_element(L, [Q(sum(map(mul, row, rhs)), d) for row in m])
 
 
 @dataclass
@@ -204,11 +211,13 @@ def einstein_structure(g: Gradation, L: LieAlgebraData | None, lam) -> EinsteinS
         bad = next((alpha for alpha, beta in zip(m[:k], m[k:]) if beta != -alpha), m[-1])
         raise DomainError(f"the negative of {bad} is not at its offset in m")
     # With alpha = m[a]: g[a][a+k] = K(-alpha) c_alpha / lam, g[a+k][a] = -K(alpha) c_alpha / lam.
-    c = [rho.coeffs[alpha] / lam for alpha in m[:k]]  # lam is a Fraction
-    values = [g.ksign(beta) * v for beta, v in zip(m[k:], c)]
-    values += [-g.ksign(alpha) * v for alpha, v in zip(m, c)]
-    metric = [{(a + k) % len(m): v if v.denominator > 1 else v.numerator} if v else {}
-              for a, v in enumerate(values)]
+    # c_alpha / lam = c_alpha den / num, a Fraction only where it is not an int.
+    num, den = lam.numerator, lam.denominator
+    c = [Q(n, num) if n % num else n // num for n in (rho.coeffs[alpha] * den for alpha in m[:k])]
+    ksign = [1 if d > 0 else -1 for d in g.root_degrees if d]  # K on m, by position
+    values = [s * v for s, v in zip(ksign[k:], c)]
+    values += [-s * v for s, v in zip(ksign, c)]
+    metric = [{(a + k) % len(m): v} if v else {} for a, v in enumerate(values)]
     return EinsteinStructure(
         gradation=g,
         lam=lam,

@@ -299,6 +299,7 @@ def build_root_system(stype: SimpleType) -> RootSystem:
             f"closure produced {len(positive)} positive roots for {stype}, "
             f"expected {expected}"
         )
+    inv, d = bareiss_inverse(cartan)
     top = positive[-1].height
     assert sum(1 for p in positive if p.height == top) == 1, "highest root not unique"
 
@@ -307,27 +308,33 @@ def build_root_system(stype: SimpleType) -> RootSystem:
         cartan=cartan,
         d=_symmetrizers(cartan),
         positive_roots=positive,
-        weights=_inverse_rows(cartan),
+        # The fundamental weights: rows of A^-1, an entry an int where it is one.
+        weights=tuple(Weight(tuple(Q(x, d) if x % d else x // d for x in row)) for row in inv),
     )
 
 
-def _inverse_rows(cartan) -> tuple[Weight, ...]:
-    """The fundamental weights: rows of A^-1 by fraction-free Gauss-Jordan.
+def bareiss_inverse(a) -> tuple[list[list[int]], int]:
+    """(M, d) in ints with M = d a^-1 for a square int matrix a, d = +-det(a).
 
-    Bareiss steps on [A | I] divide exactly and need no row swaps (a Cartan
-    matrix has positive leading minors); the left block ends as det(A) I, and
-    a right entry over det(A) is an int when it divides evenly.
+    Fraction-free (Bareiss) Gauss-Jordan on [a | I]: each step divides
+    exactly, and the left block ends as d I.  A zero pivot swaps in a lower
+    row (a Cartan matrix and a Killing Cartan block need none); a singular a
+    raises ZeroDivisionError.
     """
-    r = len(cartan)
-    m = [list(row) + [int(i == j) for j in range(r)] for i, row in enumerate(cartan)]
+    r = len(a)
+    m = [list(row) + [int(i == j) for j in range(r)] for i, row in enumerate(a)]
     prev = 1
-    for k, top in enumerate(m):
+    for k in range(r):
+        p = next((i for i in range(k, r) if m[i][k]), None)
+        if p is None:
+            raise ZeroDivisionError("matrix is singular")
+        m[k], m[p] = m[p], m[k]
+        top = m[k]
         for i, row in enumerate(m):
             if i != k:
                 m[i] = [exact_div(top[k] * x - row[k] * y, prev) for x, y in zip(row, top)]
         prev = top[k]
-    inv = [[Q(x, prev) if x % prev else x // prev for x in row[r:]] for row in m]
-    return tuple(Weight(tuple(row)) for row in inv)
+    return [row[r:] for row in m], prev
 
 
 def exact_div(num: int, den: int) -> int:

@@ -11,13 +11,23 @@ visits the triples where [[i,j],k], [[j,k],i] or [[k,i],j] has one.  Killing
 invariance, closedness of rho and both ad_{g_0}-invariance checks pair
 [e_i, e_j] with e_k under a form that vanishes unless the weights cancel
 (``check_einstein`` checks that of the metric), so they visit the triples
-with wt(i) + wt(j) + wt(k) = 0 only, once ``LieAlgebraData.grading_failure``
-certifies that every bracket lands in weight wt(i) + wt(j); if it fails,
-they return ok: False with its location.  All four read
-``LieAlgebraData.zero_weight_pairs``, built once per algebra: the invariance
-checks look up the pairs of each acting index, and closedness keeps the
-pairs with z < x < y.  The same certificate leaves the trace oracle only the
-Cartan to check.
+with wt(i) + wt(j) + wt(k) = 0 only (``LieAlgebraData.zero_weight_pairs``),
+once ``LieAlgebraData.grading_failure`` certifies that every bracket lands
+in weight wt(i) + wt(j); if it fails, they return ok: False with its
+location.  The same certificate leaves the trace oracle only the Cartan.
+
+Killing invariance walks those triples directly.  The per-gradation checks
+read a plan that ``LieAlgebraData`` compiles once per algebra from its
+bracket rows, since only a per-root int vector changes between gradations:
+closedness evaluates one int functional over rho's c_alpha per distinct
+cyclic sum (``closedness_functionals``, each named by the first triple that
+produced it); both ad_{g_0}-invariance checks evaluate the terms of each
+acting index (``invariance_terms``) on rho's or the metric's value at each
+(alpha, -alpha), the metric's restricted to m; the grading check reads
+alpha(H_h) (``cartan_action``) against an int grading element; and
+``killing_dual`` reads the int inverse of the Killing Cartan block
+(``killing_cartan_inverse``).  Each gradation builds its vectors once: the
+degree of every root (``Gradation.root_degrees``), c and the metric values.
 """
 
 from __future__ import annotations
@@ -26,6 +36,8 @@ import functools
 from collections import Counter, defaultdict
 from fractions import Fraction as Q
 from itertools import product
+from math import lcm
+from operator import mul
 
 from . import ratlin
 from .chevalley import LieAlgebraData, basis_element, chevalley_constants
@@ -66,6 +78,13 @@ def _certified(check):
     return guarded
 
 
+def _degrees(L: LieAlgebraData, g: Gradation) -> tuple[int, ...]:
+    """g's degree of each basis index of L, 0 on the Cartan."""
+    if g.rs != L.rs:
+        raise DomainError("algebra and gradation use different root systems")
+    return (0,) * L.rank + g.root_degrees
+
+
 def _invariance_triples(L: LieAlgebraData, acting, domain):
     """Each (z, x, y) with z in ``acting``, x <= y in ``domain`` and zero weight sum.
 
@@ -76,20 +95,6 @@ def _invariance_triples(L: LieAlgebraData, acting, domain):
         for x, y in L.zero_weight_pairs[z]:
             if x in domain and y in domain:
                 yield z, x, y
-
-
-def _invariance_failure(L: LieAlgebraData, form, acting, domain) -> tuple | None:
-    """First (z, x, y) with form([z,x], y) + form(x, [z,y]) != 0.
-
-    ``form`` is symmetric or antisymmetric, as dict rows over basis indices.
-    """
-    pair = L.basis_bracket
-    for z, x, y in _invariance_triples(L, acting, domain):
-        lhs = sum(c * form[m].get(y, 0) for m, c in pair(z, x).items())
-        lhs += sum(c * form[x].get(m, 0) for m, c in pair(z, y).items())
-        if lhs:
-            return z, x, y
-    return None
 
 
 # -- algebra-level checks ------------------------------------------------------
@@ -146,10 +151,13 @@ def check_jacobi(L: LieAlgebraData) -> dict:
 
 @_certified
 def check_killing_invariance(L: LieAlgebraData) -> dict:
-    """B([z,x],y) + B(x,[z,y]) = 0 over all basis triples."""
-    everything = range(L.dim)
-    bad = _invariance_failure(L, L.killing_basis(), everything, everything)
-    return _first_failure([f"killing invariance fails on {bad}"] if bad else [])
+    """B([z,x],y) + B(x,[z,y]) = 0 over all basis triples, read from the Killing rows."""
+    b, pair, everything = L.killing_basis(), L.basis_bracket, range(L.dim)
+    for z, x, y in _invariance_triples(L, everything, everything):
+        lhs = sum(c * b[m].get(y, 0) for m, c in pair(z, x).items())
+        if lhs + sum(c * b[x].get(m, 0) for m, c in pair(z, y).items()):
+            return _first_failure([f"killing invariance fails on {(z, x, y)}"])
+    return _first_failure([])
 
 
 @_certified
@@ -223,22 +231,26 @@ def check_grading(L: LieAlgebraData, g: Gradation) -> dict:
 
     Every bracket lands in weight wt(i) + wt(j) (the certificate), so brackets
     add degrees once the degree is linear: the sum of crossed coefficients.
-    [d, X_a] is read from the stored Cartan rows [H_i, X_a].
+    [H_h, X_a] lies in weight a (the certificate), so [d, X_a] = a(d) X_a with
+    a(H_h) from ``L.cartan_action``; d is scaled to ints by the common
+    denominator D of its coordinates, and a(D d) is compared with D deg(a).
     """
     crossed = [i - 1 for i in g.crossing.sorted()]
-    d = [(h, c) for h, c in enumerate(g.grading_element) if c]
-    for x, root in enumerate(L.roots, L.rank):
-        if g.degree(root) != sum(root.coeffs[i] for i in crossed):
+    den = lcm(*(c.denominator for c in g.grading_element))
+    d = [int(c * den) for c in g.grading_element]
+    for root, deg, act in zip(L.roots, _degrees(L, g)[L.rank:], L.cartan_action):
+        if deg != sum(root.coeffs[i] for i in crossed):
             return _first_failure([f"degree of {root} is not its crossed coefficient sum"])
-        # [H_h, X_a] lies in weight a (the certificate), so on X_a alone.
-        if sum(c * L.basis_bracket(h, x).get(x, 0) for h, c in d) != g.degree(root):
+        if sum(map(mul, d, act)) != deg * den:
             return _first_failure([f"grading element acts wrongly on {root}"])
     return _first_failure([])
 
 
 def check_gradation(L: LieAlgebraData, g: Gradation) -> dict:
+    deg, npos = _degrees(L, g)[L.rank:], len(L.rs.positive_roots)
+    negated = deg[npos:] + deg[:npos]  # the degree of -alpha at the position of alpha
     bad = unsplit_root(g)
-    unpaired = next((r for r in g.nonzero_roots() if not g.degrees[-r]), None)
+    unpaired = next((r for r, d, e in zip(L.roots, deg, negated) if d and not e), None)
     return {
         "grading": check_grading(L, g),
         "fundamental": _first_failure(
@@ -279,34 +291,27 @@ def check_two_form(L: LieAlgebraData, g: Gradation) -> dict:
 
     Type (1,1) needs no check: rho pairs X_alpha with X_-alpha only, and the
     degree is linear, so the two degrees always cancel.  Closedness and
-    invariance read rho from dict rows of its int entries.
+    invariance evaluate the algebra's compiled functionals on rho's values c.
     """
     rs, rk = L.rs, L.rank
+    deg = _degrees(L, g)
     psi = koszul_form(g)
     rho = two_form_from_weight(rs, psi)
     if not kernel_is_g0(rho, g):
         return _first_failure(["kernel of d(psi) is not g_0"])
-    form = rho.rows(L)
+    c = [rho.coeffs[root] for root in rs.positive_roots]
 
-    # Closedness: cyclic sum of rho([x,y],z) over the zero-weight triples.
-    pair = L.basis_bracket
-
-    def rho_vec(vec: dict[int, int], k: int) -> int:
-        return sum(c * form[m].get(k, 0) for m, c in vec.items())
-
-    for i, pairs in enumerate(L.zero_weight_pairs):
-        for j, k in (p for p in pairs if i < p[0] < p[1]):
-            if rho_vec(pair(i, j), k) + rho_vec(pair(j, k), i) != rho_vec(pair(i, k), j):
-                return _first_failure([f"d(rho) != 0 on triple {(i, j, k)}"])
+    # Closedness: the cyclic sum of rho([x,y],z) on the zero-weight triples.
+    for triple, f in L.closedness_functionals:
+        if sum(a * c[p] for p, a in f):
+            return _first_failure([f"d(rho) != 0 on triple {triple}"])
 
     # Coefficient positivity and the a_i expansion.
-    zero_pos = set(g.zero_degree_positive())
-    for root in rs.positive_roots:
-        c = rho.coeffs[root]
-        if root in zero_pos and c != 0:
+    for root, d, v in zip(rs.positive_roots, deg[rk:], c):
+        if not d and v != 0:
             return _first_failure([f"coefficient on {root} should vanish"])
-        if root not in zero_pos and c <= 0:
-            return _first_failure([f"coefficient on {root} not positive: {c}"])
+        if d and v <= 0:
+            return _first_failure([f"coefficient on {root} not positive: {v}"])
     acoef = koszul_coefficients(g)
     recon = Weight.zero(rs.rank)
     for i, a in acoef.items():
@@ -316,11 +321,12 @@ def check_two_form(L: LieAlgebraData, g: Gradation) -> dict:
     if any(a < 2 for a in acoef.values()):
         return _first_failure(["some a_i < 2"])
 
-    # ad_h-invariance of rho for every basis element h of g_0.
-    g0 = [*range(rk), *map(L.index_of_root, g.roots_of_degree(0))]
-    bad = _invariance_failure(L, form, g0, range(rk, L.dim))
-    if bad:
-        return _first_failure([f"rho not ad-invariant under index {bad[0]}"])
+    # ad_h-invariance of rho for every basis element h of g_0; r[u] = rho(e_u, e_-u).
+    r = [0] * rk + c + [-v for v in c]
+    terms = L.invariance_terms
+    for z in (z for z, d in enumerate(deg) if not d):
+        if any(a * r[ny] + b * r[x] for x, _, ny, a, b in terms[z]):
+            return _first_failure([f"rho not ad-invariant under index {z}"])
     return _first_failure([])
 
 
@@ -342,29 +348,34 @@ def check_killing_dual(L: LieAlgebraData, g: Gradation) -> dict:
 def check_einstein(L: LieAlgebraData, g: Gradation) -> dict:
     """Symmetry, K-skewness, weight sparsity, ad_{g_0}-invariance, no empty row, signature.
 
-    The first three run over the entries the metric's dict rows store.
+    The first three run over the entries the metric's dict rows store; once
+    they pass, each row holds at most its (alpha, -alpha) entry, and the
+    invariance check evaluates ``L.invariance_terms`` on those values.
     """
+    deg = _degrees(L, g)
     try:
         es = einstein_structure(g, L, 1)
     except DomainError as err:  # a root of m without its negative at its offset
         return _first_failure([str(err)])
     roots = g.nonzero_roots()
-    index = [L.index_of_root(r) for r in roots]
-    metric: list[dict[int, Q | int]] = [{} for _ in range(L.dim)]  # rows by basis index
+    index = [x for x, d in enumerate(deg) if d]  # the basis index of each root of m
+    ksign = [1 if deg[x] > 0 else -1 for x in index]
+    gval: list[Q | int] = [0] * L.dim  # g(e_u, e_-u) by basis index
     for a, row in enumerate(es.metric):
         for b, v in row.items():
             if es.metric[b].get(a, 0) != v:
                 return _first_failure(["metric not symmetric"])
-            if g.ksign(roots[a]) * g.ksign(roots[b]) * v != -v:
+            if ksign[a] * ksign[b] * v != -v:
                 return _first_failure(["metric not K-skew"])
-            # The invariance check below visits zero-weight triples only.
-            if v and L.keys[index[a]] + L.keys[index[b]]:
-                return _first_failure([f"metric pairs {roots[a]} with {roots[b]}"])
-            metric[index[a]][index[b]] = v
+            if v:  # the invariance check below visits zero-weight triples only
+                if L.keys[index[a]] + L.keys[index[b]]:
+                    return _first_failure([f"metric pairs {roots[a]} with {roots[b]}"])
+                gval[index[a]] = v
 
-    g0 = [*range(L.rank), *map(L.index_of_root, g.roots_of_degree(0))]
-    if _invariance_failure(L, metric, g0, index):
-        return _first_failure(["metric not ad-invariant under g_0"])
+    terms = L.invariance_terms
+    for z in (z for z, d in enumerate(deg) if not d):
+        if any(deg[x] and deg[y] and a * gval[ny] + b * gval[x] for x, y, ny, a, b in terms[z]):
+            return _first_failure(["metric not ad-invariant under g_0"])
     if empty := [alpha for alpha, row in zip(roots, es.metric) if not row]:
         return _first_failure([f"metric is degenerate: the row of {empty[0]} is empty"])
 

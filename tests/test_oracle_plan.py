@@ -1,0 +1,233 @@
+"""The compiled gradation plan against the dict-row walks it replaced.
+
+``check_two_form``, ``check_einstein`` and ``check_grading`` evaluate int
+functionals that ``LieAlgebraData`` compiles once per algebra, and
+``killing_dual`` reads the algebra's int Bareiss inverse.  The references
+below walk the bracket rows for every gradation, as the checks did before
+the plan existed; both routes must give identical reports, also on tampered
+algebras, two-forms and metrics.
+"""
+
+import dataclasses
+from fractions import Fraction as Q
+
+import pytest
+
+from parakahler import ratlin, verify
+from parakahler.errors import DomainError
+from parakahler.gradation import CrossingSet, enumerate_crossings, grade_from_crossing
+from parakahler.koszul import TwoForm, killing_dual, koszul_form
+from parakahler.rootsys import Root, Weight
+from test_verify import _corrupted, _reverse_flipped
+
+
+def _report(problem: str | None = None) -> dict:
+    return {"ok": problem is None, "first_failure": problem}
+
+
+def _invariance_failure(L, form, acting, domain) -> tuple | None:
+    """First (z, x, y) with form([z,x], y) + form(x, [z,y]) != 0, from dict rows."""
+    pair = L.basis_bracket
+    for z, x, y in verify._invariance_triples(L, acting, domain):
+        lhs = sum(c * form[m].get(y, 0) for m, c in pair(z, x).items())
+        lhs += sum(c * form[x].get(m, 0) for m, c in pair(z, y).items())
+        if lhs:
+            return z, x, y
+    return None
+
+
+def reference_two_form(L, g) -> dict:
+    """``check_two_form`` as a walk over rho's dict rows for every gradation."""
+    rs, rk = L.rs, L.rank
+    psi = verify.koszul_form(g)
+    rho = verify.two_form_from_weight(rs, psi)
+    if not verify.kernel_is_g0(rho, g):
+        return _report("kernel of d(psi) is not g_0")
+    form = rho.rows(L)
+    pair = L.basis_bracket
+
+    def rho_vec(vec, k):
+        return sum(c * form[m].get(k, 0) for m, c in vec.items())
+
+    for i, pairs in enumerate(L.zero_weight_pairs):
+        for j, k in (p for p in pairs if i < p[0] < p[1]):
+            if rho_vec(pair(i, j), k) + rho_vec(pair(j, k), i) != rho_vec(pair(i, k), j):
+                return _report(f"d(rho) != 0 on triple {(i, j, k)}")
+    zero_pos = set(g.zero_degree_positive())
+    for root in rs.positive_roots:
+        c = rho.coeffs[root]
+        if root in zero_pos and c != 0:
+            return _report(f"coefficient on {root} should vanish")
+        if root not in zero_pos and c <= 0:
+            return _report(f"coefficient on {root} not positive: {c}")
+    acoef = verify.koszul_coefficients(g)
+    recon = Weight.zero(rs.rank)
+    for i, a in acoef.items():
+        recon = recon + rs.weights[i - 1].scale(2 * a)
+    if recon != psi:
+        return _report("2 sum a_i pi_i != psi")
+    if any(a < 2 for a in acoef.values()):
+        return _report("some a_i < 2")
+    g0 = [*range(rk), *map(L.index_of_root, g.roots_of_degree(0))]
+    bad = _invariance_failure(L, form, g0, range(rk, L.dim))
+    return _report(f"rho not ad-invariant under index {bad[0]}" if bad else None)
+
+
+def reference_einstein(L, g) -> dict:
+    """``check_einstein`` with the metric as dict rows over basis indices."""
+    try:
+        es = verify.einstein_structure(g, L, 1)
+    except DomainError as err:
+        return _report(str(err))
+    roots = g.nonzero_roots()
+    index = [L.index_of_root(r) for r in roots]
+    metric = [{} for _ in range(L.dim)]
+    for a, row in enumerate(es.metric):
+        for b, v in row.items():
+            if es.metric[b].get(a, 0) != v:
+                return _report("metric not symmetric")
+            if g.ksign(roots[a]) * g.ksign(roots[b]) * v != -v:
+                return _report("metric not K-skew")
+            if v and L.keys[index[a]] + L.keys[index[b]]:
+                return _report(f"metric pairs {roots[a]} with {roots[b]}")
+            metric[index[a]][index[b]] = v
+    g0 = [*range(L.rank), *map(L.index_of_root, g.roots_of_degree(0))]
+    if _invariance_failure(L, metric, g0, index):
+        return _report("metric not ad-invariant under g_0")
+    if empty := [alpha for alpha, row in zip(roots, es.metric) if not row]:
+        return _report(f"metric is degenerate: the row of {empty[0]} is empty")
+    pos, neg = es.signature()
+    neutral = pos == neg == len(roots) // 2
+    return _report(None if neutral else f"signature {(pos, neg)} is not neutral")
+
+
+def reference_grading(L, g) -> dict:
+    """``check_grading`` with [d, X_a] from ``basis_bracket`` and Fraction d."""
+    crossed = [i - 1 for i in g.crossing.sorted()]
+    d = [(h, c) for h, c in enumerate(g.grading_element) if c]
+    for x, root in enumerate(L.roots, L.rank):
+        if g.degree(root) != sum(root.coeffs[i] for i in crossed):
+            return _report(f"degree of {root} is not its crossed coefficient sum")
+        if sum(c * L.basis_bracket(h, x).get(x, 0) for h, c in d) != g.degree(root):
+            return _report(f"grading element acts wrongly on {root}")
+    return _report()
+
+
+def _agree(L, g) -> None:
+    assert L.grading_failure is None  # the references skip the certificate
+    assert verify.check_two_form(L, g) == reference_two_form(L, g)
+    assert verify.check_einstein(L, g) == reference_einstein(L, g)
+    assert verify.check_grading(L, g) == reference_grading(L, g)
+
+
+_EVERY_CROSSING = [
+    (str(t), crossing) for t in verify.sweep_types(3) for crossing in enumerate_crossings(t.rank)
+] + [("E6", CrossingSet.of(1))]
+
+
+@pytest.mark.parametrize(
+    "name, crossing", _EVERY_CROSSING, ids=[f"{n}{sorted(c.crossed)}" for n, c in _EVERY_CROSSING]
+)
+def test_compiled_checks_match_the_walks(algebra, name, crossing):
+    rs, L = algebra(name)
+    g = grade_from_crossing(rs, crossing)
+    _agree(L, g)
+    assert verify.check_two_form(L, g)["ok"] and verify.check_einstein(L, g)["ok"]
+    # The Killing dual from the int Bareiss inverse equals a Fraction solve.
+    rhs = [rs.coroot_pairing(koszul_form(g), i) for i in range(1, rs.rank + 1)]
+    solved = ratlin.solve(L.cartan_block(), rhs)
+    assert killing_dual(L, koszul_form(g)).coords == {i: x for i, x in enumerate(solved) if x}
+
+
+@pytest.mark.parametrize(
+    "name, tamper", [("A2", _corrupted), ("A2", _reverse_flipped), ("G2", _reverse_flipped)]
+)
+def test_tampered_algebras_fail_alike(algebra, name, tamper):
+    rs, L = algebra(name)
+    broken = tamper(L)
+    failed = 0
+    for crossing in enumerate_crossings(rs.rank):
+        g = grade_from_crossing(rs, crossing)
+        _agree(broken, g)
+        failed += not verify.check_two_form(broken, g)["ok"]
+    assert failed  # the tamper is seen somewhere
+
+
+@pytest.mark.parametrize("name", ["A2", "G2", "B3"])
+def test_nonlinear_degrees_fail_alike(algebra, name):
+    # Moving a pair +-b to degree 0 keeps m closed under negation but breaks
+    # linearity: g_0 then brackets into m, and only the m-domain filter keeps
+    # those terms out of the metric's invariance check, as the walk does.
+    rs, L = algebra(name)
+    g = grade_from_crossing(rs, CrossingSet.of(1))
+    for beta in g.nonzero_positive():
+        bad = dataclasses.replace(g, degrees={**g.degrees, beta: 0, -beta: 0})
+        _agree(L, bad)
+
+
+@pytest.mark.parametrize("name, crossed", [("A3", (1, 3)), ("B3", (2,)), ("G2", (1,))])
+def test_rho_with_one_coefficient_off_fails_alike(algebra, monkeypatch, name, crossed):
+    rs, L = algebra(name)
+    g = grade_from_crossing(rs, CrossingSet.of(*crossed))
+    true_form = verify.two_form_from_weight
+    reports = []
+    for off in rs.positive_roots:
+        def shifted(rs, xi, off=off):
+            form = true_form(rs, xi)
+            return TwoForm(rs, {**form.coeffs, off: form.coeffs[off] + 1})
+
+        monkeypatch.setattr(verify, "two_form_from_weight", shifted)
+        reports.append(verify.check_two_form(L, g))
+        assert reports[-1] == reference_two_form(L, g), off
+    assert not any(r["ok"] for r in reports)
+
+
+@pytest.mark.parametrize(
+    "name, crossed", [("A3", (1,)), ("B3", (1, 3)), ("C3", (2,)), ("G2", (1,))]
+)
+def test_metric_with_one_pair_doubled_fails_alike(algebra, monkeypatch, name, crossed):
+    rs, L = algebra(name)
+    g = grade_from_crossing(rs, CrossingSet.of(*crossed))
+    true_es = verify.einstein_structure(g, L, 1)
+    k = len(true_es.metric) // 2
+    failed = 0
+    for a in range(k):
+        metric = [dict(row) for row in true_es.metric]
+        for row in (a, a + k):
+            metric[row] = {col: 2 * v for col, v in metric[row].items()}
+        es = dataclasses.replace(true_es, metric=tuple(metric))
+        monkeypatch.setattr(verify, "einstein_structure", lambda *args, es=es: es)
+        report = verify.check_einstein(L, g)
+        assert report == reference_einstein(L, g), a
+        failed += not report["ok"]
+    assert failed  # the doubled pair breaks ad_{g_0}-invariance somewhere
+
+
+@pytest.mark.parametrize("name, count", [("E8", 1120), ("E7", 336), ("D8", 224)])
+def test_closedness_functionals_are_one_per_positive_root_triple(algebra, name, count):
+    # Every nonzero cyclic sum is a functional on one root triple a + b = c of R+.
+    _, L = algebra(name)
+    functionals = L.closedness_functionals
+    assert len(functionals) == count
+    assert all(len(f) == 3 for _, f in functionals)
+
+
+def test_missing_degree_names_the_root(algebra):
+    rs, L = algebra("A2")
+    g = grade_from_crossing(rs, CrossingSet.of(1))
+    minus_a2 = Root((0, -1))
+    bad = dataclasses.replace(g, degrees={r: d for r, d in g.degrees.items() if r != minus_a2})
+    for check in (verify.check_gradation, verify.check_two_form, verify.check_einstein):
+        with pytest.raises(DomainError, match="-1a2"):
+            check(L, bad)
+
+
+def test_grading_scales_a_fractional_grading_element(algebra):
+    # A2 {1} has d = (2/3, 1/3): the check compares a(3d) with 3 deg(a).
+    rs, L = algebra("A2")
+    g = grade_from_crossing(rs, CrossingSet.of(1))
+    assert g.grading_element == (Q(2, 3), Q(1, 3))
+    assert verify.check_grading(L, g) == reference_grading(L, g) == _report()
+    halved = dataclasses.replace(g, grading_element=(Q(1, 3), Q(1, 6)))
+    assert verify.check_grading(L, halved) == reference_grading(L, halved)
+    assert verify.check_grading(L, halved)["first_failure"] == "grading element acts wrongly on 1a1"

@@ -59,6 +59,13 @@ def test_run_sweep_rank2():
     assert result["gradations"] == 10  # A1 + A2 + B2 + G2 crossings
 
 
+def test_run_sweep_rank6():
+    # Every oracle on every gradation of the 21 types of rank <= 6, E6 included.
+    result = run_sweep(6)
+    assert result["all_ok"], result["failures"][:3]
+    assert (result["algebras"], result["gradations"]) == (21, 545)
+
+
 def _copy(L: LieAlgebraData) -> LieAlgebraData:
     """A fresh algebra with empty caches over deep copies of the bracket rows."""
     rows = [{j: dict(out) for j, out in row.items()} for row in L.brackets]

@@ -1,0 +1,180 @@
+"""Per-layer timings of the exact oracle sweep and the chart lab, as one JSON file.
+
+Runs ``verify.run_sweep(max_rank)`` once with a timer around every check and
+closed form it calls through ``verify``'s namespace, and around every
+cached per-algebra table of ``LieAlgebraData`` the measured tree has; each
+layer reports its self time (nested timed calls subtracted) and its call
+count.  Then it times ``metric_from_potential`` per point on the log model
+for each chart dimension n.  Nothing in the package is changed: the timers
+are installed from outside and removed afterwards.
+
+The output is ``BENCH_<commit>.json`` in ``--out``, with the ``src/`` line
+count, the Python version and the processor count beside the timings::
+
+    python3 tools/bench_layers.py                      # run_sweep(8)
+    python3 tools/bench_layers.py --src ../other/src --commit 8624fe1
+
+Compare two files only from back-to-back runs on one host.
+"""
+
+from __future__ import annotations
+
+import argparse
+import functools
+import json
+import os
+import platform
+import subprocess
+import sys
+import time
+from collections import Counter, defaultdict
+from functools import cached_property
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# Names ``run_sweep`` reaches through ``verify``'s module namespace.
+VERIFY_LAYERS = (
+    "check_jacobi", "check_killing_invariance", "check_killing_cartan",
+    "check_structure_constants", "check_gradation", "check_grading",
+    "check_trace_oracle", "check_two_form", "check_killing_dual", "check_einstein",
+    "build_root_system", "chevalley_constants", "grade_from_crossing", "unsplit_root",
+    "koszul_form", "koszul_trace", "koszul_coefficients", "two_form_from_weight",
+    "kernel_is_g0", "killing_dual", "omega_z", "einstein_structure",
+)
+
+
+class LayerTimer:
+    """Self time and call count per layer name, for nested timed calls."""
+
+    def __init__(self) -> None:
+        self.self_s: defaultdict[str, float] = defaultdict(float)
+        self.calls: Counter = Counter()
+        self._children: list[float] = []  # time spent in timed callees, per open call
+
+    def wrap(self, name: str, fn):
+        @functools.wraps(fn)
+        def timed(*args, **kwargs):
+            self._children.append(0.0)
+            start = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                total = time.perf_counter() - start
+                self.self_s[name] += total - self._children.pop()
+                self.calls[name] += 1
+                if self._children:
+                    self._children[-1] += total
+
+        return timed
+
+
+def _install(timer: LayerTimer, verify, chevalley) -> list[tuple[object, str, object]]:
+    """Wrap the sweep's layers; returns (owner, attribute, original) to restore."""
+    undo = []
+    for name in VERIFY_LAYERS:
+        if hasattr(verify, name):
+            undo.append((verify, name, getattr(verify, name)))
+            setattr(verify, name, timer.wrap(f"verify.{name}", getattr(verify, name)))
+    cls = chevalley.LieAlgebraData
+    for name, attr in vars(cls).items():
+        if isinstance(attr, cached_property):  # per-algebra tables, built on first use
+            undo.append((attr, "func", attr.func))
+            attr.func = timer.wrap(f"LieAlgebraData.{name}", attr.func)
+    undo.append((cls, "killing_basis", cls.killing_basis))
+    cls.killing_basis = timer.wrap("LieAlgebraData.killing_basis", cls.killing_basis)
+    return undo
+
+
+def sweep_layers(max_rank: int) -> dict:
+    from parakahler import chevalley, verify
+
+    timer = LayerTimer()
+    undo = _install(timer, verify, chevalley)
+    try:
+        start = time.perf_counter()
+        result = verify.run_sweep(max_rank)
+        wall = time.perf_counter() - start
+    finally:
+        for owner, name, original in reversed(undo):
+            setattr(owner, name, original)
+    layers = sorted(timer.self_s.items(), key=lambda item: -item[1])
+    return {
+        "max_rank": max_rank,
+        "algebras": result["algebras"],
+        "gradations": result["gradations"],
+        "all_ok": result["all_ok"],
+        "wall_s": round(wall, 4),
+        "layers_self_s": {name: round(s, 4) for name, s in layers},
+        "calls": dict(sorted(timer.calls.items())),
+    }
+
+
+CHART_DIMS = (1, 2, 4, 8)
+
+
+def chart_per_point(points: int = 20, repeats: int = 5) -> dict:
+    """Table build, and the best-of-``repeats`` mean time per point, on the log model."""
+    from parakahler.paracomplex import log_model_potential, metric_from_potential
+
+    out = {}
+    for n in CHART_DIMS:
+        F = log_model_potential(n)
+        start = time.perf_counter()
+        F.derivatives
+        build = time.perf_counter() - start
+        # Fixed points with |coordinate| <= 0.2, well inside P = 1 + u.v > 0.
+        pts = [tuple(0.1 * ((k + i) % 5 - 2) for i in range(2 * n)) for k in range(points)]
+        best = float("inf")
+        for _ in range(repeats):
+            start = time.perf_counter()
+            for p in pts:
+                metric_from_potential(F, p)
+            best = min(best, time.perf_counter() - start)
+        out[str(n)] = {"table_build_ms": round(build * 1e3, 3),
+                       "per_point_ms": round(best / points * 1e3, 4)}
+    return out
+
+
+def _commit(src: Path) -> str:
+    try:
+        proc = subprocess.run(["git", "-C", str(src), "describe", "--always", "--dirty"],
+                              capture_output=True, text=True, check=True)
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
+    return proc.stdout.strip()
+
+
+def main(argv=None) -> Path:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--max-rank", type=int, default=8)
+    parser.add_argument("--src", type=Path, default=ROOT / "src", help="the tree to measure")
+    parser.add_argument("--commit", help="label of the measured tree (default: git describe)")
+    parser.add_argument("--out", type=Path, default=ROOT / "bench")
+    args = parser.parse_args(argv)
+
+    src = args.src.resolve()
+    sys.path.insert(0, str(src))
+    import parakahler
+
+    package = Path(parakahler.__file__).resolve().parent
+    if package.parent != src:
+        raise SystemExit(f"parakahler was already imported from {package}, not from {src}")
+    commit = args.commit or _commit(src)
+    record = {
+        "commit": commit,
+        "python": platform.python_version(),
+        "nproc": os.cpu_count(),
+        "src_lines": sum(len(p.read_text().splitlines()) for p in sorted(package.glob("*.py"))),
+        "sweep": sweep_layers(args.max_rank),
+        "chart_log_model": chart_per_point(),
+    }
+    args.out.mkdir(parents=True, exist_ok=True)
+    path = args.out / f"BENCH_{commit}.json"
+    path.write_text(json.dumps(record, indent=2) + "\n")
+    print(path)
+    return path
+
+
+if __name__ == "__main__":
+    main()
