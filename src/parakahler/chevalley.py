@@ -26,7 +26,7 @@ with a nonzero term and ``verify.check_structure_constants`` checks
 
 Each constant is computed once, on root indices, when its root triple is
 pinned: N(r, s) fixes by those relations the 11 other ordered pairs of
-{r, s, -(r+s)} and its negative; root sums are found by ``weight_keys``, and
+{r, s, -(r+s)} and its negative; root sums are found by ``rootsys.weight_keys``, and
 a length ratio is an int division that raises on a remainder.  They are
 stored once, in the sparse int bracket rows of the nonzero [e_i, e_j] that
 ``chevalley_constants`` builds in the same pass; ``grading_failure``
@@ -88,14 +88,13 @@ class LieAlgebraData:
         self.rank = rs.rank
         self.roots = rs.all_roots()
         self.dim = self.rank + len(self.roots)
-        self._root_index = {r.coeffs: k for k, r in enumerate(self.roots, self.rank)}
         self._killing: list[list[int]] | None = None
 
     # -- basis bookkeeping -------------------------------------------------
 
     def index_of_root(self, root: Root) -> int:
         try:
-            return self._root_index[root.coeffs]
+            return self.rank + self.rs.positions[root.coeffs]
         except KeyError:
             raise DomainError(f"{root} is not a root of {self.rs.type}") from None
 
@@ -109,7 +108,7 @@ class LieAlgebraData:
     @cached_property
     def keys(self) -> tuple[int, ...]:
         """``weights`` as ``weight_keys`` ints, which add like the weights."""
-        return (0,) * self.rank + tuple(weight_keys(self.roots))
+        return (0,) * self.rank + self.rs.keys
 
     @cached_property
     def _cancelling(self) -> dict[int, tuple[int, ...]]:
@@ -295,17 +294,6 @@ def is_cartan(L: LieAlgebraData, x: AlgebraElement) -> bool:
 
 
 # -- construction of the constants -------------------------------------------
-
-
-def weight_keys(roots: tuple[Root, ...]) -> list[int]:
-    """The key sum_k c_k B^k of each root, B = 4 max|c| + 1; keys add like weights.
-
-    The key tells apart all x + y and x - y with x, y in R + {0}: any two of
-    those differ by a d with |d_k| <= 4 max|c| < B, and sum_k d_k B^k = 0 makes
-    the lowest d_k != 0 a multiple of B, which forces d = 0.
-    """
-    base = 4 * max(abs(c) for r in roots for c in r.coeffs) + 1
-    return [sum(c * base**k for k, c in enumerate(r.coeffs)) for r in roots]
 
 
 def chevalley_constants(rs: RootSystem) -> LieAlgebraData:

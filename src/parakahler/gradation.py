@@ -13,7 +13,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
-from functools import cached_property
 from itertools import combinations
 from pathlib import Path
 
@@ -47,20 +46,33 @@ class CrossingSet:
 
 @dataclass
 class Gradation:
-    """A fundamental gradation: degree map, depth, grading element.
+    """A fundamental gradation: the degree of each root, depth, grading element.
 
+    ``root_degrees`` holds the degree of each root of ``rs.all_roots()`` by
+    position; ``degrees``, ``degree`` and ``ksign`` are readers of it.
     Immutable by convention after ``grade_from_crossing`` returns it.
     """
 
     rs: RootSystem
     crossing: CrossingSet
-    degrees: dict[Root, int] = field(repr=False)
+    root_degrees: tuple[int, ...] = field(repr=False)
     depth: int = 0
     grading_element: tuple[Q | int, ...] = ()
 
+    def __post_init__(self) -> None:
+        roots, n = self.rs.all_roots(), len(self.root_degrees)
+        if n != len(roots):
+            lacking = f": {roots[n]} has no degree" if n < len(roots) else ""
+            raise DomainError(f"{n} degrees for the {len(roots)} roots of {self.rs.type}{lacking}")
+
+    @property
+    def degrees(self) -> dict[Root, int]:
+        """The degree of each root, as a fresh dict."""
+        return dict(zip(self.rs.all_roots(), self.root_degrees))
+
     def degree(self, root: Root) -> int:
         try:
-            return self.degrees[root]
+            return self.root_degrees[self.rs.positions[root.coeffs]]
         except KeyError:
             raise DomainError(f"{root} has no degree in this gradation of {self.rs.type}") from None
 
@@ -68,11 +80,6 @@ class Gradation:
         """The para-complex structure on root vectors: sign of the degree."""
         d = self.degree(root)
         return 0 if d == 0 else (1 if d > 0 else -1)
-
-    @cached_property
-    def root_degrees(self) -> tuple[int, ...]:
-        """The degree of each root of ``rs.all_roots()``, by position, read once."""
-        return tuple(map(self.degree, self.rs.all_roots()))
 
     def roots_of_degree(self, p: int) -> tuple[Root, ...]:
         return tuple(r for r, d in zip(self.rs.all_roots(), self.root_degrees) if d == p)
@@ -89,15 +96,17 @@ class Gradation:
         return tuple(r for r, d in zip(self.rs.all_roots(), self.root_degrees) if d)
 
 
+def crossed_sums(rs: RootSystem, crossing: CrossingSet) -> tuple[int, ...]:
+    """The sum of the crossed coefficients of each root of ``rs.all_roots()``, by position."""
+    return tuple(map(sum, zip(*(rs.root_columns[i - 1] for i in crossing.sorted()))))
+
+
 def grade_from_crossing(rs: RootSystem, crossing: CrossingSet) -> Gradation:
     """Grade the root system by the crossed coefficients."""
     if max(crossing.crossed) > rs.rank:
-        raise DomainError(
-            f"crossed node {max(crossing.crossed)} exceeds rank {rs.rank}"
-        )
+        raise DomainError(f"crossed node {max(crossing.crossed)} exceeds rank {rs.rank}")
     crossed0 = [i - 1 for i in crossing.sorted()]
-    degrees = {root: sum(root.coeffs[i] for i in crossed0) for root in rs.all_roots()}
-    depth = max(degrees.values())
+    degrees = crossed_sums(rs, crossing)
     # Grading element d with alpha_i(d) = [i crossed]; the coroot pairing
     # matrix is the Cartan matrix, so d is a column sum of its inverse,
     # which the root system already carries as the weight matrix.  Integral
@@ -106,8 +115,8 @@ def grade_from_crossing(rs: RootSystem, crossing: CrossingSet) -> Gradation:
     return Gradation(
         rs=rs,
         crossing=crossing,
-        degrees=degrees,
-        depth=depth,
+        root_degrees=degrees,
+        depth=max(degrees),
         grading_element=tuple(c if c.denominator > 1 else c.numerator for c in coords),
     )
 
@@ -122,18 +131,16 @@ def unsplit_root(g: Gradation) -> Root | None:
 
     With none, and antisymmetry, g_{+-1} generates the nilpotent parts, which
     holds for every crossing-set gradation; kept as a runtime check rather
-    than an assumption.
+    than an assumption.  Roots are compared by their int weight keys, which
+    tell apart every difference of two roots.
     """
-    ones = [root for root, d in g.degrees.items() if d == 1]
-    for root, d in g.degrees.items():
-        if d >= 2 and not any(g.degrees.get(root - one) == d - 1 for one in ones):
+    keys, deg = g.rs.keys, g.root_degrees
+    degree_of = dict(zip(keys, deg))
+    ones = [k for k, d in zip(keys, deg) if d == 1]
+    for root, k, d in zip(g.rs.all_roots(), keys, deg):
+        if d >= 2 and not any(degree_of.get(k - one) == d - 1 for one in ones):
             return root
     return None
-
-
-def is_fundamental(g: Gradation) -> bool:
-    """Every root of degree p >= 2 splits off a degree-1 root (``unsplit_root``)."""
-    return unsplit_root(g) is None
 
 
 def enumerate_crossings(rank: int) -> list[CrossingSet]:

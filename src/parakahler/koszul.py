@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from functools import cached_property
+from math import lcm
 from operator import mul
 
 from . import ratlin
@@ -34,7 +36,7 @@ from .chevalley import (
 )
 from .errors import DomainError
 from .gradation import Gradation
-from .rootsys import Root, RootSystem, Weight, n_pairing, weight_in_pi_basis
+from .rootsys import Root, RootSystem, Weight, exact_div, ratio, weight_in_pi_basis
 
 
 @dataclass
@@ -53,30 +55,13 @@ class TwoForm:
         if missing:
             raise DomainError(f"coefficients missing for {missing[0]}")
 
-    def rows(self, L: LieAlgebraData) -> list[dict[int, Q | int]]:
-        """Dict rows {j: f(e_i, e_j)}, zeros not stored; X_alpha at x pairs X_-alpha at x+npos."""
-        if L.rs != self.rs:
-            raise DomainError("algebra and two-form use different root systems")
-        npos = len(self.rs.positive_roots)
-        rows: list[dict[int, Q | int]] = [{} for _ in range(L.dim)]
-        for x, root in enumerate(self.rs.positive_roots, L.rank):
-            if c := self.coeffs[root]:
-                rows[x][x + npos], rows[x + npos][x] = c, -c
-        return rows
-
-    def matrix(self, L: LieAlgebraData) -> list[list[Q]]:
-        return [[row.get(j, Q(0)) for j in range(L.dim)] for row in self.rows(L)]
-
 
 def delta_sum(rs: RootSystem, subset) -> Weight:
     """Sum of a collection of positive roots, as a weight with int coordinates."""
-    total = [0] * rs.rank
-    for root in subset:
-        if not (root.is_positive and rs.is_root(root)):
-            raise DomainError(f"{root} is not a positive root of {rs.type}")
-        for i, c in enumerate(root.coeffs):
-            total[i] += c
-    return Weight(tuple(total))
+    coeffs, npos = [root.coeffs for root in subset], len(rs.positive_roots)
+    if bad := next((c for c in coeffs if rs.positions.get(c, npos) >= npos), None):
+        raise DomainError(f"{Root(bad)} is not a positive root of {rs.type}")
+    return Weight(tuple(map(sum, zip(*coeffs))) or (0,) * rs.rank)
 
 
 def koszul_form(g: Gradation) -> Weight:
@@ -87,12 +72,12 @@ def koszul_form(g: Gradation) -> Weight:
 def koszul_coefficients(g: Gradation) -> dict[int, int]:
     """Coefficients a_i over the crossed nodes: psi = 2 sum a_i pi_i.
 
-    a_i = 2 + b_i with b_i = -n(delta_h, alpha_i) >= 0; both are integers.
+    a_i = 2 + b_i with b_i = -n(delta_h, alpha_i) = -delta_h(H_i) >= 0; both are integers.
     """
     delta_h = delta_sum(g.rs, g.zero_degree_positive())
     out: dict[int, int] = {}
     for i in g.crossing.sorted():
-        b = -n_pairing(g.rs, delta_h, g.rs.simple_root(i))
+        b = -g.rs.coroot_pairing(delta_h, i)
         if b < 0:
             raise ArithmeticError(f"b_{i} = {b} is negative")
         out[i] = 2 + b
@@ -106,24 +91,24 @@ def koszul_trace(g: Gradation, L: LieAlgebraData, x: AlgebraElement) -> Q | int:
     nonzero-degree root vectors (the canonical complement of g_0) and K~
     multiplies a root vector by the sign of its degree and kills g_0.
     """
-    rk, roots, rows = L.rank, L.roots, L.brackets
-
-    def sign(i: int) -> int:  # K~ on e_i
-        return g.ksign(roots[i - rk]) if i >= rk else 0
+    if L.rs != g.rs:
+        raise DomainError("algebra and gradation use different root systems")
+    rows = L.brackets
+    sign = (0,) * L.rank + tuple((d > 0) - (d < 0) for d in g.root_degrees)  # K~ on e_i
 
     trace = 0
     for j, a in check_support(L, x).coords.items():
-        kx = sign(j) * a  # the coordinate of K~x at e_j
+        kx = sign[j] * a  # the coordinate of K~x at e_j
         for i, out in rows[j].items():
-            if i in out and (s := sign(i)):
+            if i in out and (s := sign[i]):
                 trace += (kx - s * a) * out[i]
     return -trace
 
 
 def _coroot_expansion(rs: RootSystem, lh) -> TwoForm:
     """The differential of the Cartan 1-form l with l(H_i) = lh[i], on each pair."""
-    n = {r: sum(c * x for c, x in zip(rs.coroot(r), lh) if c) for r in rs.positive_roots}
-    return TwoForm(rs, n)
+    n = (sum(map(mul, coroot, lh)) for coroot in rs.positive_coroots)
+    return TwoForm(rs, dict(zip(rs.positive_roots, n)))
 
 
 def two_form_from_weight(rs: RootSystem, xi: Weight) -> TwoForm:
@@ -142,9 +127,10 @@ def kernel_of(f: TwoForm, g: Gradation) -> tuple[BasisIndex, ...]:
 
 
 def kernel_is_g0(f: TwoForm, g: Gradation) -> bool:
-    """Does the kernel coincide with the degree-zero subalgebra?"""
-    kernel_roots = {bi.root for bi in kernel_of(f, g) if bi.kind == "X"}
-    return kernel_roots == set(g.roots_of_degree(0))
+    """Does the kernel coincide with g_0?  By position: X_a, X_-a are in it iff f(X_a, X_-a) = 0."""
+    deg, npos = g.root_degrees, len(g.rs.positive_roots)
+    zero = (not f.coeffs[r] for r in g.rs.positive_roots)
+    return all(z == (not deg[p]) == (not deg[p + npos]) for p, z in enumerate(zero))
 
 
 def omega_z(L: LieAlgebraData, z: AlgebraElement) -> TwoForm:
@@ -152,24 +138,29 @@ def omega_z(L: LieAlgebraData, z: AlgebraElement) -> TwoForm:
 
     On the standard pairs this is B(z, H_a), the Killing-dual description of
     the differential of the 1-form B(z, .).  It is linear in H_a, so B(z, H_i)
-    is evaluated once per simple coroot, through ``killing_form`` on z's own
-    (possibly Fraction) coordinates, as an int where it is integral.
+    is evaluated once per simple coroot, through ``killing_form`` in ints on
+    D z, D the common denominator of z's coordinates (the d of ``killing_dual``
+    or a divisor of it), and divided by D once: an int where D divides it.
     """
     if not is_cartan(L, z):
         raise DomainError("omega_z needs an element of the Cartan subalgebra")
-    values = [killing_form(L, z, basis_element(L, i)) for i in range(L.rank)]
-    return _coroot_expansion(L.rs, [v.numerator if v.denominator == 1 else v for v in values])
+    den = lcm(*(c.denominator for c in z.coords.values()))
+    scaled = AlgebraElement({i: c.numerator * exact_div(den, c.denominator)
+                             for i, c in z.coords.items()})
+    values = [ratio(killing_form(L, scaled, basis_element(L, i)), den) for i in range(L.rank)]
+    return _coroot_expansion(L.rs, values)
 
 
 def killing_dual(L: LieAlgebraData, xi: Weight) -> AlgebraElement:
-    """The Cartan element z with B(z, h) = xi(h) for every Cartan h, in Fractions.
+    """The Cartan element z with B(z, h) = xi(h) for every Cartan h.
 
     z = M b / d with b_i = xi(H_i), from the int inverse (M, d) of the Killing
-    Cartan block that ``L.killing_cartan_inverse`` builds once per algebra.
+    Cartan block that ``L.killing_cartan_inverse`` builds once per algebra; a
+    coordinate is an int where d divides it, else a Fraction.
     """
     m, d = L.killing_cartan_inverse
-    rhs = [L.rs.coroot_pairing(xi, i) for i in range(1, L.rank + 1)]
-    return cartan_element(L, [Q(sum(map(mul, row, rhs)), d) for row in m])
+    rhs = weight_in_pi_basis(L.rs, xi)
+    return cartan_element(L, [ratio(sum(map(mul, row, rhs)), d) for row in m])
 
 
 @dataclass
@@ -177,44 +168,54 @@ class EinsteinStructure:
     """Para-Kahler Einstein data on the orbit tangent space.
 
     ``metric`` is lambda^{-1} rho(X, K Y) over the root vectors of m listed in
-    ``basis``, as ``ratlin`` dict rows ``{column: value}`` storing no zeros:
-    rho pairs X_alpha with X_-alpha only, and -m[a] = m[a + k] with k = |m|/2,
-    so rows a and a + k hold their one entry in each other's column.  An
-    integral entry is an int, any other a Fraction; ``lam`` is the Einstein constant.
+    ``basis`` (the gradation's ``nonzero_roots``, built on first use), as ``ratlin``
+    dict rows ``{column: value}`` storing no zeros: rho pairs X_alpha with
+    X_-alpha only, and -m[a] = m[a + k] with k = |m|/2, so rows a and a + k
+    hold their one entry in each other's column.  An integral entry is an int,
+    any other a Fraction; ``lam`` is the Einstein constant.
     """
 
     gradation: Gradation
     lam: Q
     rho: TwoForm
-    basis: tuple[BasisIndex, ...]
     metric: tuple[dict[int, Q | int], ...]
+
+    @cached_property
+    def basis(self) -> tuple[BasisIndex, ...]:
+        return tuple(map(BasisIndex.X, self.gradation.nonzero_roots()))
 
     def signature(self) -> tuple[int, int]:
         """Exact signature via rational congruence diagonalization."""
         return ratlin.symmetric_signature(self.metric)
 
 
-def einstein_structure(g: Gradation, L: LieAlgebraData | None, lam) -> EinsteinStructure:
+def einstein_structure(g: Gradation, L: LieAlgebraData | None, lam, rho=None) -> EinsteinStructure:
     """Assemble the invariant Einstein metric lambda^{-1} rho(., K .).
 
-    The metric depends on g alone; ``L`` is optional and only checked.
+    The metric depends on g alone; ``L`` is optional and only checked.  ``rho``
+    is d(psi) as a TwoForm, built here unless the caller already holds it.
     """
     lam = Q(lam)
     if lam == 0:
         raise DomainError("the Einstein constant lambda must be nonzero")
     if L is not None and L.rs != g.rs:
         raise DomainError("algebra and gradation use different root systems")
-    rho = two_form_from_weight(g.rs, koszul_form(g))
-    m = g.nonzero_roots()
-    k = len(m) // 2
-    if m[k:] != tuple(-alpha for alpha in m[:k]):
-        bad = next((alpha for alpha, beta in zip(m[:k], m[k:]) if beta != -alpha), m[-1])
+    if rho is None:
+        rho = two_form_from_weight(g.rs, koszul_form(g))
+    elif rho.rs != g.rs:
+        raise DomainError("two-form and gradation use different root systems")
+    # m by position in all_roots(): -alpha sits npos after a positive alpha.
+    roots, npos = g.rs.all_roots(), len(g.rs.positive_roots)
+    at = [p for p, d in enumerate(g.root_degrees) if d]
+    m, k = [roots[p] for p in at], len(at) // 2
+    if at[k:] != [p + npos for p in at[:k]]:
+        bad = next((roots[p] for p, q in zip(at[:k], at[k:]) if q != p + npos), m[-1])
         raise DomainError(f"the negative of {bad} is not at its offset in m")
     # With alpha = m[a]: g[a][a+k] = K(-alpha) c_alpha / lam, g[a+k][a] = -K(alpha) c_alpha / lam.
     # c_alpha / lam = c_alpha den / num, a Fraction only where it is not an int.
     num, den = lam.numerator, lam.denominator
-    c = [Q(n, num) if n % num else n // num for n in (rho.coeffs[alpha] * den for alpha in m[:k])]
-    ksign = [1 if d > 0 else -1 for d in g.root_degrees if d]  # K on m, by position
+    c = [ratio(rho.coeffs[alpha] * den, num) for alpha in m[:k]]
+    ksign = [1 if g.root_degrees[p] > 0 else -1 for p in at]  # K on m, by position
     values = [s * v for s, v in zip(ksign[k:], c)]
     values += [-s * v for s, v in zip(ksign, c)]
     metric = [{(a + k) % len(m): v} if v else {} for a, v in enumerate(values)]
@@ -222,6 +223,5 @@ def einstein_structure(g: Gradation, L: LieAlgebraData | None, lam) -> EinsteinS
         gradation=g,
         lam=lam,
         rho=rho,
-        basis=tuple(BasisIndex.X(r) for r in m),
         metric=tuple(metric),
     )

@@ -324,14 +324,6 @@ def _getter(indices: list[int]):
     return lambda seq: tuple(seq[i] for i in indices)
 
 
-def poly_mixed_hessian_exact(F: ChartPotential, u, v) -> list[list[Q]]:
-    """Metric block d^2 f / du^a dv^b; exact (Fractions) at rational points."""
-    n, p, g = F.n, Q(_poly_eval(F.p, u, v)), F.derivatives.exact
-    flat = [sum(_poly_eval({(a, b): c / p**k}, u, v) for (a, b, k), c in gab.items())
-            for gab in g[: n * n]]
-    return [flat[a * n : (a + 1) * n] for a in range(n)]
-
-
 def mixed_partial_pc(F: ChartPotential, a_idx: int, b_idx: int, z) -> ParaComplex:
     """d_a d_bbar F at para-complex chart values z, via split-complex algebra.
 
@@ -606,8 +598,8 @@ def parse_potential_config(text: str) -> tuple[ChartPotential, dict]:
     all_keys = _COMMON_KEYS + sum(_KIND_KEYS.values(), ())
     fields = Fields(text, all_keys, required=("n",), repeated=("monomial",))
     n = fields.get("n", integer)
-    if n > _MAX_CHART_DIM:  # exponent vectors have length n
-        raise ConfigError(f"line {fields.line('n')}: n must be at most {_MAX_CHART_DIM}")
+    if not 1 <= n <= _MAX_CHART_DIM:  # exponent vectors have length n
+        raise ConfigError(f"line {fields.line('n')}: n must be between 1 and {_MAX_CHART_DIM}")
     kind = fields.get("kind", default="polynomial").lower()
     if kind not in _KIND_KEYS:
         raise ConfigError(f"line {fields.line('kind')}: unknown kind {kind!r}")

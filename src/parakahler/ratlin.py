@@ -8,8 +8,8 @@ as input, and every input row is copied with Fraction values, so division
 stays exact.  Every elimination in the module is one step,
 ``_eliminate``: subtract from every row with an entry in the pivot column
 the multiple of the pivot row that clears it.  ``rref`` takes that step
-column by column, pivoting on the sparsest candidate row, and ``det``,
-``inverse``, ``solve`` and ``nullspace`` read its result.
+column by column, pivoting on the sparsest candidate row, and ``solve``
+and ``nullspace`` read its result.
 ``symmetric_signature`` takes the same step as a congruence: clearing a
 pivot's column from the remaining rows leaves their Schur complement, which
 is symmetric again, so the pivot index is dropped and its sign counted.
@@ -78,17 +78,6 @@ def rref(a) -> tuple[list[Row], list[int], Q]:
     return [rows[r] for r in order[: len(pivots)]], pivots, scale
 
 
-def inverse(a) -> list[list[Q]]:
-    """Inverse of a square rational matrix; raises on singular input."""
-    n = len(a)
-    rows, pivots, _ = rref(
-        [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(a)]
-    )
-    if pivots != list(range(n)):
-        raise ZeroDivisionError("matrix is singular")
-    return [[row.get(j, Q(0)) for j in range(n, 2 * n)] for row in rows]
-
-
 def solve(a, b) -> list[Q]:
     """Solve a x = b exactly for square nonsingular a, by reducing [a | b]."""
     n = len(a)
@@ -96,11 +85,6 @@ def solve(a, b) -> list[Q]:
     if pivots != list(range(n)):
         raise ZeroDivisionError("matrix is singular")
     return [row.get(n, Q(0)) for row in rows]
-
-
-def det(a) -> Q:
-    _, pivots, scale = rref(a)
-    return scale if len(pivots) == len(a) else Q(0)
 
 
 def nullspace(a) -> list[list[Q]]:

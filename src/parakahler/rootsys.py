@@ -227,6 +227,26 @@ class RootSystem:
         return self.positive_roots[-1]
 
     @cached_property
+    def root_columns(self) -> tuple[tuple[int, ...], ...]:
+        """``[i]``: the alpha_{i+1}-coefficient of each root of ``all_roots()``, by position."""
+        return tuple(zip(*(r.coeffs for r in self._all_roots)))
+
+    @cached_property
+    def keys(self) -> tuple[int, ...]:
+        """The ``weight_keys`` int of each root of ``all_roots()``, by position."""
+        return tuple(weight_keys(self._all_roots))
+
+    @cached_property
+    def positive_coroots(self) -> tuple[tuple[int, ...], ...]:
+        """H_alpha over the H_i for each positive root, by position."""
+        return tuple(self._coroots[r.coeffs][0] for r in self.positive_roots)
+
+    @cached_property
+    def positions(self) -> dict[tuple[int, ...], int]:
+        """Root coefficients -> the index of the root in ``all_roots()``."""
+        return {r.coeffs: p for p, r in enumerate(self._all_roots)}
+
+    @cached_property
     def _coroots(self) -> dict[tuple[int, ...], tuple[tuple[int, ...], int]]:
         """Root coefficients -> (coroot, squared length), for both signs.
 
@@ -309,7 +329,7 @@ def build_root_system(stype: SimpleType) -> RootSystem:
         d=_symmetrizers(cartan),
         positive_roots=positive,
         # The fundamental weights: rows of A^-1, an entry an int where it is one.
-        weights=tuple(Weight(tuple(Q(x, d) if x % d else x // d for x in row)) for row in inv),
+        weights=tuple(Weight(tuple(ratio(x, d) for x in row)) for row in inv),
     )
 
 
@@ -343,6 +363,22 @@ def exact_div(num: int, den: int) -> int:
     if rem:
         raise ArithmeticError(f"{num} / {den} is not an exact int division")
     return q
+
+
+def ratio(num: int, den: int) -> Q | int:
+    """num / den as an int where den divides num, else as a Fraction."""
+    return Q(num, den) if num % den else num // den
+
+
+def weight_keys(roots) -> list[int]:
+    """The key sum_k c_k B^k of each root, B = 4 max|c| + 1; keys add like weights.
+
+    The key tells apart all x + y and x - y with x, y in R + {0}: any two of
+    those differ by a d with |d_k| <= 4 max|c| < B, and sum_k d_k B^k = 0 makes
+    the lowest d_k != 0 a multiple of B, which forces d = 0.
+    """
+    base = 4 * max(abs(c) for r in roots for c in r.coeffs) + 1
+    return [sum(c * base**k for k, c in enumerate(r.coeffs)) for r in roots]
 
 
 def inner_product(rs: RootSystem, xi: Weight, eta: Weight) -> Q:

@@ -26,8 +26,10 @@ acting index (``invariance_terms``) on rho's or the metric's value at each
 (alpha, -alpha), the metric's restricted to m; the grading check reads
 alpha(H_h) (``cartan_action``) against an int grading element; and
 ``killing_dual`` reads the int inverse of the Killing Cartan block
-(``killing_cartan_inverse``).  Each gradation builds its vectors once: the
-degree of every root (``Gradation.root_degrees``), c and the metric values.
+(``killing_cartan_inverse``), which ``omega_z`` pairs with the Killing Gram
+in ints.  ``run_sweep`` builds psi, rho and the degree vectors of a gradation
+once (``closed_forms``) for the four checks that read them; a check called
+with (L, g) alone builds its own, so a closed form patched here is seen.
 """
 
 from __future__ import annotations
@@ -38,17 +40,14 @@ from fractions import Fraction as Q
 from itertools import product
 from math import lcm
 from operator import mul
+from typing import NamedTuple
 
-from . import ratlin
 from .chevalley import LieAlgebraData, basis_element, chevalley_constants
 from .errors import DomainError
-from .gradation import (
-    Gradation,
-    enumerate_crossings,
-    grade_from_crossing,
-    unsplit_root,
-)
+from .gradation import Gradation, crossed_sums, enumerate_crossings, grade_from_crossing
+from .gradation import unsplit_root
 from .koszul import (
+    TwoForm,
     einstein_structure,
     kernel_is_g0,
     killing_dual,
@@ -58,7 +57,7 @@ from .koszul import (
     omega_z,
     two_form_from_weight,
 )
-from .rootsys import SimpleType, Weight, build_root_system
+from .rootsys import SimpleType, Weight, build_root_system, exact_div, weight_in_pi_basis
 
 
 def _first_failure(problems: list[str]) -> dict:
@@ -83,6 +82,27 @@ def _degrees(L: LieAlgebraData, g: Gradation) -> tuple[int, ...]:
     if g.rs != L.rs:
         raise DomainError("algebra and gradation use different root systems")
     return (0,) * L.rank + g.root_degrees
+
+
+class ClosedForms(NamedTuple):
+    """psi and rho = d(psi) of one gradation, by position: the degree and K-sign of each
+    basis index of L (0 on the Cartan), b_i = psi(H_i) and c_p = rho(X_a, X_-a), a = R+[p]."""
+
+    deg: tuple[int, ...]
+    ksign: tuple[int, ...]
+    psi: Weight
+    b: tuple[int, ...]
+    rho: TwoForm
+    c: tuple[int, ...]
+
+
+def closed_forms(L: LieAlgebraData, g: Gradation) -> ClosedForms:
+    """``ClosedForms`` of g, through this module's ``koszul_form`` and ``two_form_from_weight``."""
+    deg, psi = _degrees(L, g), koszul_form(g)
+    rho = two_form_from_weight(L.rs, psi)
+    ksign = tuple((d > 0) - (d < 0) for d in deg)
+    c = tuple(map(rho.coeffs.__getitem__, L.rs.positive_roots))
+    return ClosedForms(deg, ksign, psi, weight_in_pi_basis(L.rs, psi), rho, c)
 
 
 def _invariance_triples(L: LieAlgebraData, acting, domain):
@@ -162,9 +182,15 @@ def check_killing_invariance(L: LieAlgebraData) -> dict:
 
 @_certified
 def check_killing_cartan(L: LieAlgebraData) -> dict:
-    """Killing form restricted to the Cartan subalgebra is nondegenerate."""
-    ok = ratlin.det(L.cartan_block()) != 0
-    return {"ok": ok, "first_failure": None if ok else "degenerate Cartan block"}
+    """Killing form restricted to the Cartan subalgebra is nondegenerate: it has an inverse.
+
+    The int Bareiss inverse is the one ``killing_dual`` reads, so it is built once.
+    """
+    try:
+        L.killing_cartan_inverse
+    except ZeroDivisionError:
+        return _first_failure(["degenerate Cartan block"])
+    return _first_failure([])
 
 
 def check_structure_constants(L: LieAlgebraData) -> dict:
@@ -235,11 +261,11 @@ def check_grading(L: LieAlgebraData, g: Gradation) -> dict:
     a(H_h) from ``L.cartan_action``; d is scaled to ints by the common
     denominator D of its coordinates, and a(D d) is compared with D deg(a).
     """
-    crossed = [i - 1 for i in g.crossing.sorted()]
     den = lcm(*(c.denominator for c in g.grading_element))
-    d = [int(c * den) for c in g.grading_element]
-    for root, deg, act in zip(L.roots, _degrees(L, g)[L.rank:], L.cartan_action):
-        if deg != sum(root.coeffs[i] for i in crossed):
+    d = [c.numerator * exact_div(den, c.denominator) for c in g.grading_element]
+    sums = crossed_sums(L.rs, g.crossing)
+    for root, deg, want, act in zip(L.roots, _degrees(L, g)[L.rank:], sums, L.cartan_action):
+        if deg != want:
             return _first_failure([f"degree of {root} is not its crossed coefficient sum"])
         if sum(map(mul, d, act)) != deg * den:
             return _first_failure([f"grading element acts wrongly on {root}"])
@@ -267,26 +293,23 @@ def check_gradation(L: LieAlgebraData, g: Gradation) -> dict:
 
 
 @_certified
-def check_trace_oracle(L: LieAlgebraData, g: Gradation) -> dict:
+def check_trace_oracle(L: LieAlgebraData, g: Gradation, forms: ClosedForms | None = None) -> dict:
     """Trace formula equals the weight formula on the Cartan.
 
     On root vectors both vanish with nothing to check: psi is a Cartan
     1-form, and ad_{X_b} and K~ ad_{X_b} shift weights by b != 0 (the
     certificate), so neither has a diagonal entry.
     """
-    psi = koszul_form(g)
-    for i in range(1, L.rank + 1):
+    b = (forms or closed_forms(L, g)).b
+    for i, via_weight in enumerate(b, 1):
         via_trace = koszul_trace(g, L, basis_element(L, i - 1))
-        via_weight = L.rs.coroot_pairing(psi, i)
         if via_trace != via_weight:
-            return _first_failure(
-                [f"trace {via_trace} != weight value {via_weight} on H{i}"]
-            )
+            return _first_failure([f"trace {via_trace} != weight value {via_weight} on H{i}"])
     return _first_failure([])
 
 
 @_certified
-def check_two_form(L: LieAlgebraData, g: Gradation) -> dict:
+def check_two_form(L: LieAlgebraData, g: Gradation, forms: ClosedForms | None = None) -> dict:
     """Kernel, closedness, positivity, coefficient consistency, invariance.
 
     Type (1,1) needs no check: rho pairs X_alpha with X_-alpha only, and the
@@ -294,12 +317,10 @@ def check_two_form(L: LieAlgebraData, g: Gradation) -> dict:
     invariance evaluate the algebra's compiled functionals on rho's values c.
     """
     rs, rk = L.rs, L.rank
-    deg = _degrees(L, g)
-    psi = koszul_form(g)
-    rho = two_form_from_weight(rs, psi)
-    if not kernel_is_g0(rho, g):
+    forms = forms or closed_forms(L, g)
+    deg, c = forms.deg, forms.c
+    if not kernel_is_g0(forms.rho, g):
         return _first_failure(["kernel of d(psi) is not g_0"])
-    c = [rho.coeffs[root] for root in rs.positive_roots]
 
     # Closedness: the cyclic sum of rho([x,y],z) on the zero-weight triples.
     for triple, f in L.closedness_functionals:
@@ -312,17 +333,15 @@ def check_two_form(L: LieAlgebraData, g: Gradation) -> dict:
             return _first_failure([f"coefficient on {root} should vanish"])
         if d and v <= 0:
             return _first_failure([f"coefficient on {root} not positive: {v}"])
+    # 2 sum a_i pi_i = psi over the basis pi_i: psi(H_i) is 2 a_i on a crossed node, else 0.
     acoef = koszul_coefficients(g)
-    recon = Weight.zero(rs.rank)
-    for i, a in acoef.items():
-        recon = recon + rs.weights[i - 1].scale(2 * a)
-    if recon != psi:
+    if any(v != 2 * acoef.get(i, 0) for i, v in enumerate(forms.b, 1)):
         return _first_failure(["2 sum a_i pi_i != psi"])
     if any(a < 2 for a in acoef.values()):
         return _first_failure(["some a_i < 2"])
 
     # ad_h-invariance of rho for every basis element h of g_0; r[u] = rho(e_u, e_-u).
-    r = [0] * rk + c + [-v for v in c]
+    r = [0] * rk + [*c] + [-v for v in c]
     terms = L.invariance_terms
     for z in (z for z, d in enumerate(deg) if not d):
         if any(a * r[ny] + b * r[x] for x, _, ny, a, b in terms[z]):
@@ -331,35 +350,37 @@ def check_two_form(L: LieAlgebraData, g: Gradation) -> dict:
 
 
 @_certified
-def check_killing_dual(L: LieAlgebraData, g: Gradation) -> dict:
-    """omega_z with z the Killing dual of psi reproduces d(psi) exactly."""
-    psi = koszul_form(g)
-    direct = two_form_from_weight(L.rs, psi).coeffs
-    via_b = omega_z(L, killing_dual(L, psi)).coeffs
-    for root in L.rs.positive_roots:
-        if via_b[root] != direct[root]:
-            return _first_failure(
-                [f"omega_z != d(psi) on {root}: {via_b[root]} vs {direct[root]}"]
-            )
+def check_killing_dual(L: LieAlgebraData, g: Gradation, forms: ClosedForms | None = None) -> dict:
+    """omega_z with z the Killing dual of psi reproduces d(psi) exactly.
+
+    z comes from the int inverse of the Killing Cartan block and omega_z from
+    the Killing Gram rows, never from rho; only the comparison reads rho's c.
+    """
+    forms = forms or closed_forms(L, g)
+    via_b = omega_z(L, killing_dual(L, forms.psi)).coeffs
+    for root, direct in zip(L.rs.positive_roots, forms.c):
+        if via_b[root] != direct:
+            return _first_failure([f"omega_z != d(psi) on {root}: {via_b[root]} vs {direct}"])
     return _first_failure([])
 
 
 @_certified
-def check_einstein(L: LieAlgebraData, g: Gradation) -> dict:
+def check_einstein(L: LieAlgebraData, g: Gradation, forms: ClosedForms | None = None) -> dict:
     """Symmetry, K-skewness, weight sparsity, ad_{g_0}-invariance, no empty row, signature.
 
     The first three run over the entries the metric's dict rows store; once
     they pass, each row holds at most its (alpha, -alpha) entry, and the
     invariance check evaluates ``L.invariance_terms`` on those values.
     """
-    deg = _degrees(L, g)
+    forms = forms or closed_forms(L, g)
+    deg = forms.deg
     try:
-        es = einstein_structure(g, L, 1)
+        es = einstein_structure(g, L, 1, forms.rho)
     except DomainError as err:  # a root of m without its negative at its offset
         return _first_failure([str(err)])
     roots = g.nonzero_roots()
     index = [x for x, d in enumerate(deg) if d]  # the basis index of each root of m
-    ksign = [1 if deg[x] > 0 else -1 for x in index]
+    ksign = [forms.ksign[x] for x in index]
     gval: list[Q | int] = [0] * L.dim  # g(e_u, e_-u) by basis index
     for a, row in enumerate(es.metric):
         for b, v in row.items():
@@ -419,12 +440,13 @@ def run_sweep(max_rank: int) -> dict:
         for crossing in enumerate_crossings(stype.rank):
             gradation_count += 1
             g = grade_from_crossing(rs, crossing)
+            forms = closed_forms(L, g)
             results = {
                 **check_gradation(L, g),
-                "trace_oracle": check_trace_oracle(L, g),
-                "two_form": check_two_form(L, g),
-                "killing_dual": check_killing_dual(L, g),
-                "einstein": check_einstein(L, g),
+                "trace_oracle": check_trace_oracle(L, g, forms),
+                "two_form": check_two_form(L, g, forms),
+                "killing_dual": check_killing_dual(L, g, forms),
+                "einstein": check_einstein(L, g, forms),
             }
             for name, res in results.items():
                 if not res["ok"]:

@@ -29,10 +29,10 @@ from parakahler.paracomplex import (
     mixed_partial_pc,
     parse_potential_config,
     pc,
-    poly_mixed_hessian_exact,
     polynomial_potential,
     ricci,
 )
+from reference import poly_mixed_hessian_exact
 
 rational = st.fractions(min_value=-4, max_value=4, max_denominator=8)
 pc_rational = st.builds(ParaComplex, rational, rational)
@@ -409,6 +409,10 @@ def test_parse_potential_config_builtin_and_errors():
         parse_potential_config("n = 1\nkind = polynomial\n")
     with pytest.raises(ConfigError):
         parse_potential_config("n = 1\nmonomial = 1 * q1\n")
+    # A dimension below 1 is refused with its line before any tuple of length n is built.
+    for n in ("0", "-9223372036854775809"):
+        with pytest.raises(ConfigError, match="^line 1: n must be between 1 and "):
+            parse_potential_config(f"n = {n}\nkind = builtin\n")
 
 
 def test_not_real_valued_message_names_cancelled_key():

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parakahler import ratlin
 from parakahler.errors import DomainError
 from parakahler.rootsys import (
     Root,
@@ -17,6 +16,7 @@ from parakahler.rootsys import (
     n_pairing,
 )
 from parakahler.verify import sweep_types
+from reference import inverse
 
 # Classical positive-root counts per (family, rank).
 COUNTS = {
@@ -202,7 +202,7 @@ def test_integer_weights_invert_cartan_matrix(name):
     # The fraction-free inverse against the independent Fraction elimination.
     rs = build_root_system(SimpleType.parse(name))
     inv = [list(w.coords) for w in rs.weights]
-    assert inv == ratlin.inverse(rs.cartan)
+    assert inv == inverse(rs.cartan)
     r = rs.rank
     for i in range(r):
         for j in range(r):

@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import time
 from collections import Counter
 from fractions import Fraction as Q
@@ -12,7 +11,6 @@ from parakahler.gradation import (
     CrossingSet,
     enumerate_crossings,
     grade_from_crossing,
-    is_fundamental,
 )
 from parakahler import verify
 from parakahler.koszul import (
@@ -22,6 +20,7 @@ from parakahler.koszul import (
     two_form_from_weight,
 )
 from parakahler.rootsys import Root
+from reference import is_fundamental, regraded
 from parakahler.verify import (
     check_algebra,
     check_einstein,
@@ -120,6 +119,43 @@ def test_killing_dual_names_the_root_where_omega_z_is_off(algebra, monkeypatch):
         "ok": False,
         "first_failure": f"omega_z != d(psi) on {off}: {direct + 1} vs {direct}",
     }
+
+
+@pytest.mark.parametrize("step", ["d", "1"])
+def test_killing_dual_sees_a_perturbed_cartan_inverse(algebra, step):
+    # The dual's route (the int inverse and the Killing Gram) shares nothing
+    # with rho, so one changed entry of the inverse fails there alone.  On B3 {2}
+    # psi(H_i) is nonzero at i = 2 only, so column 2 of the inverse moves z.
+    # Adding d moves z by an int and omega_z stays integral; adding 1 leaves
+    # B(D z, H_i) / D without an int value, reported as a Fraction.
+    rs, shared = algebra("B3")
+    g = grade_from_crossing(rs, CrossingSet.of(2))
+    m, d = shared.killing_cartan_inverse
+    L = _copy(shared)
+    perturbed = [list(row) for row in m]
+    perturbed[0][1] += d if step == "d" else 1
+    L.killing_cartan_inverse = (perturbed, d)
+    report = check_killing_dual(L, g)
+    assert not report["ok"]
+    assert report["first_failure"].startswith("omega_z != d(psi) on 1a1: ")
+    via_b, direct = report["first_failure"].split(": ")[1].split(" vs ")
+    assert ("/" in via_b) == (step == "1") and "/" not in direct
+    assert check_two_form(L, g)["ok"] and check_killing_dual(shared, g)["ok"]
+
+
+def test_run_sweep_builds_psi_and_rho_once_per_gradation(monkeypatch):
+    # run_sweep hands one ClosedForms per gradation to the four checks that
+    # read psi or rho, so each closed form runs once per gradation.
+    calls = Counter()
+    for name in ("koszul_form", "two_form_from_weight"):
+        def counted(*args, fn=getattr(verify, name), name=name):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(verify, name, counted)
+    result = run_sweep(2)
+    assert result["all_ok"] and result["gradations"] == 10
+    assert calls == {"koszul_form": 10, "two_form_from_weight": 10}
 
 
 def test_bracket_off_its_weight_fails_every_sparse_check(algebra):
@@ -267,7 +303,7 @@ def test_tampered_degree_fails_grading(algebra):
     g = grade_from_crossing(rs, CrossingSet.of(1))
     assert check_grading(L, g)["ok"]
     root = Root((1, 1))
-    bad = dataclasses.replace(g, degrees={**g.degrees, root: g.degrees[root] + 1})
+    bad = regraded(g, {root: g.degree(root) + 1})
     report = check_grading(L, bad)
     assert not report["ok"]
     assert str(root) in report["first_failure"]
@@ -279,7 +315,7 @@ def test_degree_without_a_degree_one_split_fails_fundamental(algebra):
     rs, L = algebra("A2")
     g = grade_from_crossing(rs, CrossingSet.of(1, 2))
     assert check_gradation(L, g)["fundamental"]["ok"]
-    bad = dataclasses.replace(g, degrees={**g.degrees, Root((0, 1)): 0})
+    bad = regraded(g, {Root((0, 1)): 0})
     assert not is_fundamental(bad)
     assert check_gradation(L, bad)["fundamental"] == {
         "ok": False,
@@ -293,7 +329,7 @@ def test_root_of_m_without_its_negative_fails_orbit_dimension_even(algebra):
     rs, L = algebra("A2")
     g = grade_from_crossing(rs, CrossingSet.of(1))
     assert check_gradation(L, g)["orbit_dimension_even"] == {"ok": True, "first_failure": None}
-    bad = dataclasses.replace(g, degrees={**g.degrees, Root((-1, 0)): 0})
+    bad = regraded(g, {Root((-1, 0)): 0})
     assert check_gradation(L, bad)["orbit_dimension_even"] == {
         "ok": False,
         "first_failure": "1a1 is in m but -1a1 is not",
@@ -548,7 +584,7 @@ def test_metric_without_a_root_pair_fails_einstein(algebra, monkeypatch, crossed
 def test_tampered_degree_of_minus_a1_fails_einstein(algebra, degree, message):
     rs, L = algebra("A2")
     g = grade_from_crossing(rs, CrossingSet.of(1))
-    bad = dataclasses.replace(g, degrees={**g.degrees, Root((-1, 0)): degree})
+    bad = regraded(g, {Root((-1, 0)): degree})
     assert check_einstein(L, bad) == {"ok": False, "first_failure": message}
 
 

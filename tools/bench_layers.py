@@ -37,7 +37,7 @@ ROOT = Path(__file__).resolve().parents[1]
 VERIFY_LAYERS = (
     "check_jacobi", "check_killing_invariance", "check_killing_cartan",
     "check_structure_constants", "check_gradation", "check_grading",
-    "check_trace_oracle", "check_two_form", "check_killing_dual", "check_einstein",
+    "check_trace_oracle", "check_two_form", "check_killing_dual", "check_einstein", "closed_forms",
     "build_root_system", "chevalley_constants", "grade_from_crossing", "unsplit_root",
     "koszul_form", "koszul_trace", "koszul_coefficients", "two_form_from_weight",
     "kernel_is_g0", "killing_dual", "omega_z", "einstein_structure",
