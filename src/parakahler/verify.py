@@ -85,8 +85,12 @@ def _degrees(L: LieAlgebraData, g: Gradation) -> tuple[int, ...]:
 
 
 class ClosedForms(NamedTuple):
-    """psi and rho = d(psi) of one gradation, by position: the degree and K-sign of each
-    basis index of L (0 on the Cartan), b_i = psi(H_i) and c_p = rho(X_a, X_-a), a = R+[p]."""
+    """psi and rho = d(psi) of one gradation, read by position.
+
+    ``deg`` and ``ksign`` hold the degree and its sign at each basis index of L
+    (0 on the Cartan), ``b`` holds psi(H_i), and ``c`` rho(X_a, X_-a) at the
+    position of each positive root a.
+    """
 
     deg: tuple[int, ...]
     ksign: tuple[int, ...]
@@ -182,10 +186,7 @@ def check_killing_invariance(L: LieAlgebraData) -> dict:
 
 @_certified
 def check_killing_cartan(L: LieAlgebraData) -> dict:
-    """Killing form restricted to the Cartan subalgebra is nondegenerate: it has an inverse.
-
-    The int Bareiss inverse is the one ``killing_dual`` reads, so it is built once.
-    """
+    """The Killing form on the Cartan is nondegenerate: the inverse killing_dual reads exists."""
     try:
         L.killing_cartan_inverse
     except ZeroDivisionError:
