@@ -214,8 +214,8 @@ def test_closedness_functionals_are_one_per_positive_root_triple(algebra, name, 
 
 
 def test_missing_degree_names_the_root(algebra):
-    # A degree vector one short of all_roots() = (a1, a2, a1+a2, -a1, -a2, -a1-a2)
-    # lacks -a2 and everything after it: no gradation, so no check, is built.
+    # all_roots() is (a1, a2, a1+a2, -a1, -a2, -a1-a2); a vector of 4 degrees
+    # lacks -a2 first.  No gradation is built, so no check can read it.
     rs, L = algebra("A2")
     g = grade_from_crossing(rs, CrossingSet.of(1))
     with pytest.raises(DomainError, match=r"^4 degrees for the 6 roots of A2: -1a2 has no degree$"):
