@@ -26,12 +26,12 @@ with a nonzero term and ``verify.check_structure_constants`` checks
 
 Each constant is computed once, on root indices, when its root triple is
 pinned: N(r, s) fixes by those relations the 11 other ordered pairs of
-{r, s, -(r+s)} and its negative; root sums are found by ``rootsys.weight_keys``, and
+{r, s, -(r+s)} and its negative; root sums are found by ``RootSystem.keys``, and
 a length ratio is an int division that raises on a remainder.  They are
 stored once, in the sparse int bracket rows of the nonzero [e_i, e_j] that
 ``chevalley_constants`` builds in the same pass; ``grading_failure``
 certifies that each bracket lands in the sum of its arguments' weights,
-compared as the int keys of ``weight_keys``.  The
+compared as those int keys.  The
 Killing Gram is held the same way, as rows {v: B(e_u, e_v)} of its nonzero
 entries, and an ``AlgebraElement`` is one such row {basis index:
 coefficient}, so brackets and Killing values visit stored entries only.
@@ -107,7 +107,7 @@ class LieAlgebraData:
 
     @cached_property
     def keys(self) -> tuple[int, ...]:
-        """``weights`` as ``weight_keys`` ints, which add like the weights."""
+        """``weights`` as ``RootSystem.keys`` ints, which add like the weights."""
         return (0,) * self.rank + self.rs.keys
 
     @cached_property

@@ -49,7 +49,7 @@ class Gradation:
     """A fundamental gradation: the degree of each root, depth, grading element.
 
     ``root_degrees`` holds the degree of each root of ``rs.all_roots()`` by
-    position; ``degrees``, ``degree`` and ``ksign`` are readers of it.
+    position; ``degree`` and ``ksign`` are readers of it.
     Immutable by convention after ``grade_from_crossing`` returns it.
     """
 
@@ -64,11 +64,6 @@ class Gradation:
         if n != len(roots):
             lacking = f": {roots[n]} has no degree" if n < len(roots) else ""
             raise DomainError(f"{n} degrees for the {len(roots)} roots of {self.rs.type}{lacking}")
-
-    @property
-    def degrees(self) -> dict[Root, int]:
-        """The degree of each root, as a fresh dict."""
-        return dict(zip(self.rs.all_roots(), self.root_degrees))
 
     def degree(self, root: Root) -> int:
         try:
@@ -98,20 +93,20 @@ class Gradation:
 
 def crossed_sums(rs: RootSystem, crossing: CrossingSet) -> tuple[int, ...]:
     """The sum of the crossed coefficients of each root of ``rs.all_roots()``, by position."""
-    return tuple(map(sum, zip(*(rs.root_columns[i - 1] for i in crossing.sorted()))))
+    columns = tuple(zip(*(r.coeffs for r in rs.all_roots())))
+    return tuple(map(sum, zip(*(columns[i - 1] for i in crossing.sorted()))))
 
 
 def grade_from_crossing(rs: RootSystem, crossing: CrossingSet) -> Gradation:
     """Grade the root system by the crossed coefficients."""
     if max(crossing.crossed) > rs.rank:
         raise DomainError(f"crossed node {max(crossing.crossed)} exceeds rank {rs.rank}")
-    crossed0 = [i - 1 for i in crossing.sorted()]
     degrees = crossed_sums(rs, crossing)
     # Grading element d with alpha_i(d) = [i crossed]; the coroot pairing
     # matrix is the Cartan matrix, so d is a column sum of its inverse,
     # which the root system already carries as the weight matrix.  Integral
     # coordinates are kept as ints.
-    coords = (sum(rs.weights[j].coords[i] for i in crossed0) for j in range(rs.rank))
+    coords = (sum(rs.weights[j].coords[i - 1] for i in crossing.crossed) for j in range(rs.rank))
     return Gradation(
         rs=rs,
         crossing=crossing,

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cached_property
-from math import lcm
 from operator import mul
 
 from . import ratlin
@@ -36,7 +35,7 @@ from .chevalley import (
 )
 from .errors import DomainError
 from .gradation import Gradation
-from .rootsys import Root, RootSystem, Weight, exact_div, ratio, weight_in_pi_basis
+from .rootsys import Root, RootSystem, Weight, ratio, weight_in_pi_basis
 
 
 @dataclass
@@ -133,34 +132,36 @@ def kernel_is_g0(f: TwoForm, g: Gradation) -> bool:
     return all(z == (not deg[p]) == (not deg[p + npos]) for p, z in enumerate(zero))
 
 
-def omega_z(L: LieAlgebraData, z: AlgebraElement) -> TwoForm:
-    """The pairing B(z, [X, Y]) for a Cartan element z, as a TwoForm.
+def omega_z(L: LieAlgebraData, z: AlgebraElement, d: int = 1) -> TwoForm:
+    """The pairing B(z / d, [X, Y]) for a Cartan element z, as a TwoForm.
 
-    On the standard pairs this is B(z, H_a), the Killing-dual description of
-    the differential of the 1-form B(z, .).  It is linear in H_a, so B(z, H_i)
-    is evaluated once per simple coroot, through ``killing_form`` in ints on
-    D z, D the common denominator of z's coordinates (the d of ``killing_dual``
-    or a divisor of it), and divided by D once: an int where D divides it.
+    On the standard pairs this is B(z, H_a) / d, the Killing-dual description
+    of the differential of the 1-form B(z / d, .).  It is linear in H_a, so
+    B(z, H_i) is evaluated once per simple coroot through ``killing_form``, in
+    ints where z has int coordinates (``scaled_killing_dual`` gives such a z),
+    and divided by d once: an int where d divides it.
     """
     if not is_cartan(L, z):
         raise DomainError("omega_z needs an element of the Cartan subalgebra")
-    den = lcm(*(c.denominator for c in z.coords.values()))
-    scaled = AlgebraElement({i: c.numerator * exact_div(den, c.denominator)
-                             for i, c in z.coords.items()})
-    values = [ratio(killing_form(L, scaled, basis_element(L, i)), den) for i in range(L.rank)]
-    return _coroot_expansion(L.rs, values)
+    values = [killing_form(L, z, basis_element(L, i)) for i in range(L.rank)]
+    return _coroot_expansion(L.rs, [ratio(v, d) for v in values] if d != 1 else values)
 
 
-def killing_dual(L: LieAlgebraData, xi: Weight) -> AlgebraElement:
-    """The Cartan element z with B(z, h) = xi(h) for every Cartan h.
+def scaled_killing_dual(L: LieAlgebraData, xi: Weight) -> tuple[AlgebraElement, int]:
+    """(d z, d) in ints, z the Killing dual of xi: B(z, h) = xi(h) for every Cartan h.
 
-    z = M b / d with b_i = xi(H_i), from the int inverse (M, d) of the Killing
-    Cartan block that ``L.killing_cartan_inverse`` builds once per algebra; a
-    coordinate is an int where d divides it, else a Fraction.
+    d z = M b with b_i = xi(H_i), from the int inverse (M, d) of the Killing
+    Cartan block that ``L.killing_cartan_inverse`` builds once per algebra.
     """
     m, d = L.killing_cartan_inverse
     rhs = weight_in_pi_basis(L.rs, xi)
-    return cartan_element(L, [ratio(sum(map(mul, row, rhs)), d) for row in m])
+    return cartan_element(L, [sum(map(mul, row, rhs)) for row in m]), d
+
+
+def killing_dual(L: LieAlgebraData, xi: Weight) -> AlgebraElement:
+    """The Killing dual z of xi: a coordinate is an int where d divides d z, else a Fraction."""
+    dz, d = scaled_killing_dual(L, xi)
+    return AlgebraElement({i: ratio(c, d) for i, c in dz.coords.items()})
 
 
 @dataclass

@@ -227,14 +227,15 @@ class RootSystem:
         return self.positive_roots[-1]
 
     @cached_property
-    def root_columns(self) -> tuple[tuple[int, ...], ...]:
-        """``[i]``: the alpha_{i+1}-coefficient of each root of ``all_roots()``, by position."""
-        return tuple(zip(*(r.coeffs for r in self._all_roots)))
-
-    @cached_property
     def keys(self) -> tuple[int, ...]:
-        """The ``weight_keys`` int of each root of ``all_roots()``, by position."""
-        return tuple(weight_keys(self._all_roots))
+        """The key sum_k c_k B^k of each root of ``all_roots()``, B = 4 max|c| + 1.
+
+        Keys add like weights and tell apart all x + y and x - y with x, y in
+        R + {0}: any two of those differ by a d with |d_k| <= 4 max|c| < B, and
+        sum_k d_k B^k = 0 makes the lowest d_k != 0 a multiple of B, so d = 0.
+        """
+        base = 4 * max(abs(c) for r in self._all_roots for c in r.coeffs) + 1
+        return tuple(sum(c * base**k for k, c in enumerate(r.coeffs)) for r in self._all_roots)
 
     @cached_property
     def positive_coroots(self) -> tuple[tuple[int, ...], ...]:
@@ -368,17 +369,6 @@ def exact_div(num: int, den: int) -> int:
 def ratio(num: int, den: int) -> Q | int:
     """num / den as an int where den divides num, else as a Fraction."""
     return Q(num, den) if num % den else num // den
-
-
-def weight_keys(roots) -> list[int]:
-    """The key sum_k c_k B^k of each root, B = 4 max|c| + 1; keys add like weights.
-
-    The key tells apart all x + y and x - y with x, y in R + {0}: any two of
-    those differ by a d with |d_k| <= 4 max|c| < B, and sum_k d_k B^k = 0 makes
-    the lowest d_k != 0 a multiple of B, which forces d = 0.
-    """
-    base = 4 * max(abs(c) for r in roots for c in r.coeffs) + 1
-    return [sum(c * base**k for k, c in enumerate(r.coeffs)) for r in roots]
 
 
 def inner_product(rs: RootSystem, xi: Weight, eta: Weight) -> Q:

@@ -25,11 +25,12 @@ produced it); both ad_{g_0}-invariance checks evaluate the terms of each
 acting index (``invariance_terms``) on rho's or the metric's value at each
 (alpha, -alpha), the metric's restricted to m; the grading check reads
 alpha(H_h) (``cartan_action``) against an int grading element; and
-``killing_dual`` reads the int inverse of the Killing Cartan block
-(``killing_cartan_inverse``), which ``omega_z`` pairs with the Killing Gram
-in ints.  ``run_sweep`` builds psi, rho and the degree vectors of a gradation
-once (``closed_forms``) for the four checks that read them; a check called
-with (L, g) alone builds its own, so a closed form patched here is seen.
+``scaled_killing_dual`` reads the int inverse (M, d) of the Killing Cartan
+block (``killing_cartan_inverse``) and gives d z in ints, which ``omega_z``
+pairs with the Killing Gram in ints and divides by d once.  ``run_sweep``
+builds psi and rho of a gradation once (``closed_forms``) for the four
+checks that read them; a check called with (L, g) alone builds its own, so
+a closed form patched here is seen.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from fractions import Fraction as Q
 from itertools import product
 from math import lcm
 from operator import mul
-from typing import NamedTuple
 
 from .chevalley import LieAlgebraData, basis_element, chevalley_constants
 from .errors import DomainError
@@ -50,11 +50,11 @@ from .koszul import (
     TwoForm,
     einstein_structure,
     kernel_is_g0,
-    killing_dual,
     koszul_coefficients,
     koszul_form,
     koszul_trace,
     omega_z,
+    scaled_killing_dual,
     two_form_from_weight,
 )
 from .rootsys import SimpleType, Weight, build_root_system, exact_div, weight_in_pi_basis
@@ -84,29 +84,13 @@ def _degrees(L: LieAlgebraData, g: Gradation) -> tuple[int, ...]:
     return (0,) * L.rank + g.root_degrees
 
 
-class ClosedForms(NamedTuple):
-    """psi and rho = d(psi) of one gradation, read by position.
-
-    ``deg`` and ``ksign`` hold the degree and its sign at each basis index of L
-    (0 on the Cartan), ``b`` holds psi(H_i), and ``c`` rho(X_a, X_-a) at the
-    position of each positive root a.
-    """
-
-    deg: tuple[int, ...]
-    ksign: tuple[int, ...]
-    psi: Weight
-    b: tuple[int, ...]
-    rho: TwoForm
-    c: tuple[int, ...]
+ClosedForms = tuple[Weight, TwoForm]
 
 
 def closed_forms(L: LieAlgebraData, g: Gradation) -> ClosedForms:
-    """``ClosedForms`` of g, through this module's ``koszul_form`` and ``two_form_from_weight``."""
-    deg, psi = _degrees(L, g), koszul_form(g)
-    rho = two_form_from_weight(L.rs, psi)
-    ksign = tuple((d > 0) - (d < 0) for d in deg)
-    c = tuple(map(rho.coeffs.__getitem__, L.rs.positive_roots))
-    return ClosedForms(deg, ksign, psi, weight_in_pi_basis(L.rs, psi), rho, c)
+    """psi and rho = d(psi) of g, by this module's ``koszul_form`` and ``two_form_from_weight``."""
+    psi = koszul_form(g)
+    return psi, two_form_from_weight(L.rs, psi)
 
 
 def _invariance_triples(L: LieAlgebraData, acting, domain):
@@ -186,7 +170,7 @@ def check_killing_invariance(L: LieAlgebraData) -> dict:
 
 @_certified
 def check_killing_cartan(L: LieAlgebraData) -> dict:
-    """The Killing form on the Cartan is nondegenerate: the inverse killing_dual reads exists."""
+    """The Killing form on the Cartan is nondegenerate: the inverse the dual reads exists."""
     try:
         L.killing_cartan_inverse
     except ZeroDivisionError:
@@ -301,8 +285,8 @@ def check_trace_oracle(L: LieAlgebraData, g: Gradation, forms: ClosedForms | Non
     1-form, and ad_{X_b} and K~ ad_{X_b} shift weights by b != 0 (the
     certificate), so neither has a diagonal entry.
     """
-    b = (forms or closed_forms(L, g)).b
-    for i, via_weight in enumerate(b, 1):
+    psi, _ = forms or closed_forms(L, g)
+    for i, via_weight in enumerate(weight_in_pi_basis(L.rs, psi), 1):
         via_trace = koszul_trace(g, L, basis_element(L, i - 1))
         if via_trace != via_weight:
             return _first_failure([f"trace {via_trace} != weight value {via_weight} on H{i}"])
@@ -318,9 +302,9 @@ def check_two_form(L: LieAlgebraData, g: Gradation, forms: ClosedForms | None = 
     invariance evaluate the algebra's compiled functionals on rho's values c.
     """
     rs, rk = L.rs, L.rank
-    forms = forms or closed_forms(L, g)
-    deg, c = forms.deg, forms.c
-    if not kernel_is_g0(forms.rho, g):
+    psi, rho = forms or closed_forms(L, g)
+    deg, c = _degrees(L, g), [rho.coeffs[root] for root in rs.positive_roots]
+    if not kernel_is_g0(rho, g):
         return _first_failure(["kernel of d(psi) is not g_0"])
 
     # Closedness: the cyclic sum of rho([x,y],z) on the zero-weight triples.
@@ -336,13 +320,13 @@ def check_two_form(L: LieAlgebraData, g: Gradation, forms: ClosedForms | None = 
             return _first_failure([f"coefficient on {root} not positive: {v}"])
     # 2 sum a_i pi_i = psi over the basis pi_i: psi(H_i) is 2 a_i on a crossed node, else 0.
     acoef = koszul_coefficients(g)
-    if any(v != 2 * acoef.get(i, 0) for i, v in enumerate(forms.b, 1)):
+    if any(v != 2 * acoef.get(i, 0) for i, v in enumerate(weight_in_pi_basis(rs, psi), 1)):
         return _first_failure(["2 sum a_i pi_i != psi"])
     if any(a < 2 for a in acoef.values()):
         return _first_failure(["some a_i < 2"])
 
     # ad_h-invariance of rho for every basis element h of g_0; r[u] = rho(e_u, e_-u).
-    r = [0] * rk + [*c] + [-v for v in c]
+    r = [0] * rk + c + [-v for v in c]
     terms = L.invariance_terms
     for z in (z for z, d in enumerate(deg) if not d):
         if any(a * r[ny] + b * r[x] for x, _, ny, a, b in terms[z]):
@@ -354,14 +338,14 @@ def check_two_form(L: LieAlgebraData, g: Gradation, forms: ClosedForms | None = 
 def check_killing_dual(L: LieAlgebraData, g: Gradation, forms: ClosedForms | None = None) -> dict:
     """omega_z with z the Killing dual of psi reproduces d(psi) exactly.
 
-    z comes from the int inverse of the Killing Cartan block and omega_z from
-    the Killing Gram rows, never from rho; only the comparison reads rho's c.
+    d z comes from the int inverse of the Killing Cartan block and omega_z from
+    the Killing Gram rows, never from rho; only the comparison reads rho.
     """
-    forms = forms or closed_forms(L, g)
-    via_b = omega_z(L, killing_dual(L, forms.psi)).coeffs
-    for root, direct in zip(L.rs.positive_roots, forms.c):
-        if via_b[root] != direct:
-            return _first_failure([f"omega_z != d(psi) on {root}: {via_b[root]} vs {direct}"])
+    psi, rho = forms or closed_forms(L, g)
+    via_b, direct = omega_z(L, *scaled_killing_dual(L, psi)).coeffs, rho.coeffs
+    for root in L.rs.positive_roots:
+        if via_b[root] != direct[root]:
+            return _first_failure([f"omega_z != d(psi) on {root}: {via_b[root]} vs {direct[root]}"])
     return _first_failure([])
 
 
@@ -373,15 +357,14 @@ def check_einstein(L: LieAlgebraData, g: Gradation, forms: ClosedForms | None = 
     they pass, each row holds at most its (alpha, -alpha) entry, and the
     invariance check evaluates ``L.invariance_terms`` on those values.
     """
-    forms = forms or closed_forms(L, g)
-    deg = forms.deg
+    (_, rho), deg = forms or closed_forms(L, g), _degrees(L, g)
     try:
-        es = einstein_structure(g, L, 1, forms.rho)
+        es = einstein_structure(g, L, 1, rho)
     except DomainError as err:  # a root of m without its negative at its offset
         return _first_failure([str(err)])
     roots = g.nonzero_roots()
     index = [x for x, d in enumerate(deg) if d]  # the basis index of each root of m
-    ksign = [forms.ksign[x] for x in index]
+    ksign = [1 if deg[x] > 0 else -1 for x in index]
     gval: list[Q | int] = [0] * L.dim  # g(e_u, e_-u) by basis index
     for a, row in enumerate(es.metric):
         for b, v in row.items():

@@ -16,6 +16,11 @@ def is_fundamental(g: Gradation) -> bool:
     return unsplit_root(g) is None
 
 
+def degrees(g: Gradation) -> dict:
+    """The degree of each root of g, as a dict keyed by ``Root``."""
+    return dict(zip(g.rs.all_roots(), g.root_degrees))
+
+
 def regraded(g: Gradation, changes: dict) -> Gradation:
     """g with the degree of each root in ``changes`` replaced, by position."""
     degrees = list(g.root_degrees)

@@ -18,7 +18,7 @@ from parakahler.gradation import (
 )
 from parakahler.rootsys import Root, SimpleType, build_root_system
 from parakahler.verify import sweep_types
-from reference import is_fundamental, regraded
+from reference import degrees, is_fundamental, regraded
 
 
 def test_empty_crossing_rejected():
@@ -91,12 +91,12 @@ def test_grading_element_is_int_where_integral(algebra):
 
 def _fundamental_by_degree(g) -> bool:
     """Reference: a table degree -> roots, and a degree-1 split for each degree >= 2."""
-    by_degree = {}
-    for root, d in g.degrees.items():
+    by_degree, degree_of = {}, degrees(g)
+    for root, d in degree_of.items():
         by_degree.setdefault(d, set()).add(root)
     return all(
         any(root - one in by_degree.get(d - 1, ()) for one in by_degree.get(1, ()))
-        for root, d in g.degrees.items()
+        for root, d in degree_of.items()
         if d >= 2
     )
 

@@ -23,6 +23,7 @@ from parakahler.koszul import (
     koszul_form,
     koszul_trace,
     omega_z,
+    scaled_killing_dual,
     two_form_from_weight,
 )
 from parakahler.rootsys import Root, Weight, build_root_system, n_pairing
@@ -195,6 +196,9 @@ def test_omega_z_and_killing_dual(algebra):
             psi = koszul_form(g)
             z = killing_dual(L, psi)
             assert omega_z(L, z).coeffs == two_form_from_weight(rs, psi).coeffs
+            dz, d = scaled_killing_dual(L, psi)  # the same z over one int d
+            assert all(isinstance(c, int) for c in dz.coords.values())
+            assert omega_z(L, dz, d).coeffs == omega_z(L, z).coeffs
 
 
 def _omega_z_per_root(L, z):

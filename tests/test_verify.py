@@ -109,8 +109,8 @@ def test_killing_dual_names_the_root_where_omega_z_is_off(algebra, monkeypatch):
     off = rs.positive_roots[4]
     true_omega_z = verify.omega_z
 
-    def shifted(L, z):
-        form = true_omega_z(L, z)
+    def shifted(L, z, d=1):
+        form = true_omega_z(L, z, d)
         return TwoForm(form.rs, {**form.coeffs, off: form.coeffs[off] + 1})
 
     direct = two_form_from_weight(rs, verify.koszul_form(g)).coeffs[off]
@@ -144,7 +144,7 @@ def test_killing_dual_sees_a_perturbed_cartan_inverse(algebra, step):
 
 
 def test_run_sweep_builds_psi_and_rho_once_per_gradation(monkeypatch):
-    # run_sweep hands one ClosedForms per gradation to the four checks that
+    # run_sweep hands one (psi, rho) pair per gradation to the four checks that
     # read psi or rho, so each closed form runs once per gradation.
     calls = Counter()
     for name in ("koszul_form", "two_form_from_weight"):

@@ -40,7 +40,7 @@ VERIFY_LAYERS = (
     "check_trace_oracle", "check_two_form", "check_killing_dual", "check_einstein", "closed_forms",
     "build_root_system", "chevalley_constants", "grade_from_crossing", "unsplit_root",
     "koszul_form", "koszul_trace", "koszul_coefficients", "two_form_from_weight",
-    "kernel_is_g0", "killing_dual", "omega_z", "einstein_structure",
+    "kernel_is_g0", "scaled_killing_dual", "omega_z", "einstein_structure",
 )
 
 
