@@ -84,7 +84,7 @@ def _degrees(L: LieAlgebraData, g: Gradation) -> tuple[int, ...]:
     return (0,) * L.rank + g.root_degrees
 
 
-ClosedForms = tuple[Weight, TwoForm]
+ClosedForms = tuple[Weight, TwoForm]  # (psi, rho) of one gradation
 
 
 def closed_forms(L: LieAlgebraData, g: Gradation) -> ClosedForms:
