@@ -42,7 +42,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cached_property
-from operator import mul
 
 from .errors import DomainError
 from .rootsys import Root, RootSystem, bareiss_inverse, exact_div
@@ -304,7 +303,7 @@ def chevalley_constants(rs: RootSystem) -> LieAlgebraData:
     at = {key: i for i, key in enumerate(keys)}  # root key -> root index
     npos = len(rs.positive_roots)
     neg = [*range(npos, 2 * npos), *range(npos)]  # index of -roots[i]
-    sq = [rs.root_length_sq(r) for r in roots]
+    sq = rs.positive_lengths * 2  # (a, a) = (-a, -a)
     N: list[dict[int, int]] = [{} for _ in roots]  # N[i][j] = N(roots[i], roots[j])
 
     def pin(r: int, s: int, n: int) -> None:
@@ -340,14 +339,12 @@ def chevalley_constants(rs: RootSystem) -> LieAlgebraData:
 
     # The bracket rows, root by root: the coroot rule, the Cartan rule
     # (antisymmetric) and [X_a, X_b] = N(a, b) X_{a+b}.
-    columns = tuple(zip(*rs.cartan))  # a(H_h) = sum_j a_j A[j][h]
-    for i, root in enumerate(roots):
-        x = rk + i
-        rows[x][rk + neg[i]] = {t: c for t, c in enumerate(rs.coroot(root)) if c}
-        for h, column in enumerate(columns):
-            c = sum(map(mul, root.coeffs, column))
+    for i in range(len(roots)):
+        x, p, sign = rk + i, i % npos, 1 if i < npos else -1  # roots[i] = sign * the p-th
+        rows[x][rk + neg[i]] = {t: sign * c for t, c in enumerate(rs.positive_coroots[p]) if c}
+        for h, c in enumerate(rs.pairings[p]):  # a(H_h) = <a, alpha_h^v>
             if c:
-                rows[h][x], rows[x][h] = {x: c}, {x: -c}
+                rows[h][x], rows[x][h] = {x: sign * c}, {x: -sign * c}
         for j in sorted(N[i]):
             rows[x][rk + j] = {rk + at[keys[i] + keys[j]]: N[i][j]}
     return L

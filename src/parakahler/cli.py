@@ -15,6 +15,7 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from operator import mul
 from pathlib import Path
 
 from .config import nodes, rational
@@ -162,10 +163,11 @@ def _resolve_satake(name: str) -> SatakeDiagram:
 def cmd_roots(args) -> Report:
     stype = SimpleType(args.family.upper(), args.rank)
     rs = build_root_system(stype)
+    m, det = rs.cartan_inverse  # the weights are the rows of m / det
     prod_ok = all(
-        rs.coroot_pairing(rs.weights[i], j + 1) == (i == j)
-        for i in range(rs.rank)
-        for j in range(rs.rank)
+        sum(map(mul, row, column)) == det * (i == j)
+        for i, row in enumerate(m)
+        for j, column in enumerate(zip(*rs.cartan))
     )
     payload = {
         "type": str(stype),
@@ -212,20 +214,14 @@ def _koszul_payload(g: Gradation) -> tuple[dict, list[dict]]:
         "depth": g.depth,
         "orbit_dimension": orbit_dimension(g),
         "psi": _weight_payload(rs, psi),
-        "coefficients": [
-            {"node": i, "a": a, "b": a - 2} for i, a in sorted(acoef.items())
-        ],
+        "coefficients": [{"node": i, "a": a, "b": a - 2} for i, a in sorted(acoef.items())],
         "rho": _rho_rows(rho),
         "degree_zero_positive": [str(r) for r in g.zero_degree_positive()],
     }
     checks = [
         {"name": "kernel of d(psi) equals g_0", "ok": kernel_is_g0(rho, g)},
-        {
-            "name": "rho positive off g_0",
-            "ok": all(
-                rho.coeffs[r] > 0 for r in g.nonzero_positive()
-            ),
-        },
+        {"name": "rho positive off g_0",
+         "ok": all(c > 0 for c, d in zip(rho.coeffs.values(), g.root_degrees) if d)},
     ]
     return payload, checks
 
@@ -284,10 +280,12 @@ def cmd_einstein(args) -> Report:
     g = grade_from_crossing(rs, crossing)
     es = einstein_structure(g, None, lam)
     pos, neg = es.signature()
+    m, basis = g.nonzero_roots(), [bi.label() for bi in es.basis]
+    degrees = [d for d in g.root_degrees if d]  # of each root of m
     entries = [
-        {"x": bi.label(), "y": es.basis[j].label(), "value": _rat(v)}
-        for i, bi in enumerate(es.basis)
-        for j, v in sorted(es.metric[i].items())
+        {"x": basis[i], "y": basis[j], "value": _rat(v)}
+        for i, row in enumerate(es.metric)
+        for j, v in sorted(row.items())
         if j >= i
     ]
     payload = {
@@ -295,15 +293,13 @@ def cmd_einstein(args) -> Report:
         "crossed": crossing.sorted(),
         "lambda": _rat(lam),
         "orbit_dimension": orbit_dimension(g),
-        "k_plus": [str(r) for r in g.nonzero_roots() if g.ksign(r) > 0],
-        "k_minus": [str(r) for r in g.nonzero_roots() if g.ksign(r) < 0],
-        "metric_basis": [bi.label() for bi in es.basis],
+        "k_plus": [str(r) for r, d in zip(m, degrees) if d > 0],
+        "k_minus": [str(r) for r, d in zip(m, degrees) if d < 0],
+        "metric_basis": basis,
         "metric_entries": entries,
         "signature": [pos, neg],
     }
-    checks = [
-        {"name": "neutral signature", "ok": pos == neg == orbit_dimension(g) // 2},
-    ]
+    checks = [{"name": "neutral signature", "ok": pos == neg == orbit_dimension(g) // 2}]
     inputs = {"type": str(stype), "cross": crossing.sorted(), "lambda": _rat(lam)}
     return Report("einstein", inputs, payload, checks)
 

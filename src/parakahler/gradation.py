@@ -13,12 +13,13 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
+from functools import cached_property
 from itertools import combinations
 from pathlib import Path
 
 from .config import Fields, integer, nodes
 from .errors import DomainError
-from .rootsys import Root, RootSystem, SimpleType, build_root_system
+from .rootsys import Root, RootSystem, SimpleType, build_root_system, ratio
 
 
 @dataclass(frozen=True)
@@ -49,21 +50,26 @@ class Gradation:
     """A fundamental gradation: the degree of each root, depth, grading element.
 
     ``root_degrees`` holds the degree of each root of ``rs.all_roots()`` by
-    position; ``degree`` and ``ksign`` are readers of it.
-    Immutable by convention after ``grade_from_crossing`` returns it.
+    position; ``degree`` and ``ksign`` are readers of it.  The grading element
+    is built on first read.  Immutable by convention.
     """
 
     rs: RootSystem
     crossing: CrossingSet
     root_degrees: tuple[int, ...] = field(repr=False)
     depth: int = 0
-    grading_element: tuple[Q | int, ...] = ()
 
     def __post_init__(self) -> None:
-        roots, n = self.rs.all_roots(), len(self.root_degrees)
-        if n != len(roots):
-            lacking = f": {roots[n]} has no degree" if n < len(roots) else ""
-            raise DomainError(f"{n} degrees for the {len(roots)} roots of {self.rs.type}{lacking}")
+        n, count = len(self.root_degrees), 2 * len(self.rs.positive_roots)
+        if n != count:
+            lacking = f": {self.rs.all_roots()[n]} has no degree" if n < count else ""
+            raise DomainError(f"{n} degrees for the {count} roots of {self.rs.type}{lacking}")
+
+    @cached_property
+    def grading_element(self) -> tuple[Q | int, ...]:
+        """d over the H_i with alpha_i(d) = [i crossed]: the crossed columns of A^-1, summed."""
+        m, det = self.rs.cartan_inverse
+        return tuple(ratio(sum(row[i - 1] for i in self.crossing.crossed), det) for row in m)
 
     def degree(self, root: Root) -> int:
         try:
@@ -73,8 +79,7 @@ class Gradation:
 
     def ksign(self, root: Root) -> int:
         """The para-complex structure on root vectors: sign of the degree."""
-        d = self.degree(root)
-        return 0 if d == 0 else (1 if d > 0 else -1)
+        return (self.degree(root) > 0) - (self.degree(root) < 0)
 
     def roots_of_degree(self, p: int) -> tuple[Root, ...]:
         return tuple(r for r, d in zip(self.rs.all_roots(), self.root_degrees) if d == p)
@@ -93,8 +98,9 @@ class Gradation:
 
 def crossed_sums(rs: RootSystem, crossing: CrossingSet) -> tuple[int, ...]:
     """The sum of the crossed coefficients of each root of ``rs.all_roots()``, by position."""
-    columns = tuple(zip(*(r.coeffs for r in rs.all_roots())))
-    return tuple(map(sum, zip(*(columns[i - 1] for i in crossing.sorted()))))
+    columns = tuple(zip(*(r.coeffs for r in rs.positive_roots)))
+    sums = tuple(map(sum, zip(*(columns[i - 1] for i in crossing.sorted()))))
+    return sums + tuple(-s for s in sums)
 
 
 def grade_from_crossing(rs: RootSystem, crossing: CrossingSet) -> Gradation:
@@ -102,18 +108,7 @@ def grade_from_crossing(rs: RootSystem, crossing: CrossingSet) -> Gradation:
     if max(crossing.crossed) > rs.rank:
         raise DomainError(f"crossed node {max(crossing.crossed)} exceeds rank {rs.rank}")
     degrees = crossed_sums(rs, crossing)
-    # Grading element d with alpha_i(d) = [i crossed]; the coroot pairing
-    # matrix is the Cartan matrix, so d is a column sum of its inverse,
-    # which the root system already carries as the weight matrix.  Integral
-    # coordinates are kept as ints.
-    coords = (sum(rs.weights[j].coords[i - 1] for i in crossing.crossed) for j in range(rs.rank))
-    return Gradation(
-        rs=rs,
-        crossing=crossing,
-        root_degrees=degrees,
-        depth=max(degrees),
-        grading_element=tuple(c if c.denominator > 1 else c.numerator for c in coords),
-    )
+    return Gradation(rs=rs, crossing=crossing, root_degrees=degrees, depth=max(degrees))
 
 
 def orbit_dimension(g: Gradation) -> int:

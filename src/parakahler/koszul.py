@@ -22,7 +22,6 @@ from fractions import Fraction as Q
 from functools import cached_property
 from operator import mul
 
-from . import ratlin
 from .chevalley import (
     AlgebraElement,
     BasisIndex,
@@ -186,8 +185,20 @@ class EinsteinStructure:
         return tuple(map(BasisIndex.X, self.gradation.nonzero_roots()))
 
     def signature(self) -> tuple[int, int]:
-        """Exact signature via rational congruence diagonalization."""
-        return ratlin.symmetric_signature(self.metric)
+        """(k, k): the metric is k hyperbolic blocks, one per pair (X_alpha, X_-alpha).
+
+        Row a of the 2k must hold one nonzero entry, at column (a + k) mod 2k,
+        equal to its mirror, or DomainError names it; ``ratlin.symmetric_signature``
+        is the general algorithm, kept as the tests' reference.
+        """
+        rows, n = self.metric, len(self.metric)
+        k = n // 2
+        for a, row in enumerate(rows):
+            v = row.get(b := (a + k) % n)
+            if n % 2 or not v or rows[b].get(a) != v or any(row[c] for c in row if c != b):
+                name = self.basis[a].label() if a < len(self.basis) else "no root"
+                raise DomainError(f"metric row {a} ({name}) is not one hyperbolic pair entry")
+        return k, k
 
 
 def einstein_structure(g: Gradation, L: LieAlgebraData | None, lam, rho=None) -> EinsteinStructure:
@@ -220,9 +231,4 @@ def einstein_structure(g: Gradation, L: LieAlgebraData | None, lam, rho=None) ->
     values = [s * v for s, v in zip(ksign[k:], c)]
     values += [-s * v for s, v in zip(ksign, c)]
     metric = [{(a + k) % len(m): v} if v else {} for a, v in enumerate(values)]
-    return EinsteinStructure(
-        gradation=g,
-        lam=lam,
-        rho=rho,
-        metric=tuple(metric),
-    )
+    return EinsteinStructure(gradation=g, lam=lam, rho=rho, metric=tuple(metric))

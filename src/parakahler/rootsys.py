@@ -12,19 +12,19 @@ Conventions, fixed once and used everywhere:
   roots come first (descending lexicographic on coefficient vectors).
   Rebuilding a root system is bit-identical.
 
-``RootSystem`` owns the integer root data: ``coroot`` (H_alpha over the H_i)
-and ``root_length_sq`` come from one table over the positive roots, and
-``n_pairing`` is xi(H_alpha).  All arithmetic is exact: plain ints wherever
-a value is an integer (roots, coroots, lengths, pairings of integral
-weights, integral coordinates of the pi_i), ``fractions.Fraction`` for the rest.
+``build_root_system`` runs one closure on int keys and keeps each positive
+root's pairings <beta, alpha_j^v> by position; ``coroot`` (H_alpha over the
+H_i) and ``root_length_sq`` are read from them, and ``n_pairing`` is xi(H_alpha).
+The fundamental weights (A^-1) are built on first read.  All arithmetic is
+exact: ints wherever a value is an integer, ``fractions.Fraction`` for the rest.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import cached_property
-from operator import mul
+from operator import add, mul
 
 from .errors import DomainError
 
@@ -103,8 +103,13 @@ class Root:
     def __sub__(self, other: "Root") -> "Root":
         return Root(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
-    def __str__(self) -> str:
+    @cached_property
+    def label(self) -> str:
+        """``format_coeffs`` of the coefficients, formatted once per root."""
         return format_coeffs(self.coeffs)
+
+    def __str__(self) -> str:
+        return self.label
 
 
 @dataclass(frozen=True)
@@ -195,20 +200,22 @@ def _symmetrizers(cartan) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class RootSystem:
-    """Root data of a simple type: Cartan matrix, positive roots, weights."""
+    """Root data of a simple type: Cartan matrix, positive roots, their pairings."""
 
     type: SimpleType
     cartan: tuple[tuple[int, ...], ...]
     d: tuple[int, ...]
     positive_roots: tuple[Root, ...]
-    weights: tuple[Weight, ...]
+    # By position over the positive roots: <beta, alpha_j^v> over j, and the int key.
+    pairings: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
+    positive_keys: tuple[int, ...] = field(repr=False, compare=False)
 
     @property
     def rank(self) -> int:
         return self.type.rank
 
     def is_root(self, root: Root) -> bool:
-        return root.coeffs in self._coroots
+        return root.coeffs in self.positions
 
     def all_roots(self) -> tuple[Root, ...]:
         """Positive roots in canonical order, then their negatives."""
@@ -228,19 +235,25 @@ class RootSystem:
 
     @cached_property
     def keys(self) -> tuple[int, ...]:
-        """The key sum_k c_k B^k of each root of ``all_roots()``, B = 4 max|c| + 1.
+        """The key sum_k c_k 32^(r-1-k) of each root of ``all_roots()``, k from 0.
 
-        Keys add like weights and tell apart all x + y and x - y with x, y in
-        R + {0}: any two of those differ by a d with |d_k| <= 4 max|c| < B, and
-        sum_k d_k B^k = 0 makes the lowest d_k != 0 a multiple of B, so d = 0.
+        Keys add like weights and tell apart all x + y and x - y, x, y in R + {0}:
+        two of those differ by a d with |d_k| <= 4 * 6 < 32 (no root coefficient
+        exceeds 6), and sum_k d_k 32^(r-1-k) = 0 then forces d = 0.
         """
-        base = 4 * max(abs(c) for r in self._all_roots for c in r.coeffs) + 1
-        return tuple(sum(c * base**k for k, c in enumerate(r.coeffs)) for r in self._all_roots)
+        return self.positive_keys + tuple(-k for k in self.positive_keys)
+
+    @cached_property
+    def positive_lengths(self) -> tuple[int, ...]:
+        """(alpha, alpha) for each positive root, by position: sum_j k_j d_j <alpha, alpha_j^v>."""
+        return tuple(sum(map(mul, map(mul, r.coeffs, self.d), pairing))
+                     for r, pairing in zip(self.positive_roots, self.pairings))
 
     @cached_property
     def positive_coroots(self) -> tuple[tuple[int, ...], ...]:
-        """H_alpha over the H_i for each positive root, by position."""
-        return tuple(self._coroots[r.coeffs][0] for r in self.positive_roots)
+        """H_alpha = sum_i k_i (2 d_i / (alpha, alpha)) H_i in ints, by position."""
+        return tuple(tuple(2 * k * d // n for k, d in zip(r.coeffs, self.d))
+                     for r, n in zip(self.positive_roots, self.positive_lengths))
 
     @cached_property
     def positions(self) -> dict[tuple[int, ...], int]:
@@ -248,39 +261,31 @@ class RootSystem:
         return {r.coeffs: p for p, r in enumerate(self._all_roots)}
 
     @cached_property
-    def _coroots(self) -> dict[tuple[int, ...], tuple[tuple[int, ...], int]]:
-        """Root coefficients -> (coroot, squared length), for both signs.
+    def cartan_inverse(self) -> tuple[list[list[int]], int]:
+        """(M, det) in ints with M = det A^-1, by ``bareiss_inverse`` on first read."""
+        return bareiss_inverse(self.cartan)
 
-        For a = sum_i k_i alpha_i, (a, a) = sum_j k_j d_j <a, alpha_j^v> and
-        H_a = sum_i k_i (d_i / d_a) H_i with d_a = (a, a)/2.
-        """
-        columns = tuple(zip(*self.cartan))
-        negatives = self._all_roots[len(self.positive_roots):]
-        table = {}
-        for root, neg in zip(self.positive_roots, negatives):
-            k = root.coeffs
-            lensq = sum(
-                kj * dj * sum(map(mul, k, column))
-                for kj, dj, column in zip(k, self.d, columns) if kj
-            )
-            coroot = tuple(2 * ki * di // lensq for ki, di in zip(k, self.d))
-            table[k] = (coroot, lensq)
-            table[neg.coeffs] = (tuple(-c for c in coroot), lensq)
-        return table
+    @cached_property
+    def weights(self) -> tuple[Weight, ...]:
+        """The fundamental weights: the rows of A^-1, an entry an int where it is one."""
+        m, det = self.cartan_inverse
+        return tuple(Weight(tuple(ratio(x, det) for x in row)) for row in m)
 
-    def _coroot_entry(self, root: Root) -> tuple[tuple[int, ...], int]:
-        try:
-            return self._coroots[root.coeffs]
-        except KeyError:
-            raise DomainError(f"{root} is not a root of {self.type}") from None
+    def _position(self, root: Root) -> tuple[int, int]:
+        """(p, s): root = s times the p-th positive root, s = +-1."""
+        p, npos = self.positions.get(root.coeffs), len(self.positive_roots)
+        if p is None:
+            raise DomainError(f"{root} is not a root of {self.type}")
+        return p % npos, 1 if p < npos else -1
 
     def coroot(self, root: Root) -> tuple[int, ...]:
         """H_alpha as an integer vector over the H_i (negated for -alpha)."""
-        return self._coroot_entry(root)[0]
+        p, s = self._position(root)
+        return tuple(s * c for c in self.positive_coroots[p])
 
     def root_length_sq(self, root: Root) -> int:
         """(alpha, alpha), with short roots of squared length 2."""
-        return self._coroot_entry(root)[1]
+        return self.positive_lengths[self._position(root)[0]]
 
     def coroot_pairing(self, xi: Weight, i: int) -> Q | int:
         """xi(H_i) = 2(xi, alpha_i)/(alpha_i, alpha_i), 1-based i; int for int xi."""
@@ -290,47 +295,47 @@ class RootSystem:
 def build_root_system(stype: SimpleType) -> RootSystem:
     """Construct the full root system of a simple type.
 
-    The closure runs on coefficient tuples: a candidate beta + alpha_i is a
-    root iff its alpha_i-string through beta climbs, i.e.
-    q = p - <beta, alpha_i^v> > 0 where p is the largest k with
-    beta - k*alpha_i still a (positive) root.  Roots are read in height
-    order while the list grows, so every root below beta is known when
-    beta is read.
+    beta + alpha_i is a root iff p > <beta, alpha_i^v>, p the largest k with
+    beta - k alpha_i still a positive root.  The closure walks the strings on
+    the int keys (``RootSystem.keys``), where alpha_i is 32^(r-1-i): each vector
+    it looks up (digits -1..7) has a key of its own.  Each root carries its
+    pairings, and beta + alpha_i adds row i of A.  Roots are read in height
+    order while the list grows, so all roots below beta are known at beta.
     """
     cartan = cartan_matrix(stype)
     r = stype.rank
-    found = [tuple(int(j == i) for j in range(r)) for i in range(r)]
-    known = set(found)
-    for beta in found:  # appended roots are read too, one height higher
-        for i, column in enumerate(zip(*cartan)):
-            head, tail = beta[:i], beta[i + 1:]
-            p = 0
-            while head + (beta[i] - p - 1,) + tail in known:
-                p += 1
-            up = head + (beta[i] + 1,) + tail
-            if p > sum(map(mul, beta, column)) and up not in known:
+    units = [32 ** (r - 1 - i) for i in range(r)]
+    keys, pairings = list(units), list(cartan)
+    coeffs = [tuple(int(j == i) for j in range(r)) for i in range(r)]
+    known = set(keys)
+    for beta, c, pairing in zip(keys, coeffs, pairings):  # appended roots are read too
+        for i, unit in enumerate(units):
+            p, down = 0, beta - unit
+            while down in known:
+                p, down = p + 1, down - unit
+            up = beta + unit
+            if p > pairing[i] and up not in known:
                 known.add(up)
-                found.append(up)
-    found.sort(key=lambda k: (sum(k), [-c for c in k]))
-    positive = tuple(map(Root, found))
+                keys.append(up)
+                coeffs.append(c[:i] + (c[i] + 1,) + c[i + 1:])
+                pairings.append(tuple(map(add, pairing, cartan[i])))
+    top = 32**r  # above every key: height * top - key orders by height, then descending key
+    rank_keys = [sum(c) * top - k for k, c in zip(keys, coeffs)]
+    order = sorted(range(len(keys)), key=rank_keys.__getitem__)
+    positive = tuple(Root(coeffs[t]) for t in order)
 
-    expected = _POSITIVE_COUNTS[stype.family](r)
-    if len(positive) != expected:
-        raise AssertionError(
-            f"closure produced {len(positive)} positive roots for {stype}, "
-            f"expected {expected}"
-        )
-    inv, d = bareiss_inverse(cartan)
-    top = positive[-1].height
-    assert sum(1 for p in positive if p.height == top) == 1, "highest root not unique"
+    if len(positive) != (expected := _POSITIVE_COUNTS[stype.family](r)):
+        raise AssertionError(f"closure produced {len(positive)} roots for {stype}, not {expected}")
+    if len(positive) > 1 and positive[-2].height == positive[-1].height:
+        raise AssertionError(f"highest root of {stype} is not unique")
 
     return RootSystem(
         type=stype,
         cartan=cartan,
         d=_symmetrizers(cartan),
         positive_roots=positive,
-        # The fundamental weights: rows of A^-1, an entry an int where it is one.
-        weights=tuple(Weight(tuple(ratio(x, d) for x in row)) for row in inv),
+        pairings=tuple(pairings[t] for t in order),
+        positive_keys=tuple(keys[t] for t in order),
     )
 
 
@@ -387,10 +392,8 @@ def inner_product(rs: RootSystem, xi: Weight, eta: Weight) -> Q:
 
 def n_pairing(rs: RootSystem, xi: Weight, alpha: Root) -> Q | int:
     """n(xi, alpha) = 2 (xi, alpha) / (alpha, alpha) = xi(H_alpha); int for int xi."""
-    return sum(
-        c * rs.coroot_pairing(xi, i)
-        for i, c in enumerate(rs.coroot(alpha), start=1) if c
-    )
+    coroot = rs.coroot(alpha)
+    return sum(c * rs.coroot_pairing(xi, i) for i, c in enumerate(coroot, start=1) if c)
 
 
 def weight_in_pi_basis(rs: RootSystem, xi: Weight) -> tuple:

@@ -384,7 +384,10 @@ def check_einstein(L: LieAlgebraData, g: Gradation, forms: ClosedForms | None = 
     if empty := [alpha for alpha, row in zip(roots, es.metric) if not row]:
         return _first_failure([f"metric is degenerate: the row of {empty[0]} is empty"])
 
-    pos, neg = es.signature()
+    try:
+        pos, neg = es.signature()
+    except DomainError as err:  # a row that is not one hyperbolic pair entry
+        return _first_failure([str(err)])
     if not (pos == neg == len(roots) // 2):
         return _first_failure([f"signature {(pos, neg)} is not neutral"])
     return _first_failure([])

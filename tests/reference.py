@@ -2,6 +2,7 @@
 
 import dataclasses
 from fractions import Fraction as Q
+from operator import mul
 
 from parakahler import ratlin
 from parakahler.chevalley import LieAlgebraData
@@ -9,6 +10,7 @@ from parakahler.errors import DomainError
 from parakahler.gradation import Gradation, unsplit_root
 from parakahler.koszul import TwoForm
 from parakahler.paracomplex import ChartPotential, _poly_eval
+from parakahler.rootsys import SimpleType, cartan_matrix
 
 
 def is_fundamental(g: Gradation) -> bool:
@@ -27,6 +29,39 @@ def regraded(g: Gradation, changes: dict) -> Gradation:
     for root, d in changes.items():
         degrees[g.rs.positions[root.coeffs]] = d
     return dataclasses.replace(g, root_degrees=tuple(degrees))
+
+
+def tuple_walk_positive_roots(stype: SimpleType) -> list[tuple[int, ...]]:
+    """The positive roots' coefficient tuples in canonical order, by a closure on tuples.
+
+    beta + alpha_i is a root iff p > <beta, alpha_i^v>, p the length of the
+    alpha_i-string below beta, with both read off the tuples and the Cartan
+    matrix directly (no keys, no carried pairings).
+    """
+    cartan = cartan_matrix(stype)
+    r = stype.rank
+    found = [tuple(int(j == i) for j in range(r)) for i in range(r)]
+    known = set(found)
+    for beta in found:  # appended roots are read too, one height higher
+        for i, column in enumerate(zip(*cartan)):
+            head, tail = beta[:i], beta[i + 1:]
+            p = 0
+            while head + (beta[i] - p - 1,) + tail in known:
+                p += 1
+            up = head + (beta[i] + 1,) + tail
+            if p > sum(map(mul, beta, column)) and up not in known:
+                known.add(up)
+                found.append(up)
+    found.sort(key=lambda k: (sum(k), [-c for c in k]))
+    return found
+
+
+def root_data(cartan, d, k) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """(<a, alpha_j^v> over j, coroot, (a, a)) of the root a with coefficients k, from A."""
+    pairing = tuple(sum(map(mul, k, column)) for column in zip(*cartan))
+    lensq = sum(kj * dj * pj for kj, dj, pj in zip(k, d, pairing))
+    coroot = tuple(Q(2 * ki * di, lensq) for ki, di in zip(k, d))
+    return pairing, coroot, lensq
 
 
 def det(a) -> Q:

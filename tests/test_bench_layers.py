@@ -1,10 +1,10 @@
-"""Smoke test of ``tools/bench_layers.py`` on the rank-2 sweep."""
+"""Smoke test of ``tools/bench_layers.py`` on the rank-2 sweep and the 155 queries of one seed."""
 
 import importlib.util
 import json
 from pathlib import Path
 
-from parakahler import chevalley, verify
+from parakahler import chevalley, cli, gradation, koszul, rootsys, verify
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_layers.py"
 
@@ -15,6 +15,11 @@ def test_bench_layers_writes_one_record_and_restores_the_package(tmp_path):
     spec.loader.exec_module(tool)
     before = {name: getattr(verify, name) for name in tool.VERIFY_LAYERS}
     killing_basis = chevalley.LieAlgebraData.killing_basis
+    modules = (chevalley, cli, gradation, koszul, rootsys, verify)
+    namespaces = [dict(vars(m)) for m in modules]
+    classes = {cls: dict(vars(cls)) for cls in (rootsys.RootSystem, koszul.EinsteinStructure,
+                                                 chevalley.BasisIndex, cli.Report)}
+    weights_func = rootsys.RootSystem.__dict__["weights"].func
 
     path = tool.main(["--max-rank", "2", "--out", str(tmp_path), "--commit", "smoke"])
 
@@ -25,8 +30,24 @@ def test_bench_layers_writes_one_record_and_restores_the_package(tmp_path):
     assert (sweep["algebras"], sweep["gradations"], sweep["all_ok"]) == (4, 10, True)
     assert sweep["calls"]["verify.check_two_form"] == 10
     assert sweep["calls"]["LieAlgebraData.closedness_functionals"] == 4  # once per algebra
+    queries = record["queries"]
+    assert (queries["seed"], queries["reports"], queries["failed"]) == (1, 155, 0)
+    calls = queries["calls"]
+    # One parser, root system and JSON rendering per report; five commands over 31 types.
+    for name in ("cli.build_parser", "rootsys.build_root_system", "Report.to_json"):
+        assert calls[name] == 155
+    # The inverse of A (the weights) is read by the 31 ``roots`` reports only.
+    assert calls["rootsys.bareiss_inverse"] == calls["RootSystem.weights"] == 31
+    assert calls["gradation.grade_from_crossing"] == 4 * 31  # one per non-roots report
+    assert calls["koszul.two_form_from_weight"] == 3 * 31  # koszul, rho, einstein
+    assert calls["koszul.einstein_structure"] == calls["EinsteinStructure.signature"] == 31
+    assert calls["rootsys.format_coeffs"] > 0 and "BasisIndex.label" in calls
+    assert set(queries["layers_self_s"]) == set(calls)
     assert set(record["chart_log_model"]) == {"1", "2", "4", "8"}
     assert all(v["per_point_ms"] > 0 for v in record["chart_log_model"].values())
     # The timers are gone again.
     assert {name: getattr(verify, name) for name in tool.VERIFY_LAYERS} == before
     assert chevalley.LieAlgebraData.killing_basis is killing_basis
+    assert [dict(vars(m)) for m in modules] == namespaces
+    assert {cls: dict(vars(cls)) for cls in classes} == classes
+    assert rootsys.RootSystem.__dict__["weights"].func is weights_func

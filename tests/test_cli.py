@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from parakahler import chevalley, cli
+from parakahler import chevalley, cli, rootsys
 from parakahler.cli import main
 from parakahler.verify import sweep_types
 
@@ -256,6 +256,28 @@ def test_einstein_report_builds_no_chevalley_constants(capsys, monkeypatch):
     code, out, _ = run(capsys, "einstein", "E", "8", "--cross", "1,4,8", "--json")
     assert code == 0
     assert json.loads(out)["payload"]["signature"] == [112, 112]
+
+
+@pytest.mark.parametrize(
+    "argv, formatted",
+    [
+        # The 224 roots of m, each once, though each is named in k_plus or k_minus,
+        # in metric_basis and in metric_entries.
+        (["einstein", "E", "8", "--cross", "1,4,8"], 224),
+        # The 120 positive roots, and psi over the a and the pi basis.
+        (["koszul", "E", "8", "--cross", "1"], 122),
+        # The 120 positive roots and the 8 fundamental weights.
+        (["roots", "E", "8"], 128),
+    ],
+)
+def test_reports_format_each_root_once(capsys, monkeypatch, argv, formatted):
+    calls = []
+    fmt = rootsys.format_coeffs
+    monkeypatch.setattr(rootsys, "format_coeffs", lambda *a, **k: calls.append(a) or fmt(*a, **k))
+    monkeypatch.setattr(cli, "format_coeffs", rootsys.format_coeffs)
+    code, _, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    assert len(calls) == formatted
 
 
 def test_catalog(capsys):

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction as Q
 
 import pytest
@@ -372,3 +373,59 @@ def test_einstein_structure_refuses_a_root_of_m_without_its_negative(algebra):
     bad = regraded(g, {Root((-1, 0)): 0})
     with pytest.raises(DomainError, match=r"^the negative of 1a1 is not at its offset in m$"):
         einstein_structure(bad, None, 1)
+
+
+def _signature_pairs(max_rank):
+    """(pair count, general algorithm) of the metric of every gradation up to a rank."""
+    for stype in sweep_types(max_rank):
+        rs = build_root_system(stype)
+        for crossing in enumerate_crossings(rs.rank):
+            es = einstein_structure(grade_from_crossing(rs, crossing), None, 1)
+            yield es.signature(), ratlin.symmetric_signature(es.metric)
+
+
+def test_pair_count_signature_matches_the_general_algorithm():
+    pairs = list(_signature_pairs(4))
+    assert len(pairs) == sum(2**t.rank - 1 for t in sweep_types(4)) == 106
+    assert all(count == general for count, general in pairs)
+
+
+@pytest.mark.slow
+def test_pair_count_signature_matches_the_general_algorithm_on_every_gradation():
+    pairs = list(_signature_pairs(8))
+    assert len(pairs) == 2455
+    assert all(count == general for count, general in pairs)
+
+
+def _second_entry(m):
+    m[1][0] = m[0][1] = 7
+
+
+def _mirror_differs(m):
+    m[5][2] += 1
+
+
+def _wrong_column(m):
+    m[0] = {4: m[0][3]}
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_second_entry, "metric row 0 (X[1a1])"),
+        (_mirror_differs, "metric row 2 (X[1a1+1a2])"),
+        (_wrong_column, "metric row 0 (X[1a1])"),
+        (lambda m: m.pop(), "metric row 0 (X[1a1])"),  # five rows: an odd count
+    ],
+)
+def test_signature_refuses_a_row_off_the_hyperbolic_shape(algebra, edit, message):
+    # A2 {1, 2}: m is every root, and row a pairs with row a + 3.
+    rs, _ = algebra("A2")
+    es = einstein_structure(grade_from_crossing(rs, CrossingSet.of(1, 2)), None, 1)
+    assert es.signature() == (3, 3)
+    metric = [dict(row) for row in es.metric]
+    edit(metric)
+    es.metric = tuple(metric)
+    pattern = rf"^{re.escape(message)} is not one hyperbolic pair entry$"
+    with pytest.raises(DomainError, match=pattern):
+        es.signature()

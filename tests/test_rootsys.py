@@ -1,9 +1,13 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction as Q
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from parakahler import rootsys
 from parakahler.errors import DomainError
 from parakahler.rootsys import (
     Root,
@@ -16,7 +20,7 @@ from parakahler.rootsys import (
     n_pairing,
 )
 from parakahler.verify import sweep_types
-from reference import inverse
+from reference import inverse, root_data, tuple_walk_positive_roots
 
 # Classical positive-root counts per (family, rank).
 COUNTS = {
@@ -223,3 +227,59 @@ def test_exact_div_refuses_a_remainder_explicitly():
     assert exact_div(-12, 4) == -3
     with pytest.raises(ArithmeticError):
         exact_div(7, 2)
+
+
+@pytest.mark.parametrize("name", ALL_TYPES)
+def test_int_key_closure_matches_the_tuple_walk(name):
+    # The same positive roots in the same order as the closure on tuples, and
+    # the same pairings, coroots and squared lengths as read from A directly.
+    stype = SimpleType.parse(name)
+    rs = build_root_system(stype)
+    assert [r.coeffs for r in rs.positive_roots] == tuple_walk_positive_roots(stype)
+    assert len(rs.pairings) == len(rs.positive_roots)
+    for root, pairing in zip(rs.positive_roots, rs.pairings):
+        want_pairing, coroot, lensq = root_data(rs.cartan, rs.d, root.coeffs)
+        assert pairing == want_pairing
+        assert rs.coroot(root) == coroot and rs.root_length_sq(root) == lensq
+        assert rs.coroot(-root) == tuple(-c for c in coroot) and rs.root_length_sq(-root) == lensq
+        assert all(type(c) is int for c in (*pairing, *rs.coroot(root)))
+
+
+def test_weights_and_grading_element_are_built_on_first_read():
+    from parakahler.gradation import CrossingSet, grade_from_crossing
+
+    rs = build_root_system(SimpleType("E", 8))
+    g = grade_from_crossing(rs, CrossingSet.of(1))
+    assert "cartan_inverse" not in vars(rs) and "grading_element" not in vars(g)
+    assert g.grading_element == (4, 5, 7, 10, 8, 6, 4, 2)  # the first column of A^-1
+    assert "cartan_inverse" in vars(rs) and rs.cartan_inverse[1] == 1  # det A = 1
+    assert rs.weights[0].coords == (4, 5, 7, 10, 8, 6, 4, 2)  # A is symmetric
+
+
+# Two orthogonal simple roots: both are highest, of height 1.
+_SPLIT = """
+import pytest
+from parakahler import rootsys
+rootsys.cartan_matrix = lambda stype: ((2, 0), (0, 2))
+rootsys._POSITIVE_COUNTS["A"] = lambda r: 2
+with pytest.raises(AssertionError, match=r"^highest root of A2 is not unique$"):
+    rootsys.build_root_system(rootsys.SimpleType("A", 2))
+print("raised")
+"""
+
+
+def test_a_second_highest_root_raises(monkeypatch):
+    monkeypatch.setattr(rootsys, "cartan_matrix", lambda stype: ((2, 0), (0, 2)))
+    monkeypatch.setitem(rootsys._POSITIVE_COUNTS, "A", lambda r: 2)
+    with pytest.raises(AssertionError, match=r"^highest root of A2 is not unique$"):
+        build_root_system(SimpleType("A", 2))
+
+
+def test_a_second_highest_root_raises_under_optimize():
+    # An explicit raise, not an assert, so ``python -O`` keeps it.
+    src = os.path.dirname(os.path.dirname(rootsys.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-O", "-c", _SPLIT], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "raised"

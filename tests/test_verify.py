@@ -557,7 +557,7 @@ def test_metric_off_its_weights_fails_einstein(algebra, monkeypatch):
     ],
 )
 def test_metric_without_a_root_pair_fails_einstein(algebra, monkeypatch, crossed, message):
-    # The signature step divides by its pivots, so an empty row must fail first.
+    # An empty row must fail before the signature counts the pairs.
     rs, L = algebra("A2")
     g = grade_from_crossing(rs, CrossingSet.of(*crossed))
     es = einstein_structure(g, L, 1)
@@ -570,6 +570,19 @@ def test_metric_without_a_root_pair_fails_einstein(algebra, monkeypatch, crossed
     report = check_einstein(L, g)
     assert not report["ok"]
     assert report["first_failure"] == message
+
+
+def test_metric_row_storing_a_zero_fails_einstein(algebra, monkeypatch):
+    # Rows {mirror: 0} pass symmetry, K-skewness, sparsity, invariance (A1 has
+    # no root in g_0) and the empty-row check; the pair count refuses them,
+    # and check_einstein reports that instead of raising.
+    rs, L = algebra("A1")
+    g = grade_from_crossing(rs, CrossingSet.of(1))
+    es = einstein_structure(g, L, 1)
+    es.metric = ({1: 0}, {0: 0})
+    monkeypatch.setattr(verify, "einstein_structure", lambda *args: es)
+    assert check_einstein(L, g) == {
+        "ok": False, "first_failure": "metric row 0 (X[1a1]) is not one hyperbolic pair entry"}
 
 
 @pytest.mark.parametrize(

@@ -1,17 +1,20 @@
-"""Per-layer timings of the exact oracle sweep and the chart lab, as one JSON file.
+"""Per-layer timings of the exact oracle sweep, cold reports and the chart lab, as one JSON file.
 
 Runs ``verify.run_sweep(max_rank)`` once with a timer around every check and
 closed form it calls through ``verify``'s namespace, and around every
 cached per-algebra table of ``LieAlgebraData`` the measured tree has; each
 layer reports its self time (nested timed calls subtracted) and its call
-count.  Then it times ``metric_from_potential`` per point on the log model
-for each chart dimension n.  Nothing in the package is changed: the timers
-are installed from outside and removed afterwards.
+count.  Then it runs the 155 reports of one seed of perfbench's ``queries``
+workload (five commands over the 31 types of rank <= 8, ``--json``) through
+``cli.main`` with timers around the layers of a cold report
+(``QUERY_LAYERS``).  Last it times ``metric_from_potential`` per point on
+the log model for each chart dimension n.  Nothing in the package is
+changed: the timers are installed from outside and removed afterwards.
 
 The output is ``BENCH_<commit>.json`` in ``--out``, with the ``src/`` line
 count, the Python version and the processor count beside the timings::
 
-    python3 tools/bench_layers.py                      # run_sweep(8)
+    python3 tools/bench_layers.py                      # run_sweep(8), queries of seed 1
     python3 tools/bench_layers.py --src ../other/src --commit 8624fe1
 
 Compare two files only from back-to-back runs on one host.
@@ -20,10 +23,14 @@ Compare two files only from back-to-back runs on one host.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import importlib
+import io
 import json
 import os
 import platform
+import random
 import subprocess
 import sys
 import time
@@ -84,6 +91,97 @@ def _install(timer: LayerTimer, verify, chevalley) -> list[tuple[object, str, ob
     undo.append((cls, "killing_basis", cls.killing_basis))
     cls.killing_basis = timer.wrap("LieAlgebraData.killing_basis", cls.killing_basis)
     return undo
+
+
+# The layers of a cold report: (module, attribute), a method as ``Class.name``.
+# A function is wrapped in every package namespace that holds it; a name the
+# measured tree lacks is skipped.  The weights are ``bareiss_inverse`` (the
+# inverse of A) and, where it is built on first read, ``RootSystem.weights``.
+QUERY_LAYERS = (
+    ("rootsys", "build_root_system"),
+    ("rootsys", "bareiss_inverse"), ("rootsys", "RootSystem.weights"),  # the weights
+    ("gradation", "grade_from_crossing"), ("koszul", "two_form_from_weight"),
+    ("koszul", "einstein_structure"), ("koszul", "EinsteinStructure.signature"),
+    ("rootsys", "format_coeffs"), ("chevalley", "BasisIndex.label"),  # label formatting
+    ("cli", "Report.to_json"), ("cli", "build_parser"),
+)
+QUERY_COMMANDS = ("roots", "gradations", "koszul", "rho", "einstein")
+QUERY_SEED = 1
+
+
+def query_set(seed: int) -> list[list[str]]:
+    """The reports of perfbench's ``queries`` workload: one per (command, type), seeded crossing."""
+    from parakahler.verify import sweep_types
+
+    rng = random.Random(seed)
+    queries = []
+    for command in QUERY_COMMANDS:
+        for stype in sweep_types(8):
+            argv = [command, stype.family, str(stype.rank)]
+            if command != "roots":
+                mask = rng.randrange(1, 2**stype.rank)
+                nodes = [str(i + 1) for i in range(stype.rank) if mask >> i & 1]
+                argv += ["--cross", ",".join(nodes)]
+            queries.append(argv + ["--json"])
+    return queries
+
+
+def _install_query_layers(timer: LayerTimer) -> list[tuple[object, str, object]]:
+    """Wrap ``QUERY_LAYERS``; returns (owner, attribute, original) to restore."""
+    undo = []
+    for module, attr in QUERY_LAYERS:
+        owner = importlib.import_module(f"parakahler.{module}")
+        label = f"{module}.{attr}" if "." not in attr else attr
+        if "." in attr:
+            cls_name, name = attr.split(".")
+            cls = getattr(owner, cls_name)
+            member = cls.__dict__.get(name)
+            if isinstance(member, cached_property):
+                undo.append((member, "func", member.func))
+                member.func = timer.wrap(label, member.func)
+            elif callable(member):
+                undo.append((cls, name, member))
+                setattr(cls, name, timer.wrap(label, member))
+            continue
+        original = getattr(owner, attr, None)
+        if original is None:
+            continue
+        wrapped = timer.wrap(label, original)
+        for name, mod in list(sys.modules.items()):
+            if mod is not None and name.split(".")[0] == "parakahler":
+                for key, value in list(vars(mod).items()):
+                    if value is original:
+                        undo.append((mod, key, original))
+                        setattr(mod, key, wrapped)
+    return undo
+
+
+def query_layers(seed: int) -> dict:
+    """Self time and calls per ``QUERY_LAYERS`` layer over the reports of ``query_set(seed)``."""
+    from parakahler import cli
+
+    queries = query_set(seed)
+    timer = LayerTimer()
+    undo = _install_query_layers(timer)
+    failed = 0
+    try:
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(io.StringIO()):
+            for argv in queries:
+                failed += cli.main(argv) != 0
+        wall = time.perf_counter() - start
+    finally:
+        for owner, name, original in reversed(undo):
+            setattr(owner, name, original)
+    layers = sorted(timer.self_s.items(), key=lambda item: -item[1])
+    return {
+        "seed": seed,
+        "reports": len(queries),
+        "failed": failed,
+        "wall_s": round(wall, 4),
+        "layers_self_s": {name: round(s, 4) for name, s in layers},
+        "calls": dict(sorted(timer.calls.items())),
+    }
 
 
 def sweep_layers(max_rank: int) -> dict:
@@ -167,6 +265,7 @@ def main(argv=None) -> Path:
         "nproc": os.cpu_count(),
         "src_lines": sum(len(p.read_text().splitlines()) for p in sorted(package.glob("*.py"))),
         "sweep": sweep_layers(args.max_rank),
+        "queries": query_layers(QUERY_SEED),
         "chart_log_model": chart_per_point(),
     }
     args.out.mkdir(parents=True, exist_ok=True)
