@@ -79,7 +79,7 @@ class Gradation:
 
     def ksign(self, root: Root) -> int:
         """The para-complex structure on root vectors: sign of the degree."""
-        return (self.degree(root) > 0) - (self.degree(root) < 0)
+        return ((d := self.degree(root)) > 0) - (d < 0)
 
     def roots_of_degree(self, p: int) -> tuple[Root, ...]:
         return tuple(r for r, d in zip(self.rs.all_roots(), self.root_degrees) if d == p)
