@@ -20,9 +20,9 @@ constant is forced from these seeds by the standard relations
     N(a,b)/(c,c) = N(b,c)/(a,a) = N(c,a)/(b,b)   for a+b+c = 0,
 
 plus one Jacobi identity per remaining special pair.  The result is exact;
-``verify.check_jacobi`` checks the Jacobi identity on every basis triple
-with a nonzero term and ``verify.check_structure_constants`` checks
-|N(a,b)| = p+1 against an independent root-string computation.
+``verify.check_jacobi`` checks Jacobi (antisymmetry, generation by X_{+-alpha_i}
+and their derivation identity) and ``verify.check_structure_constants``
+checks |N(a,b)| = p+1 against an independent root-string computation.
 
 Each constant is computed once, on root indices, when its root triple is
 pinned: N(r, s) fixes by those relations the 11 other ordered pairs of

@@ -5,9 +5,10 @@ honest traces, cyclic sums of rho over basis triples) so they can serve as
 oracles for the closed-form routes.  All arithmetic is exact; a check
 either passes or returns a description of the first failure.
 
-Triple loops skip only basis tuples whose terms all vanish.  Jacobi sums
-each product of stored brackets once, into the triple it belongs to, so it
-visits the triples where [[i,j],k], [[j,k],i] or [[k,i],j] has one.  Killing
+Jacobi is the derivation identity of the 2 rank generators X_{+-alpha_i}
+(``check_jacobi``): the x with [x, -] a derivation form a subalgebra, so with
+antisymmetric stored brackets and generators that generate, it gives Jacobi
+on every triple; the all-triples walk is the tests' reference.  Killing
 invariance, closedness of rho and both ad_{g_0}-invariance checks pair
 [e_i, e_j] with e_k under a form that vanishes unless the weights cancel
 (``check_einstein`` checks that of the metric), so they visit the triples
@@ -36,13 +37,13 @@ a closed form patched here is seen.
 from __future__ import annotations
 
 import functools
-from collections import Counter, defaultdict
+from collections import Counter
 from fractions import Fraction as Q
 from itertools import product
 from math import lcm
 from operator import mul
 
-from .chevalley import LieAlgebraData, basis_element, chevalley_constants
+from .chevalley import _NO_TERMS, LieAlgebraData, basis_element, chevalley_constants
 from .errors import DomainError
 from .gradation import Gradation, crossed_sums, enumerate_crossings, grade_from_crossing
 from .gradation import unsplit_root
@@ -57,11 +58,12 @@ from .koszul import (
     scaled_killing_dual,
     two_form_from_weight,
 )
-from .rootsys import SimpleType, Weight, build_root_system, exact_div, weight_in_pi_basis
+from .rootsys import SimpleType, Weight, bareiss_inverse, build_root_system, exact_div
+from .rootsys import weight_in_pi_basis
 
 
-def _first_failure(problems: list[str]) -> dict:
-    return {"ok": not problems, "first_failure": problems[0] if problems else None}
+def _first_failure(problems: list[str], **counts: int) -> dict:
+    return {"ok": not problems, "first_failure": problems[0] if problems else None, **counts}
 
 
 def _certified(check):
@@ -93,78 +95,82 @@ def closed_forms(L: LieAlgebraData, g: Gradation) -> ClosedForms:
     return psi, two_form_from_weight(L.rs, psi)
 
 
-def _invariance_triples(L: LieAlgebraData, acting, domain):
-    """Each (z, x, y) with z in ``acting``, x <= y in ``domain`` and zero weight sum.
-
-    Read from ``L.zero_weight_pairs[z]``, which holds repeated indices too.
-    """
-    domain = set(domain)
-    for z in acting:
-        for x, y in L.zero_weight_pairs[z]:
-            if x in domain and y in domain:
-                yield z, x, y
-
-
 # -- algebra-level checks ------------------------------------------------------
 
 
-def _jacobi_sums(rows: list[dict[int, dict[int, int]]]):
-    """Per a, the sorted ((b, c), J) over the triples a < b < c with a nonzero term.
-
-    J = {t: c} is [[a,b],c] + [[b,c],a] - [[a,c],b], each product of stored
-    brackets added once: [[a,j],k] from a stored (a, j) with j, k > a (the last
-    term of J(a, k, j) if j > k), [[b,c],a] from a stored (b, c) with b > a that
-    produces an m with [e_m, e_a] != 0.  Neither route assumes antisymmetry.
-    """
-    tied: list[list[int]] = [[] for _ in rows]  # tied[a]: the m with [e_m, e_a] != 0
-    producers: list[list[tuple]] = [[] for _ in rows]  # (b, c, x): b < c, x e_m in [e_b, e_c]
-    for m, row in enumerate(rows):
-        for k, out in row.items():
-            if out:
-                tied[k].append(m)
-            if k > m:
-                for t, x in out.items():
-                    producers[t].append((m, k, x))
-    for a, row in enumerate(rows):
-        sums: defaultdict[tuple[int, int], dict[int, int]] = defaultdict(dict)
-        for j, out in row.items():
-            if j <= a:
-                continue
-            for m, x in out.items():
-                for k, out2 in rows[m].items():
-                    if k > a and k != j and out2:
-                        acc, s = (sums[j, k], x) if j < k else (sums[k, j], -x)
-                        for t, y in out2.items():
-                            acc[t] = acc.get(t, 0) + s * y
-        for m in tied[a]:
-            for b, c, x in producers[m]:
-                if b > a:
-                    acc = sums[b, c]
-                    for t, y in rows[m][a].items():
-                        acc[t] = acc.get(t, 0) + x * y
-        yield a, [(bc, sums[bc]) for bc in sorted(sums)]
-
-
 def check_jacobi(L: LieAlgebraData) -> dict:
-    """Jacobi identity on every unordered basis triple with a nonzero term, in order."""
-    count = 0
-    for a, sums in _jacobi_sums(L.brackets):
-        for (b, c), total in sums:
-            count += 1
-            if any(total.values()):
-                failure = _first_failure([f"jacobi fails on basis triple {(a, b, c)}"])
-                return {**failure, "triples": count}
-    return {**_first_failure([]), "triples": count}
+    """Jacobi as the derivation identity of the 2 rank generators X_{+-alpha_i}.
+
+    Der = {x : [x, -] is a derivation} is a subalgebra, as [[x,y], -] = [[x,-], [y,-]]
+    for x in Der, so Der = L once the generators lie in it and generate L.  Three
+    steps, each with its first failure: antisymmetry (every stored [e_i, e_j] is
+    -[e_j, e_i], no [e_i, e_i] is stored); generation (single-term steps [x, e_s]
+    reach every root vector, and the Cartan parts of the [X_alpha_i, X_-alpha_i] have
+    full rank); and [x,[y,z]] - [[x,y],z] - [y,[x,z]] = 0, Jacobi on (x, y, z), for
+    each generator x and pair y < z with a nonzero term, which ``triples`` counts.
+    """
+    rows, rk, dim, npos = L.brackets, L.rank, L.dim, len(L.rs.positive_roots)
+    d2, count = dim * dim, 0
+    producers: list[list[tuple[int, int]]] = [[] for _ in rows]  # ((y dim + z) dim, c), y < z
+    for i, row in enumerate(rows):
+        for j, out in row.items():
+            if i == j or rows[j].get(i, _NO_TERMS) != {t: -c for t, c in out.items()}:
+                return _first_failure([f"antisymmetry fails on basis pair {(i, j)}"], triples=0)
+            for m, c in (out.items() if j > i else ()):  # c e_m in [e_i, e_j], i < j
+                producers[m].append((i * d2 + j * dim, c))
+    gens = [*range(rk, 2 * rk), *range(rk + npos, 2 * rk + npos)]
+    reached = set(gens)
+    for s in (queue := list(gens)):  # the queue grows while it is read
+        for out in (rows[x].get(s, _NO_TERMS) for x in gens):
+            t, c = next(iter(out.items())) if len(out) == 1 else (0, 0)
+            if c and t >= rk and t not in reached:
+                reached.add(t)
+                queue.append(t)
+    if missing := [L.roots[t - rk] for t in range(rk, dim) if t not in reached]:
+        return _first_failure([f"generation fails: {missing[0]} is not reached"], triples=0)
+    try:
+        bareiss_inverse([[rows[x].get(x + npos, _NO_TERMS).get(j, 0) for j in range(rk)]
+                         for x in gens[:rk]])
+    except ZeroDivisionError:
+        return _first_failure(["generation fails: the [X_a, X_-a] miss the Cartan"], triples=0)
+
+    # D(x; y, z) = [x,[y,z]] - P(y, z) + P(z, y) with P(u, v) = [[x,u],v], summed on int
+    # keys (y dim + z) dim + t; a pair holding x sums to 0 by antisymmetry.
+    for x in gens:
+        lx, acc = rows[x], {}
+        get = acc.get
+        for m, xm in lx.items():  # [x,[y,z]] from c e_m in [e_y, e_z]
+            for base, c in producers[m]:
+                for t, d in xm.items():
+                    acc[base + t] = get(base + t, 0) + c * d
+        for u, xu in lx.items():  # P(u, v) at the pair (v, u), -P(u, v) at (u, v)
+            for m, c in xu.items():
+                for v, out in rows[m].items():
+                    if v != u:
+                        base, s = (u * d2 + v * dim, -c) if v > u else (v * d2 + u * dim, c)
+                        for t, d in out.items():
+                            acc[base + t] = get(base + t, 0) + s * d
+        pairs = {k // dim for k in acc}
+        if any(acc.values()):
+            first = min(k // dim for k, v in acc.items() if v)
+            triple, count = (x, *divmod(first, dim)), count + sum(p <= first for p in pairs)
+            return _first_failure([f"jacobi fails on basis triple {triple}"], triples=count)
+        count += len(pairs)
+    return _first_failure([], triples=count)
 
 
 @_certified
 def check_killing_invariance(L: LieAlgebraData) -> dict:
-    """B([z,x],y) + B(x,[z,y]) = 0 over all basis triples, read from the Killing rows."""
-    b, pair, everything = L.killing_basis(), L.basis_bracket, range(L.dim)
-    for z, x, y in _invariance_triples(L, everything, everything):
-        lhs = sum(c * b[m].get(y, 0) for m, c in pair(z, x).items())
-        if lhs + sum(c * b[x].get(m, 0) for m, c in pair(z, y).items()):
-            return _first_failure([f"killing invariance fails on {(z, x, y)}"])
+    """B([z,x],y) + B(x,[z,y]) = 0 on each z and x <= y of ``L.zero_weight_pairs[z]``.
+
+    Read from the Killing rows; the pairs hold repeated indices too.
+    """
+    b, pair = L.killing_basis(), L.basis_bracket
+    for z, pairs in enumerate(L.zero_weight_pairs):
+        for x, y in pairs:
+            lhs = sum(c * b[m].get(y, 0) for m, c in pair(z, x).items())
+            if lhs + sum(c * b[x].get(m, 0) for m, c in pair(z, y).items()):
+                return _first_failure([f"killing invariance fails on {(z, x, y)}"])
     return _first_failure([])
 
 
@@ -412,16 +418,11 @@ def sweep_types(max_rank: int) -> list[SimpleType]:
 
 def run_sweep(max_rank: int) -> dict:
     """Run every oracle over every type and crossing set up to a rank bound."""
-    rows = []
-    failures: list[str] = []
-    algebra_count = 0
-    gradation_count = 0
-    for stype in sweep_types(max_rank):
+    types, failures, gradation_count = sweep_types(max_rank), [], 0
+    for stype in types:
         rs = build_root_system(stype)
         L = chevalley_constants(rs)
-        algebra_count += 1
-        alg = check_algebra(L)
-        for name, res in alg.items():
+        for name, res in check_algebra(L).items():
             if not res["ok"]:
                 failures.append(f"{stype}: {name}: {res['first_failure']}")
         for crossing in enumerate_crossings(stype.rank):
@@ -441,10 +442,9 @@ def run_sweep(max_rank: int) -> dict:
                         f"{stype} crossed {sorted(crossing.crossed)}: "
                         f"{name}: {res['first_failure']}"
                     )
-        rows.append(str(stype))
     return {
-        "types": rows,
-        "algebras": algebra_count,
+        "types": [str(stype) for stype in types],
+        "algebras": len(types),
         "gradations": gradation_count,
         "failures": failures,
         "all_ok": not failures,

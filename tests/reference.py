@@ -1,6 +1,7 @@
 """Reference code that only the tests use: predicates, dense forms, edits of gradations."""
 
 import dataclasses
+from collections import defaultdict
 from fractions import Fraction as Q
 from operator import mul
 
@@ -95,6 +96,71 @@ def two_form_rows(f: TwoForm, L: LieAlgebraData) -> list[dict]:
 
 def two_form_matrix(f: TwoForm, L: LieAlgebraData) -> list[list[Q]]:
     return [[row.get(j, Q(0)) for j in range(L.dim)] for row in two_form_rows(f, L)]
+
+
+def invariance_triples(L: LieAlgebraData, acting, domain):
+    """Each (z, x, y) with z in ``acting``, x <= y in ``domain`` and zero weight sum.
+
+    Read from ``L.zero_weight_pairs[z]``, which holds repeated indices too.
+    """
+    domain = set(domain)
+    for z in acting:
+        for x, y in L.zero_weight_pairs[z]:
+            if x in domain and y in domain:
+                yield z, x, y
+
+
+def jacobi_sums(rows: list[dict[int, dict[int, int]]]):
+    """Per a, the sorted ((b, c), J) over the triples a < b < c with a nonzero term.
+
+    J = {t: c} is [[a,b],c] + [[b,c],a] - [[a,c],b], each product of stored
+    brackets added once: [[a,j],k] from a stored (a, j) with j, k > a (the last
+    term of J(a, k, j) if j > k), [[b,c],a] from a stored (b, c) with b > a that
+    produces an m with [e_m, e_a] != 0.  Neither route assumes antisymmetry.
+    """
+    tied: list[list[int]] = [[] for _ in rows]  # tied[a]: the m with [e_m, e_a] != 0
+    producers: list[list[tuple]] = [[] for _ in rows]  # (b, c, x): b < c, x e_m in [e_b, e_c]
+    for m, row in enumerate(rows):
+        for k, out in row.items():
+            if out:
+                tied[k].append(m)
+            if k > m:
+                for t, x in out.items():
+                    producers[t].append((m, k, x))
+    for a, row in enumerate(rows):
+        sums: defaultdict[tuple[int, int], dict[int, int]] = defaultdict(dict)
+        for j, out in row.items():
+            if j <= a:
+                continue
+            for m, x in out.items():
+                for k, out2 in rows[m].items():
+                    if k > a and k != j and out2:
+                        acc, s = (sums[j, k], x) if j < k else (sums[k, j], -x)
+                        for t, y in out2.items():
+                            acc[t] = acc.get(t, 0) + s * y
+        for m in tied[a]:
+            for b, c, x in producers[m]:
+                if b > a:
+                    acc = sums[b, c]
+                    for t, y in rows[m][a].items():
+                        acc[t] = acc.get(t, 0) + x * y
+        yield a, [(bc, sums[bc]) for bc in sorted(sums)]
+
+
+def jacobi_all_triples(L: LieAlgebraData) -> dict:
+    """Jacobi on every basis triple a < b < c with a nonzero term, in sorted order.
+
+    The all-triples walk ``verify.check_jacobi`` replaced; it assumes neither
+    antisymmetry nor generation, so it is the independent route for that check.
+    """
+    count = 0
+    for a, sums in jacobi_sums(L.brackets):
+        for (b, c), total in sums:
+            count += 1
+            if any(total.values()):
+                problem = f"jacobi fails on basis triple {(a, b, c)}"
+                return {"ok": False, "first_failure": problem, "triples": count}
+    return {"ok": True, "first_failure": None, "triples": count}
 
 
 def poly_mixed_hessian_exact(F: ChartPotential, u, v) -> list[list[Q]]:

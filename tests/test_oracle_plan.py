@@ -18,7 +18,7 @@ from parakahler.errors import DomainError
 from parakahler.gradation import CrossingSet, enumerate_crossings, grade_from_crossing
 from parakahler.koszul import TwoForm, killing_dual, koszul_form
 from parakahler.rootsys import Root, Weight
-from reference import regraded, two_form_rows
+from reference import invariance_triples, regraded, two_form_rows
 from test_verify import _corrupted, _reverse_flipped
 
 
@@ -29,7 +29,7 @@ def _report(problem: str | None = None) -> dict:
 def _invariance_failure(L, form, acting, domain) -> tuple | None:
     """First (z, x, y) with form([z,x], y) + form(x, [z,y]) != 0, from dict rows."""
     pair = L.basis_bracket
-    for z, x, y in verify._invariance_triples(L, acting, domain):
+    for z, x, y in invariance_triples(L, acting, domain):
         lhs = sum(c * form[m].get(y, 0) for m, c in pair(z, x).items())
         lhs += sum(c * form[x].get(m, 0) for m, c in pair(z, y).items())
         if lhs:

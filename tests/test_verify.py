@@ -5,7 +5,13 @@ from fractions import Fraction as Q
 
 import pytest
 
-from parakahler.chevalley import LieAlgebraData, basis_element, bracket, killing_form
+from parakahler.chevalley import (
+    LieAlgebraData,
+    basis_element,
+    bracket,
+    chevalley_constants,
+    killing_form,
+)
 from parakahler.errors import DomainError
 from parakahler.gradation import (
     CrossingSet,
@@ -19,8 +25,14 @@ from parakahler.koszul import (
     koszul_coefficients,
     two_form_from_weight,
 )
-from parakahler.rootsys import Root
-from reference import is_fundamental, regraded
+from parakahler.rootsys import Root, build_root_system
+from reference import (
+    invariance_triples,
+    is_fundamental,
+    jacobi_all_triples,
+    jacobi_sums,
+    regraded,
+)
 from parakahler.verify import (
     check_algebra,
     check_einstein,
@@ -442,7 +454,7 @@ def test_invariance_walk_yields_exactly_the_zero_weight_triples(algebra, name):
         "g_0 x m": (g0, m),
     }
     for shape, (acting, domain) in shapes.items():
-        walked = list(verify._invariance_triples(L, acting, domain))
+        walked = list(invariance_triples(L, acting, domain))
         brute = {
             (z, x, y)
             for z in acting
@@ -612,8 +624,8 @@ def test_sign_flip_keeping_weights_fails_sparse_jacobi(algebra):
 
 
 def test_jacobi_examines_exactly_the_triples_with_a_term(algebra):
-    # Dense count: triples i < j < k where [[i,j],k], [[j,k],i] or [[k,i],j]
-    # has a nonzero product of basis brackets.
+    # The reference walk's dense count: triples i < j < k where [[i,j],k],
+    # [[j,k],i] or [[k,i],j] has a nonzero product of basis brackets.
     _, L = algebra("B3")
     pair = L.basis_bracket
 
@@ -626,7 +638,7 @@ def test_jacobi_examines_exactly_the_triples_with_a_term(algebra):
         for j in range(i + 1, L.dim)
         for k in range(j + 1, L.dim)
     )
-    report = check_jacobi(L)
+    report = jacobi_all_triples(L)
     assert report["ok"]
     assert report["triples"] == dense < 1330  # C(21, 3)
 
@@ -634,7 +646,7 @@ def test_jacobi_examines_exactly_the_triples_with_a_term(algebra):
 def _dense_jacobi_triples(L: LieAlgebraData) -> list[tuple[int, int, int]]:
     """Sorted triples i < j < k with a nonzero product in [[i,j],k], [[j,k],i] or [[i,k],j].
 
-    A scan over every triple: the reference for the sparse Jacobi walk.
+    A scan over every triple, to check the sparse walk of ``reference.jacobi_sums``.
     """
     pair = L.basis_bracket
 
@@ -650,17 +662,71 @@ def _dense_jacobi_triples(L: LieAlgebraData) -> list[tuple[int, int, int]]:
     ]
 
 
+def _generators(L: LieAlgebraData) -> list[int]:
+    """Basis indices of X_{alpha_i}, then X_{-alpha_i}, checked against the roots."""
+    npos = len(L.rs.positive_roots)
+    gens = [*range(L.rank, 2 * L.rank), *range(L.rank + npos, 2 * L.rank + npos)]
+    unit = [tuple(int(i == j) for j in range(L.rank)) for i in range(L.rank)]
+    assert [L.roots[x - L.rank].coeffs for x in gens] == unit + [
+        tuple(-c for c in u) for u in unit
+    ]
+    return gens
+
+
+def _defect(L: LieAlgebraData, x: int, y: int, z: int) -> tuple[bool, Counter]:
+    """(has a term, [x,[y,z]] - [[x,y],z] - [y,[x,z]]) from the basis brackets."""
+    pair, acc, term = L.basis_bracket, Counter(), False
+    products = (
+        (1, pair(y, z), lambda m: pair(x, m)),  # [x,[y,z]]
+        (-1, pair(x, y), lambda m: pair(m, z)),  # -[[x,y],z]
+        (-1, pair(x, z), lambda m: pair(y, m)),  # -[y,[x,z]]
+    )
+    for sign, inner, outer in products:
+        for m, c in inner.items():
+            for t, c2 in outer(m).items():
+                term = True
+                acc[t] += sign * c * c2
+    return term, acc
+
+
+def _dense_derivation_pairs(L: LieAlgebraData) -> list[tuple[int, int, int]]:
+    """Sorted (x, y, z), x a generator and y < z, where the defect has a product term."""
+    return [
+        (x, y, z)
+        for x in _generators(L)
+        for y in range(L.dim)
+        for z in range(y + 1, L.dim)
+        if _defect(L, x, y, z)[0]
+    ]
+
+
+def test_derivation_jacobi_examines_exactly_the_generator_pairs_with_a_term(algebra):
+    _, L = algebra("B3")
+    assert check_jacobi(L) == {
+        "ok": True,
+        "first_failure": None,
+        "triples": len(_dense_derivation_pairs(L)),
+    }
+
+
 @pytest.mark.parametrize("name, triples", [("F4", 5654), ("E6", 13056)])
 def test_jacobi_triple_counts(algebra, name, triples):
-    # The exceptional benchmark pass runs Jacobi on these two: 18,710 triples.
+    # The reference all-triples walk on the two algebras the exceptional benchmark checks.
+    _, L = algebra(name)
+    assert jacobi_all_triples(L) == {"ok": True, "first_failure": None, "triples": triples}
+
+
+@pytest.mark.parametrize("name, triples", [("F4", 2488), ("E6", 5382)])
+def test_derivation_jacobi_triple_counts(algebra, name, triples):
+    # The exceptional benchmark pass runs Jacobi on these two: 7,870 (x, y, z).
     _, L = algebra(name)
     assert check_jacobi(L) == {"ok": True, "first_failure": None, "triples": triples}
 
 
 def test_one_flipped_constant_reports_the_dense_first_failure(algebra):
-    # Flip N(a2, a3) but not N(a3, a2).  The reported triple and count must be
-    # those of the first failing triple in the dense sorted list of triples
-    # with a term, each summed from the basis brackets.
+    # Flip N(a2, a3) but not N(a3, a2).  The reference's reported triple and
+    # count must be those of the first failing triple in the dense sorted list
+    # of triples with a term, each summed from the basis brackets.
     _, shared = algebra("B3")
     L = _copy(shared)
     i, j = L.index_of_root(Root((0, 1, 0))), L.index_of_root(Root((0, 0, 1)))
@@ -678,18 +744,137 @@ def test_one_flipped_constant_reports_the_dense_first_failure(algebra):
     dense = _dense_jacobi_triples(L)
     n = next(n for n, triple in enumerate(dense) if fails(*triple))
     assert 0 < n < len(dense) - 1
+    assert jacobi_all_triples(L) == {
+        "ok": False,
+        "first_failure": f"jacobi fails on basis triple {dense[n]}",
+        "triples": n + 1,
+    }
+    # The derivation check stops at its first step, on the stored pair.
+    assert check_jacobi(L) == {
+        "ok": False,
+        "first_failure": f"antisymmetry fails on basis pair {(min(i, j), max(i, j))}",
+        "triples": 0,
+    }
+
+
+def test_one_flipped_pair_reports_the_dense_first_derivation_failure(algebra):
+    # Flip N(a2, a3) with N(a3, a2): antisymmetry and generation hold, so the
+    # triple and count are those of the first failing (x, y, z) in the dense
+    # sorted list of generator pairs with a term.
+    _, shared = algebra("B3")
+    L = _copy(shared)
+    i, j = L.index_of_root(Root((0, 1, 0))), L.index_of_root(Root((0, 0, 1)))
+    for p, q in ((i, j), (j, i)):
+        L.brackets[p][q] = {t: -c for t, c in L.brackets[p][q].items()}
+    dense = _dense_derivation_pairs(L)
+    n = next(n for n, triple in enumerate(dense) if any(_defect(L, *triple)[1].values()))
+    assert 0 < n < len(dense) - 1
     assert check_jacobi(L) == {
         "ok": False,
         "first_failure": f"jacobi fails on basis triple {dense[n]}",
         "triples": n + 1,
     }
+    assert not jacobi_all_triples(L)["ok"]
+
+
+@pytest.mark.parametrize("upper", [True, False])
+def test_deleted_reverse_entry_fails_antisymmetry_at_the_stored_pair(algebra, upper):
+    _, shared = algebra("G2")
+    L = _copy(shared)
+    i, j = next(
+        (i, j) for i in range(L.rank, L.dim) for j in L.brackets[i]
+        if j >= L.rank and (i < j) == upper
+    )
+    del L.brackets[j][i]
+    assert check_jacobi(L) == {
+        "ok": False,
+        "first_failure": f"antisymmetry fails on basis pair {(i, j)}",
+        "triples": 0,
+    }
+
+
+def test_stored_self_bracket_fails_antisymmetry(algebra):
+    _, shared = algebra("A2")
+    L = _copy(shared)
+    L.brackets[3][3] = {}  # stored, although empty
+    assert check_jacobi(L)["first_failure"] == "antisymmetry fails on basis pair (3, 3)"
+
+
+def test_unreachable_root_fails_generation_naming_it(algebra):
+    # Without [X_a1, X_a2] (both orders) no single-term step reaches X_{a1+a2};
+    # X_{-a1-a2} is still reached from [X_-a1, X_-a2].
+    _, shared = algebra("A2")
+    L = _copy(shared)
+    i, j = L.index_of_root(Root((1, 0))), L.index_of_root(Root((0, 1)))
+    del L.brackets[i][j], L.brackets[j][i]
+    assert check_jacobi(L) == {
+        "ok": False,
+        "first_failure": f"generation fails: {Root((1, 1))} is not reached",
+        "triples": 0,
+    }
+
+
+def test_simple_coroots_missing_the_cartan_fail_generation(algebra):
+    # [X_a1, X_-a1] = H_1 + H_2 and [X_a2, X_-a2] = H_1 + H_2 (both orders)
+    # span one line of the Cartan.
+    _, shared = algebra("A2")
+    L = _copy(shared)
+    for a in (Root((1, 0)), Root((0, 1))):
+        x, nx = L.index_of_root(a), L.index_of_root(-a)
+        L.brackets[x][nx], L.brackets[nx][x] = {0: 1, 1: 1}, {0: -1, 1: -1}
+    assert check_jacobi(L) == {
+        "ok": False,
+        "first_failure": "generation fails: the [X_a, X_-a] miss the Cartan",
+        "triples": 0,
+    }
+
+
+@pytest.mark.parametrize("name", [str(stype) for stype in sweep_types(4)])
+def test_derivation_jacobi_agrees_with_the_all_triples_walk(algebra, name):
+    _, L = algebra(name)
+    assert check_jacobi(L)["ok"] and jacobi_all_triples(L)["ok"]
+
+
+@pytest.mark.slow
+def test_derivation_jacobi_agrees_with_the_all_triples_walk_to_rank_8():
+    for stype in sweep_types(8):
+        L = chevalley_constants(build_root_system(stype))
+        assert check_jacobi(L)["ok"] and jacobi_all_triples(L)["ok"], str(stype)
+
+
+def _root_constant_tampers(L: LieAlgebraData):
+    """Copies with one stored [X_a, X_b], a before b, and its reverse doubled or negated.
+
+    Each root-root entry: N(a, b) X_{a+b}, or the coroot H_a when b = -a.
+    """
+    for i in range(L.rank, L.dim):
+        for j in L.brackets[i]:
+            if j > i:
+                for factor in (2, -1):
+                    bad = _copy(L)
+                    for p, q in ((i, j), (j, i)):
+                        bad.brackets[p][q] = {t: factor * c for t, c in bad.brackets[p][q].items()}
+                    yield (i, j, factor), bad
+
+
+@pytest.mark.parametrize("name, tampers", [("A2", 18), ("B3", 138), ("C3", 138), ("G2", 72)])
+def test_every_tampered_root_constant_fails_both_jacobi_routes(algebra, name, tampers):
+    # Each keeps antisymmetry and generation, so only the derivation step can
+    # catch it; the reference must fail as well.
+    _, L = algebra(name)
+    seen = 0
+    for where, bad in _root_constant_tampers(L):
+        seen += 1
+        assert not check_jacobi(bad)["ok"], where
+        assert not jacobi_all_triples(bad)["ok"], where
+    assert seen == tampers
 
 
 @pytest.mark.parametrize("upper", [True, False])
 def test_jacobi_streams_sorted_triples_without_antisymmetry(algebra, upper):
     # Drop one stored root-root bracket, so its reverse has no partner; the
-    # stream must still be exactly the sorted triples whose checked terms
-    # [[i,j],k], [[j,k],i] and [[i,k],j] have a nonzero product.
+    # reference stream must still be exactly the sorted triples whose checked
+    # terms [[i,j],k], [[j,k],i] and [[i,k],j] have a nonzero product.
     _, shared = algebra("G2")
     L = _copy(shared)
     rows = L.brackets
@@ -698,7 +883,7 @@ def test_jacobi_streams_sorted_triples_without_antisymmetry(algebra, upper):
         if j >= L.rank and (i < j) == upper
     )
     del rows[i][j]
-    streamed = [(a, b, c) for a, sums in verify._jacobi_sums(rows) for (b, c), _ in sums]
+    streamed = [(a, b, c) for a, sums in jacobi_sums(rows) for (b, c), _ in sums]
     assert streamed == _dense_jacobi_triples(L)
 
 
