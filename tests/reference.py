@@ -150,8 +150,8 @@ def jacobi_sums(rows: list[dict[int, dict[int, int]]]):
 def jacobi_all_triples(L: LieAlgebraData) -> dict:
     """Jacobi on every basis triple a < b < c with a nonzero term, in sorted order.
 
-    The all-triples walk ``verify.check_jacobi`` replaced; it assumes neither
-    antisymmetry nor generation, so it is the independent route for that check.
+    It assumes neither antisymmetry nor generation, so it is the independent
+    route for ``verify.check_jacobi``.
     """
     count = 0
     for a, sums in jacobi_sums(L.brackets):
