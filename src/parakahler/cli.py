@@ -124,7 +124,8 @@ def _rat(x) -> str:
 
 
 def _rho_rows(rho) -> list[dict]:
-    return [{"root": str(r), "coefficient": _rat(c)} for r, c in rho.coeffs.items()]
+    rows = zip(rho.rs.positive_roots, rho.coeffs)
+    return [{"root": str(r), "coefficient": _rat(c)} for r, c in rows]
 
 
 def _weight_payload(rs, xi) -> dict:
@@ -221,7 +222,7 @@ def _koszul_payload(g: Gradation) -> tuple[dict, list[dict]]:
     checks = [
         {"name": "kernel of d(psi) equals g_0", "ok": kernel_is_g0(rho, g)},
         {"name": "rho positive off g_0",
-         "ok": all(c > 0 for c, d in zip(rho.coeffs.values(), g.root_degrees) if d)},
+         "ok": all(c > 0 for c, d in zip(rho.coeffs, g.root_degrees) if d)},
     ]
     return payload, checks
 

@@ -9,10 +9,10 @@ Two independent routes to the same 1-form are kept side by side on purpose:
   kernel g_0 (``koszul_trace``), summed over the stored coordinates of x
   and the stored brackets only.
 
-The differential convention is d(xi)(X, Y) = xi([X, Y]), which makes
-d(xi)(X_a, X_-a) = n(xi, a) for positive a; the Killing-dual pairing
-``omega_z`` reproduces the same two-form with this convention, with no extra
-factor.
+The differential convention is d(xi)(X, Y) = xi([X, Y]), so d(xi)(X_a, X_-a) =
+n(xi, a) for positive a, stored by position over ``rs.positive_roots`` as a
+gradation stores its degrees; the Killing-dual pairing ``omega_z`` reproduces
+the same two-form with this convention, with no extra factor.
 """
 
 from __future__ import annotations
@@ -39,19 +39,27 @@ from .rootsys import Root, RootSystem, Weight, ratio, weight_in_pi_basis
 
 @dataclass
 class TwoForm:
-    """Antisymmetric pairing c_a = f(X_a, X_-a) indexed by positive roots.
+    """Antisymmetric pairing c_a = f(X_a, X_-a), a tuple by position over ``rs.positive_roots``.
 
     Cartan directions and pairs other than (a, -a) pair to zero, which is
     exactly the shape of the differential of any Cartan 1-form.
     """
 
     rs: RootSystem
-    coeffs: dict[Root, Q | int]
+    coeffs: tuple[Q | int, ...]
 
     def __post_init__(self) -> None:
-        missing = [r for r in self.rs.positive_roots if r not in self.coeffs]
-        if missing:
-            raise DomainError(f"coefficients missing for {missing[0]}")
+        roots, n = self.rs.positive_roots, len(self.coeffs)
+        if not isinstance(self.coeffs, tuple) or n > len(roots):
+            raise DomainError(f"coefficients must be a tuple over the {len(roots)} positive roots")
+        if n < len(roots):
+            raise DomainError(f"coefficients missing for {roots[n]}")
+
+    def over(self, g: Gradation) -> tuple[Q | int, ...]:
+        """``coeffs``, once g is known to grade the same root system: both read by position."""
+        if self.rs != g.rs:
+            raise DomainError("two-form and gradation use different root systems")
+        return self.coeffs
 
 
 def delta_sum(rs: RootSystem, subset) -> Weight:
@@ -105,8 +113,7 @@ def koszul_trace(g: Gradation, L: LieAlgebraData, x: AlgebraElement) -> Q | int:
 
 def _coroot_expansion(rs: RootSystem, lh) -> TwoForm:
     """The differential of the Cartan 1-form l with l(H_i) = lh[i], on each pair."""
-    n = (sum(map(mul, coroot, lh)) for coroot in rs.positive_coroots)
-    return TwoForm(rs, dict(zip(rs.positive_roots, n)))
+    return TwoForm(rs, tuple(sum(map(mul, coroot, lh)) for coroot in rs.positive_coroots))
 
 
 def two_form_from_weight(rs: RootSystem, xi: Weight) -> TwoForm:
@@ -119,7 +126,7 @@ def two_form_from_weight(rs: RootSystem, xi: Weight) -> TwoForm:
 
 def kernel_of(f: TwoForm, g: Gradation) -> tuple[BasisIndex, ...]:
     """Kernel of the two-form: the H_i, the zero-coefficient positive roots, their negatives."""
-    zero = [r for r in g.rs.positive_roots if not f.coeffs[r]]
+    zero = [r for r, c in zip(g.rs.positive_roots, f.over(g)) if not c]
     cartan = [BasisIndex.H(i) for i in range(1, g.rs.rank + 1)]
     return (*cartan, *map(BasisIndex.X, zero + [-r for r in zero]))
 
@@ -127,8 +134,7 @@ def kernel_of(f: TwoForm, g: Gradation) -> tuple[BasisIndex, ...]:
 def kernel_is_g0(f: TwoForm, g: Gradation) -> bool:
     """Does the kernel coincide with g_0?  By position: X_a, X_-a are in it iff f(X_a, X_-a) = 0."""
     deg, npos = g.root_degrees, len(g.rs.positive_roots)
-    zero = (not f.coeffs[r] for r in g.rs.positive_roots)
-    return all(z == (not deg[p]) == (not deg[p + npos]) for p, z in enumerate(zero))
+    return all((not c) == (not deg[p]) == (not deg[p + npos]) for p, c in enumerate(f.over(g)))
 
 
 def omega_z(L: LieAlgebraData, z: AlgebraElement, d: int = 1) -> TwoForm:
@@ -212,23 +218,20 @@ def einstein_structure(g: Gradation, L: LieAlgebraData | None, lam, rho=None) ->
         raise DomainError("the Einstein constant lambda must be nonzero")
     if L is not None and L.rs != g.rs:
         raise DomainError("algebra and gradation use different root systems")
-    if rho is None:
-        rho = two_form_from_weight(g.rs, koszul_form(g))
-    elif rho.rs != g.rs:
-        raise DomainError("two-form and gradation use different root systems")
+    rho = two_form_from_weight(g.rs, koszul_form(g)) if rho is None else rho
+    coeffs = rho.over(g)
     # m by position in all_roots(): -alpha sits npos after a positive alpha.
-    roots, npos = g.rs.all_roots(), len(g.rs.positive_roots)
-    at = [p for p, d in enumerate(g.root_degrees) if d]
-    m, k = [roots[p] for p in at], len(at) // 2
+    at, npos = [p for p, d in enumerate(g.root_degrees) if d], len(g.rs.positive_roots)
+    k = len(at) // 2
     if at[k:] != [p + npos for p in at[:k]]:
-        bad = next((roots[p] for p, q in zip(at[:k], at[k:]) if q != p + npos), m[-1])
-        raise DomainError(f"the negative of {bad} is not at its offset in m")
+        bad = next((p for p, q in zip(at[:k], at[k:]) if q != p + npos), at[-1])
+        raise DomainError(f"the negative of {g.rs.all_roots()[bad]} is not at its offset in m")
     # With alpha = m[a]: g[a][a+k] = K(-alpha) c_alpha / lam, g[a+k][a] = -K(alpha) c_alpha / lam.
     # c_alpha / lam = c_alpha den / num, a Fraction only where it is not an int.
     num, den = lam.numerator, lam.denominator
-    c = [ratio(rho.coeffs[alpha] * den, num) for alpha in m[:k]]
+    c = [ratio(coeffs[p] * den, num) for p in at[:k]]
     ksign = [1 if g.root_degrees[p] > 0 else -1 for p in at]  # K on m, by position
     values = [s * v for s, v in zip(ksign[k:], c)]
     values += [-s * v for s, v in zip(ksign, c)]
-    metric = [{(a + k) % len(m): v} if v else {} for a, v in enumerate(values)]
+    metric = [{(a + k) % len(at): v} if v else {} for a, v in enumerate(values)]
     return EinsteinStructure(gradation=g, lam=lam, rho=rho, metric=tuple(metric))

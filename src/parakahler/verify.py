@@ -18,20 +18,20 @@ in weight wt(i) + wt(j); if it fails, they return ok: False with its
 location.  The same certificate leaves the trace oracle only the Cartan.
 
 Killing invariance walks those triples directly.  The per-gradation checks
-read a plan that ``LieAlgebraData`` compiles once per algebra from its
-bracket rows, since only a per-root int vector changes between gradations:
-closedness evaluates one int functional over rho's c_alpha per distinct
-cyclic sum (``closedness_functionals``, each named by the first triple that
-produced it); both ad_{g_0}-invariance checks evaluate the terms of each
-acting index (``invariance_terms``) on rho's or the metric's value at each
-(alpha, -alpha), the metric's restricted to m; the grading check reads
-alpha(H_h) (``cartan_action``) against an int grading element; and
-``scaled_killing_dual`` reads the int inverse (M, d) of the Killing Cartan
-block (``killing_cartan_inverse``) and gives d z in ints, which ``omega_z``
-pairs with the Killing Gram in ints and divides by d once.  ``run_sweep``
-builds psi and rho of a gradation once (``closed_forms``) for the four
-checks that read them; a check called with (L, g) alone builds its own, so
-a closed form patched here is seen.
+read a plan that ``LieAlgebraData`` compiles once per algebra from its bracket
+rows, since only a per-root int vector changes between gradations: closedness
+evaluates one int functional over rho's c_alpha (a tuple by position over
+``rs.positive_roots``) per distinct cyclic sum (``closedness_functionals``,
+each named by the first triple that produced it); both ad_{g_0}-invariance
+checks evaluate the terms of each acting index (``invariance_terms``) on rho's
+or the metric's value at each (alpha, -alpha), the metric's restricted to m;
+the grading check reads alpha(H_h) (``cartan_action``) against an int grading
+element; and ``scaled_killing_dual`` reads the int inverse (M, d) of the
+Killing Cartan block (``killing_cartan_inverse``) and gives d z in ints, which
+``omega_z`` pairs with the Killing Gram in ints and divides by d once.
+``run_sweep`` builds psi and rho of a gradation once (``closed_forms``) for
+the four checks that read them; a check called with (L, g) alone builds its
+own, so a closed form patched here is seen.
 """
 
 from __future__ import annotations
@@ -307,9 +307,8 @@ def check_two_form(L: LieAlgebraData, g: Gradation, forms: ClosedForms | None = 
     degree is linear, so the two degrees always cancel.  Closedness and
     invariance evaluate the algebra's compiled functionals on rho's values c.
     """
-    rs, rk = L.rs, L.rank
-    psi, rho = forms or closed_forms(L, g)
-    deg, c = _degrees(L, g), [rho.coeffs[root] for root in rs.positive_roots]
+    (psi, rho), rk = forms or closed_forms(L, g), L.rank
+    deg, c = _degrees(L, g), rho.coeffs
     if not kernel_is_g0(rho, g):
         return _first_failure(["kernel of d(psi) is not g_0"])
 
@@ -318,24 +317,21 @@ def check_two_form(L: LieAlgebraData, g: Gradation, forms: ClosedForms | None = 
         if sum(a * c[p] for p, a in f):
             return _first_failure([f"d(rho) != 0 on triple {triple}"])
 
-    # Coefficient positivity and the a_i expansion.
-    for root, d, v in zip(rs.positive_roots, deg[rk:], c):
-        if not d and v != 0:
-            return _first_failure([f"coefficient on {root} should vanish"])
+    # Positivity off g_0 (the kernel check gave c_alpha = 0 on g_0) and the a_i expansion.
+    for root, d, v in zip(L.rs.positive_roots, deg[rk:], c):
         if d and v <= 0:
             return _first_failure([f"coefficient on {root} not positive: {v}"])
     # 2 sum a_i pi_i = psi over the basis pi_i: psi(H_i) is 2 a_i on a crossed node, else 0.
     acoef = koszul_coefficients(g)
-    if any(v != 2 * acoef.get(i, 0) for i, v in enumerate(weight_in_pi_basis(rs, psi), 1)):
+    if any(v != 2 * acoef.get(i, 0) for i, v in enumerate(weight_in_pi_basis(L.rs, psi), 1)):
         return _first_failure(["2 sum a_i pi_i != psi"])
     if any(a < 2 for a in acoef.values()):
         return _first_failure(["some a_i < 2"])
 
     # ad_h-invariance of rho for every basis element h of g_0; r[u] = rho(e_u, e_-u).
-    r = [0] * rk + c + [-v for v in c]
-    terms = L.invariance_terms
+    r = (0,) * rk + c + tuple(-v for v in c)
     for z in (z for z, d in enumerate(deg) if not d):
-        if any(a * r[ny] + b * r[x] for x, _, ny, a, b in terms[z]):
+        if any(a * r[ny] + b * r[x] for x, _, ny, a, b in L.invariance_terms[z]):
             return _first_failure([f"rho not ad-invariant under index {z}"])
     return _first_failure([])
 
@@ -349,9 +345,9 @@ def check_killing_dual(L: LieAlgebraData, g: Gradation, forms: ClosedForms | Non
     """
     psi, rho = forms or closed_forms(L, g)
     via_b, direct = omega_z(L, *scaled_killing_dual(L, psi)).coeffs, rho.coeffs
-    for root in L.rs.positive_roots:
-        if via_b[root] != direct[root]:
-            return _first_failure([f"omega_z != d(psi) on {root}: {via_b[root]} vs {direct[root]}"])
+    if via_b != direct:
+        root, u, v = next(t for t in zip(L.rs.positive_roots, via_b, direct) if t[1] != t[2])
+        return _first_failure([f"omega_z != d(psi) on {root}: {u} vs {v}"])
     return _first_failure([])
 
 

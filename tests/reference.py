@@ -88,8 +88,8 @@ def two_form_rows(f: TwoForm, L: LieAlgebraData) -> list[dict]:
         raise DomainError("algebra and two-form use different root systems")
     npos = len(f.rs.positive_roots)
     rows: list[dict] = [{} for _ in range(L.dim)]
-    for x, root in enumerate(f.rs.positive_roots, L.rank):
-        if c := f.coeffs[root]:
+    for x, c in enumerate(f.coeffs, L.rank):
+        if c:
             rows[x][x + npos], rows[x + npos][x] = c, -c
     return rows
 

@@ -27,7 +27,7 @@ from parakahler.koszul import (
     scaled_killing_dual,
     two_form_from_weight,
 )
-from parakahler.rootsys import Root, Weight, build_root_system, n_pairing
+from parakahler.rootsys import Root, SimpleType, Weight, build_root_system, n_pairing
 from parakahler.verify import sweep_types
 from reference import regraded, two_form_matrix, two_form_rows
 
@@ -43,7 +43,7 @@ def zero_element(L):
 def evaluate(f: TwoForm, L, x, y):
     """f(x, y), bilinear over the pairs (X_a, X_-a) that carry f."""
     total = Q(0)
-    for root, c in f.coeffs.items():
+    for root, c in zip(f.rs.positive_roots, f.coeffs):
         i, j = L.index_of_root(root), L.index_of_root(-root)
         x_i, x_j = x.coords.get(i, 0), x.coords.get(j, 0)
         total += c * (x_i * y.coords.get(j, 0) - x_j * y.coords.get(i, 0))
@@ -145,19 +145,19 @@ def test_two_form_from_weight_golden(algebra):
     pi1, pi2 = g2.weights
 
     rho1 = two_form_from_weight(g2, pi1.scale(10))
-    assert {str(r): c for r, c in rho1.coeffs.items()} == {
+    assert {str(r): c for r, c in zip(g2.positive_roots, rho1.coeffs)} == {
         "1a1": 10, "1a2": 0, "1a1+1a2": 10, "2a1+1a2": 20,
         "3a1+1a2": 10, "3a1+2a2": 10,
     }
 
     rho2 = two_form_from_weight(g2, pi2.scale(6))
-    assert {str(r): c for r, c in rho2.coeffs.items()} == {
+    assert {str(r): c for r, c in zip(g2.positive_roots, rho2.coeffs)} == {
         "1a1": 0, "1a2": 6, "1a1+1a2": 18, "2a1+1a2": 18,
         "3a1+1a2": 6, "3a1+2a2": 12,
     }
 
     zero = two_form_from_weight(g2, Weight.zero(2))
-    assert not any(zero.coeffs.values())
+    assert not any(zero.coeffs)
 
 
 def test_kernel_of(algebra):
@@ -184,10 +184,10 @@ def test_omega_z_and_killing_dual(algebra):
     rs, L = algebra("A1")
     h1 = cartan_element(L, [1])
     w = omega_z(L, h1)
-    assert w.coeffs[Root((1,))] == 8  # B(H1, H1)
+    assert w.coeffs[rs.positive_roots.index(Root((1,)))] == 8  # B(H1, H1)
     with pytest.raises(DomainError):
         omega_z(L, root_vector(L, Root((1,))))
-    assert not any(omega_z(L, zero_element(L)).coeffs.values())
+    assert not any(omega_z(L, zero_element(L)).coeffs)
 
     # Killing dual of the Koszul form reproduces d(psi), exactly.
     for name in ["A2", "B2", "G2"]:
@@ -205,7 +205,7 @@ def test_omega_z_and_killing_dual(algebra):
 def _omega_z_per_root(L, z):
     """B(z, H_a) on each positive root a, one Killing evaluation per root."""
     rs = L.rs
-    return {a: killing_form(L, z, cartan_element(L, rs.coroot(a))) for a in rs.positive_roots}
+    return tuple(killing_form(L, z, cartan_element(L, rs.coroot(a))) for a in rs.positive_roots)
 
 
 @pytest.mark.parametrize(
@@ -239,13 +239,14 @@ def test_two_form_evaluate_and_matrix(algebra):
     g = grade_from_crossing(rs, CrossingSet.of(1))
     rho = two_form_from_weight(rs, koszul_form(g))
     a = Root((1, 0))
+    c = rho.coeffs[rs.positive_roots.index(a)]
     xa, xma = root_vector(L, a), root_vector(L, -a)
-    assert evaluate(rho, L, xa, xma) == rho.coeffs[a]
-    assert evaluate(rho, L, xma, xa) == -rho.coeffs[a]
+    assert evaluate(rho, L, xa, xma) == c
+    assert evaluate(rho, L, xma, xa) == -c
     assert evaluate(rho, L, xa, xa) == 0
     m = two_form_matrix(rho, L)
     i, j = L.index_of_root(a), L.index_of_root(-a)
-    assert m[i][j] == rho.coeffs[a] and m[j][i] == -rho.coeffs[a]
+    assert m[i][j] == c and m[j][i] == -c
 
 
 def test_einstein_structure_a1(algebra):
@@ -284,7 +285,7 @@ def test_einstein_structure_g2(algebra):
             for j, b in enumerate(roots):
                 expected = Q(0)
                 if not any((a + b).coeffs):
-                    expected = -es.rho.coeffs[a if a.is_positive else -a]
+                    expected = -es.rho.coeffs[rs.positive_roots.index(a if a.is_positive else -a)]
                 assert es.metric[i].get(j, 0) == expected
 
 
@@ -305,10 +306,32 @@ def test_einstein_metric_entries_are_int_where_integral(algebra):
     assert {type(w) for w in thirds} == {int, Q}
 
 
-def test_two_form_requires_full_coefficients(algebra):
+@pytest.mark.parametrize(
+    "coeffs, message",
+    [
+        pytest.param((Q(1),), "coefficients missing for 1a2", id="short"),
+        pytest.param((1, 2, 3, 4), "must be a tuple over the 3 positive roots", id="long"),
+        pytest.param({Root((1, 0)): 1, Root((0, 1)): 2, Root((1, 1)): 3},
+                     "must be a tuple over the 3 positive roots", id="root_keyed"),
+    ],
+)
+def test_two_form_requires_full_coefficients(algebra, coeffs, message):
+    # By position over 1a1, 1a2, 1a1+1a2; a Root-keyed dict is refused, not read as its keys.
     rs, _ = algebra("A2")
-    with pytest.raises(DomainError):
-        TwoForm(rs, {Root((1, 0)): Q(1)})
+    with pytest.raises(DomainError, match=re.escape(message)):
+        TwoForm(rs, coeffs)
+
+
+@pytest.mark.parametrize("form_type, grading_type", [("B3", "C3"), ("A8", "E6")])
+def test_kernel_refuses_a_two_form_of_another_root_system(form_type, grading_type):
+    # Equal |R+| (9 and 36): reading by position would pair the wrong roots silently.
+    rs, other = (build_root_system(SimpleType.parse(t)) for t in (form_type, grading_type))
+    assert len(rs.positive_roots) == len(other.positive_roots)
+    rho = two_form_from_weight(rs, koszul_form(grade_from_crossing(rs, CrossingSet.of(2))))
+    g = grade_from_crossing(other, CrossingSet.of(2))
+    for reader in (kernel_of, kernel_is_g0, lambda f, g: einstein_structure(g, None, 1, f)):
+        with pytest.raises(DomainError, match="two-form and gradation use different root systems"):
+            reader(rho, g)
 
 
 @pytest.mark.parametrize("stype", sweep_types(8), ids=str)
@@ -321,7 +344,7 @@ def test_integer_root_data_are_plain_ints(stype):
         g = grade_from_crossing(rs, crossing)
         psi = koszul_form(g)
         assert all(type(c) is int for c in psi.coords)
-        assert all(type(c) is int for c in two_form_from_weight(rs, psi).coeffs.values())
+        assert all(type(c) is int for c in two_form_from_weight(rs, psi).coeffs)
         assert all(type(a) is int for a in koszul_coefficients(g).values())
 
 
@@ -332,8 +355,8 @@ def test_two_form_from_weight_matches_n_pairing(stype):
     g = grade_from_crossing(rs, CrossingSet(frozenset(range(1, rs.rank + 1))))
     for xi in (koszul_form(g), *rs.weights):
         coeffs = two_form_from_weight(rs, xi).coeffs
-        assert list(coeffs) == list(rs.positive_roots)
-        for root, c in coeffs.items():
+        assert len(coeffs) == len(rs.positive_roots)
+        for root, c in zip(rs.positive_roots, coeffs):
             want = n_pairing(rs, xi, root)
             assert c == want and type(c) is type(want)
 

@@ -118,14 +118,14 @@ def test_killing_dual_names_the_root_where_omega_z_is_off(algebra, monkeypatch):
     # omega_z off by one on a single root must fail there, with both values.
     rs, L = algebra("B3")
     g = grade_from_crossing(rs, CrossingSet.of(2))
-    off = rs.positive_roots[4]
+    p, off = 4, rs.positive_roots[4]
     true_omega_z = verify.omega_z
 
     def shifted(L, z, d=1):
-        form = true_omega_z(L, z, d)
-        return TwoForm(form.rs, {**form.coeffs, off: form.coeffs[off] + 1})
+        c = true_omega_z(L, z, d).coeffs
+        return TwoForm(L.rs, c[:p] + (c[p] + 1,) + c[p + 1:])
 
-    direct = two_form_from_weight(rs, verify.koszul_form(g)).coeffs[off]
+    direct = two_form_from_weight(rs, verify.koszul_form(g)).coeffs[p]
     monkeypatch.setattr(verify, "omega_z", shifted)
     assert check_killing_dual(L, g) == {
         "ok": False,
@@ -480,9 +480,23 @@ def _two_form_report(algebra, monkeypatch, crossed, **closed_forms) -> dict:
 
 def test_two_form_with_a_kernel_beyond_g0_fails(algebra, monkeypatch):
     def zeroed(rs, xi):  # X_a1 has degree 1 at {1}
-        return TwoForm(rs, {**two_form_from_weight(rs, xi).coeffs, Root((1, 0)): 0})
+        p = rs.positive_roots.index(Root((1, 0)))
+        c = two_form_from_weight(rs, xi).coeffs
+        return TwoForm(rs, c[:p] + (0,) + c[p + 1:])
 
     report = _two_form_report(algebra, monkeypatch, (1,), two_form_from_weight=zeroed)
+    assert report["first_failure"] == "kernel of d(psi) is not g_0"
+
+
+def test_two_form_nonzero_on_g0_fails_the_kernel_check(algebra, monkeypatch):
+    # X_a2 has degree 0 at {1}: c_a2 != 0 shrinks the kernel below g_0, so the
+    # kernel check already proves c_alpha = 0 exactly on degree 0.
+    def tampered(rs, xi):
+        p = rs.positive_roots.index(Root((0, 1)))
+        c = two_form_from_weight(rs, xi).coeffs
+        return TwoForm(rs, c[:p] + (1,) + c[p + 1:])
+
+    report = _two_form_report(algebra, monkeypatch, (1,), two_form_from_weight=tampered)
     assert report["first_failure"] == "kernel of d(psi) is not g_0"
 
 

@@ -1,15 +1,18 @@
 """Per-layer timings of the exact oracle sweep, cold reports and the chart lab, as one JSON file.
 
-Runs ``verify.run_sweep(max_rank)`` once with a timer around every check and
+Runs ``verify.run_sweep(max_rank)`` with a timer around every check and
 closed form it calls through ``verify``'s namespace, and around every
 cached per-algebra table of ``LieAlgebraData`` the measured tree has; each
 layer reports its self time (nested timed calls subtracted) and its call
 count.  Then it runs the 155 reports of one seed of perfbench's ``queries``
 workload (five commands over the 31 types of rank <= 8, ``--json``) through
 ``cli.main`` with timers around the layers of a cold report
-(``QUERY_LAYERS``).  Last it times ``metric_from_potential`` per point on
-the log model for each chart dimension n.  Nothing in the package is
-changed: the timers are installed from outside and removed afterwards.
+(``QUERY_LAYERS``).  Each of the two sections runs ``PASSES`` times and
+reports the median wall time and the median self time per layer; the call
+counts are those of the first pass (every pass makes the same calls).  Last
+it times ``metric_from_potential`` per point on the log model for each chart
+dimension n.  Nothing in the package is changed: the timers are installed
+from outside and removed after each pass.
 
 The output is ``BENCH_<commit>.json`` in ``--out``, with the ``src/`` line
 count, the Python version and the processor count beside the timings::
@@ -31,6 +34,7 @@ import json
 import os
 import platform
 import random
+import statistics
 import subprocess
 import sys
 import time
@@ -39,6 +43,7 @@ from functools import cached_property
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+PASSES = 3  # timed passes per section; a layer reports its median self time
 
 # Names ``run_sweep`` reaches through ``verify``'s module namespace.
 VERIFY_LAYERS = (
@@ -74,6 +79,35 @@ class LayerTimer:
                     self._children[-1] += total
 
         return timed
+
+
+def timed_passes(install, run) -> tuple[object, dict]:
+    """``PASSES`` runs of ``run()``, each under fresh timers that ``install(timer)`` puts in.
+
+    ``install`` returns (owner, attribute, original) triples, restored after
+    each pass.  Returns the first pass's result and the section's record:
+    median wall and self times, the first pass's call counts.
+    """
+    results, walls, timers = [], [], []
+    for _ in range(PASSES):
+        timer = LayerTimer()
+        undo = install(timer)
+        try:
+            start = time.perf_counter()
+            results.append(run())
+            walls.append(time.perf_counter() - start)
+        finally:
+            for owner, name, original in reversed(undo):
+                setattr(owner, name, original)
+        timers.append(timer)
+    self_s = {name: statistics.median(t.self_s[name] for t in timers) for name in timers[0].calls}
+    layers = sorted(self_s.items(), key=lambda item: -item[1])
+    return results[0], {
+        "passes": PASSES,
+        "wall_s": round(statistics.median(walls), 4),
+        "layers_self_s": {name: round(s, 4) for name, s in layers},
+        "calls": dict(sorted(timers[0].calls.items())),
+    }
 
 
 def _install(timer: LayerTimer, verify, chevalley) -> list[tuple[object, str, object]]:
@@ -157,54 +191,30 @@ def _install_query_layers(timer: LayerTimer) -> list[tuple[object, str, object]]
 
 
 def query_layers(seed: int) -> dict:
-    """Self time and calls per ``QUERY_LAYERS`` layer over the reports of ``query_set(seed)``."""
+    """Median self times and calls of ``QUERY_LAYERS`` over the reports of ``query_set(seed)``."""
     from parakahler import cli
 
     queries = query_set(seed)
-    timer = LayerTimer()
-    undo = _install_query_layers(timer)
-    failed = 0
-    try:
-        start = time.perf_counter()
+
+    def run() -> int:
         with contextlib.redirect_stdout(io.StringIO()):
-            for argv in queries:
-                failed += cli.main(argv) != 0
-        wall = time.perf_counter() - start
-    finally:
-        for owner, name, original in reversed(undo):
-            setattr(owner, name, original)
-    layers = sorted(timer.self_s.items(), key=lambda item: -item[1])
-    return {
-        "seed": seed,
-        "reports": len(queries),
-        "failed": failed,
-        "wall_s": round(wall, 4),
-        "layers_self_s": {name: round(s, 4) for name, s in layers},
-        "calls": dict(sorted(timer.calls.items())),
-    }
+            return sum(cli.main(argv) != 0 for argv in queries)
+
+    failed, record = timed_passes(_install_query_layers, run)
+    return {"seed": seed, "reports": len(queries), "failed": failed, **record}
 
 
 def sweep_layers(max_rank: int) -> dict:
     from parakahler import chevalley, verify
 
-    timer = LayerTimer()
-    undo = _install(timer, verify, chevalley)
-    try:
-        start = time.perf_counter()
-        result = verify.run_sweep(max_rank)
-        wall = time.perf_counter() - start
-    finally:
-        for owner, name, original in reversed(undo):
-            setattr(owner, name, original)
-    layers = sorted(timer.self_s.items(), key=lambda item: -item[1])
+    result, record = timed_passes(lambda timer: _install(timer, verify, chevalley),
+                                  lambda: verify.run_sweep(max_rank))
     return {
         "max_rank": max_rank,
         "algebras": result["algebras"],
         "gradations": result["gradations"],
         "all_ok": result["all_ok"],
-        "wall_s": round(wall, 4),
-        "layers_self_s": {name: round(s, 4) for name, s in layers},
-        "calls": dict(sorted(timer.calls.items())),
+        **record,
     }
 
 
