@@ -178,7 +178,7 @@ def test_rho_with_one_coefficient_off_fails_alike(algebra, monkeypatch, name, cr
 
         monkeypatch.setattr(verify, "two_form_from_weight", shifted)
         reports.append(verify.check_two_form(L, g))
-        assert reports[-1] == reference_two_form(L, g), off
+        assert reports[-1] == reference_two_form(L, g), rs.positive_roots[off]
     assert not any(r["ok"] for r in reports)
 
 
