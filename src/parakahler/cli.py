@@ -378,74 +378,89 @@ def cmd_catalog(args) -> Report:
 # -- entry point ---------------------------------------------------------------------
 
 
-SUBCOMMANDS = ("roots", "gradations", "koszul", "rho", "einstein", "verify", "potential", "catalog")
+_TYPE = (("family", {"help": "simple type family letter A..G"}),
+         ("rank", {"type": int, "help": "rank of the simple type"}))
+_CROSS = ("--cross", {"required": True, "help": "comma list of crossed nodes, 1-based"})
+_JSON = ("--json", {"action": "store_true", "help": "emit JSON"})
+_BARE = ("--json", {"action": "store_true"})
+
+# Each subcommand once: name, help and its arguments as (name or flag, add_argument keywords);
+# read_argv knows help, type, default, required, dest, store_true and nargs="?".  Subcommand
+# name runs cmd_<name>, looked up when argv is read, so a wrapper put on it is called.
+COMMANDS = (
+    ("roots", "positive roots and fundamental weights", (*_TYPE, _JSON)),
+    ("gradations", "gradations from crossing sets",
+     (*_TYPE, ("--cross", {**_CROSS[1], "required": False}), _JSON)),
+    ("koszul", "Koszul form and symplectic coefficients",
+     (*_TYPE, _CROSS, _JSON, ("--satake", {"help": "catalog name or diagram file to check"}))),
+    ("rho", "two-form coefficients and kernel", (*_TYPE, _CROSS, _JSON)),
+    ("einstein", "invariant Einstein metric data", (*_TYPE, _CROSS, _JSON,
+     ("--lambda", {"dest": "lam", "default": "1", "help": "Einstein constant as a rational p/q"}))),
+    ("verify", "run the exact oracle sweep",
+     (("--max-rank", {"type": sweep_rank, "default": 3}), _BARE)),
+    ("potential", "numeric chart pipeline from a config", (("config", {}), _BARE)),
+    ("catalog", "bundled Satake diagrams", (("name", {"nargs": "?"}), _BARE)),
+)
 
 
-def build_parser(argv=()) -> argparse.ArgumentParser:
-    """The argument parser, with only the subcommand argv[0] names if it names one.
-
-    Building every subcommand's arguments was most of the cost of a small report.
-    """
-    parser = argparse.ArgumentParser(
-        prog="parakahler",
-        description="Invariant para-Kahler Einstein structures on adjoint orbits.",
-    )
-    chosen = argv[0] if argv and argv[0] in SUBCOMMANDS else None
-    # An error from the top level still lists every subcommand in its usage.
-    metavar = None if chosen is None else "{" + ",".join(SUBCOMMANDS) + "}"
-    sub = parser.add_subparsers(dest="subcommand", required=True, metavar=metavar)
-
-    def add(name, help_text, fn):
-        """The parser of subcommand ``name``; None when argv[0] chose another."""
-        if chosen not in (None, name):
-            return None
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="parakahler", description=(
+        "Invariant para-Kahler Einstein structures on adjoint orbits."))
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    for name, help_text, arguments in COMMANDS:
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(fn=fn)
-        return p
-
-    def common(p, cross_required=True):
-        p.add_argument("family", help="simple type family letter A..G")
-        p.add_argument("rank", type=int, help="rank of the simple type")
-        if cross_required is not None:
-            p.add_argument(
-                "--cross",
-                required=cross_required,
-                help="comma list of crossed nodes, 1-based",
-            )
-        p.add_argument("--json", action="store_true", help="emit JSON")
-
-    if p := add("roots", "positive roots and fundamental weights", cmd_roots):
-        common(p, cross_required=None)
-    if p := add("gradations", "gradations from crossing sets", cmd_gradations):
-        common(p, cross_required=False)
-    if p := add("koszul", "Koszul form and symplectic coefficients", cmd_koszul):
-        common(p)
-        p.add_argument("--satake", help="catalog name or diagram file to check")
-    if p := add("rho", "two-form coefficients and kernel", cmd_rho):
-        common(p)
-    if p := add("einstein", "invariant Einstein metric data", cmd_einstein):
-        common(p)
-        p.add_argument(
-            "--lambda",
-            dest="lam",
-            default="1",
-            help="Einstein constant as a rational p/q",
-        )
-    if p := add("verify", "run the exact oracle sweep", cmd_verify):
-        p.add_argument("--max-rank", type=sweep_rank, default=3)
-        p.add_argument("--json", action="store_true")
-    if p := add("potential", "numeric chart pipeline from a config", cmd_potential):
-        p.add_argument("config")
-        p.add_argument("--json", action="store_true")
-    if p := add("catalog", "bundled Satake diagrams", cmd_catalog):
-        p.add_argument("name", nargs="?")
-        p.add_argument("--json", action="store_true")
+        p.set_defaults(fn=globals()[f"cmd_{name}"])
+        for flag, keywords in arguments:
+            p.add_argument(flag, **keywords)
     return parser
+
+
+def read_argv(argv) -> argparse.Namespace | None:
+    """``build_parser().parse_args(argv)`` for a well-formed argv, without the parser's cost.
+
+    Reads exact long flags, each at most once (store_true bare; ``--opt=value``, or ``--opt
+    value`` not starting with '-'), and positionals not starting with '-'.  Otherwise, or when
+    an argument is missing or its type fails, None: argparse writes every help and usage error.
+    """
+    arguments = next((c[2] for c in COMMANDS if argv and argv[0] == c[0]), None)
+    if arguments is None:
+        return None
+    flags = {flag: kw for flag, kw in arguments if flag.startswith("-")}
+    positionals = [flag for flag, _ in arguments if flag not in flags]
+    given, values, tokens = {}, [], iter(argv[1:])
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        if not token.startswith("-"):
+            values.append(token)
+        elif flag not in flags or flag in given or eq and flags[flag].get("action"):
+            return None
+        elif flags[flag].get("action"):
+            given[flag] = True
+        elif not eq and (value := next(tokens, "-")).startswith("-"):
+            return None
+        else:
+            given[flag] = value
+    if len(values) > len(positionals):
+        return None
+    given.update(zip(positionals, values))
+    args = argparse.Namespace(subcommand=argv[0], fn=globals()[f"cmd_{argv[0]}"])
+    for flag, kw in arguments:
+        if flag in given:
+            try:
+                value = kw["type"](given[flag]) if "type" in kw else given[flag]
+            except (ValueError, TypeError, argparse.ArgumentTypeError):
+                return None
+        elif kw.get("required") or flag in positionals and kw.get("nargs") != "?":
+            return None
+        else:
+            value = kw.get("default", False if kw.get("action") else None)
+        setattr(args, kw.get("dest", flag.lstrip("-").replace("-", "_")), value)
+    return args
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv).parse_args(argv)
+    args = read_argv(argv) or build_parser().parse_args(argv)
     try:
         report = args.fn(args)
     except (OSError, ValueError) as exc:  # DomainError is a ValueError

@@ -33,9 +33,11 @@ def test_bench_layers_writes_one_record_and_restores_the_package(tmp_path):
     queries = record["queries"]
     assert (queries["seed"], queries["reports"], queries["failed"]) == (1, 155, 0)
     calls = queries["calls"]
-    # One parser, root system and JSON rendering per report; five commands over 31 types.
-    for name in ("cli.build_parser", "rootsys.build_root_system", "Report.to_json"):
+    # One argv reading, root system and JSON rendering per report; five commands over 31
+    # types.  Every argv is well formed, so no argparse parser is built.
+    for name in ("cli.read_argv", "rootsys.build_root_system", "Report.to_json"):
         assert calls[name] == 155
+    assert "cli.build_parser" not in calls
     # The inverse of A (the weights) is read by the 31 ``roots`` reports only.
     assert calls["rootsys.bareiss_inverse"] == calls["RootSystem.weights"] == 31
     assert calls["gradation.grade_from_crossing"] == 4 * 31  # one per non-roots report

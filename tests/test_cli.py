@@ -1,4 +1,7 @@
+import contextlib
 import hashlib
+import importlib.util
+import io
 import json
 import os
 import subprocess
@@ -7,6 +10,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from parakahler import chevalley, cli, rootsys
 from parakahler.cli import main
@@ -507,13 +512,142 @@ def test_usage_output_is_pinned(capsys, monkeypatch, argv):
     got = _usage(capsys, monkeypatch, argv)
     golden = json.loads(USAGE_GOLDEN.read_text())
     # argparse wording moves between Python versions; the golden holds the
-    # output of the version it names, and the full parser is the reference
-    # everywhere.
+    # output of the version it names, and argparse alone (main with the
+    # direct reader off) is the reference everywhere.
     if tuple(golden["python"]) == sys.version_info[:2]:
         assert got == next(case for case in golden["cases"] if case["argv"] == argv)
-    full = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda *args: full())
+    monkeypatch.setattr(cli, "read_argv", lambda argv: None)
     assert got == _usage(capsys, monkeypatch, argv)
+
+
+# -- the direct reader against argparse -----------------------------------------------
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+# Well-formed argv of every subcommand, in the reader's forms.
+WELL_FORMED = [
+    ["roots", "A", "2"],
+    ["gradations", "B", "3", "--json", "--cross=1,3"],
+    ["koszul", "A", "3", "--satake", "sl2H", "--cross", "2"],
+    ["rho", "--cross", "2", "D", "4", "--json"],
+    ["einstein", "A", "1", "--cross=1", "--lambda=-3/7", "--json"],
+    ["verify", "--max-rank", "1", "--json"],
+    ["potential", "CONFIG"],
+    ["catalog", "sl2H", "--json"],
+]
+
+
+def _argparse(argv, parser):
+    """vars() of the parser's Namespace for argv, or None when it exits (help or error)."""
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        try:
+            return vars(parser.parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def _query_argv():
+    """The argv of perfbench's ``queries`` workload, seeds 0-10."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses resolve their module by name
+    sys.path.insert(0, str(PERFBENCH))  # workloads imports its sibling ``calibrate``
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        sys.path.remove(str(PERFBENCH))
+        del sys.modules[spec.name]
+    return [argv for seed in range(11) for argv in workloads.query_set(seed, small=False)]
+
+
+def test_reader_agrees_with_argparse_on_well_formed_argv():
+    argvs, parser = _query_argv() + WELL_FORMED, cli.build_parser()
+    assert len(argvs) == 1705 + len(WELL_FORMED)
+    for argv in argvs:
+        read = cli.read_argv(argv)
+        assert read is not None, argv
+        assert vars(read) == _argparse(argv, parser), argv
+
+
+@pytest.mark.parametrize("argv", USAGE_CASES, ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_reader_agrees_with_argparse_on_usage_cases(argv):
+    read = cli.read_argv(argv)
+    assert read is None or vars(read) == _argparse(argv, cli.build_parser())
+
+
+# Values of each argument, some that its type rejects; and pieces the reader leaves to
+# argparse (abbreviations, help, '--', '=' on a flag, a spaced value starting with '-').
+_VALUES = {
+    "family": ("A", "g", "E", ""), "rank": ("1", "2", "8", "0", "-1", "x"),
+    "config": ("flat.cfg", "-"), "name": ("sl2H", "x"), "--cross": ("1", "1,2", "", "-1"),
+    "--satake": ("sl2H",), "--lambda": ("1/2", "-3/7", "x"), "--max-rank": ("1", "2", "9", "-1"),
+}
+_NOISE = [
+    ("x",), ("2",), ("--cross",), ("--cr", "1"), ("--json=1",), ("--js",), ("--lambda", "-3/7"),
+    ("--satake=",), ("--",), ("-h",), ("--help",), ("-",), ("-3/7",),
+]
+
+
+@st.composite
+def _argv(draw):
+    """A well-formed argv of a subcommand, then maybe one piece dropped, repeated or added."""
+    head = draw(st.sampled_from([name for name, *_ in cli.COMMANDS] + ["bogus", "--help", "-h"]))
+    chunks = []
+    for flag, kw in next((c[2] for c in cli.COMMANDS if c[0] == head), ()):
+        if kw.get("action") == "store_true":
+            chunks += [(flag,)] * draw(st.booleans())
+        elif not flag.startswith("-"):
+            if kw.get("nargs") != "?" or draw(st.booleans()):
+                chunks.append((draw(st.sampled_from(_VALUES[flag])),))
+        elif kw.get("required") or draw(st.booleans()):
+            value = draw(st.sampled_from(_VALUES[flag]))
+            chunks.append(draw(st.sampled_from([(flag, value), (f"{flag}={value}",)])))
+    change = draw(st.sampled_from(["none", "none", "drop", "repeat", "add"]))
+    if change == "drop" and chunks:
+        chunks.pop(draw(st.integers(0, len(chunks) - 1)))
+    elif change in ("repeat", "add"):
+        chunks.append(draw(st.sampled_from(chunks if change == "repeat" and chunks else _NOISE)))
+    return [head, *(token for chunk in draw(st.permutations(chunks)) for token in chunk)]
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(argv=_argv())
+def test_reader_agrees_with_argparse(argv):
+    read = cli.read_argv(argv)
+    # Whenever argparse exits (help or usage error), the reader declines.
+    assert read is None or vars(read) == _argparse(argv, cli.build_parser())
+
+
+def test_command_table_uses_only_keywords_the_reader_knows():
+    known = {"help", "type", "default", "required", "dest", "action", "nargs"}
+    for name, help_text, arguments in cli.COMMANDS:
+        assert callable(getattr(cli, f"cmd_{name}")) and help_text
+        for flag, keywords in arguments:
+            assert set(keywords) <= known, (name, flag)
+            assert keywords.get("action", "store_true") == "store_true"
+            assert keywords.get("nargs", "?") == "?"
+            # argparse passes a string default through ``type``; the reader does not.
+            assert not ("type" in keywords and isinstance(keywords.get("default"), str))
+            assert flag.startswith("--") or not {"required", "dest", "action"} & set(keywords)
+
+
+def test_well_formed_argv_builds_no_parser(tmp_path, capsys, monkeypatch):
+    def refuse():
+        raise AssertionError("build_parser called")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    # A wrapper put on a command's module attribute (as a tracer does) is the one called.
+    called = []
+    for name, *_ in cli.COMMANDS:
+        command = getattr(cli, f"cmd_{name}")
+        wrapper = lambda args, name=name, command=command: called.append(name) or command(args)
+        monkeypatch.setattr(cli, f"cmd_{name}", wrapper)
+    cfg = tmp_path / "flat.cfg"
+    cfg.write_text("n = 1\nkind = polynomial\nmonomial = 1 * z1 * zbar1\nlambda = 0\ngrid = 3\n")
+    for argv in WELL_FORMED:
+        code, out, err = run(capsys, *[str(cfg) if t == "CONFIG" else t for t in argv])
+        assert code == 0 and out and not err, argv
+    assert called == [argv[0] for argv in WELL_FORMED]
 
 
 def test_reports_do_not_import_numpy():

@@ -137,7 +137,8 @@ QUERY_LAYERS = (
     ("gradation", "grade_from_crossing"), ("koszul", "two_form_from_weight"),
     ("koszul", "einstein_structure"), ("koszul", "EinsteinStructure.signature"),
     ("rootsys", "format_coeffs"), ("chevalley", "BasisIndex.label"),  # label formatting
-    ("cli", "Report.to_json"), ("cli", "build_parser"),
+    ("cli", "Report.to_json"), ("cli", "read_argv"),
+    ("cli", "build_parser"),  # once per report before read_argv; now help and usage errors only
 )
 QUERY_COMMANDS = ("roots", "gradations", "koszul", "rho", "einstein")
 QUERY_SEED = 1
