@@ -283,12 +283,7 @@ def cmd_einstein(args) -> Report:
     pos, neg = es.signature()
     m, basis = g.nonzero_roots(), [bi.label() for bi in es.basis]
     degrees = [d for d in g.root_degrees if d]  # of each root of m
-    entries = [
-        {"x": basis[i], "y": basis[j], "value": _rat(v)}
-        for i, row in enumerate(es.metric)
-        for j, v in sorted(row.items())
-        if j >= i
-    ]
+    pairs = zip(basis, basis[pos:], es.metric)  # (X_alpha, X_-alpha, g_alpha)
     payload = {
         "type": str(stype),
         "crossed": crossing.sorted(),
@@ -297,7 +292,7 @@ def cmd_einstein(args) -> Report:
         "k_plus": [str(r) for r, d in zip(m, degrees) if d > 0],
         "k_minus": [str(r) for r, d in zip(m, degrees) if d < 0],
         "metric_basis": basis,
-        "metric_entries": entries,
+        "metric_entries": [{"x": x, "y": y, "value": _rat(v)} for x, y, v in pairs],
         "signature": [pos, neg],
     }
     checks = [{"name": "neutral signature", "ok": pos == neg == orbit_dimension(g) // 2}]

@@ -12,7 +12,8 @@ Two independent routes to the same 1-form are kept side by side on purpose:
 The differential convention is d(xi)(X, Y) = xi([X, Y]), so d(xi)(X_a, X_-a) =
 n(xi, a) for positive a, stored by position over ``rs.positive_roots`` as a
 gradation stores its degrees; the Killing-dual pairing ``omega_z`` reproduces
-the same two-form with this convention, with no extra factor.
+the same two-form with this convention, with no extra factor.  The Einstein
+metric is stored the same way, one value g(X_a, X_-a) per positive root a of m.
 """
 
 from __future__ import annotations
@@ -173,18 +174,18 @@ def killing_dual(L: LieAlgebraData, xi: Weight) -> AlgebraElement:
 class EinsteinStructure:
     """Para-Kahler Einstein data on the orbit tangent space.
 
-    ``metric`` is lambda^{-1} rho(X, K Y) over the root vectors of m listed in
-    ``basis`` (the gradation's ``nonzero_roots``, built on first use), as ``ratlin``
-    dict rows ``{column: value}`` storing no zeros: rho pairs X_alpha with
-    X_-alpha only, and -m[a] = m[a + k] with k = |m|/2, so rows a and a + k
-    hold their one entry in each other's column.  An integral entry is an int,
-    any other a Fraction; ``lam`` is the Einstein constant.
+    ``basis`` lists the root vectors of m (the gradation's ``nonzero_roots``,
+    built on first use): its k positive roots, then their negatives in the
+    same order.  The metric lambda^{-1} rho(X, K Y) pairs X_alpha with X_-alpha
+    only, so ``metric`` holds its k values g_alpha = g(X_alpha, X_-alpha), by
+    position over the first k entries of ``basis``: an int where integral,
+    else a Fraction.  ``lam`` is the Einstein constant.
     """
 
     gradation: Gradation
     lam: Q
     rho: TwoForm
-    metric: tuple[dict[int, Q | int], ...]
+    metric: tuple[Q | int, ...]
 
     @cached_property
     def basis(self) -> tuple[BasisIndex, ...]:
@@ -193,25 +194,21 @@ class EinsteinStructure:
     def signature(self) -> tuple[int, int]:
         """(k, k): the metric is k hyperbolic blocks, one per pair (X_alpha, X_-alpha).
 
-        Row a of the 2k must hold one nonzero entry, at column (a + k) mod 2k,
-        equal to its mirror, or DomainError names it; ``ratlin.symmetric_signature``
+        A zero g_alpha raises DomainError naming X_alpha; ``ratlin.symmetric_signature``
         is the general algorithm, kept as the tests' reference.
         """
-        rows, n = self.metric, len(self.metric)
-        k = n // 2
-        for a, row in enumerate(rows):
-            v = row.get(b := (a + k) % n)
-            if n % 2 or not v or rows[b].get(a) != v or any(row[c] for c in row if c != b):
-                name = self.basis[a].label() if a < len(self.basis) else "no root"
-                raise DomainError(f"metric row {a} ({name}) is not one hyperbolic pair entry")
-        return k, k
+        if 0 in self.metric:
+            raise DomainError(f"metric is degenerate at {self.basis[self.metric.index(0)].label()}")
+        return len(self.metric), len(self.metric)
 
 
 def einstein_structure(g: Gradation, L: LieAlgebraData | None, lam, rho=None) -> EinsteinStructure:
     """Assemble the invariant Einstein metric lambda^{-1} rho(., K .).
 
     The metric depends on g alone; ``L`` is optional and only checked.  ``rho``
-    is d(psi) as a TwoForm, built here unless the caller already holds it.
+    is d(psi) as a TwoForm, built here unless the caller already holds it.  A
+    root of m whose negative is not at its offset in m, or has the same K, is
+    a DomainError.
     """
     lam = Q(lam)
     if lam == 0:
@@ -219,19 +216,20 @@ def einstein_structure(g: Gradation, L: LieAlgebraData | None, lam, rho=None) ->
     if L is not None and L.rs != g.rs:
         raise DomainError("algebra and gradation use different root systems")
     rho = two_form_from_weight(g.rs, koszul_form(g)) if rho is None else rho
-    coeffs = rho.over(g)
+    coeffs, deg = rho.over(g), g.root_degrees
     # m by position in all_roots(): -alpha sits npos after a positive alpha.
-    at, npos = [p for p, d in enumerate(g.root_degrees) if d], len(g.rs.positive_roots)
+    at, npos = [p for p, d in enumerate(deg) if d], len(g.rs.positive_roots)
     k = len(at) // 2
     if at[k:] != [p + npos for p in at[:k]]:
         bad = next((p for p, q in zip(at[:k], at[k:]) if q != p + npos), at[-1])
         raise DomainError(f"the negative of {g.rs.all_roots()[bad]} is not at its offset in m")
-    # With alpha = m[a]: g[a][a+k] = K(-alpha) c_alpha / lam, g[a+k][a] = -K(alpha) c_alpha / lam.
+    # g_alpha = rho(X_alpha, K X_-alpha) / lam = K(-alpha) c_alpha / lam, and
     # c_alpha / lam = c_alpha den / num, a Fraction only where it is not an int.
     num, den = lam.numerator, lam.denominator
-    c = [ratio(coeffs[p] * den, num) for p in at[:k]]
-    ksign = [1 if g.root_degrees[p] > 0 else -1 for p in at]  # K on m, by position
-    values = [s * v for s, v in zip(ksign[k:], c)]
-    values += [-s * v for s, v in zip(ksign, c)]
-    metric = [{(a + k) % len(at): v} if v else {} for a, v in enumerate(values)]
+    metric = []
+    for p in at[:k]:
+        if (deg[p] > 0) == (deg[p + npos] > 0):
+            alpha = g.rs.positive_roots[p]
+            raise DomainError(f"K({-alpha}) = K({alpha})")
+        metric.append(ratio(coeffs[p] * den if deg[p + npos] > 0 else -coeffs[p] * den, num))
     return EinsteinStructure(gradation=g, lam=lam, rho=rho, metric=tuple(metric))

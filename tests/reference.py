@@ -9,7 +9,7 @@ from parakahler import ratlin
 from parakahler.chevalley import LieAlgebraData
 from parakahler.errors import DomainError
 from parakahler.gradation import Gradation, unsplit_root
-from parakahler.koszul import TwoForm
+from parakahler.koszul import EinsteinStructure, TwoForm
 from parakahler.paracomplex import ChartPotential, _poly_eval
 from parakahler.rootsys import SimpleType, cartan_matrix
 
@@ -91,6 +91,20 @@ def two_form_rows(f: TwoForm, L: LieAlgebraData) -> list[dict]:
     for x, c in enumerate(f.coeffs, L.rank):
         if c:
             rows[x][x + npos], rows[x + npos][x] = c, -c
+    return rows
+
+
+def metric_rows(es: EinsteinStructure) -> list[dict]:
+    """The metric as 2k dict rows {column: value} over ``es.basis``, zeros not stored.
+
+    Row a < k holds g_alpha = ``es.metric[a]`` at column a + k, and row a + k
+    holds it at column a: X_-alpha sits k places after X_alpha in the basis.
+    """
+    k = len(es.metric)
+    rows: list[dict] = [{} for _ in range(2 * k)]
+    for a, v in enumerate(es.metric):
+        if v:
+            rows[a][a + k] = rows[a + k][a] = v
     return rows
 
 

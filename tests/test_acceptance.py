@@ -49,7 +49,7 @@ from parakahler.verify import (
     check_structure_constants,
     sweep_types,
 )
-from reference import poly_mixed_hessian_exact, two_form_matrix, two_form_rows
+from reference import metric_rows, poly_mixed_hessian_exact, two_form_matrix, two_form_rows
 
 _ALGEBRAS = {}
 _ROOTSYS = {}
@@ -205,7 +205,7 @@ def test_criterion_6_einstein_structure():
             g = grade_from_crossing(rs, crossing)
             es = einstein_structure(g, L, 1)
             roots = [bi.root for bi in es.basis]
-            n = len(roots)
+            n, metric = len(roots), metric_rows(es)
             # Type (1,1): rho only pairs opposite degrees.
             form = two_form_rows(es.rho, L)
             for a in rs.all_roots():
@@ -215,8 +215,8 @@ def test_criterion_6_einstein_structure():
             # Symmetry and K-skewness, exactly.
             for i in range(n):
                 for j in range(n):
-                    gij = es.metric[i].get(j, 0)
-                    assert gij == es.metric[j].get(i, 0)
+                    gij = metric[i].get(j, 0)
+                    assert gij == metric[j].get(i, 0)
                     si, sj = g.ksign(roots[i]), g.ksign(roots[j])
                     assert si * sj * gij == -gij
             # ad-invariance under every basis element of g_0.
@@ -232,13 +232,13 @@ def test_criterion_6_einstein_structure():
                         for m, c in pha.items():
                             k = pos_of.get(m)
                             if k is not None:
-                                total += c * es.metric[k].get(b, 0)
+                                total += c * metric[k].get(b, 0)
                         for m, c in L.basis_bracket(
                             h, L.index_of_root(roots[b])
                         ).items():
                             k = pos_of.get(m)
                             if k is not None:
-                                total += c * es.metric[a].get(k, 0)
+                                total += c * metric[a].get(k, 0)
                         assert total == 0
             # Neutral signature (m, m) with 2m the orbit dimension.
             pos, neg = es.signature()

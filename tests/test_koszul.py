@@ -29,7 +29,7 @@ from parakahler.koszul import (
 )
 from parakahler.rootsys import Root, SimpleType, Weight, build_root_system, n_pairing
 from parakahler.verify import sweep_types
-from reference import regraded, two_form_matrix, two_form_rows
+from reference import metric_rows, regraded, two_form_matrix, two_form_rows
 
 
 def W(*coords):
@@ -254,14 +254,13 @@ def test_einstein_structure_a1(algebra):
     g = grade_from_crossing(rs, CrossingSet.of(1))
     es = einstein_structure(g, L, 1)
     assert [bi.label() for bi in es.basis] == ["X[1a1]", "X[-1a1]"]
-    assert es.metric == ({1: Q(-4)}, {0: Q(-4)})
+    assert es.metric == (-4,)  # g(X_a1, X_-a1)
+    assert metric_rows(es) == [{1: -4}, {0: -4}]
     assert es.signature() == (1, 1)
 
     # Scaling in lambda is exactly linear in 1/lambda.
     es2 = einstein_structure(g, L, 2)
-    assert es.metric == tuple(
-        {j: 2 * v for j, v in row.items()} for row in es2.metric
-    )
+    assert es.metric == tuple(2 * v for v in es2.metric)
 
     with pytest.raises(DomainError):
         einstein_structure(g, L, 0)
@@ -279,28 +278,45 @@ def test_einstein_structure_g2(algebra):
         assert es.signature() == signature
         # Pairs X_a with X_-a by -n(psi, |a|); off-pair entries vanish and
         # are not stored.
-        assert all(len(row) == 1 and all(row.values()) for row in es.metric)
-        roots = [bi.root for bi in es.basis]
+        assert len(es.metric) == signature[0] and all(es.metric)
+        roots, rows = [bi.root for bi in es.basis], metric_rows(es)
         for i, a in enumerate(roots):
             for j, b in enumerate(roots):
                 expected = Q(0)
                 if not any((a + b).coeffs):
                     expected = -es.rho.coeffs[rs.positive_roots.index(a if a.is_positive else -a)]
-                assert es.metric[i].get(j, 0) == expected
+                assert rows[i].get(j, 0) == expected
+
+
+@pytest.mark.parametrize("lam", [1, Q(-3, 7)], ids=str)
+def test_metric_is_rho_of_k_over_lambda(algebra, lam):
+    # g(X, Y) = rho(X, K Y) / lam on m, from the dense two-form and K as the
+    # sign of each degree, against the k stored values expanded into rows.
+    for stype in sweep_types(3):
+        rs, L = algebra(str(stype))
+        for crossing in enumerate_crossings(rs.rank):
+            g = grade_from_crossing(rs, crossing)
+            es = einstein_structure(g, None, lam)
+            rho = two_form_matrix(es.rho, L)
+            index = [L.index_of_root(bi.root) for bi in es.basis]
+            ksign = [g.ksign(bi.root) for bi in es.basis]
+            want = [[rho[x][y] * s / lam for y, s in zip(index, ksign)] for x in index]
+            got = [[row.get(j, 0) for j in range(len(index))] for row in metric_rows(es)]
+            assert got == want, (stype, crossing)
 
 
 def test_einstein_metric_entries_are_int_where_integral(algebra):
     rs, L = algebra("E6")
     g = grade_from_crossing(rs, CrossingSet.of(1, 4, 6))
     es = einstein_structure(g, L, 1)
-    values = [v for row in es.metric for v in row.values()]
+    values = es.metric
     assert values and all(type(v) is int for v in values)
     assert type(es.lam) is Q
-    as_fractions = [{j: Q(v) for j, v in row.items()} for row in es.metric]
+    as_fractions = [{j: Q(v) for j, v in row.items()} for row in metric_rows(es)]
     half = len(es.basis) // 2
     assert es.signature() == ratlin.symmetric_signature(as_fractions) == (half, half)
     # At lambda = 3 the entries divisible by 3 stay ints, the others are thirds.
-    thirds = [v for row in einstein_structure(g, L, 3).metric for v in row.values()]
+    thirds = list(einstein_structure(g, L, 3).metric)
     assert thirds == [Q(v, 3) for v in values]
     assert [type(w) is int for w in thirds] == [v % 3 == 0 for v in values]
     assert {type(w) for w in thirds} == {int, Q}
@@ -398,13 +414,23 @@ def test_einstein_structure_refuses_a_root_of_m_without_its_negative(algebra):
         einstein_structure(bad, None, 1)
 
 
+def test_einstein_structure_refuses_equal_k_on_a_root_pair(algebra):
+    # With -a1 moved to degree 1 on A2 {1}, -a1 keeps its offset in m but
+    # K(-a1) = K(a1) = 1, so rho(., K .) would not be symmetric on the pair.
+    rs, _ = algebra("A2")
+    g = grade_from_crossing(rs, CrossingSet.of(1))
+    bad = regraded(g, {Root((-1, 0)): 1})
+    with pytest.raises(DomainError, match=r"^K\(-1a1\) = K\(1a1\)$"):
+        einstein_structure(bad, None, 1)
+
+
 def _signature_pairs(max_rank):
     """(pair count, general algorithm) of the metric of every gradation up to a rank."""
     for stype in sweep_types(max_rank):
         rs = build_root_system(stype)
         for crossing in enumerate_crossings(rs.rank):
             es = einstein_structure(grade_from_crossing(rs, crossing), None, 1)
-            yield es.signature(), ratlin.symmetric_signature(es.metric)
+            yield es.signature(), ratlin.symmetric_signature(metric_rows(es))
 
 
 def test_pair_count_signature_matches_the_general_algorithm():
@@ -420,35 +446,14 @@ def test_pair_count_signature_matches_the_general_algorithm_on_every_gradation()
     assert all(count == general for count, general in pairs)
 
 
-def _second_entry(m):
-    m[1][0] = m[0][1] = 7
-
-
-def _mirror_differs(m):
-    m[5][2] += 1
-
-
-def _wrong_column(m):
-    m[0] = {4: m[0][3]}
-
-
-@pytest.mark.parametrize(
-    "edit, message",
-    [
-        (_second_entry, "metric row 0 (X[1a1])"),
-        (_mirror_differs, "metric row 2 (X[1a1+1a2])"),
-        (_wrong_column, "metric row 0 (X[1a1])"),
-        (lambda m: m.pop(), "metric row 0 (X[1a1])"),  # five rows: an odd count
-    ],
-)
-def test_signature_refuses_a_row_off_the_hyperbolic_shape(algebra, edit, message):
-    # A2 {1, 2}: m is every root, and row a pairs with row a + 3.
+def test_signature_refuses_a_degenerate_pair(algebra):
+    # A2 {1, 2}: m is every root, and g_alpha = 0 at any position leaves the
+    # pair (X_alpha, X_-alpha) in the kernel.
     rs, _ = algebra("A2")
     es = einstein_structure(grade_from_crossing(rs, CrossingSet.of(1, 2)), None, 1)
     assert es.signature() == (3, 3)
-    metric = [dict(row) for row in es.metric]
-    edit(metric)
-    es.metric = tuple(metric)
-    pattern = rf"^{re.escape(message)} is not one hyperbolic pair entry$"
-    with pytest.raises(DomainError, match=pattern):
-        es.signature()
+    true_metric = es.metric
+    for p, label in enumerate(["X[1a1]", "X[1a2]", "X[1a1+1a2]"]):
+        es.metric = true_metric[:p] + (0,) + true_metric[p + 1:]
+        with pytest.raises(DomainError, match=rf"^metric is degenerate at {re.escape(label)}$"):
+            es.signature()
