@@ -20,15 +20,12 @@ positive constant (lambda = 2 for n = 1); the opposite sign fails that model.
 
 A ``ChartPotential`` is the data (c, P, Q) of f = c log P + Q, P and Q
 polynomials (log model: c = scale, P = 1 + sum u_k v_k, Q = 0; polynomial:
-c = 0, P = 1).  ``DerivativeTable`` differentiates f exactly, once, stores
-the result as sparse (row, column, coefficient) triplets and evaluates them
-in plain Python floats into one flat list, which every consumer slices;
-metric samples, Christoffel and Ricci arrays are lists of rows, and one
-Gauss-Jordan helper with partial pivoting gives the inverses and
-determinants.  Sums run in a fixed order of their own, so the floats may
-differ from a BLAS/LAPACK evaluation in the last bits.  ``split_value``,
-``fd_partial`` (5-point stencils) and ``mixed_partial_pc`` stay off that
-path as independent oracles.
+c = 0, P = 1).  ``DerivativeTable`` differentiates f exactly, once, into sparse
+(row, column, coefficient) triplets.  The float path evaluates a block of points
+at once (one point is a block of one), one column, a list over the points, per
+value.  Each point is pivoted on its own and gets the floats it would get alone,
+in a fixed order that may differ from BLAS/LAPACK in the last bits.  ``split_value``,
+``fd_partial`` and ``mixed_partial_pc`` stay off that path as independent oracles.
 """
 
 from __future__ import annotations
@@ -39,7 +36,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from operator import add, itemgetter, mul
+from operator import add, itemgetter, mul, sub, truediv
 
 from .config import Fields, finite_float, float_rational, integer
 from .errors import ConfigError, DomainError, NullConeError, SingularPointError
@@ -188,21 +185,16 @@ def admissible(F: ChartPotential, point, margin: float = 0.1) -> bool:
     return not F.c or _poly_eval(F.p, point[: F.n], point[F.n :]) >= margin
 
 
-def grid_points(
-    F: ChartPotential, extent: float, count: int, margin: float = 0.1
-) -> list[tuple[float, ...]]:
-    """Admissible points of a regular grid with |coordinate| <= extent."""
+def grid_points(F: ChartPotential, extent: float, count: int,
+                margin: float = 0.1) -> list[tuple[float, ...]]:
+    """Admissible points of a regular grid with |coordinate| <= extent, of at most
+    200,000 points: count <= 447, 21, 7, 4, 3, 2, 2, 2 for n = 1..8."""
     if count < 1:
         raise DomainError("grid count must be positive")
     if count ** (2 * F.n) > 200_000:
         raise DomainError("grid too large; reduce count or dimension")
-    axis = (
-        [0.0]
-        if count == 1
-        else [-extent + 2 * extent * k / (count - 1) for k in range(count)]
-    )
-    combos = itertools.product(axis, repeat=2 * F.n)
-    return [c for c in combos if admissible(F, c, margin)]
+    axis = [-extent + 2 * extent * k / (count - 1) for k in range(count)] if count > 1 else [0.0]
+    return [c for c in itertools.product(axis, repeat=2 * F.n) if admissible(F, c, margin)]
 
 
 # -- symbolic polynomial derivatives ----------------------------------------------
@@ -244,8 +236,8 @@ class DerivativeTable:
     (c, d, a, b), as quotient tables with rational coefficients (int where
     integral).  ``triplets`` holds the same rows, and last the row of P, as
     sparse (row, column, float coefficient) entries; column m stands for the
-    monomial u^a v^b / P^k of ``monomials[m]``.  ``values`` is the one
-    reader: every row at a float point, in one flat list.
+    monomial u^a v^b / P^k of ``monomials[m]``.  ``columns`` is the one
+    reader: the leading rows over a block of points, one column per row.
     """
 
     def __init__(self, F: ChartPotential) -> None:
@@ -273,18 +265,23 @@ class DerivativeTable:
         except OverflowError:
             raise DomainError("a derivative coefficient is outside the float range") from None
 
-        # A point's power list is 1.0, then x_i^1..x_i^top_i for each
-        # coordinate i, then P^-1..P^-kmax; monomial m multiplies the entries
-        # _gather[m] picks from it.
+        # A block's power columns are 1, x_i^1..x_i^top_i for each coordinate i, then
+        # P^-1..P^-kmax; monomial m multiplies the columns _gather[m] picks, in order.
         self._top = [max((a + b)[i] for a, b, _ in self.monomials) for i in range(2 * n)]
         start = list(itertools.accumulate(self._top, initial=0))
         self._gather = [
-            _getter([start[i] + e for i, e in enumerate(a + b) if e] + [start[-1] + k] * (k > 0))
+            [start[i] + e for i, e in enumerate(a + b) if e] + [start[-1] + k] * (k > 0) or [0]
             for a, b, k in self.monomials
         ]
         self._kmax = max(k for _, _, k in self.monomials)
-        self._end = len(self.triplets) - len(self.p)  # where the P row starts
-        self._p_terms = [(c, self._gather[m]) for _, m, c in self.triplets[self._end :]]
+        terms: list[list] = [[] for _ in rows]
+        for r, m, c in self.triplets:
+            terms[r].append((m, c))
+        self._p_terms = [(c, m) for m, c in terms.pop()]
+        # Identical rows are summed once: _at[r] numbers row r's terms in order of first use.
+        distinct: dict[tuple, int] = {}
+        self._at = [distinct.setdefault(tuple(row), len(distinct)) for row in terms]
+        self._distinct = list(distinct)
 
     def _diff(self, table: QuotientTable, axis: int, side: str) -> QuotientTable:
         """Quotient rule per term: d(N / P^k) = N' / P^k - k N P' / P^(k+1)."""
@@ -298,30 +295,54 @@ class DerivativeTable:
                 out[key] = out.get(key, 0) - k * coeff * c
         return {m: c if c.denominator > 1 else c.numerator for m, c in out.items() if c}
 
-    def values(self, point) -> list[float]:
-        """Every row of ``exact`` at a float point, in one flat list: g at 0,
-        d_u g at n^2, d_v g at n^2 + n^3 and d_u d_v g at n^2 + 2 n^3."""
-        if len(point) != 2 * self.n:
-            raise DomainError("point length must be twice the chart dimension")
-        powers = [1.0]
-        for x, top in zip(point, self._top):
-            powers.extend(itertools.accumulate(itertools.repeat(x, top), mul))
-        p = sum(c * math.prod(gather(powers)) for c, gather in self._p_terms)
-        if p <= 0:
-            raise SingularPointError(f"log argument {p} is not positive")
-        powers.extend(p**-k for k in range(1, self._kmax + 1))
-        mono = [math.prod(gather(powers)) for gather in self._gather]
-        vals = [0.0] * len(self.exact)
-        for r, m, c in itertools.islice(self.triplets, self._end):
-            vals[r] += c * mono[m]
-        return vals
+    def columns(self, points, rows: int | None = None) -> tuple[list, Exception | None]:
+        """Rows ``[:rows]`` of ``exact`` (all by default) over a block of points, one
+        column (a list over the points) per row, stopping at the first point that fails,
+        and its error (or None).  Each point gets the floats it would get alone."""
+        bad = next((j for j, p in enumerate(points) if len(p) != 2 * self.n), None)
+        if bad is not None:  # the points before it, then its error unless one of them fails
+            vals, error = self.columns(points[:bad], rows)
+            return vals, error or DomainError("point length must be twice the chart dimension")
+        powers = [[1] * len(points)]  # math.prod(()) is the int 1
+
+        def monomial(m):  # the power columns _gather[m] picks, multiplied in order, lazily
+            return functools.reduce(_lazy_times, map(powers.__getitem__, self._gather[m]))
+
+        for i, top in enumerate(self._top):  # x, x*x, (x*x)*x, ...
+            powers += itertools.accumulate(itertools.repeat([p[i] for p in points], top), _times)
+        terms = [[c * x for x in monomial(m)] for c, m in self._p_terms]
+        inverse = []  # P^-1..P^-kmax by point, never at a point with P <= 0
+        try:
+            for p in map(sum, zip(*terms)) if terms else [0] * len(points):
+                if p <= 0:
+                    raise SingularPointError(f"log argument {p} is not positive")
+                inverse.append([p**-k for k in range(1, self._kmax + 1)])
+        except (SingularPointError, OverflowError) as exc:  # the points before this one
+            return self.columns(points[: len(inverse)], rows)[0], exc
+        powers += [[i[k] for i in inverse] for k in range(self._kmax)]
+
+        def add_term(acc, term):  # a row is 0.0 + c m + c' m' + ..., in triplet order
+            return map(add, acc, map(mul, itertools.repeat(term[1]), monomial(term[0])))
+
+        at = self._at[:rows]
+        vals = [list(functools.reduce(add_term, row, [0.0] * len(points)))
+                for row in self._distinct[: max(at) + 1]]
+        return list(map(vals.__getitem__, at)), None
+
+    def values(self, point, rows: int | None = None) -> list[float]:
+        """Rows ``[:rows]`` of ``exact`` at one float point, as a block of one, in
+        one flat list: g at 0, d_u g at n^2, d_v g at n^2 + n^3, d_u d_v g at n^2 + 2 n^3."""
+        vals, error = self.columns([point], rows)
+        if error is not None:
+            raise error
+        return [x for (x,) in vals]
 
 
-def _getter(indices: list[int]):
-    """``itemgetter(*indices)``, returning a tuple for any number of indices."""
-    if len(indices) > 1:
-        return itemgetter(*indices)
-    return lambda seq: tuple(seq[i] for i in indices)
+def _times(x, y) -> list:
+    return list(map(mul, x, y))
+
+
+_lazy_times, _lazy_add = functools.partial(map, mul), functools.partial(map, add)
 
 
 def mixed_partial_pc(F: ChartPotential, a_idx: int, b_idx: int, z) -> ParaComplex:
@@ -406,108 +427,90 @@ class MetricSample:
 
 def metric_matrix(F: ChartPotential, point) -> list[list[float]]:
     """The n x n adapted metric block at a point, as a list of rows of floats."""
-    n, vals = F.n, F.derivatives.values(point)
-    return [vals[i : i + n] for i in range(0, n * n, n)]
+    vals = F.derivatives.values(point, F.n**2)
+    return [vals[i : i + F.n] for i in range(0, F.n**2, F.n)]
 
 
-def _gauss_jordan(m) -> tuple[list[list[float]] | None, float]:
-    """(inverse, determinant) of a square float matrix, by Gauss-Jordan
-    elimination with partial pivoting.  A zero pivot column gives (None, 0.0).
-    """
-    n = len(m)
-    rows = [[*row, *[0.0] * n] for row in m]
-    for i in range(n):
-        rows[i][n + i] = 1.0
-    det = 1.0
+def _gauss_jordan(m) -> tuple[list, list[float]]:
+    """(inverse, determinants) of a block of float matrices, m[i][j] a column over the
+    block, by Gauss-Jordan elimination with partial pivoting per point.  A zero pivot
+    column gives that point alone determinant 0.0."""
+    n, count = len(m), len(m[0][0])
+    rows = [[*row, *([float(i == j)] * count for j in range(n))] for i, row in enumerate(m)]
+    det, dead = [1.0] * count, [False] * count
     for c in range(n):
-        r = c
-        for i in range(c + 1, n):
-            if abs(rows[i][c]) > abs(rows[r][c]):
-                r = i
-        pivot = rows[r][c]
-        if pivot == 0:
-            return None, 0.0
-        if r != c:
-            rows[c], rows[r] = rows[r], rows[c]
-            det = -det
-        det *= pivot
-        rows[c] = row = [x / pivot for x in rows[c]]
+        pick = [c] * count
+        for i in range(c + 1, n):  # the first strict maximum of |column c| pivots
+            pick = [i if abs(x) > abs(rows[k][c][b]) else k
+                    for b, (x, k) in enumerate(zip(rows[i][c], pick))]
+        if any(k != c for k in pick):  # at point b, rows c and pick[b] trade places
+            order = [[k if i == c else c if i == k else i for k in pick] for i in range(n)]
+            rows = [[[rows[k][j][b] for b, k in enumerate(o)] for j in range(2 * n)] for o in order]
+        dead = [d or not p for d, p in zip(dead, rows[c][c])]
+        pivot = [p or 1.0 for p in rows[c][c]]  # a dead point's values are dropped
+        det = [(-d if k != c else d) * p for d, k, p in zip(det, pick, pivot)]
+        rows[c] = row = [list(map(truediv, x, pivot)) for x in rows[c]]
         for i in range(n):
             f = rows[i][c]
-            if i != c and f:
-                rows[i] = [x - f * y for x, y in zip(rows[i], row)]
-    return [row[n:] for row in rows], det
+            if i != c and any(f):  # row i minus f times row c, where f is nonzero
+                rows[i] = [[a - b * d if b else a for a, d, b in zip(*xy, f)]
+                           for xy in zip(rows[i], row)]
+    return [row[n:] for row in rows], [0.0 if s else d for s, d in zip(dead, det)]
 
 
-def _inverse(g, point) -> tuple[list[list[float]], float]:
-    """(g^-1, det g); a metric with |det g| < 1e-12 is singular."""
-    inverse, det = _gauss_jordan(g)
-    if abs(det) < 1e-12:
-        raise SingularPointError(f"metric is singular at {point}")
-    return inverse, det
+def _metric_block(F: ChartPotential, points, rows: int | None = None) -> tuple[list, list, list]:
+    """Table columns, g^-1 and det g over a block; the first failing point raises."""
+    vals, error = F.derivatives.columns(points, rows)
+    ginv, det = _gauss_jordan([vals[i : i + F.n] for i in range(0, F.n**2, F.n)])
+    for point, d in zip(points, det):
+        if abs(d) < 1e-12:
+            raise SingularPointError(f"metric is singular at {point}")
+    if error is not None:
+        raise error
+    return vals, ginv, det
 
 
 def _dot(x, y) -> float:
     return sum(map(mul, x, y))
 
 
-@functools.cache
-def _contraction_plan(n: int) -> tuple[list, list, list]:
-    """Index gathers for the log-det Hessian at chart dimension n.
-
-    In the flat table values, M_t = d_ut g for t < n and d_v(t-n) g for
-    t >= n, and M_t[k][j] sits at n^2 + t n^2 + k n + j.  ``rows[k]`` reads
-    row k of every M_t.  With ab = the rows of g^-1 [M_0 | ... | M_2n-1] laid
-    end to end, ``left[c]`` reads g^-1 d_uc g row-major and ``right[d]``
-    reads g^-1 d_vd g transposed.
-    """
+def _logdet_hessian(vals, ginv, n: int) -> list[list[float]]:
+    """d_ua d_vb log|det g| = tr(g^-1 d_ua d_vb g) - tr(g^-1 d_ua g g^-1 d_vb g)
+    over a block, as n^2 columns in (a, b) order, with tr(A B) = sum_ij A_ij B_ji.
+    M_t = d_ut g (t < n) or d_v(t-n) g, M_t[k][j] at table row n^2 + t n^2 + k n + j;
+    row i of ab = g^-1 [M_0 | ... | M_2n-1] sums (g^-1)[i][k] (row k of every M_t)."""
     n2, span, ns = n * n, 2 * n * n, range(n)
-    rows = [_getter([n2 + t * n2 + k * n + j for t in range(2 * n) for j in ns]) for k in ns]
-    left = [_getter([i * span + c * n + j for i in ns for j in ns]) for c in ns]
-    right = [_getter([j * span + (n + d) * n + i for i in ns for j in ns]) for d in ns]
-    return rows, left, right
+    stacked = [[n2 + t * n2 + k * n + j for t in range(2 * n) for j in ns] for k in ns]
+    ab = [list(functools.reduce(_lazy_add, map(_lazy_times, w, [vals[r[e]] for r in stacked])))
+          for w in ginv for e in range(span)]
+    ginv_t, out = [x for column in zip(*ginv) for x in column], []
+    for c, d in itertools.product(ns, ns):  # each trace is a sum(map(mul, ...)) per point
+        left = [ab[i * span + c * n + j] for i in ns for j in ns]
+        right = [ab[j * span + (n + d) * n + i] for i in ns for j in ns]
+        at = n2 + 2 * n**3 + (c * n + d) * n2
+        trace = map(sum, zip(*map(_lazy_times, vals[at : at + n2], ginv_t)))
+        out.append(list(map(sub, trace, map(sum, zip(*map(_lazy_times, left, right))))))
+    return out
+
+
+def _rows(cols, n: int) -> list[list[float]]:
+    """The columns of a block of one point, as rows of n."""
+    return [[x for (x,) in cols[i : i + n]] for i in range(0, len(cols), n)]
 
 
 def metric_from_potential(F: ChartPotential, point) -> MetricSample:
-    """Metric block and log-det Hessian at an admissible point.
-
-    d_ua d_vb log|det g| = tr(g^-1 d_ua d_vb g) - tr(g^-1 d_ua g g^-1 d_vb g),
-    each trace a flat dot product: tr(A B) = sum_ij A[i][j] B[j][i].  The
-    products with g^-1 are formed a row at a time, row i being
-    sum_k (g^-1)[i][k] (row k of every block).
-    """
-    point = tuple(map(float, point))
-    table = F.derivatives
-    n, n2 = table.n, table.n**2
-    vals = table.values(point)
-    g = [vals[i : i + n] for i in range(0, n2, n)]
-    ginv, _ = _inverse(g, point)
-    rows, left, right = _contraction_plan(n)
-    stacked = [row(vals) for row in rows]
-    ab = []
-    for weights in ginv:  # sum_k weights[k] * stacked[k], lazily, in k order
-        combination = map(mul, itertools.repeat(weights[0]), stacked[0])
-        for w, row in zip(weights[1:], stacked[1:]):
-            combination = map(add, combination, map(mul, itertools.repeat(w), row))
-        ab.extend(combination)
-    lefts, rights = [gather(ab) for gather in left], [gather(ab) for gather in right]
-    ginv_t = [x for column in zip(*ginv) for x in column]
-    trace = [_dot(vals[i : i + n2], ginv_t) for i in range(n2 + 2 * n**3, len(vals), n2)]
-    ldh = [[trace[c * n + d] - _dot(lefts[c], rights[d]) for d in range(n)] for c in range(n)]
-    return MetricSample(point=point, g=g, logdet_hessian=ldh)
+    """Metric block and log-det Hessian at an admissible point, as a block of one."""
+    point, n = tuple(map(float, point)), F.n
+    vals, ginv, _ = _metric_block(F, [point])
+    return MetricSample(point, _rows(vals[: n * n], n), _rows(_logdet_hessian(vals, ginv, n), n))
 
 
 def christoffel(F: ChartPotential, point) -> list[list[list[float]]]:
     """Christoffel block G[a][b][c], symmetric in (b, c); mixed components vanish."""
-    point = tuple(map(float, point))
-    n, vals = F.n, F.derivatives.values(point)
-    rows = [vals[i : i + n] for i in range(0, n * n + n**3, n)]
-    # rows[n + b n + c][m] = d^3 f / du^b du^c dv^m, the d_u g block, and
-    # G[a][b][c] = sum_m (g^-1)[m][a] rows[n + b n + c][m].
-    columns = list(zip(*_inverse(rows[:n], point)[0]))
-    return [
-        [[_dot(col, rows[n + b * n + c]) for c in range(n)] for b in range(n)] for col in columns
-    ]
+    point, n = tuple(map(float, point)), F.n
+    vals, ginv, _ = _metric_block(F, [point], n * n + n**3)
+    third, columns = _rows(vals[n * n :], n), list(zip(*([x for (x,) in r] for r in ginv)))
+    return [[[_dot(col, third[b * n + c]) for c in range(n)] for b in range(n)] for col in columns]
 
 
 def ricci(F: ChartPotential, point) -> list[list[float]]:
@@ -515,22 +518,19 @@ def ricci(F: ChartPotential, point) -> list[list[float]]:
     return [[-x for x in row] for row in metric_from_potential(F, point).logdet_hessian]
 
 
-def einstein_residual(F: ChartPotential, lam: float, points, locate: bool = False):
-    """Max-norm of ric - lambda * g over a list of admissible points.
+BLOCK = 64  # grid points that einstein_residual evaluates together
 
-    With ``locate``, returns ``(residual, point)`` for the first point where
-    the maximum is attained (``(0.0, None)`` for no points).
-    """
-    defects = []
-    for p in points:
-        sample = metric_from_potential(F, p)
-        defect = max(
-            abs(-h - lam * x)
-            for hrow, grow in zip(sample.logdet_hessian, sample.g)
-            for h, x in zip(hrow, grow)
-        )
-        defects.append((defect, sample.point))
-    worst = max(defects, key=lambda d: d[0], default=(0.0, None))
+
+def einstein_residual(F: ChartPotential, lam: float, points, locate: bool = False):
+    """Max-norm of ric - lambda * g over admissible points, in blocks of ``BLOCK``; with
+    ``locate``, ``(residual, point)`` at the first point attaining it, (0.0, None) for none."""
+    points, defects = iter(points), []
+    while block := [tuple(map(float, p)) for p in itertools.islice(points, BLOCK)]:
+        vals, ginv, _ = _metric_block(F, block)
+        ldh = zip(*_logdet_hessian(vals, ginv, F.n))
+        for point, hs, gs in zip(block, ldh, zip(*vals[: F.n**2])):
+            defects.append((max(abs(-h - lam * x) for h, x in zip(hs, gs)), point))
+    worst = max(defects, key=itemgetter(0), default=(0.0, None))
     return worst if locate else worst[0]
 
 
@@ -548,14 +548,14 @@ def determinant_identity_residual(F: ChartPotential, point, axis: int = 0) -> fl
     """|d det(g)/du_axis - det(g) tr(g^-1 dg/du_axis)|, by finite differences."""
     point = tuple(map(float, point))
 
-    def det_and_metric(q) -> list:
+    def det_and_metric(q) -> list:  # det g by a block of one, 0.0 on a zero pivot
         m = metric_matrix(F, q)
-        return [_gauss_jordan(m)[1], m]
+        return [_gauss_jordan([[[x] for x in row] for row in m])[1][0], m]
 
     # The stencil is elementwise, so one stencil differentiates det g and g.
     lhs, dm = fd_partial(det_and_metric, point, (axis,), FD_STEP_OUTER)
-    inverse, det = _inverse(metric_matrix(F, point), point)
-    rhs = det * _dot([x for row in inverse for x in row], [x for col in zip(*dm) for x in col])
+    _, inverse, (det,) = _metric_block(F, [point], F.n**2)
+    rhs = det * _dot([x for row in inverse for (x,) in row], [x for col in zip(*dm) for x in col])
     return abs(lhs - rhs)
 
 

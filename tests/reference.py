@@ -1,13 +1,15 @@
 """Reference code that only the tests use: predicates, dense forms, edits of gradations."""
 
 import dataclasses
+import itertools
+import math
 from collections import defaultdict
 from fractions import Fraction as Q
-from operator import mul
+from operator import add, mul
 
 from parakahler import ratlin
 from parakahler.chevalley import LieAlgebraData
-from parakahler.errors import DomainError
+from parakahler.errors import DomainError, SingularPointError
 from parakahler.gradation import Gradation, unsplit_root
 from parakahler.koszul import EinsteinStructure, TwoForm
 from parakahler.paracomplex import ChartPotential, _poly_eval
@@ -183,3 +185,104 @@ def poly_mixed_hessian_exact(F: ChartPotential, u, v) -> list[list[Q]]:
     flat = [sum(_poly_eval({(a, b): c / p**k}, u, v) for (a, b, k), c in gab.items())
             for gab in g[: n * n]]
     return [flat[a * n : (a + 1) * n] for a in range(n)]
+
+
+# -- the chart lab one point at a time ------------------------------------------------
+#
+# The float path of ``paracomplex`` evaluates blocks of points.  These are the
+# per-point forms it replaced; the block kernel must give the same floats, so
+# the tests compare the two with ``==``.
+
+
+def table_values(F: ChartPotential, point) -> list[float]:
+    """Every row of ``F.derivatives.exact`` at one float point, one point at a time."""
+    table = F.derivatives
+    if len(point) != 2 * F.n:
+        raise DomainError("point length must be twice the chart dimension")
+    powers = [1.0]
+    for x, top in zip(point, table._top):
+        powers.extend(itertools.accumulate(itertools.repeat(x, top), mul))
+    p = sum(c * math.prod(powers[i] for i in table._gather[m]) for c, m in table._p_terms)
+    if p <= 0:
+        raise SingularPointError(f"log argument {p} is not positive")
+    powers.extend(p**-k for k in range(1, table._kmax + 1))
+    mono = [math.prod(powers[i] for i in gather) for gather in table._gather]
+    vals = [0.0] * len(table.exact)
+    for r, m, c in table.triplets[: -len(F.p)]:
+        vals[r] += c * mono[m]
+    return vals
+
+
+def gauss_jordan(m) -> tuple[list[list[float]] | None, float]:
+    """(inverse, determinant) of one square float matrix, by Gauss-Jordan
+    elimination with partial pivoting.  A zero pivot column gives (None, 0.0).
+    """
+    n = len(m)
+    rows = [[*row, *[0.0] * n] for row in m]
+    for i in range(n):
+        rows[i][n + i] = 1.0
+    det = 1.0
+    for c in range(n):
+        r = c
+        for i in range(c + 1, n):
+            if abs(rows[i][c]) > abs(rows[r][c]):
+                r = i
+        pivot = rows[r][c]
+        if pivot == 0:
+            return None, 0.0
+        if r != c:
+            rows[c], rows[r] = rows[r], rows[c]
+            det = -det
+        det *= pivot
+        rows[c] = row = [x / pivot for x in rows[c]]
+        for i in range(n):
+            f = rows[i][c]
+            if i != c and f:
+                rows[i] = [x - f * y for x, y in zip(rows[i], row)]
+    return [row[n:] for row in rows], det
+
+
+def _dot(x, y) -> float:
+    return sum(map(mul, x, y))
+
+
+def metric_sample(F: ChartPotential, point) -> tuple[list, list]:
+    """(g, log-det Hessian) at one point, each a list of rows, one point at a time.
+
+    d_ua d_vb log|det g| = tr(g^-1 d_ua d_vb g) - tr(g^-1 d_ua g g^-1 d_vb g);
+    row i of the products with g^-1 is sum_k (g^-1)[i][k] (row k of every
+    d_ut g, then every d_vd g), summed lazily in k order.
+    """
+    point = tuple(map(float, point))
+    n, n2, span = F.n, F.n**2, 2 * F.n**2
+    vals = table_values(F, point)
+    g = [vals[i : i + n] for i in range(0, n2, n)]
+    ginv, det = gauss_jordan(g)
+    if abs(det) < 1e-12:
+        raise SingularPointError(f"metric is singular at {point}")
+    stacked = [[vals[n2 + t * n2 + k * n + j] for t in range(2 * n) for j in range(n)]
+               for k in range(n)]
+    ab = []
+    for weights in ginv:
+        combination = map(mul, itertools.repeat(weights[0]), stacked[0])
+        for w, row in zip(weights[1:], stacked[1:]):
+            combination = map(add, combination, map(mul, itertools.repeat(w), row))
+        ab.extend(combination)
+    lefts = [[ab[i * span + c * n + j] for i in range(n) for j in range(n)] for c in range(n)]
+    rights = [[ab[j * span + (n + d) * n + i] for i in range(n) for j in range(n)]
+              for d in range(n)]
+    ginv_t = [x for column in zip(*ginv) for x in column]
+    trace = [_dot(vals[i : i + n2], ginv_t) for i in range(n2 + 2 * n**3, len(vals), n2)]
+    ldh = [[trace[c * n + d] - _dot(lefts[c], rights[d]) for d in range(n)] for c in range(n)]
+    return g, ldh
+
+
+def einstein_residual(F: ChartPotential, lam: float, points):
+    """(max-norm of ric - lambda * g, the first point attaining it), one point at a time."""
+    defects = []
+    for p in points:
+        point = tuple(map(float, p))
+        g, ldh = metric_sample(F, point)
+        defect = max(abs(-h - lam * x) for hrow, grow in zip(ldh, g) for h, x in zip(hrow, grow))
+        defects.append((defect, point))
+    return max(defects, key=lambda d: d[0], default=(0.0, None))

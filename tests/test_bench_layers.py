@@ -47,6 +47,11 @@ def test_bench_layers_writes_one_record_and_restores_the_package(tmp_path):
     assert set(queries["layers_self_s"]) == set(calls)
     assert set(record["chart_log_model"]) == {"1", "2", "4", "8"}
     assert all(v["per_point_ms"] > 0 for v in record["chart_log_model"].values())
+    # Whole point sets through einstein_residual: grids at n = 1, 2, 4, 64 fixed points at n = 8.
+    grids = record["chart_grid"]
+    assert {n: (v["grid"], v["points"]) for n, v in grids.items()} == {
+        "1": (9, 81), "2": (4, 256), "4": (2, 256), "8": (None, 64)}
+    assert all(v["per_point_ms"] > 0 for v in grids.values())
     # The timers are gone again.
     assert {name: getattr(verify, name) for name in tool.VERIFY_LAYERS} == before
     assert chevalley.LieAlgebraData.killing_basis is killing_basis

@@ -334,6 +334,21 @@ def test_potential_no_admissible_points(tmp_path, capsys):
     assert "admissible" in err
 
 
+@pytest.mark.parametrize("text,message", [
+    ("n = 1\nkind = polynomial\nmonomial = 1 * z1^2 * zbar1^2\nlambda = 0\ngrid = 3\n",
+     "error: metric is singular at (-0.3, 0.0)\n"),
+    ("n = 1\nkind = builtin\nbuiltin = log1p_zzbar\ngrid = 9\nextent = 2\nmargin = -5\n",
+     "error: log argument 0.0 is not positive\n"),
+], ids=["singular-metric", "log-argument"])
+def test_potential_names_the_first_failing_grid_point(tmp_path, capsys, text, message):
+    # g = 4 u v is singular at the second grid point; with margin -5 the log
+    # model reaches P = 1 + u v = 0 at (-2.0, 0.5).  Pinned byte for byte.
+    cfg = tmp_path / "fails.cfg"
+    cfg.write_text(text)
+    for extra in ((), ("--json",)):
+        assert run(capsys, "potential", str(cfg), *extra) == (1, "", message)
+
+
 def test_potential_missing_file(capsys):
     code, _, err = run(capsys, "potential", "/no/such/file.cfg")
     assert code == 1

@@ -9,12 +9,15 @@ from hypothesis import strategies as st
 
 from parakahler.errors import DomainError, NullConeError, SingularPointError
 from parakahler.paracomplex import (
+    BLOCK,
     FD_STEP_OUTER,
     E,
+    ChartPotential,
     DerivativeTable,
     ParaComplex,
     _gauss_jordan,
-    _inverse,
+    _logdet_hessian,
+    _metric_block,
     admissible,
     christoffel,
     determinant_identity_residual,
@@ -32,7 +35,8 @@ from parakahler.paracomplex import (
     polynomial_potential,
     ricci,
 )
-from reference import poly_mixed_hessian_exact
+import reference
+from reference import gauss_jordan, poly_mixed_hessian_exact
 
 rational = st.fractions(min_value=-4, max_value=4, max_denominator=8)
 pc_rational = st.builds(ParaComplex, rational, rational)
@@ -535,30 +539,71 @@ def test_parse_potential_config_rejects_unknown_and_conflicting_keys(text, key, 
 # -- float kernel (numpy is the independent reference) --------------------------------
 
 
+def _block(matrices):
+    """The column form of a list of matrices: entry [i][j] lists m[i][j] over them."""
+    n = len(matrices[0])
+    return [[[m[i][j] for m in matrices] for j in range(n)] for i in range(n)]
+
+
+def _block_gauss_jordan(matrices):
+    """The block kernel on a list of matrices, read back as one (inverse, det) per matrix."""
+    inverse, det = _gauss_jordan(_block(matrices))
+    n = len(matrices[0])
+    return [([[inverse[i][j][b] for j in range(n)] for i in range(n)], d)
+            for b, d in enumerate(det)]
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_gauss_jordan_matches_numpy(n):
+    # The block kernel on a block of one and on a block of five, against numpy; each
+    # point's floats equal the per-point reference exactly.
     rng = random.Random(n)
-    for _ in range(5):
-        m = [[rng.uniform(-1, 1) + n * (i == j) for j in range(n)] for i in range(n)]
-        inverse, det = _gauss_jordan(m)
+    ms = [[[rng.uniform(-1, 1) + n * (i == j) for j in range(n)] for i in range(n)]
+          for _ in range(5)]
+    together = _block_gauss_jordan(ms)
+    for m, in_block in zip(ms, together):
+        (inverse, det), = _block_gauss_jordan([m])
+        assert (inverse, det) == in_block == gauss_jordan(m)
         assert np.max(np.abs(np.asarray(inverse) - np.linalg.inv(m))) < 1e-12
         assert abs(det - np.linalg.det(m)) < 1e-12 * abs(np.linalg.det(m))
 
 
 def test_gauss_jordan_swaps_rows_for_a_zero_leading_entry():
-    assert _gauss_jordan([[0.0, 1.0], [2.0, 3.0]]) == ([[-1.5, 0.5], [1.0, 0.0]], -2.0)
+    swap2 = [[0.0, 1.0], [2.0, 3.0]]
+    assert _block_gauss_jordan([swap2]) == [([[-1.5, 0.5], [1.0, 0.0]], -2.0)]
     m = [[0.0, 2.0, 1.0], [1.0, 0.0, 3.0], [4.0, 1.0, 0.0]]
-    inverse, det = _gauss_jordan(m)
+    (inverse, det), = _block_gauss_jordan([m])
     assert np.max(np.abs(np.asarray(inverse) - np.linalg.inv(m))) < 1e-12
     assert abs(det - np.linalg.det(m)) < 1e-12
+    # Points that swap different rows, or none, in one block, each as if alone.
+    ms = [m, [row[::-1] for row in m], [[5.0, 1.0, 0.0], [1.0, 4.0, 2.0], [0.0, 1.0, 3.0]],
+          [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 10.0]], m[::-1]]
+    assert _block_gauss_jordan(ms) == [gauss_jordan(x) for x in ms]
+    # A tie in |pivot| keeps the upper row, and a zero multiplier leaves its row
+    # alone, the sign of a zero included (repr tells -0.0 from 0.0).
+    ms = [[[1.0, 2.0], [-1.0, 3.0]], [[-1.0, -0.0], [0.0, -1.0]], swap2]
+    assert repr(_block_gauss_jordan(ms)) == repr([gauss_jordan(x) for x in ms])
 
 
 def test_singular_metric_raises():
-    assert _gauss_jordan([[1.0, 2.0], [2.0, 4.0]]) == (None, 0.0)
-    with pytest.raises(SingularPointError):
-        _inverse([[1.0, 2.0], [2.0, 4.0]], (0.0,) * 4)
-    with pytest.raises(SingularPointError):
-        _inverse([[1e-7, 0.0], [0.0, 1e-7]], (0.0,) * 4)  # |det| below 1e-12
+    singular = [[1.0, 2.0], [2.0, 4.0]]
+    assert gauss_jordan(singular) == (None, 0.0)
+    # In a block, the singular point gets det 0.0, raises nothing, and leaves the
+    # other points as they are alone.
+    regular = [[2.0, 1.0], [1.0, 3.0]]
+    dead = [[0.0, 1.0], [0.0, 2.0]]  # a zero pivot column at the first step
+    got = _block_gauss_jordan([regular, singular, dead, regular])
+    assert got[0] == got[3] == gauss_jordan(regular)
+    assert got[1][1] == got[2][1] == 0.0
+    # A metric with |det g| < 1e-12 is singular at its point.
+    units = [((1, 0), (1, 0)), ((0, 1), (0, 1))]
+    tiny = polynomial_potential(2, [(a, b, Q(1, 10**7)) for a, b in units])
+    with pytest.raises(SingularPointError, match=r"^metric is singular at \(0.1, 0.1, 0.1, 0.1\)$"):
+        metric_from_potential(tiny, (0.1, 0.1, 0.1, 0.1))
+    rank_one = polynomial_potential(2, [((1, 0), (1, 0), Q(1)), ((1, 0), (0, 1), Q(2)),
+                                        ((0, 1), (1, 0), Q(2)), ((0, 1), (0, 1), Q(4))])
+    with pytest.raises(SingularPointError, match="^metric is singular at "):
+        metric_from_potential(rank_one, (0.1, 0.2, 0.3, 0.4))
 
 
 def test_log_model_table_is_sparse():
@@ -594,13 +639,13 @@ def test_table_metric_matches_exact_hessian(n):
 
 
 def _two_stencil_residual(F, point, axis):
-    # det g and g each through a stencil of their own.
+    # det g and g each through a stencil of their own, inverted one point at a time.
     def det_at(q):
-        return _gauss_jordan(metric_matrix(F, q))[1]
+        return gauss_jordan(metric_matrix(F, q))[1]
 
     lhs = fd_partial(det_at, point, (axis,), FD_STEP_OUTER)
     dm = fd_partial(lambda q: metric_matrix(F, q), point, (axis,), FD_STEP_OUTER)
-    inverse, det = _inverse(metric_matrix(F, point), point)
+    inverse, det = gauss_jordan(metric_matrix(F, point))
     flat_inverse = [x for row in inverse for x in row]
     rhs = det * sum(x * y for x, y in zip(flat_inverse, [x for col in zip(*dm) for x in col]))
     return abs(lhs - rhs)
@@ -615,15 +660,18 @@ def test_determinant_identity_shares_its_stencil_points(monkeypatch):
         (polynomial_potential(2, curved), (0.3, -0.2, 0.15, 0.4)),
     ]
     calls = []
-    values = DerivativeTable.values
-    monkeypatch.setattr(
-        DerivativeTable, "values", lambda self, point: calls.append(point) or values(self, point)
-    )
+    columns = DerivativeTable.columns
+
+    def spy(self, points, rows=None):
+        calls.extend(points)
+        return columns(self, points, rows)
+
+    monkeypatch.setattr(DerivativeTable, "columns", spy)
     for F, point in cases:
         for axis in range(len(point)):
             calls.clear()
             got = determinant_identity_residual(F, point, axis)
-            assert len(calls) == 5  # four stencil points and the centre
+            assert len(calls) == 5  # four stencil points and the centre, each a block of one
             assert got == _two_stencil_residual(F, point, axis)
 
 
@@ -634,10 +682,102 @@ def test_metric_and_christoffel_slice_the_flat_values(n):
     vals = F.derivatives.values(point)
     g = metric_matrix(F, point)
     assert g == [[vals[a * n + b] for b in range(n)] for a in range(n)]
-    ginv = _inverse(g, point)[0]
+    ginv = gauss_jordan(g)[0]
     gamma = christoffel(F, point)
     for a in range(n):
         for b in range(n):
             for c in range(n):
                 third = [vals[n * n + (b * n + c) * n + m] for m in range(n)]
                 assert gamma[a][b][c] == sum(ginv[m][a] * third[m] for m in range(n))
+
+
+# -- blocks against the per-point references (tests/reference.py) ----------------------
+
+
+def _curved():
+    # The non-flat n = 2 polynomial of test_determinant_identity_shares_its_stencil_points.
+    return polynomial_potential(2, [
+        ((1, 0), (1, 0), Q(1)), ((0, 1), (0, 1), Q(1)), ((2, 1), (2, 1), Q(1, 5)),
+        ((1, 0), (0, 1), Q(1, 4)), ((0, 1), (1, 0), Q(1, 4)),
+    ])
+
+
+def _swapping():
+    # g = [[4 u1 v1, 1], [1, 1]]: the points with |4 u1 v1| < 1 pivot on row 2.
+    return polynomial_potential(2, [
+        ((2, 0), (2, 0), Q(1)), ((1, 0), (0, 1), Q(1)), ((0, 1), (1, 0), Q(1)),
+        ((0, 1), (0, 1), Q(1)),
+    ])
+
+
+BLOCK_CASES = [
+    *((f"log-n{n}-scale{s}", lambda n=n, s=s: log_model_potential(n, s), grid, 0.3)
+      for n, grid in ((1, 9), (2, 5), (3, 3)) for s in (1, -1, Q(3, 2))),
+    ("flat-n2", lambda: flat_potential(2), 5, 0.3),
+    ("curved-n2", _curved, 5, 0.3),
+    ("swapping-n2", _swapping, 6, 0.8),
+]
+
+
+@pytest.mark.parametrize("make,grid,extent", [c[1:] for c in BLOCK_CASES],
+                         ids=[c[0] for c in BLOCK_CASES])
+def test_blocks_match_the_per_point_reference_exactly(make, grid, extent):
+    F = make()
+    pts = grid_points(F, extent, grid)
+    assert len(pts) % BLOCK  # the last block is a partial one
+    for lam in (0.0, 1.0, -2.5):
+        want = reference.einstein_residual(F, lam, pts)
+        assert einstein_residual(F, lam, pts, locate=True) == want
+    n = F.n
+    for start in range(0, len(pts), BLOCK):
+        block = pts[start : start + BLOCK]
+        vals, ginv, det = _metric_block(F, block)
+        ldh = _logdet_hessian(vals, ginv, n)
+        for b, point in enumerate(block):  # repr tells -0.0 from 0.0
+            assert repr([col[b] for col in vals]) == repr(reference.table_values(F, point))
+            g, want = reference.metric_sample(F, point)
+            got = ([[x[b] for x in row] for row in ginv], det[b])
+            assert repr(got) == repr(gauss_jordan(g))
+            assert repr([col[b] for col in ldh]) == repr([x for row in want for x in row])
+    for point in pts[:: len(pts) // 7]:  # a block of one gives the same floats
+        sample = metric_from_potential(F, point)
+        assert (sample.g, sample.logdet_hessian) == reference.metric_sample(F, point)
+        assert metric_matrix(F, point) == reference.metric_sample(F, point)[0]
+
+
+def _first_error(fn, *args):
+    with pytest.raises(DomainError) as exc:
+        fn(*args)
+    return type(exc.value), str(exc.value)
+
+
+def test_block_errors_are_those_of_the_first_failing_point():
+    # F = z1^2 zbar1^2 has g = 4 u v: singular where u v = 0, a zero pivot there.
+    F = polynomial_potential(1, [((2,), (2,), Q(1))])
+    pts = grid_points(F, 0.3, 3)
+    assert _first_error(einstein_residual, F, 0.0, pts) == (
+        SingularPointError, "metric is singular at (-0.3, 0.0)")
+    # One singular point among regular ones, late in a full block and early in the next.
+    regular = [(0.1 * (1 + k % 3), 0.2) for k in range(2 * BLOCK)]
+    for at in (BLOCK - 3, BLOCK + 1):
+        pts = regular[:at] + [(0.0, 0.25)] + regular[at:]
+        assert _first_error(einstein_residual, F, 0.0, pts) == (
+            SingularPointError, "metric is singular at (0.0, 0.25)")
+        assert _first_error(reference.einstein_residual, F, 0.0, pts) == (
+            SingularPointError, "metric is singular at (0.0, 0.25)")
+    assert einstein_residual(F, 0.0, regular, locate=True) == reference.einstein_residual(
+        F, 0.0, regular)
+    # g = 1/P^2 - 1 with P = 1 + u v: singular at u v = 0 (where P = 1), log
+    # argument 0.0 at u v = -1; whichever comes first in the block raises.
+    G = ChartPotential(1, Q(1), {((0,), (0,)): 1, ((1,), (1,)): 1}, {((1,), (1,)): Q(-1)})
+    for pts, want in (
+        ([(0.5, 0.5), (0.0, 0.3), (1.0, -1.0)], "metric is singular at (0.0, 0.3)"),
+        ([(0.5, 0.5), (1.0, -1.0), (0.0, 0.3)], "log argument 0.0 is not positive"),
+        ([(0.5, 0.5), (0.5,), (0.0, 0.3)], "point length must be twice the chart dimension"),
+    ):
+        got = _first_error(einstein_residual, G, 1.0, pts)
+        assert got[1] == want and got == _first_error(reference.einstein_residual, G, 1.0, pts)
+    logm = log_model_potential(1)
+    pts = grid_points(logm, 2, 9, margin=-5)
+    assert _first_error(einstein_residual, logm, 2.0, pts) == (
+        SingularPointError, "log argument 0.0 is not positive")

@@ -10,9 +10,11 @@ workload (five commands over the 31 types of rank <= 8, ``--json``) through
 (``QUERY_LAYERS``).  Each of the two sections runs ``PASSES`` times and
 reports the median wall time and the median self time per layer; the call
 counts are those of the first pass (every pass makes the same calls).  Last
-it times ``metric_from_potential`` per point on the log model for each chart
-dimension n.  Nothing in the package is changed: the timers are installed
-from outside and removed after each pass.
+it times the log model per point for each chart dimension n, twice:
+``metric_from_potential`` one point at a time (``chart_log_model``) and
+``einstein_residual`` over a whole grid (``chart_grid``).  Nothing in the
+package is changed: the timers are installed from outside and removed after
+each pass.
 
 The output is ``BENCH_<commit>.json`` in ``--out``, with the ``src/`` line
 count, the Python version and the processor count beside the timings::
@@ -220,10 +222,29 @@ def sweep_layers(max_rank: int) -> dict:
 
 
 CHART_DIMS = (1, 2, 4, 8)
+# (n, grid) of the ``chart_grid`` section: the log model's admissible points at
+# extent 0.3 (81, 256 and 256 points); n = 8 takes 64 fixed points instead,
+# as 2 points per axis would already be 65,536.
+CHART_GRIDS = ((1, 9), (2, 4), (4, 2), (8, None))
+
+
+def _fixed_points(n: int, count: int) -> list[tuple[float, ...]]:
+    """Fixed points with |coordinate| <= 0.2, well inside P = 1 + u.v > 0."""
+    return [tuple(0.1 * ((k + i) % 5 - 2) for i in range(2 * n)) for k in range(count)]
+
+
+def _best(fn, repeats: int) -> float:
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    return best
 
 
 def chart_per_point(points: int = 20, repeats: int = 5) -> dict:
-    """Table build, and the best-of-``repeats`` mean time per point, on the log model."""
+    """Table build, and the best-of-``repeats`` mean time per point of
+    ``metric_from_potential`` called one point at a time, on the log model."""
     from parakahler.paracomplex import log_model_potential, metric_from_potential
 
     out = {}
@@ -232,16 +253,26 @@ def chart_per_point(points: int = 20, repeats: int = 5) -> dict:
         start = time.perf_counter()
         F.derivatives
         build = time.perf_counter() - start
-        # Fixed points with |coordinate| <= 0.2, well inside P = 1 + u.v > 0.
-        pts = [tuple(0.1 * ((k + i) % 5 - 2) for i in range(2 * n)) for k in range(points)]
-        best = float("inf")
-        for _ in range(repeats):
-            start = time.perf_counter()
-            for p in pts:
-                metric_from_potential(F, p)
-            best = min(best, time.perf_counter() - start)
+        pts = _fixed_points(n, points)
+        best = _best(lambda: [metric_from_potential(F, p) for p in pts], repeats)
         out[str(n)] = {"table_build_ms": round(build * 1e3, 3),
                        "per_point_ms": round(best / points * 1e3, 4)}
+    return out
+
+
+def chart_grid(repeats: int = 5) -> dict:
+    """Best-of-``repeats`` time per point of ``einstein_residual`` over a whole
+    point set of the log model (``CHART_GRIDS``), the table built beforehand."""
+    from parakahler.paracomplex import einstein_residual, grid_points, log_model_potential
+
+    out = {}
+    for n, grid in CHART_GRIDS:
+        F = log_model_potential(n)
+        F.derivatives
+        pts = grid_points(F, 0.3, grid) if grid else _fixed_points(n, 64)
+        best = _best(lambda: einstein_residual(F, float(n + 1), pts, locate=True), repeats)
+        out[str(n)] = {"grid": grid, "points": len(pts),
+                       "per_point_ms": round(best / len(pts) * 1e3, 4)}
     return out
 
 
@@ -278,6 +309,7 @@ def main(argv=None) -> Path:
         "sweep": sweep_layers(args.max_rank),
         "queries": query_layers(QUERY_SEED),
         "chart_log_model": chart_per_point(),
+        "chart_grid": chart_grid(),
     }
     args.out.mkdir(parents=True, exist_ok=True)
     path = args.out / f"BENCH_{commit}.json"
