@@ -282,7 +282,7 @@ def cmd_einstein(args) -> Report:
     es = einstein_structure(g, None, lam)
     pos, neg = es.signature()
     m, basis = g.nonzero_roots(), [bi.label() for bi in es.basis]
-    degrees = [d for d in g.root_degrees if d]  # of each root of m
+    degrees = [s * d for s in (1, -1) for d in g.root_degrees if d]  # of each root of m
     pairs = zip(basis, basis[pos:], es.metric)  # (X_alpha, X_-alpha, g_alpha)
     payload = {
         "type": str(stype),

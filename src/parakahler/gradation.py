@@ -47,23 +47,31 @@ class CrossingSet:
 
 @dataclass
 class Gradation:
-    """A fundamental gradation: the degree of each root, depth, grading element.
+    """A fundamental gradation: the degree of each positive root, grading element.
 
-    ``root_degrees`` holds the degree of each root of ``rs.all_roots()`` by
-    position; ``degree`` and ``ksign`` are readers of it.  The grading element
-    is built on first read.  Immutable by convention.
+    ``root_degrees`` holds the degree of each root of ``rs.positive_roots`` by
+    position, the same shape as ``TwoForm.coeffs``.  The degree of -alpha is
+    -deg(alpha) by definition, so m is closed under negation and K gives
+    X_alpha and X_-alpha opposite signs.  ``degree``, ``ksign`` and ``depth``
+    are readers of it; the grading element is built on first read.  Immutable
+    by convention.
     """
 
     rs: RootSystem
     crossing: CrossingSet
     root_degrees: tuple[int, ...] = field(repr=False)
-    depth: int = 0
 
     def __post_init__(self) -> None:
-        n, count = len(self.root_degrees), 2 * len(self.rs.positive_roots)
+        n, count = len(self.root_degrees), len(self.rs.positive_roots)
         if n != count:
-            lacking = f": {self.rs.all_roots()[n]} has no degree" if n < count else ""
-            raise DomainError(f"{n} degrees for the {count} roots of {self.rs.type}{lacking}")
+            lacking = f": {self.rs.positive_roots[n]} has no degree" if n < count else ""
+            raise DomainError(
+                f"{n} degrees for the {count} positive roots of {self.rs.type}{lacking}"
+            )
+
+    @property
+    def depth(self) -> int:
+        return max(self.root_degrees)
 
     @cached_property
     def grading_element(self) -> tuple[Q | int, ...]:
@@ -73,16 +81,19 @@ class Gradation:
 
     def degree(self, root: Root) -> int:
         try:
-            return self.root_degrees[self.rs.positions[root.coeffs]]
+            p = self.rs.positions[root.coeffs]
         except KeyError:
             raise DomainError(f"{root} has no degree in this gradation of {self.rs.type}") from None
+        npos = len(self.root_degrees)
+        return self.root_degrees[p] if p < npos else -self.root_degrees[p - npos]
 
     def ksign(self, root: Root) -> int:
         """The para-complex structure on root vectors: sign of the degree."""
         return ((d := self.degree(root)) > 0) - (d < 0)
 
     def roots_of_degree(self, p: int) -> tuple[Root, ...]:
-        return tuple(r for r, d in zip(self.rs.all_roots(), self.root_degrees) if d == p)
+        signed = (s * d for s in (1, -1) for d in self.root_degrees)  # over all_roots()
+        return tuple(r for r, d in zip(self.rs.all_roots(), signed) if d == p)
 
     def zero_degree_positive(self) -> tuple[Root, ...]:
         """R0+: positive roots spanning the semisimple part of g_0."""
@@ -93,22 +104,21 @@ class Gradation:
 
     def nonzero_roots(self) -> tuple[Root, ...]:
         """Roots of m in canonical order: positive roots, then their negatives in that order."""
-        return tuple(r for r, d in zip(self.rs.all_roots(), self.root_degrees) if d)
+        # -alpha is in m iff alpha is: the half vector twice marks m over all_roots().
+        return tuple(r for r, d in zip(self.rs.all_roots(), self.root_degrees * 2) if d)
 
 
 def crossed_sums(rs: RootSystem, crossing: CrossingSet) -> tuple[int, ...]:
-    """The sum of the crossed coefficients of each root of ``rs.all_roots()``, by position."""
+    """The sum of the crossed coefficients of each root of ``rs.positive_roots``, by position."""
     columns = tuple(zip(*(r.coeffs for r in rs.positive_roots)))
-    sums = tuple(map(sum, zip(*(columns[i - 1] for i in crossing.sorted()))))
-    return sums + tuple(-s for s in sums)
+    return tuple(map(sum, zip(*(columns[i - 1] for i in crossing.sorted()))))
 
 
 def grade_from_crossing(rs: RootSystem, crossing: CrossingSet) -> Gradation:
     """Grade the root system by the crossed coefficients."""
     if max(crossing.crossed) > rs.rank:
         raise DomainError(f"crossed node {max(crossing.crossed)} exceeds rank {rs.rank}")
-    degrees = crossed_sums(rs, crossing)
-    return Gradation(rs=rs, crossing=crossing, root_degrees=degrees, depth=max(degrees))
+    return Gradation(rs=rs, crossing=crossing, root_degrees=crossed_sums(rs, crossing))
 
 
 def orbit_dimension(g: Gradation) -> int:
@@ -121,13 +131,15 @@ def unsplit_root(g: Gradation) -> Root | None:
 
     With none, and antisymmetry, g_{+-1} generates the nilpotent parts, which
     holds for every crossing-set gradation; kept as a runtime check rather
-    than an assumption.  Roots are compared by their int weight keys, which
-    tell apart every difference of two roots.
+    than an assumption.  It walks the positive roots and ``rs.positive_keys``:
+    with deg(-alpha) = -deg(alpha), they hold every root of degree >= 1 of a
+    crossing-set gradation.  Roots are compared by their int weight keys,
+    which tell apart every difference of two roots.
     """
-    keys, deg = g.rs.keys, g.root_degrees
+    keys, deg = g.rs.positive_keys, g.root_degrees
     degree_of = dict(zip(keys, deg))
     ones = [k for k, d in zip(keys, deg) if d == 1]
-    for root, k, d in zip(g.rs.all_roots(), keys, deg):
+    for root, k, d in zip(g.rs.positive_roots, keys, deg):
         if d >= 2 and not any(degree_of.get(k - one) == d - 1 for one in ones):
             return root
     return None

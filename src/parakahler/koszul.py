@@ -101,7 +101,8 @@ def koszul_trace(g: Gradation, L: LieAlgebraData, x: AlgebraElement) -> Q | int:
     if L.rs != g.rs:
         raise DomainError("algebra and gradation use different root systems")
     rows = L.brackets
-    sign = (0,) * L.rank + tuple((d > 0) - (d < 0) for d in g.root_degrees)  # K~ on e_i
+    # K~ on e_i
+    sign = (0,) * L.rank + tuple(s * ((d > 0) - (d < 0)) for s in (1, -1) for d in g.root_degrees)
 
     trace = 0
     for j, a in check_support(L, x).coords.items():
@@ -133,9 +134,8 @@ def kernel_of(f: TwoForm, g: Gradation) -> tuple[BasisIndex, ...]:
 
 
 def kernel_is_g0(f: TwoForm, g: Gradation) -> bool:
-    """Does the kernel coincide with g_0?  By position: X_a, X_-a are in it iff f(X_a, X_-a) = 0."""
-    deg, npos = g.root_degrees, len(g.rs.positive_roots)
-    return all((not c) == (not deg[p]) == (not deg[p + npos]) for p, c in enumerate(f.over(g)))
+    """Does the kernel coincide with g_0?  By position: f(X_a, X_-a) = 0 iff deg(a) = 0."""
+    return all((not c) == (not d) for c, d in zip(f.over(g), g.root_degrees))
 
 
 def omega_z(L: LieAlgebraData, z: AlgebraElement, d: int = 1) -> TwoForm:
@@ -206,9 +206,9 @@ def einstein_structure(g: Gradation, L: LieAlgebraData | None, lam, rho=None) ->
     """Assemble the invariant Einstein metric lambda^{-1} rho(., K .).
 
     The metric depends on g alone; ``L`` is optional and only checked.  ``rho``
-    is d(psi) as a TwoForm, built here unless the caller already holds it.  A
-    root of m whose negative is not at its offset in m, or has the same K, is
-    a DomainError.
+    is d(psi) as a TwoForm, built here unless the caller already holds it.
+    K is the sign of the degree and deg(-alpha) = -deg(alpha), so m pairs each
+    positive root alpha with -alpha, of the opposite K.
     """
     lam = Q(lam)
     if lam == 0:
@@ -216,20 +216,9 @@ def einstein_structure(g: Gradation, L: LieAlgebraData | None, lam, rho=None) ->
     if L is not None and L.rs != g.rs:
         raise DomainError("algebra and gradation use different root systems")
     rho = two_form_from_weight(g.rs, koszul_form(g)) if rho is None else rho
-    coeffs, deg = rho.over(g), g.root_degrees
-    # m by position in all_roots(): -alpha sits npos after a positive alpha.
-    at, npos = [p for p, d in enumerate(deg) if d], len(g.rs.positive_roots)
-    k = len(at) // 2
-    if at[k:] != [p + npos for p in at[:k]]:
-        bad = next((p for p, q in zip(at[:k], at[k:]) if q != p + npos), at[-1])
-        raise DomainError(f"the negative of {g.rs.all_roots()[bad]} is not at its offset in m")
-    # g_alpha = rho(X_alpha, K X_-alpha) / lam = K(-alpha) c_alpha / lam, and
+    # g_alpha = rho(X_alpha, K X_-alpha) / lam = -sign(deg alpha) c_alpha / lam, and
     # c_alpha / lam = c_alpha den / num, a Fraction only where it is not an int.
     num, den = lam.numerator, lam.denominator
-    metric = []
-    for p in at[:k]:
-        if (deg[p] > 0) == (deg[p + npos] > 0):
-            alpha = g.rs.positive_roots[p]
-            raise DomainError(f"K({-alpha}) = K({alpha})")
-        metric.append(ratio(coeffs[p] * den if deg[p + npos] > 0 else -coeffs[p] * den, num))
-    return EinsteinStructure(gradation=g, lam=lam, rho=rho, metric=tuple(metric))
+    metric = tuple(ratio(c * den if d < 0 else -c * den, num)
+                   for c, d in zip(rho.over(g), g.root_degrees) if d)
+    return EinsteinStructure(gradation=g, lam=lam, rho=rho, metric=metric)

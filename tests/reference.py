@@ -23,14 +23,21 @@ def is_fundamental(g: Gradation) -> bool:
 
 def degrees(g: Gradation) -> dict:
     """The degree of each root of g, as a dict keyed by ``Root``."""
-    return dict(zip(g.rs.all_roots(), g.root_degrees))
+    return {r: g.degree(r) for r in g.rs.all_roots()}
 
 
 def regraded(g: Gradation, changes: dict) -> Gradation:
-    """g with the degree of each root in ``changes`` replaced, by position."""
-    degrees = list(g.root_degrees)
+    """g with the degree of each positive root in ``changes`` replaced, by position.
+
+    The degree of -alpha follows that of alpha, so a negative root is refused
+    rather than edited away in silence.
+    """
+    degrees, npos = list(g.root_degrees), len(g.root_degrees)
     for root, d in changes.items():
-        degrees[g.rs.positions[root.coeffs]] = d
+        p = g.rs.positions[root.coeffs]
+        if p >= npos:
+            raise ValueError(f"{root} is not a positive root: its degree is -deg({-root})")
+        degrees[p] = d
     return dataclasses.replace(g, root_degrees=tuple(degrees))
 
 

@@ -6,6 +6,7 @@ from parakahler.chevalley import cartan_element, bracket, root_vector
 from parakahler.errors import ConfigError, DomainError
 from parakahler.gradation import (
     CrossingSet,
+    Gradation,
     SatakeDiagram,
     catalog_lookup,
     catalog_names,
@@ -53,6 +54,43 @@ def test_a1_three_term_gradation(algebra):
     g = grade_from_crossing(rs, CrossingSet.of(1))
     assert g.depth == 1
     assert [g.degree(r) for r in rs.all_roots()] == [1, -1]
+
+
+def test_depth_is_read_from_the_degrees(algebra):
+    # A2 {1,2} has degrees (1, 1, 2) on (a1, a2, a1+a2): a directly built
+    # gradation and an edited copy read their depth off the degrees.
+    rs, _ = algebra("A2")
+    g = Gradation(rs, CrossingSet.of(1, 2), (1, 1, 2))
+    assert g.depth == 2
+    assert regraded(g, {Root((1, 1)): 3}).depth == 3
+
+
+def test_regraded_refuses_a_negative_root(algebra):
+    rs, _ = algebra("A2")
+    g = grade_from_crossing(rs, CrossingSet.of(1))
+    with pytest.raises(ValueError, match=r"^-1a1 is not a positive root"):
+        regraded(g, {Root((-1, 0)): 0})
+
+
+def test_half_vector_readers_match_an_all_roots_walk():
+    # Each reader of the positive degrees against the crossed coefficient sum
+    # of every root of all_roots(), on every gradation of rank <= 4.
+    for stype in sweep_types(4):
+        rs = build_root_system(stype)
+        roots = rs.all_roots()
+        for crossing in enumerate_crossings(rs.rank):
+            g = grade_from_crossing(rs, crossing)
+            want = [sum(r.coeffs[i - 1] for i in crossing.crossed) for r in roots]
+            where = (stype, crossing)
+            assert [g.degree(r) for r in roots] == want, where
+            assert [g.ksign(r) for r in roots] == [(d > 0) - (d < 0) for d in want], where
+            assert g.depth == max(want), where
+            m = g.nonzero_roots()
+            assert m == tuple(r for r, d in zip(roots, want) if d), where
+            assert {id(r) for r in m} <= {id(r) for r in roots}, where  # the cached objects
+            for p in range(-g.depth, g.depth + 1):
+                assert g.roots_of_degree(p) == tuple(r for r, d in zip(roots, want) if d == p)
+            assert orbit_dimension(g) == 2 * len(g.nonzero_positive()) == len(m), where
 
 
 def test_orbit_dimension_a_series(algebra):

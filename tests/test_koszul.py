@@ -29,7 +29,7 @@ from parakahler.koszul import (
 )
 from parakahler.rootsys import Root, SimpleType, Weight, build_root_system, n_pairing
 from parakahler.verify import sweep_types
-from reference import metric_rows, regraded, two_form_matrix, two_form_rows
+from reference import metric_rows, two_form_matrix, two_form_rows
 
 
 def W(*coords):
@@ -402,26 +402,6 @@ def test_two_form_rows_refuse_another_root_system(algebra):
     rho = two_form_from_weight(rs, koszul_form(grade_from_crossing(rs, CrossingSet.of(1))))
     with pytest.raises(DomainError, match="different root systems"):
         two_form_rows(rho, other)
-
-
-def test_einstein_structure_refuses_a_root_of_m_without_its_negative(algebra):
-    # With -a1 moved to degree 0 on A2 {1}, m = {a1, a1+a2, -a1-a2}: pairing
-    # by position would put a1 against a1+a2, so the metric is refused.
-    rs, _ = algebra("A2")
-    g = grade_from_crossing(rs, CrossingSet.of(1))
-    bad = regraded(g, {Root((-1, 0)): 0})
-    with pytest.raises(DomainError, match=r"^the negative of 1a1 is not at its offset in m$"):
-        einstein_structure(bad, None, 1)
-
-
-def test_einstein_structure_refuses_equal_k_on_a_root_pair(algebra):
-    # With -a1 moved to degree 1 on A2 {1}, -a1 keeps its offset in m but
-    # K(-a1) = K(a1) = 1, so rho(., K .) would not be symmetric on the pair.
-    rs, _ = algebra("A2")
-    g = grade_from_crossing(rs, CrossingSet.of(1))
-    bad = regraded(g, {Root((-1, 0)): 1})
-    with pytest.raises(DomainError, match=r"^K\(-1a1\) = K\(1a1\)$"):
-        einstein_structure(bad, None, 1)
 
 
 def _signature_pairs(max_rank):

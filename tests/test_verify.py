@@ -347,19 +347,6 @@ def test_degree_without_a_degree_one_split_fails_fundamental(algebra):
     }
 
 
-def test_root_of_m_without_its_negative_fails_orbit_dimension_even(algebra):
-    # On A2 {1} with -a1 moved to degree 0, m = {a1, a1+a2, -a1-a2} has odd
-    # size and a1 has no negative in it.
-    rs, L = algebra("A2")
-    g = grade_from_crossing(rs, CrossingSet.of(1))
-    assert check_gradation(L, g)["orbit_dimension_even"] == {"ok": True, "first_failure": None}
-    bad = regraded(g, {Root((-1, 0)): 0})
-    assert check_gradation(L, bad)["orbit_dimension_even"] == {
-        "ok": False,
-        "first_failure": "1a1 is in m but -1a1 is not",
-    }
-
-
 def test_grading_sees_a_wrong_cartan_action(algebra):
     # Negating [H1, X_a1] keeps it in weight a1, so the certificate passes,
     # but the grading element no longer acts on X_a1 by its degree.
@@ -570,22 +557,6 @@ def test_metric_row_storing_a_zero_fails_einstein(algebra, monkeypatch):
     es.metric = (0,)
     monkeypatch.setattr(verify, "einstein_structure", lambda *args: es)
     assert check_einstein(L, g) == {"ok": False, "first_failure": "metric is degenerate at X[1a1]"}
-
-
-@pytest.mark.parametrize(
-    "degree, message",
-    [
-        # m = {a1, a1+a2, -a1-a2}: the metric refuses to pair a1 by position.
-        (0, "the negative of 1a1 is not at its offset in m"),
-        # K(-a1) = K(a1) = 1: rho(., K .) would give g(a1, -a1) = -g(-a1, a1).
-        (1, "K(-1a1) = K(1a1)"),
-    ],
-)
-def test_tampered_degree_of_minus_a1_fails_einstein(algebra, degree, message):
-    rs, L = algebra("A2")
-    g = grade_from_crossing(rs, CrossingSet.of(1))
-    bad = regraded(g, {Root((-1, 0)): degree})
-    assert check_einstein(L, bad) == {"ok": False, "first_failure": message}
 
 
 def test_sign_flip_keeping_weights_fails_sparse_jacobi(algebra):
