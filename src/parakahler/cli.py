@@ -282,7 +282,7 @@ def cmd_einstein(args) -> Report:
     es = einstein_structure(g, None, lam)
     pos, neg = es.signature()
     m, basis = g.nonzero_roots(), [bi.label() for bi in es.basis]
-    degrees = [s * d for s in (1, -1) for d in g.root_degrees if d]  # of each root of m
+    degrees = [d for d in g.signed_degrees if d]  # of each root of m
     pairs = zip(basis, basis[pos:], es.metric)  # (X_alpha, X_-alpha, g_alpha)
     payload = {
         "type": str(stype),
@@ -332,10 +332,8 @@ def cmd_potential(args) -> Report:
     # Five points spread over the grid, first and last included; the
     # derivative cycles through all 2n coordinates u_1..u_n, v_1..v_n.
     det_points = [pts[i] for i in sorted({k * (len(pts) - 1) // 4 for k in range(5)})]
-    det_residual = max(
-        determinant_identity_residual(potential, p, axis=k % len(p))
-        for k, p in enumerate(det_points)
-    )
+    det_residual = max(determinant_identity_residual(
+        potential, [(p, k % len(p)) for k, p in enumerate(det_points)]))
     payload = {
         "config": str(args.config),
         "kind": options["kind"],

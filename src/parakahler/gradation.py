@@ -84,16 +84,19 @@ class Gradation:
             p = self.rs.positions[root.coeffs]
         except KeyError:
             raise DomainError(f"{root} has no degree in this gradation of {self.rs.type}") from None
-        npos = len(self.root_degrees)
-        return self.root_degrees[p] if p < npos else -self.root_degrees[p - npos]
+        return self.signed_degrees[p]
 
     def ksign(self, root: Root) -> int:
         """The para-complex structure on root vectors: sign of the degree."""
         return ((d := self.degree(root)) > 0) - (d < 0)
 
+    @cached_property
+    def signed_degrees(self) -> tuple[int, ...]:
+        """The degree of each root of ``rs.all_roots()``: the positive half, then its negation."""
+        return (*self.root_degrees, *(-d for d in self.root_degrees))
+
     def roots_of_degree(self, p: int) -> tuple[Root, ...]:
-        signed = (s * d for s in (1, -1) for d in self.root_degrees)  # over all_roots()
-        return tuple(r for r, d in zip(self.rs.all_roots(), signed) if d == p)
+        return tuple(r for r, d in zip(self.rs.all_roots(), self.signed_degrees) if d == p)
 
     def zero_degree_positive(self) -> tuple[Root, ...]:
         """R0+: positive roots spanning the semisimple part of g_0."""
@@ -104,8 +107,7 @@ class Gradation:
 
     def nonzero_roots(self) -> tuple[Root, ...]:
         """Roots of m in canonical order: positive roots, then their negatives in that order."""
-        # -alpha is in m iff alpha is: the half vector twice marks m over all_roots().
-        return tuple(r for r, d in zip(self.rs.all_roots(), self.root_degrees * 2) if d)
+        return tuple(r for r, d in zip(self.rs.all_roots(), self.signed_degrees) if d)
 
 
 def crossed_sums(rs: RootSystem, crossing: CrossingSet) -> tuple[int, ...]:

@@ -91,6 +91,13 @@ def koszul_coefficients(g: Gradation) -> dict[int, int]:
     return out
 
 
+def basis_degrees(L: LieAlgebraData, g: Gradation) -> tuple[int, ...]:
+    """g's degree of each basis index of L, 0 on the Cartan."""
+    if g.rs != L.rs:
+        raise DomainError("algebra and gradation use different root systems")
+    return (0,) * L.rank + g.signed_degrees
+
+
 def koszul_trace(g: Gradation, L: LieAlgebraData, x: AlgebraElement) -> Q | int:
     """Koszul form by brute-force traces of ad matrices.
 
@@ -98,18 +105,13 @@ def koszul_trace(g: Gradation, L: LieAlgebraData, x: AlgebraElement) -> Q | int:
     nonzero-degree root vectors (the canonical complement of g_0) and K~
     multiplies a root vector by the sign of its degree and kills g_0.
     """
-    if L.rs != g.rs:
-        raise DomainError("algebra and gradation use different root systems")
-    rows = L.brackets
-    # K~ on e_i
-    sign = (0,) * L.rank + tuple(s * ((d > 0) - (d < 0)) for s in (1, -1) for d in g.root_degrees)
-
+    rows, deg = L.brackets, basis_degrees(L, g)  # K~ e_i = sign(deg_i) e_i
     trace = 0
     for j, a in check_support(L, x).coords.items():
-        kx = sign[j] * a  # the coordinate of K~x at e_j
+        kx = ((deg[j] > 0) - (deg[j] < 0)) * a  # the coordinate of K~x at e_j
         for i, out in rows[j].items():
-            if i in out and (s := sign[i]):
-                trace += (kx - s * a) * out[i]
+            if i in out and (d := deg[i]):
+                trace += (kx - ((d > 0) - (d < 0)) * a) * out[i]
     return -trace
 
 

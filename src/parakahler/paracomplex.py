@@ -24,8 +24,9 @@ c = 0, P = 1).  ``DerivativeTable`` differentiates f exactly, once, into sparse
 (row, column, coefficient) triplets.  The float path evaluates a block of points
 at once (one point is a block of one), one column, a list over the points, per
 value.  Each point is pivoted on its own and gets the floats it would get alone,
-in a fixed order that may differ from BLAS/LAPACK in the last bits.  ``split_value``,
-``fd_partial`` and ``mixed_partial_pc`` stay off that path as independent oracles.
+in a fixed order that may differ from BLAS/LAPACK in the last bits.  ``split_value``
+and ``mixed_partial_pc`` stay off that path as independent oracles, and so do the
+nested finite differences of the tests (``tests/reference.py``).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from operator import add, itemgetter, mul, sub, truediv
+from operator import add, itemgetter, mul, neg, sub, truediv
 
 from .config import Fields, finite_float, float_rational, integer
 from .errors import ConfigError, DomainError, NullConeError, SingularPointError
@@ -194,7 +195,10 @@ def grid_points(F: ChartPotential, extent: float, count: int,
     if count ** (2 * F.n) > 200_000:
         raise DomainError("grid too large; reduce count or dimension")
     axis = [-extent + 2 * extent * k / (count - 1) for k in range(count)] if count > 1 else [0.0]
-    return [c for c in itertools.product(axis, repeat=2 * F.n) if admissible(F, c, margin)]
+    points = list(itertools.product(axis, repeat=2 * F.n))
+    if not F.c:
+        return points
+    return [c for c, p in zip(points, _poly_columns(F.p, list(zip(*points)))) if p >= margin]
 
 
 # -- symbolic polynomial derivatives ----------------------------------------------
@@ -214,13 +218,19 @@ def _poly_diff(table: PolyTable, axis: int, side: str) -> PolyTable:
 
 
 def _poly_eval(table: PolyTable, u, v):
-    total = 0
+    return _poly_columns(table, [[x] for x in (*u, *v)])[0]
+
+
+def _poly_columns(table: PolyTable, coords) -> list:
+    """A polynomial over a block of points, given as coordinate columns (u, then v):
+    each term is its coefficient times x^e per coordinate in order, summed from 0."""
+    total = [0] * len(coords[0])
     for (a, b), coeff in table.items():
-        term = coeff
-        for x, e in zip((*u, *v), (*a, *b)):
+        term = [coeff] * len(total)
+        for x, e in zip(coords, a + b):
             if e:
-                term = term * x**e
-        total = total + term
+                term = list(map(mul, term, map(pow, x, itertools.repeat(e))))
+        total = list(map(add, total, term))
     return total
 
 
@@ -376,33 +386,11 @@ def mixed_partial_pc(F: ChartPotential, a_idx: int, b_idx: int, z) -> ParaComple
 # -- finite differences -------------------------------------------------------------
 
 
-def _fd1(fn, point, axis: int, h: float) -> float:
-    step = h * max(1.0, abs(point[axis]))
-
-    def shifted(offset: float) -> float:
-        q = list(point)
-        q[axis] += offset
-        return fn(tuple(q))
-
-    return _stencil(*(shifted(k * step) for k in (-2, -1, 1, 2)), 12 * step)
-
-
 def _stencil(m2, m1, p1, p2, denom: float):
     """(f(-2h) - 8 f(-h) + 8 f(h) - f(2h)) / 12h, entry by entry on nested lists."""
     if isinstance(m2, list):
         return [_stencil(*entries, denom) for entries in zip(m2, m1, p1, p2)]
     return (m2 - 8 * m1 + 8 * p1 - p2) / denom
-
-
-def fd_partial(fn, point, axes, h: float) -> float:
-    """Nested 5-point stencils; axes sorted so mixed partials are symmetric."""
-    axes = sorted(axes)
-    if not axes:
-        return fn(tuple(point))
-    first, rest = axes[0], tuple(axes[1:])
-    if not rest:
-        return _fd1(fn, point, first, h)
-    return _fd1(lambda q: fd_partial(fn, q, rest, h), point, first, h)
 
 
 # -- metric, Christoffel, Ricci -------------------------------------------------------
@@ -458,11 +446,13 @@ def _gauss_jordan(m) -> tuple[list, list[float]]:
     return [row[n:] for row in rows], [0.0 if s else d for s, d in zip(dead, det)]
 
 
-def _metric_block(F: ChartPotential, points, rows: int | None = None) -> tuple[list, list, list]:
-    """Table columns, g^-1 and det g over a block; the first failing point raises."""
+def _metric_block(F: ChartPotential, points, rows: int | None = None,
+                  regular: slice = slice(None)) -> tuple[list, list, list]:
+    """Table columns, g^-1 and det g over a block; the first failing point raises, where
+    only the points ``points[regular]`` fail on a singular metric."""
     vals, error = F.derivatives.columns(points, rows)
     ginv, det = _gauss_jordan([vals[i : i + F.n] for i in range(0, F.n**2, F.n)])
-    for point, d in zip(points, det):
+    for point, d in zip(points[regular], det[regular]):
         if abs(d) < 1e-12:
             raise SingularPointError(f"metric is singular at {point}")
     if error is not None:
@@ -527,9 +517,10 @@ def einstein_residual(F: ChartPotential, lam: float, points, locate: bool = Fals
     points, defects = iter(points), []
     while block := [tuple(map(float, p)) for p in itertools.islice(points, BLOCK)]:
         vals, ginv, _ = _metric_block(F, block)
-        ldh = zip(*_logdet_hessian(vals, ginv, F.n))
-        for point, hs, gs in zip(block, ldh, zip(*vals[: F.n**2])):
-            defects.append((max(abs(-h - lam * x) for h, x in zip(hs, gs)), point))
+        # |-h - lam x| per (a, b) column, then the max per point over (a, b) in order.
+        columns = (map(abs, map(sub, map(neg, h), map(mul, itertools.repeat(lam), x)))
+                   for h, x in zip(_logdet_hessian(vals, ginv, F.n), vals))
+        defects += zip(functools.reduce(functools.partial(map, max), columns), block)
     worst = max(defects, key=itemgetter(0), default=(0.0, None))
     return worst if locate else worst[0]
 
@@ -544,19 +535,32 @@ def fit_lambda(F: ChartPotential, point) -> float:
     return -_dot([x for row in sample.logdet_hessian for x in row], g) / denom
 
 
-def determinant_identity_residual(F: ChartPotential, point, axis: int = 0) -> float:
-    """|d det(g)/du_axis - det(g) tr(g^-1 dg/du_axis)|, by finite differences."""
-    point = tuple(map(float, point))
-
-    def det_and_metric(q) -> list:  # det g by a block of one, 0.0 on a zero pivot
-        m = metric_matrix(F, q)
-        return [_gauss_jordan([[[x] for x in row] for row in m])[1][0], m]
-
-    # The stencil is elementwise, so one stencil differentiates det g and g.
-    lhs, dm = fd_partial(det_and_metric, point, (axis,), FD_STEP_OUTER)
-    _, inverse, (det,) = _metric_block(F, [point], F.n**2)
-    rhs = det * _dot([x for row in inverse for (x,) in row], [x for col in zip(*dm) for x in col])
-    return abs(lhs - rhs)
+def determinant_identity_residual(F: ChartPotential, point, axis: int = 0):
+    """|d det(g)/du_axis - det(g) tr(g^-1 dg/du_axis)| at a point by a 5-point stencil, or
+    the list of them over a list of (point, axis) pairs.  Every pair's stencil points and
+    then its centre join one block; the first to fail raises, and only a centre's metric
+    must be nonsingular."""
+    pairs = point if point and isinstance(point[0], (tuple, list)) else [(point, axis)]
+    n, block, denoms = F.n, [], []
+    for centre, axis in pairs:
+        centre = tuple(map(float, centre))
+        step = FD_STEP_OUTER * max(1.0, abs(centre[axis]))
+        for k in (-2, -1, 1, 2):
+            q = list(centre)
+            q[axis] += k * step
+            block.append(tuple(q))
+        block.append(centre)
+        denoms.append(12 * step)
+    vals, ginv, det = _metric_block(F, block, n * n, slice(4, None, 5))  # centres regular
+    out = []
+    for at, denom in zip(range(0, len(block), 5), denoms):
+        # The stencil is elementwise, so one stencil differentiates det g and g.
+        lhs, dm = _stencil(*([det[j], [[x[j] for x in vals[i : i + n]] for i in range(0, n * n, n)]]
+                             for j in range(at, at + 4)), denom)
+        inverse = [x[at + 4] for row in ginv for x in row]
+        rhs = det[at + 4] * _dot(inverse, [x for col in zip(*dm) for x in col])
+        out.append(abs(lhs - rhs))
+    return out if pairs is point else out[0]
 
 
 # -- config parsing --------------------------------------------------------------------

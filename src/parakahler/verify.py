@@ -49,6 +49,7 @@ from .gradation import Gradation, crossed_sums, enumerate_crossings, grade_from_
 from .gradation import unsplit_root
 from .koszul import (
     TwoForm,
+    basis_degrees,
     einstein_structure,
     kernel_is_g0,
     koszul_coefficients,
@@ -77,13 +78,6 @@ def _certified(check):
         return check(L, *args, **kwargs)
 
     return guarded
-
-
-def _degrees(L: LieAlgebraData, g: Gradation) -> tuple[int, ...]:
-    """g's degree of each basis index of L, 0 on the Cartan."""
-    if g.rs != L.rs:
-        raise DomainError("algebra and gradation use different root systems")
-    return (0,) * L.rank + tuple(s * d for s in (1, -1) for d in g.root_degrees)
 
 
 ClosedForms = tuple[Weight, TwoForm]  # (psi, rho) of one gradation
@@ -254,7 +248,7 @@ def check_grading(L: LieAlgebraData, g: Gradation) -> dict:
     for root, deg, want in zip(L.rs.positive_roots, g.root_degrees, sums):
         if deg != want:
             return _first_failure([f"degree of {root} is not its crossed coefficient sum"])
-    for root, deg, act in zip(L.roots, _degrees(L, g)[L.rank:], L.cartan_action):
+    for root, deg, act in zip(L.roots, basis_degrees(L, g)[L.rank:], L.cartan_action):
         if sum(map(mul, d, act)) != deg * den:
             return _first_failure([f"grading element acts wrongly on {root}"])
     return _first_failure([])
@@ -298,7 +292,7 @@ def check_two_form(L: LieAlgebraData, g: Gradation, forms: ClosedForms | None = 
     invariance evaluate the algebra's compiled functionals on rho's values c.
     """
     (psi, rho), rk = forms or closed_forms(L, g), L.rank
-    deg, c = _degrees(L, g), rho.coeffs
+    deg, c = basis_degrees(L, g), rho.coeffs
     if not kernel_is_g0(rho, g):
         return _first_failure(["kernel of d(psi) is not g_0"])
 
@@ -348,7 +342,7 @@ def check_einstein(L: LieAlgebraData, g: Gradation, forms: ClosedForms | None = 
     The invariance check evaluates ``L.invariance_terms`` on g_alpha at both
     (alpha, -alpha) and (-alpha, alpha); ``signature`` refuses a zero g_alpha.
     """
-    (_, rho), deg = forms or closed_forms(L, g), _degrees(L, g)
+    (_, rho), deg = forms or closed_forms(L, g), basis_degrees(L, g)
     try:
         es = einstein_structure(g, L, 1, rho)
     except DomainError as err:

@@ -12,7 +12,7 @@ from parakahler.chevalley import LieAlgebraData
 from parakahler.errors import DomainError, SingularPointError
 from parakahler.gradation import Gradation, unsplit_root
 from parakahler.koszul import EinsteinStructure, TwoForm
-from parakahler.paracomplex import ChartPotential, _poly_eval
+from parakahler.paracomplex import ChartPotential, _poly_eval, _stencil
 from parakahler.rootsys import SimpleType, cartan_matrix
 
 
@@ -192,6 +192,31 @@ def poly_mixed_hessian_exact(F: ChartPotential, u, v) -> list[list[Q]]:
     flat = [sum(_poly_eval({(a, b): c / p**k}, u, v) for (a, b, k), c in gab.items())
             for gab in g[: n * n]]
     return [flat[a * n : (a + 1) * n] for a in range(n)]
+
+
+# -- finite differences ---------------------------------------------------------------
+
+
+def _fd1(fn, point, axis: int, h: float) -> float:
+    step = h * max(1.0, abs(point[axis]))
+
+    def shifted(offset: float) -> float:
+        q = list(point)
+        q[axis] += offset
+        return fn(tuple(q))
+
+    return _stencil(*(shifted(k * step) for k in (-2, -1, 1, 2)), 12 * step)
+
+
+def fd_partial(fn, point, axes, h: float) -> float:
+    """Nested 5-point stencils; axes sorted so mixed partials are symmetric."""
+    axes = sorted(axes)
+    if not axes:
+        return fn(tuple(point))
+    first, rest = axes[0], tuple(axes[1:])
+    if not rest:
+        return _fd1(fn, point, first, h)
+    return _fd1(lambda q: fd_partial(fn, q, rest, h), point, first, h)
 
 
 # -- the chart lab one point at a time ------------------------------------------------

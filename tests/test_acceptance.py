@@ -33,7 +33,6 @@ from parakahler.koszul import (
 from parakahler.paracomplex import (
     determinant_identity_residual,
     einstein_residual,
-    fd_partial,
     fit_lambda,
     flat_potential,
     grid_points,
@@ -49,7 +48,13 @@ from parakahler.verify import (
     check_structure_constants,
     sweep_types,
 )
-from reference import metric_rows, poly_mixed_hessian_exact, two_form_matrix, two_form_rows
+from reference import (
+    fd_partial,
+    metric_rows,
+    poly_mixed_hessian_exact,
+    two_form_matrix,
+    two_form_rows,
+)
 
 _ALGEBRAS = {}
 _ROOTSYS = {}

@@ -1,10 +1,11 @@
-"""Smoke test of ``tools/bench_layers.py`` on the rank-2 sweep and the 155 queries of one seed."""
+"""Smoke test of ``tools/bench_layers.py`` on the rank-2 sweep, the 155 queries and the chart
+reports of one seed."""
 
 import importlib.util
 import json
 from pathlib import Path
 
-from parakahler import chevalley, cli, gradation, koszul, rootsys, verify
+from parakahler import chevalley, cli, gradation, koszul, paracomplex, rootsys, verify
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_layers.py"
 
@@ -15,11 +16,13 @@ def test_bench_layers_writes_one_record_and_restores_the_package(tmp_path):
     spec.loader.exec_module(tool)
     before = {name: getattr(verify, name) for name in tool.VERIFY_LAYERS}
     killing_basis = chevalley.LieAlgebraData.killing_basis
-    modules = (chevalley, cli, gradation, koszul, rootsys, verify)
+    modules = (chevalley, cli, gradation, koszul, paracomplex, rootsys, verify)
     namespaces = [dict(vars(m)) for m in modules]
     classes = {cls: dict(vars(cls)) for cls in (rootsys.RootSystem, koszul.EinsteinStructure,
-                                                 chevalley.BasisIndex, cli.Report)}
+                                                 chevalley.BasisIndex, cli.Report,
+                                                 paracomplex.ChartPotential)}
     weights_func = rootsys.RootSystem.__dict__["weights"].func
+    derivatives_func = paracomplex.ChartPotential.__dict__["derivatives"].func
 
     path = tool.main(["--max-rank", "2", "--out", str(tmp_path), "--commit", "smoke"])
 
@@ -52,9 +55,24 @@ def test_bench_layers_writes_one_record_and_restores_the_package(tmp_path):
     assert {n: (v["grid"], v["points"]) for n, v in grids.items()} == {
         "1": (9, 81), "2": (4, 256), "4": (2, 256), "8": (None, 64)}
     assert all(v["per_point_ms"] > 0 for v in grids.values())
+    # One potential report per chart config of seed 1, each stage once; the flat
+    # config's lambda is given, so only the log models fit one.
+    report = record["chart_report"]
+    assert set(report) == {"seed", "log-n1-grid9", "log-n2-grid4", "flat-n2-grid4"}
+    assert report.pop("seed") == 1
+    for name, section in report.items():
+        assert section["exit"] == 0 and section["passes"] == tool.PASSES
+        assert section["calls"] == {
+            "paracomplex.parse_potential_config": 1, "paracomplex.grid_points": 1,
+            "ChartPotential.derivatives": 1, "paracomplex.einstein_residual": 1,
+            "paracomplex.determinant_identity_residual": 1, "Report.to_json": 1,
+            **({} if name.startswith("flat") else {"paracomplex.fit_lambda": 1})}
+        assert set(section["layers_self_s"]) == set(section["calls"])
+        assert section["wall_s"] > 0
     # The timers are gone again.
     assert {name: getattr(verify, name) for name in tool.VERIFY_LAYERS} == before
     assert chevalley.LieAlgebraData.killing_basis is killing_basis
     assert [dict(vars(m)) for m in modules] == namespaces
     assert {cls: dict(vars(cls)) for cls in classes} == classes
     assert rootsys.RootSystem.__dict__["weights"].func is weights_func
+    assert paracomplex.ChartPotential.__dict__["derivatives"].func is derivatives_func

@@ -413,12 +413,12 @@ def test_potential_bad_numbers_name_key_and_line(tmp_path, capsys, line, key):
 def test_potential_determinant_identity_spread_over_grid(tmp_path, capsys, monkeypatch):
     from parakahler import cli
 
-    seen = []
+    calls = []
     real = cli.determinant_identity_residual
 
-    def spy(potential, point, axis=0):
-        seen.append((point, axis))
-        return real(potential, point, axis=axis)
+    def spy(potential, pairs):
+        calls.append(list(pairs))
+        return real(potential, pairs)
 
     monkeypatch.setattr(cli, "determinant_identity_residual", spy)
     cfg = tmp_path / "log2.cfg"
@@ -426,6 +426,8 @@ def test_potential_determinant_identity_spread_over_grid(tmp_path, capsys, monke
     code, out, _ = run(capsys, "potential", str(cfg), "--json")
     assert code == 0
     assert json.loads(out)["payload"]["det_identity_points"] == 5
+    assert len(calls) == 1  # one block for all five (point, axis) pairs
+    (seen,) = calls
     points = [p for p, _ in seen]
     assert len(set(points)) == 5
     assert points[0] == (-0.3,) * 4 and points[-1] == (0.3,) * 4

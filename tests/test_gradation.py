@@ -83,6 +83,7 @@ def test_half_vector_readers_match_an_all_roots_walk():
             want = [sum(r.coeffs[i - 1] for i in crossing.crossed) for r in roots]
             where = (stype, crossing)
             assert [g.degree(r) for r in roots] == want, where
+            assert g.signed_degrees == tuple(want) and g.signed_degrees is g.signed_degrees, where
             assert [g.ksign(r) for r in roots] == [(d > 0) - (d < 0) for d in want], where
             assert g.depth == max(want), where
             m = g.nonzero_roots()

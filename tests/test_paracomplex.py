@@ -1,3 +1,4 @@
+import itertools
 import random
 import sys
 from fractions import Fraction as Q
@@ -22,7 +23,6 @@ from parakahler.paracomplex import (
     christoffel,
     determinant_identity_residual,
     einstein_residual,
-    fd_partial,
     fit_lambda,
     flat_potential,
     grid_points,
@@ -36,7 +36,7 @@ from parakahler.paracomplex import (
     ricci,
 )
 import reference
-from reference import gauss_jordan, poly_mixed_hessian_exact
+from reference import fd_partial, gauss_jordan, poly_mixed_hessian_exact
 
 rational = st.fractions(min_value=-4, max_value=4, max_denominator=8)
 pc_rational = st.builds(ParaComplex, rational, rational)
@@ -366,6 +366,37 @@ def test_admissibility_margin():
     assert admissible(flat, (5.0, -5.0))
 
 
+def _admissible_grid(F, extent, count, margin=0.1):
+    axis = [-extent + 2 * extent * k / (count - 1) for k in range(count)] if count > 1 else [0.0]
+    return [c for c in itertools.product(axis, repeat=2 * F.n) if admissible(F, c, margin)]
+
+
+@pytest.mark.parametrize("n,count", [(1, 21), (2, 7), (3, 4), (4, 3)])
+def test_grid_points_keep_the_admissible_points(n, count):
+    for scale in (1, -1):
+        F = log_model_potential(n, scale)
+        for extent, margin in ((0.3, 0.1), (1.2, 0.1), (1.2, -0.5)):
+            assert grid_points(F, extent, count, margin) == _admissible_grid(F, extent, count, margin)
+        assert 0 < len(grid_points(F, 1.2, count)) < count ** (2 * n)  # some points are dropped
+    assert grid_points(F, 0.3, 1) == [(0.0,) * (2 * n)]
+
+
+def test_grid_points_of_a_scaled_log_model_with_a_polynomial():
+    # P with a Fraction coefficient, Q a polynomial: only P decides admissibility.
+    p = {**log_model_potential(2).p, ((2, 0), (2, 0)): Q(1, 3)}
+    F = ChartPotential(2, Q(3, 2), p, {((1, 1), (0, 1)): Q(2, 7), ((0, 1), (1, 1)): Q(2, 7)})
+    for extent in (0.3, 1.1):
+        assert grid_points(F, extent, 7) == _admissible_grid(F, extent, 7)
+
+
+def test_grid_points_keep_a_point_where_p_equals_the_margin():
+    logm = log_model_potential(1)  # P(0.5, -0.5) = 0.75 exactly
+    assert (0.5, -0.5) in grid_points(logm, 0.5, 3, 0.75)
+    assert (0.5, -0.5) not in grid_points(logm, 0.5, 3, 0.7500001)
+    for margin in (0.75, 0.7500001):
+        assert grid_points(logm, 0.5, 3, margin) == _admissible_grid(logm, 0.5, 3, margin)
+
+
 def test_singular_log_point_raises():
     logm = log_model_potential(1)
     with pytest.raises(SingularPointError):
@@ -659,20 +690,38 @@ def test_determinant_identity_shares_its_stencil_points(monkeypatch):
         (log_model_potential(2), (0.1, -0.2, 0.25, 0.05)),
         (polynomial_potential(2, curved), (0.3, -0.2, 0.15, 0.4)),
     ]
-    calls = []
+    blocks = []
     columns = DerivativeTable.columns
 
     def spy(self, points, rows=None):
-        calls.extend(points)
+        blocks.append(len(points))
         return columns(self, points, rows)
 
     monkeypatch.setattr(DerivativeTable, "columns", spy)
     for F, point in cases:
-        for axis in range(len(point)):
-            calls.clear()
-            got = determinant_identity_residual(F, point, axis)
-            assert len(calls) == 5  # four stencil points and the centre, each a block of one
-            assert got == _two_stencil_residual(F, point, axis)
+        pairs = [(point, axis) for axis in range(len(point))]
+        want = [_two_stencil_residual(F, point, axis) for axis in range(len(point))]
+        for (point, axis), residual in zip(pairs, want):
+            blocks.clear()
+            assert determinant_identity_residual(F, point, axis) == residual
+            assert blocks == [5]  # four stencil points and the centre, in one block
+        blocks.clear()
+        assert determinant_identity_residual(F, pairs) == want
+        assert blocks == [5 * len(pairs)]  # every pair's five points, in one block
+
+
+def test_determinant_identity_block_raises_its_first_error():
+    # g = 1/P^2 - 1 with P = 1 + u v: log argument <= 0 where u v <= -1, singular where u v = 0.
+    G = ChartPotential(1, Q(1), {((0,), (0,)): 1, ((1,), (1,)): 1}, {((1,), (1,)): Q(-1)})
+    beyond = ((1.0, -0.995), 0)  # the stencil point u = 1.01 has P < 0; the centre is regular
+    singular = ((0.0, 0.3), 1)  # the centre has g = 0
+    regular = ((0.01, 0.3), 0)  # the stencil point u = 0 has det g = 0, which is allowed
+    log_error = _first_error(determinant_identity_residual, G, *beyond)
+    assert log_error[0] is SingularPointError and log_error[1].startswith("log argument -0.00")
+    assert _first_error(determinant_identity_residual, G, [regular, beyond, singular]) == log_error
+    assert _first_error(determinant_identity_residual, G, [regular, singular, beyond]) == (
+        SingularPointError, "metric is singular at (0.0, 0.3)")
+    assert determinant_identity_residual(G, [regular]) == [_two_stencil_residual(G, *regular)]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

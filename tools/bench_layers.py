@@ -12,7 +12,9 @@ reports the median wall time and the median self time per layer; the call
 counts are those of the first pass (every pass makes the same calls).  Last
 it times the log model per point for each chart dimension n, twice:
 ``metric_from_potential`` one point at a time (``chart_log_model``) and
-``einstein_residual`` over a whole grid (``chart_grid``).  Nothing in the
+``einstein_residual`` over a whole grid (``chart_grid``), and the stages of a
+``potential --json`` report on each config of one seed of perfbench's ``chart``
+workload (``chart_report``, ``PASSES`` passes, median self times).  Nothing in the
 package is changed: the timers are installed from outside and removed after
 each pass.
 
@@ -39,6 +41,7 @@ import random
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from collections import Counter, defaultdict
 from functools import cached_property
@@ -83,12 +86,13 @@ class LayerTimer:
         return timed
 
 
-def timed_passes(install, run) -> tuple[object, dict]:
+def timed_passes(install, run, digits: int = 4) -> tuple[object, dict]:
     """``PASSES`` runs of ``run()``, each under fresh timers that ``install(timer)`` puts in.
 
     ``install`` returns (owner, attribute, original) triples, restored after
     each pass.  Returns the first pass's result and the section's record:
-    median wall and self times, the first pass's call counts.
+    median wall and self times in seconds, rounded to ``digits``, and the first
+    pass's call counts.
     """
     results, walls, timers = [], [], []
     for _ in range(PASSES):
@@ -106,8 +110,8 @@ def timed_passes(install, run) -> tuple[object, dict]:
     layers = sorted(self_s.items(), key=lambda item: -item[1])
     return results[0], {
         "passes": PASSES,
-        "wall_s": round(statistics.median(walls), 4),
-        "layers_self_s": {name: round(s, 4) for name, s in layers},
+        "wall_s": round(statistics.median(walls), digits),
+        "layers_self_s": {name: round(s, digits) for name, s in layers},
         "calls": dict(sorted(timers[0].calls.items())),
     }
 
@@ -163,10 +167,11 @@ def query_set(seed: int) -> list[list[str]]:
     return queries
 
 
-def _install_query_layers(timer: LayerTimer) -> list[tuple[object, str, object]]:
-    """Wrap ``QUERY_LAYERS``; returns (owner, attribute, original) to restore."""
+def _install_layers(layers, timer: LayerTimer) -> list[tuple[object, str, object]]:
+    """Wrap ``layers`` ((module, attribute) pairs); returns (owner, attribute, original)
+    to restore."""
     undo = []
-    for module, attr in QUERY_LAYERS:
+    for module, attr in layers:
         owner = importlib.import_module(f"parakahler.{module}")
         label = f"{module}.{attr}" if "." not in attr else attr
         if "." in attr:
@@ -203,7 +208,7 @@ def query_layers(seed: int) -> dict:
         with contextlib.redirect_stdout(io.StringIO()):
             return sum(cli.main(argv) != 0 for argv in queries)
 
-    failed, record = timed_passes(_install_query_layers, run)
+    failed, record = timed_passes(functools.partial(_install_layers, QUERY_LAYERS), run)
     return {"seed": seed, "reports": len(queries), "failed": failed, **record}
 
 
@@ -276,6 +281,56 @@ def chart_grid(repeats: int = 5) -> dict:
     return out
 
 
+# The stages of ``cli.cmd_potential``, with the derivative table's build apart
+# (it happens in the first stage that evaluates the table), and the configs of
+# perfbench's ``chart`` workload: (name, n, grid, kind).
+CHART_LAYERS = (
+    ("paracomplex", "parse_potential_config"), ("paracomplex", "grid_points"),
+    ("paracomplex", "ChartPotential.derivatives"), ("paracomplex", "fit_lambda"),
+    ("paracomplex", "einstein_residual"), ("paracomplex", "determinant_identity_residual"),
+    ("cli", "Report.to_json"),
+)
+CHART_CONFIGS = (("log-n1-grid9", 1, 9, "log"), ("log-n2-grid4", 2, 4, "log"),
+                 ("flat-n2-grid4", 2, 4, "flat"))
+CHART_SEED = 1
+
+
+def chart_config_texts(seed: int) -> dict[str, str]:
+    """The config text of each of perfbench's ``chart`` configs of one seed."""
+    rng = random.Random(seed)
+    texts = {}
+    for name, n, grid, kind in CHART_CONFIGS:
+        scale = rng.choice((1, -1))
+        extent = round(0.3 - 0.03 * rng.random(), 6)
+        if kind == "log":
+            text = f"n = {n}\nkind = builtin\nbuiltin = log1p_zzbar\nscale = {scale}\n"
+        else:
+            monomials = "".join(f"monomial = 1 * z{k} * zbar{k}\n" for k in range(1, n + 1))
+            text = f"n = {n}\nkind = polynomial\n{monomials}lambda = 0\n"
+        texts[name] = text + f"grid = {grid}\nextent = {extent}\n"
+    return texts
+
+
+def chart_report(seed: int) -> dict:
+    """Median self times of ``CHART_LAYERS`` in one ``potential --json`` report per
+    config of ``chart_config_texts(seed)``, each config on its own."""
+    from parakahler import cli
+
+    out = {"seed": seed}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in chart_config_texts(seed).items():
+            path = Path(tmp) / f"{name}.cfg"
+            path.write_text(text)
+
+            def run(path=path) -> int:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    return cli.main(["potential", str(path), "--json"])
+
+            code, record = timed_passes(functools.partial(_install_layers, CHART_LAYERS), run, 6)
+            out[name] = {"exit": code, **record}
+    return out
+
+
 def _commit(src: Path) -> str:
     try:
         proc = subprocess.run(["git", "-C", str(src), "describe", "--always", "--dirty"],
@@ -310,6 +365,7 @@ def main(argv=None) -> Path:
         "queries": query_layers(QUERY_SEED),
         "chart_log_model": chart_per_point(),
         "chart_grid": chart_grid(),
+        "chart_report": chart_report(CHART_SEED),
     }
     args.out.mkdir(parents=True, exist_ok=True)
     path = args.out / f"BENCH_{commit}.json"
