@@ -29,12 +29,12 @@ pinned: N(r, s) fixes by those relations the 11 other ordered pairs of
 {r, s, -(r+s)} and its negative; root sums are found by ``RootSystem.keys``, and
 a length ratio is an int division that raises on a remainder.  They are
 stored once, in the sparse int bracket rows of the nonzero [e_i, e_j] that
-``chevalley_constants`` builds in the same pass; ``grading_failure``
-certifies that each bracket lands in the sum of its arguments' weights,
-compared as those int keys.  The
-Killing Gram is held the same way, as rows {v: B(e_u, e_v)} of its nonzero
-entries, and an ``AlgebraElement`` is one such row {basis index:
-coefficient}, so brackets and Killing values visit stored entries only.
+``chevalley_constants`` builds in the same pass (equal single terms {t: c} are
+one shared dict: replace, never mutate); ``grading_failure`` certifies that each
+bracket lands in the sum of its arguments' weights, compared as those int keys.
+The Killing Gram is held the same way, as rows {v: B(e_u, e_v)} of its nonzero
+entries, and an ``AlgebraElement`` is one such row {basis index: coefficient},
+so brackets and Killing values visit stored entries only.
 """
 
 from __future__ import annotations
@@ -76,9 +76,9 @@ class LieAlgebraData:
     """The bracket rows of one algebra, with cached int weight keys and Killing data.
 
     ``brackets[i][j]`` is [e_i, e_j] as sparse int coordinates {t: c}, stored
-    only when nonzero; it is the one store of the structure constants, so
-    N(a, b) is the single coefficient of the row entry (X_a, X_b).
-    Immutable by convention after construction; every cache is derived data.
+    only when nonzero: the one store of the constants, N(a, b) being the single
+    coefficient of (X_a, X_b).  Equal single terms share one dict, so replace an
+    entry, never mutate it; immutable by convention, every cache derived data.
     """
 
     def __init__(self, rs: RootSystem, brackets: list[dict[int, dict[int, int]]]):
@@ -337,16 +337,21 @@ def chevalley_constants(rs: RootSystem) -> LieAlgebraData:
                 t += N[neg[r]][a] * N[ar][b]
             pin(r, s, exact_div(sq[gamma] * t, sq[s] * (p + 1)))
 
-    # The bracket rows, root by root: the coroot rule, the Cartan rule
-    # (antisymmetric) and [X_a, X_b] = N(a, b) X_{a+b}.
+    # The bracket rows, root by root: the coroot rule, the Cartan rule (antisymmetric)
+    # and [X_a, X_b] = N(a, b) X_{a+b}; equal single terms {t: c} share one dict.
+    terms: dict[tuple[int, int], dict[int, int]] = {}
+
+    def term(t: int, c: int) -> dict[int, int]:
+        return terms.get((t, c)) or terms.setdefault((t, c), {t: c})
+
     for i in range(len(roots)):
         x, p, sign = rk + i, i % npos, 1 if i < npos else -1  # roots[i] = sign * the p-th
         rows[x][rk + neg[i]] = {t: sign * c for t, c in enumerate(rs.positive_coroots[p]) if c}
         for h, c in enumerate(rs.pairings[p]):  # a(H_h) = <a, alpha_h^v>
             if c:
-                rows[h][x], rows[x][h] = {x: sign * c}, {x: -sign * c}
+                rows[h][x], rows[x][h] = term(x, sign * c), term(x, -sign * c)
         for j in sorted(N[i]):
-            rows[x][rk + j] = {rk + at[keys[i] + keys[j]]: N[i][j]}
+            rows[x][rk + j] = term(rk + at[keys[i] + keys[j]], N[i][j])
     return L
 
 

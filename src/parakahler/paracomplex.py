@@ -181,11 +181,6 @@ def polynomial_potential(n: int, monomials) -> ChartPotential:
 # -- points ----------------------------------------------------------------------
 
 
-def admissible(F: ChartPotential, point, margin: float = 0.1) -> bool:
-    """Is the point clear of the log singularity: P >= margin (any point if c = 0)?"""
-    return not F.c or _poly_eval(F.p, point[: F.n], point[F.n :]) >= margin
-
-
 def grid_points(F: ChartPotential, extent: float, count: int,
                 margin: float = 0.1) -> list[tuple[float, ...]]:
     """Admissible points of a regular grid with |coordinate| <= extent, of at most

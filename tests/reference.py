@@ -194,6 +194,14 @@ def poly_mixed_hessian_exact(F: ChartPotential, u, v) -> list[list[Q]]:
     return [flat[a * n : (a + 1) * n] for a in range(n)]
 
 
+def admissible(F: ChartPotential, point, margin: float = 0.1) -> bool:
+    """Is the point clear of the log singularity: P >= margin (any point if c = 0)?
+
+    The per-point predicate that ``grid_points`` applies a column at a time.
+    """
+    return not F.c or _poly_eval(F.p, point[: F.n], point[F.n :]) >= margin
+
+
 # -- finite differences ---------------------------------------------------------------
 
 

@@ -1,5 +1,5 @@
-"""Smoke test of ``tools/bench_layers.py`` on the rank-2 sweep, the 155 queries and the chart
-reports of one seed."""
+"""Smoke test of ``tools/bench_layers.py`` on the rank-2 sweep, the 155 queries, the
+exceptional bracket tables and the chart reports of one seed."""
 
 import importlib.util
 import json
@@ -48,6 +48,15 @@ def test_bench_layers_writes_one_record_and_restores_the_package(tmp_path):
     assert calls["koszul.einstein_structure"] == calls["EinsteinStructure.signature"] == 31
     assert calls["rootsys.format_coeffs"] > 0 and "BasisIndex.label" in calls
     assert set(queries["layers_self_s"]) == set(calls)
+    # One chevalley_constants build per type; E8's 15,504 entries sit in 752 dicts.
+    tables = record["algebra_tables"]
+    assert list(tables) == ["F4", "E6", "E7", "E8"]
+    for section in tables.values():
+        assert set(section) == {"build_s", "traced_bytes", "traced_peak_bytes",
+                                "entries", "distinct_dicts"}
+        assert section["build_s"] > 0
+        assert 0 < section["traced_bytes"] <= section["traced_peak_bytes"]
+    assert (tables["E8"]["entries"], tables["E8"]["distinct_dicts"]) == (15504, 752)
     assert set(record["chart_log_model"]) == {"1", "2", "4", "8"}
     assert all(v["per_point_ms"] > 0 for v in record["chart_log_model"].values())
     # Whole point sets through einstein_residual: grids at n = 1, 2, 4, 64 fixed points at n = 8.

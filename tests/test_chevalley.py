@@ -313,6 +313,64 @@ def test_stored_constants_obey_the_triple_relations(name, algebra):
             assert Q(constant(L, b, c), sq(a)) == ratio == Q(constant(L, c, a), sq(b)), (a, b)
 
 
+def _entries_off_the_coroot_rule(L):
+    """The stored (i, j, [e_i, e_j]) other than the coroot entries [X_a, X_-a]."""
+    keys = L.keys
+    return [
+        (i, j, out)
+        for i, row in enumerate(L.brackets)
+        for j, out in row.items()
+        if i < L.rank or j < L.rank or keys[i] + keys[j]
+    ]
+
+
+SHARED_TERMS = {"E6": 168, "E7": 280, "E8": 512}
+
+
+@pytest.mark.parametrize(
+    "name", [n for n in sorted(NCONST_SHA256) if int(n[1:]) <= 4] + sorted(SHARED_TERMS)
+)
+def test_equal_single_terms_share_one_dict(name, algebra):
+    # Off the coroot rule every entry is one term {t: c}; two entries are the
+    # same dict exactly when they are equal.  The 2|R+| coroot entries are
+    # each their own dict.
+    rs, L = algebra(name)
+    entries = _entries_off_the_coroot_rule(L)
+    assert all(len(out) == 1 for _, _, out in entries)
+    by_value = {}
+    for _, _, out in entries:
+        assert by_value.setdefault(tuple(out.items()), out) is out
+    assert len({id(out) for _, _, out in entries}) == len(by_value)
+    if name in SHARED_TERMS:
+        assert len(by_value) == SHARED_TERMS[name]
+    every = {id(out) for row in L.brackets for out in row.values()}
+    assert len(every) == len(by_value) + 2 * len(rs.positive_roots)
+
+
+@pytest.mark.parametrize("name", ["G2", "E6"])
+def test_replacing_a_shared_entry_leaves_the_others(name):
+    # The tamper tests replace an entry and never mutate its dict; replacing
+    # the most shared term changes that entry alone.
+    from parakahler.chevalley import chevalley_constants
+    from parakahler.rootsys import SimpleType, build_root_system
+
+    rs = build_root_system(SimpleType.parse(name))
+    L, fresh = chevalley_constants(rs), chevalley_constants(rs)
+    entries = _entries_off_the_coroot_rule(L)
+    uses = {}
+    for _, _, out in entries:
+        uses[id(out)] = uses.get(id(out), 0) + 1
+    i, j, _ = max(entries, key=lambda e: uses[id(e[2])])
+    assert uses[id(L.brackets[i][j])] > 1
+    L.brackets[i][j] = {t: -c for t, c in L.brackets[i][j].items()}
+    assert L.brackets[i][j] == {t: -c for t, c in fresh.brackets[i][j].items()}
+    assert [sorted(row) for row in L.brackets] == [sorted(row) for row in fresh.brackets]
+    for p, row in enumerate(fresh.brackets):
+        for q, out in row.items():
+            if (p, q) != (i, j):
+                assert L.brackets[p][q] == out, (p, q)
+
+
 small_rationals = st.fractions(
     min_value=-3, max_value=3, max_denominator=4
 )

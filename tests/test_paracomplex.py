@@ -19,7 +19,6 @@ from parakahler.paracomplex import (
     _gauss_jordan,
     _logdet_hessian,
     _metric_block,
-    admissible,
     christoffel,
     determinant_identity_residual,
     einstein_residual,
@@ -36,7 +35,7 @@ from parakahler.paracomplex import (
     ricci,
 )
 import reference
-from reference import fd_partial, gauss_jordan, poly_mixed_hessian_exact
+from reference import admissible, fd_partial, gauss_jordan, poly_mixed_hessian_exact
 
 rational = st.fractions(min_value=-4, max_value=4, max_denominator=8)
 pc_rational = st.builds(ParaComplex, rational, rational)

@@ -1,4 +1,4 @@
-"""Per-layer timings of the exact oracle sweep, cold reports and the chart lab, as one JSON file.
+"""Per-layer timings of the exact oracle sweep, cold reports, bracket tables and the chart lab, as one JSON file.
 
 Runs ``verify.run_sweep(max_rank)`` with a timer around every check and
 closed form it calls through ``verify``'s namespace, and around every
@@ -9,14 +9,18 @@ workload (five commands over the 31 types of rank <= 8, ``--json``) through
 ``cli.main`` with timers around the layers of a cold report
 (``QUERY_LAYERS``).  Each of the two sections runs ``PASSES`` times and
 reports the median wall time and the median self time per layer; the call
-counts are those of the first pass (every pass makes the same calls).  Last
-it times the log model per point for each chart dimension n, twice:
-``metric_from_potential`` one point at a time (``chart_log_model``) and
-``einstein_residual`` over a whole grid (``chart_grid``), and the stages of a
-``potential --json`` report on each config of one seed of perfbench's ``chart``
-workload (``chart_report``, ``PASSES`` passes, median self times).  Nothing in the
-package is changed: the timers are installed from outside and removed after
-each pass.
+counts are those of the first pass (every pass makes the same calls).  For
+F4, E6, E7 and E8 (``algebra_tables``) it records what one
+``chevalley_constants`` build holds: its median wall time over ``PASSES``
+builds, then the bytes of one build under ``tracemalloc`` (what the result
+keeps and the peak during the call), its stored bracket entries and the
+distinct dicts that hold them.  Last it times the log model per point for
+each chart dimension n, twice: ``metric_from_potential`` one point at a time
+(``chart_log_model``) and ``einstein_residual`` over a whole grid
+(``chart_grid``), and the stages of a ``potential --json`` report on each
+config of one seed of perfbench's ``chart`` workload (``chart_report``,
+``PASSES`` passes, median self times).  Nothing in the package is changed: the
+timers are installed from outside and removed after each pass.
 
 The output is ``BENCH_<commit>.json`` in ``--out``, with the ``src/`` line
 count, the Python version and the processor count beside the timings::
@@ -226,6 +230,39 @@ def sweep_layers(max_rank: int) -> dict:
     }
 
 
+TABLE_TYPES = ("F4", "E6", "E7", "E8")
+
+
+def algebra_tables() -> dict:
+    """Per type of ``TABLE_TYPES``: the median wall time of ``PASSES`` untraced
+    ``chevalley_constants`` builds, then one build under ``tracemalloc`` with its
+    stored bracket entries and the distinct dicts that hold them."""
+    import tracemalloc
+
+    from parakahler.chevalley import chevalley_constants
+    from parakahler.rootsys import SimpleType, build_root_system
+
+    out = {}
+    for name in TABLE_TYPES:
+        rs = build_root_system(SimpleType.parse(name))
+        walls = []
+        for _ in range(PASSES):  # the first build also fills the root system's caches
+            start = time.perf_counter()
+            chevalley_constants(rs)
+            walls.append(time.perf_counter() - start)
+        tracemalloc.start()
+        try:
+            L = chevalley_constants(rs)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        entries = [e for row in L.brackets for e in row.values()]
+        out[name] = {"build_s": round(statistics.median(walls), 4),
+                     "traced_bytes": current, "traced_peak_bytes": peak,
+                     "entries": len(entries), "distinct_dicts": len({id(e) for e in entries})}
+    return out
+
+
 CHART_DIMS = (1, 2, 4, 8)
 # (n, grid) of the ``chart_grid`` section: the log model's admissible points at
 # extent 0.3 (81, 256 and 256 points); n = 8 takes 64 fixed points instead,
@@ -363,6 +400,7 @@ def main(argv=None) -> Path:
         "src_lines": sum(len(p.read_text().splitlines()) for p in sorted(package.glob("*.py"))),
         "sweep": sweep_layers(args.max_rank),
         "queries": query_layers(QUERY_SEED),
+        "algebra_tables": algebra_tables(),
         "chart_log_model": chart_per_point(),
         "chart_grid": chart_grid(),
         "chart_report": chart_report(CHART_SEED),
