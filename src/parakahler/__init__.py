@@ -3,7 +3,7 @@
 Exact Lie-theoretic pipeline: root systems -> Chevalley constants ->
 fundamental gradations -> Koszul form and its symplectic differential ->
 the invariant Einstein metric, everything cross-checked by brute-force
-oracles; plus a split-complex numeric lab for chart-level curvature.
+oracles; plus a numeric chart lab for the Einstein residual of a potential.
 """
 
 from .chevalley import (
@@ -16,7 +16,7 @@ from .chevalley import (
     killing_form,
     root_vector,
 )
-from .errors import ConfigError, DomainError, NullConeError, SingularPointError
+from .errors import ConfigError, DomainError, SingularPointError
 from .gradation import (
     CrossingSet,
     Gradation,
@@ -44,13 +44,10 @@ from .koszul import (
 from .paracomplex import (
     ChartPotential,
     MetricSample,
-    ParaComplex,
-    christoffel,
     einstein_residual,
     flat_potential,
     log_model_potential,
     metric_from_potential,
-    ricci,
 )
 from .rootsys import (
     Root,

@@ -328,7 +328,7 @@ def cmd_potential(args) -> Report:
     else:
         lam = fit_lambda(potential, center)
         lam_source = "fitted"
-    residual, argmax = einstein_residual(potential, lam, pts, locate=True)
+    residual, argmax = einstein_residual(potential, lam, pts)
     # Five points spread over the grid, first and last included; the
     # derivative cycles through all 2n coordinates u_1..u_n, v_1..v_n.
     det_points = [pts[i] for i in sorted({k * (len(pts) - 1) // 4 for k in range(5)})]

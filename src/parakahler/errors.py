@@ -5,10 +5,6 @@ class DomainError(ValueError):
     """A request that is syntactically fine but mathematically invalid."""
 
 
-class NullConeError(DomainError, ZeroDivisionError):
-    """Inversion of a split-complex number with x^2 = y^2."""
-
-
 class SingularPointError(DomainError):
     """A chart point where the potential or its metric degenerates."""
 

@@ -1,18 +1,12 @@
-"""Split-complex arithmetic and a chart-level numeric curvature lab.
+"""A chart-level numeric curvature lab: potential -> metric -> log-det Hessian -> residual.
 
-Numbers: z = x + e y with e^2 = 1.  The idempotents (1+e)/2 and (1-e)/2
-diagonalize the algebra, so every z carries split coordinates
-(plus, minus) = (x+y, x-y), and multiplication acts componentwise.  The null
-cone plus*minus = 0 is where inversion fails.
-
-Charts: a potential F on C^n is evaluated in adapted real coordinates,
-stored as one flat vector (z_plus^1..z_plus^n, z_minus^1..z_minus^n) called
-``(u, v)`` below.  Because F is real-valued, its split-plus value f(u, v)
+A potential F on C^n is evaluated in adapted real coordinates, stored as one
+flat vector (z_plus^1..z_plus^n, z_minus^1..z_minus^n) called ``(u, v)``
+below.  Because F is real-valued, its split-plus value f(u, v)
 determines everything; the minus component is the mirror f(v, u).  In this
 frame:
 
     metric block      M[a][b]   = d^2 f / du^a dv^b
-    Christoffel       G[a][b][c] = sum_m (M^-1)[m][a] d^3 f / du^b du^c dv^m
     Ricci block       ric[a][b] = - d^2 log|det M| / du^a dv^b
 
 The Ricci sign is the one that makes F = log(1 + z zbar) Einstein with a
@@ -25,8 +19,9 @@ c = 0, P = 1).  ``DerivativeTable`` differentiates f exactly, once, into sparse
 at once (one point is a block of one), one column, a list over the points, per
 value.  Each point is pivoted on its own and gets the floats it would get alone,
 in a fixed order that may differ from BLAS/LAPACK in the last bits.  ``split_value``
-and ``mixed_partial_pc`` stay off that path as independent oracles, and so do the
-nested finite differences of the tests (``tests/reference.py``).
+stays off that path as an independent oracle; the split-complex arithmetic, the
+Christoffel block and the nested finite differences of the tests are the others
+(``tests/reference.py``).
 """
 
 from __future__ import annotations
@@ -40,69 +35,7 @@ from fractions import Fraction as Q
 from operator import add, itemgetter, mul, neg, sub, truediv
 
 from .config import Fields, finite_float, float_rational, integer
-from .errors import ConfigError, DomainError, NullConeError, SingularPointError
-
-
-@dataclass(frozen=True)
-class ParaComplex:
-    """A split-complex number x + e y, e^2 = 1."""
-
-    x: float
-    y: float
-
-    def __add__(self, other: "ParaComplex") -> "ParaComplex":
-        return ParaComplex(self.x + other.x, self.y + other.y)
-
-    def __sub__(self, other: "ParaComplex") -> "ParaComplex":
-        return ParaComplex(self.x - other.x, self.y - other.y)
-
-    def __neg__(self) -> "ParaComplex":
-        return ParaComplex(-self.x, -self.y)
-
-    def __mul__(self, other: "ParaComplex") -> "ParaComplex":
-        return ParaComplex(
-            self.x * other.x + self.y * other.y,
-            self.x * other.y + self.y * other.x,
-        )
-
-    def conj(self) -> "ParaComplex":
-        return ParaComplex(self.x, -self.y)
-
-    def modulus_sq(self):
-        """z * conj(z) = x^2 - y^2 (negative inside the cone)."""
-        return self.x * self.x - self.y * self.y
-
-    def inverse(self) -> "ParaComplex":
-        m = self.modulus_sq()
-        if m == 0:
-            raise NullConeError(f"{self} lies on the null cone x^2 = y^2")
-        return ParaComplex(self.x / m, -self.y / m)
-
-    def __truediv__(self, other: "ParaComplex") -> "ParaComplex":
-        return self * other.inverse()
-
-    @property
-    def plus(self):
-        return self.x + self.y
-
-    @property
-    def minus(self):
-        return self.x - self.y
-
-    @staticmethod
-    def from_split(plus, minus) -> "ParaComplex":
-        half = Q(1, 2) if isinstance(plus, (int, Q)) and isinstance(minus, (int, Q)) else 0.5
-        return ParaComplex((plus + minus) * half, (plus - minus) * half)
-
-    def __repr__(self) -> str:
-        return f"({self.x} + {self.y}e)"
-
-
-E = ParaComplex(0, 1)
-
-
-def pc(x, y=0) -> ParaComplex:
-    return ParaComplex(x, y)
+from .errors import ConfigError, DomainError, SingularPointError
 
 
 # -- potentials -----------------------------------------------------------------
@@ -142,7 +75,7 @@ class ChartPotential:
             object.__setattr__(self, name, {k: c for k, c in table.items() if c})
 
     # The split-plus coordinate function f(u, v); the full potential value at
-    # an adapted point is ParaComplex.from_split(f(u, v), f(v, u)).
+    # an adapted point has split coordinates (f(u, v), f(v, u)).
     def split_value(self, u, v):
         value = _poly_eval(self.q, u, v)
         if self.c:  # no float log term in an exact polynomial value
@@ -334,48 +267,12 @@ class DerivativeTable:
                 for row in self._distinct[: max(at) + 1]]
         return list(map(vals.__getitem__, at)), None
 
-    def values(self, point, rows: int | None = None) -> list[float]:
-        """Rows ``[:rows]`` of ``exact`` at one float point, as a block of one, in
-        one flat list: g at 0, d_u g at n^2, d_v g at n^2 + n^3, d_u d_v g at n^2 + 2 n^3."""
-        vals, error = self.columns([point], rows)
-        if error is not None:
-            raise error
-        return [x for (x,) in vals]
-
 
 def _times(x, y) -> list:
     return list(map(mul, x, y))
 
 
 _lazy_times, _lazy_add = functools.partial(map, mul), functools.partial(map, add)
-
-
-def mixed_partial_pc(F: ChartPotential, a_idx: int, b_idx: int, z) -> ParaComplex:
-    """d_a d_bbar F at para-complex chart values z, via split-complex algebra.
-
-    Evaluates the differentiated z / zbar monomials of P and Q with ParaComplex
-    arithmetic and d_a d_bbar (c log P) = c (P P_abbar - P_a P_bbar) / P^2: a
-    route to the metric that shares only ``_poly_diff`` with the table.
-    """
-    zs = [*z, *(w.conj() for w in z)]
-
-    def evaluate(table: PolyTable, *sides: str) -> ParaComplex:
-        for side in sides:  # "u" differentiates along z^a_idx, "v" along zbar^b_idx
-            table = _poly_diff(table, a_idx if side == "u" else b_idx, side)
-        total = ParaComplex(0, 0)
-        for (a, b), coeff in table.items():
-            term = ParaComplex(coeff, coeff * 0)
-            for w, e in zip(zs, a + b):
-                for _ in range(e):
-                    term = term * w
-            total = total + term
-        return total
-
-    value = evaluate(F.q, "u", "v")
-    if F.c:
-        p, pa, pb, pab = (evaluate(F.p, *sides) for sides in ("", "u", "v", "uv"))
-        value = value + ParaComplex(F.c, F.c * 0) * (p * pab - pa * pb) / (p * p)
-    return value
 
 
 # -- finite differences -------------------------------------------------------------
@@ -388,7 +285,7 @@ def _stencil(m2, m1, p1, p2, denom: float):
     return (m2 - 8 * m1 + 8 * p1 - p2) / denom
 
 
-# -- metric, Christoffel, Ricci -------------------------------------------------------
+# -- metric and Ricci --------------------------------------------------------------
 
 FD_STEP_OUTER = 1e-2
 
@@ -410,8 +307,10 @@ class MetricSample:
 
 def metric_matrix(F: ChartPotential, point) -> list[list[float]]:
     """The n x n adapted metric block at a point, as a list of rows of floats."""
-    vals = F.derivatives.values(point, F.n**2)
-    return [vals[i : i + F.n] for i in range(0, F.n**2, F.n)]
+    vals, error = F.derivatives.columns([point], F.n**2)
+    if error is not None:
+        raise error
+    return _rows(vals, F.n)
 
 
 def _gauss_jordan(m) -> tuple[list, list[float]]:
@@ -490,25 +389,12 @@ def metric_from_potential(F: ChartPotential, point) -> MetricSample:
     return MetricSample(point, _rows(vals[: n * n], n), _rows(_logdet_hessian(vals, ginv, n), n))
 
 
-def christoffel(F: ChartPotential, point) -> list[list[list[float]]]:
-    """Christoffel block G[a][b][c], symmetric in (b, c); mixed components vanish."""
-    point, n = tuple(map(float, point)), F.n
-    vals, ginv, _ = _metric_block(F, [point], n * n + n**3)
-    third, columns = _rows(vals[n * n :], n), list(zip(*([x for (x,) in r] for r in ginv)))
-    return [[[_dot(col, third[b * n + c]) for c in range(n)] for b in range(n)] for col in columns]
-
-
-def ricci(F: ChartPotential, point) -> list[list[float]]:
-    """Ricci block ric[a][b] = -d^2 log|det g| / du^a dv^b."""
-    return [[-x for x in row] for row in metric_from_potential(F, point).logdet_hessian]
-
-
 BLOCK = 64  # grid points that einstein_residual evaluates together
 
 
-def einstein_residual(F: ChartPotential, lam: float, points, locate: bool = False):
-    """Max-norm of ric - lambda * g over admissible points, in blocks of ``BLOCK``; with
-    ``locate``, ``(residual, point)`` at the first point attaining it, (0.0, None) for none."""
+def einstein_residual(F: ChartPotential, lam: float, points):
+    """(max-norm of ric - lambda * g over admissible points, the first point attaining it),
+    in blocks of ``BLOCK``; (0.0, None) for no points."""
     points, defects = iter(points), []
     while block := [tuple(map(float, p)) for p in itertools.islice(points, BLOCK)]:
         vals, ginv, _ = _metric_block(F, block)
@@ -516,8 +402,7 @@ def einstein_residual(F: ChartPotential, lam: float, points, locate: bool = Fals
         columns = (map(abs, map(sub, map(neg, h), map(mul, itertools.repeat(lam), x)))
                    for h, x in zip(_logdet_hessian(vals, ginv, F.n), vals))
         defects += zip(functools.reduce(functools.partial(map, max), columns), block)
-    worst = max(defects, key=itemgetter(0), default=(0.0, None))
-    return worst if locate else worst[0]
+    return max(defects, key=itemgetter(0), default=(0.0, None))
 
 
 def fit_lambda(F: ChartPotential, point) -> float:
@@ -530,12 +415,10 @@ def fit_lambda(F: ChartPotential, point) -> float:
     return -_dot([x for row in sample.logdet_hessian for x in row], g) / denom
 
 
-def determinant_identity_residual(F: ChartPotential, point, axis: int = 0):
-    """|d det(g)/du_axis - det(g) tr(g^-1 dg/du_axis)| at a point by a 5-point stencil, or
-    the list of them over a list of (point, axis) pairs.  Every pair's stencil points and
-    then its centre join one block; the first to fail raises, and only a centre's metric
-    must be nonsingular."""
-    pairs = point if point and isinstance(point[0], (tuple, list)) else [(point, axis)]
+def determinant_identity_residual(F: ChartPotential, pairs) -> list[float]:
+    """|d det(g)/du_axis - det(g) tr(g^-1 dg/du_axis)| by a 5-point stencil, one per
+    (point, axis) pair of the list.  Every pair's stencil points and then its centre join
+    one block; the first to fail raises, and only a centre's metric must be nonsingular."""
     n, block, denoms = F.n, [], []
     for centre, axis in pairs:
         centre = tuple(map(float, centre))
@@ -555,7 +438,7 @@ def determinant_identity_residual(F: ChartPotential, point, axis: int = 0):
         inverse = [x[at + 4] for row in ginv for x in row]
         rhs = det[at + 4] * _dot(inverse, [x for col in zip(*dm) for x in col])
         out.append(abs(lhs - rhs))
-    return out if pairs is point else out[0]
+    return out
 
 
 # -- config parsing --------------------------------------------------------------------

@@ -1,4 +1,6 @@
-"""Reference code that only the tests use: predicates, dense forms, edits of gradations."""
+"""Reference code that only the tests use: predicates, dense forms, edits of gradations,
+and the chart lab's oracles (split-complex arithmetic, the Christoffel block).
+"""
 
 import dataclasses
 import itertools
@@ -12,7 +14,15 @@ from parakahler.chevalley import LieAlgebraData
 from parakahler.errors import DomainError, SingularPointError
 from parakahler.gradation import Gradation, unsplit_root
 from parakahler.koszul import EinsteinStructure, TwoForm
-from parakahler.paracomplex import ChartPotential, _poly_eval, _stencil
+from parakahler.paracomplex import (
+    ChartPotential,
+    PolyTable,
+    _metric_block,
+    _poly_diff,
+    _poly_eval,
+    _rows,
+    _stencil,
+)
 from parakahler.rootsys import SimpleType, cartan_matrix
 
 
@@ -202,6 +212,103 @@ def admissible(F: ChartPotential, point, margin: float = 0.1) -> bool:
     return not F.c or _poly_eval(F.p, point[: F.n], point[F.n :]) >= margin
 
 
+# -- split-complex arithmetic ---------------------------------------------------------
+
+
+class NullConeError(DomainError, ZeroDivisionError):
+    """Inversion of a split-complex number with x^2 = y^2."""
+
+
+@dataclasses.dataclass(frozen=True)
+class ParaComplex:
+    """A split-complex number x + e y, e^2 = 1."""
+
+    x: float
+    y: float
+
+    def __add__(self, other: "ParaComplex") -> "ParaComplex":
+        return ParaComplex(self.x + other.x, self.y + other.y)
+
+    def __sub__(self, other: "ParaComplex") -> "ParaComplex":
+        return ParaComplex(self.x - other.x, self.y - other.y)
+
+    def __neg__(self) -> "ParaComplex":
+        return ParaComplex(-self.x, -self.y)
+
+    def __mul__(self, other: "ParaComplex") -> "ParaComplex":
+        return ParaComplex(
+            self.x * other.x + self.y * other.y,
+            self.x * other.y + self.y * other.x,
+        )
+
+    def conj(self) -> "ParaComplex":
+        return ParaComplex(self.x, -self.y)
+
+    def modulus_sq(self):
+        """z * conj(z) = x^2 - y^2 (negative inside the cone)."""
+        return self.x * self.x - self.y * self.y
+
+    def inverse(self) -> "ParaComplex":
+        m = self.modulus_sq()
+        if m == 0:
+            raise NullConeError(f"{self} lies on the null cone x^2 = y^2")
+        return ParaComplex(self.x / m, -self.y / m)
+
+    def __truediv__(self, other: "ParaComplex") -> "ParaComplex":
+        return self * other.inverse()
+
+    @property
+    def plus(self):
+        return self.x + self.y
+
+    @property
+    def minus(self):
+        return self.x - self.y
+
+    @staticmethod
+    def from_split(plus, minus) -> "ParaComplex":
+        half = Q(1, 2) if isinstance(plus, (int, Q)) and isinstance(minus, (int, Q)) else 0.5
+        return ParaComplex((plus + minus) * half, (plus - minus) * half)
+
+    def __repr__(self) -> str:
+        return f"({self.x} + {self.y}e)"
+
+
+E = ParaComplex(0, 1)
+
+
+def pc(x, y=0) -> ParaComplex:
+    return ParaComplex(x, y)
+
+
+def mixed_partial_pc(F: ChartPotential, a_idx: int, b_idx: int, z) -> ParaComplex:
+    """d_a d_bbar F at para-complex chart values z, via split-complex algebra.
+
+    Evaluates the differentiated z / zbar monomials of P and Q with ParaComplex
+    arithmetic and d_a d_bbar (c log P) = c (P P_abbar - P_a P_bbar) / P^2: a
+    route to the metric that shares only ``_poly_diff`` with the table.
+    """
+    zs = [*z, *(w.conj() for w in z)]
+
+    def evaluate(table: PolyTable, *sides: str) -> ParaComplex:
+        for side in sides:  # "u" differentiates along z^a_idx, "v" along zbar^b_idx
+            table = _poly_diff(table, a_idx if side == "u" else b_idx, side)
+        total = ParaComplex(0, 0)
+        for (a, b), coeff in table.items():
+            term = ParaComplex(coeff, coeff * 0)
+            for w, e in zip(zs, a + b):
+                for _ in range(e):
+                    term = term * w
+            total = total + term
+        return total
+
+    value = evaluate(F.q, "u", "v")
+    if F.c:
+        p, pa, pb, pab = (evaluate(F.p, *sides) for sides in ("", "u", "v", "uv"))
+        value = value + ParaComplex(F.c, F.c * 0) * (p * pab - pa * pb) / (p * p)
+    return value
+
+
 # -- finite differences ---------------------------------------------------------------
 
 
@@ -326,3 +433,17 @@ def einstein_residual(F: ChartPotential, lam: float, points):
         defect = max(abs(-h - lam * x) for hrow, grow in zip(ldh, g) for h, x in zip(hrow, grow))
         defects.append((defect, point))
     return max(defects, key=lambda d: d[0], default=(0.0, None))
+
+
+# -- Christoffel block ------------------------------------------------------------------
+#
+# G[a][b][c] = sum_m (M^-1)[m][a] d^3 f / du^b du^c dv^m, read from the d_u g rows of
+# the derivative table through the block path (a block of one).
+
+
+def christoffel(F: ChartPotential, point) -> list[list[list[float]]]:
+    """Christoffel block G[a][b][c], symmetric in (b, c); mixed components vanish."""
+    point, n = tuple(map(float, point)), F.n
+    vals, ginv, _ = _metric_block(F, [point], n * n + n**3)
+    third, columns = _rows(vals[n * n :], n), list(zip(*([x for (x,) in r] for r in ginv)))
+    return [[[_dot(col, third[b * n + c]) for c in range(n)] for b in range(n)] for col in columns]

@@ -39,7 +39,6 @@ from parakahler.paracomplex import (
     log_model_potential,
     metric_from_potential,
     polynomial_potential,
-    ricci,
 )
 from parakahler.rootsys import SimpleType, Weight, build_root_system
 from parakahler.verify import (
@@ -259,7 +258,7 @@ def test_criterion_7_numeric_pipeline():
     flat = flat_potential(1)
     flat_pts = grid_points(flat, 0.3, 5)
     assert max(
-        float(np.max(np.abs(ricci(flat, p)))) for p in flat_pts
+        float(np.max(np.abs(metric_from_potential(flat, p).logdet_hessian))) for p in flat_pts
     ) <= 1e-10
 
     logm = log_model_potential(1)
@@ -267,7 +266,7 @@ def test_criterion_7_numeric_pipeline():
     assert len(pts) == 81
     lam = fit_lambda(logm, (0.0, 0.0))
     assert abs(lam - 2.0) < 1e-3
-    assert einstein_residual(logm, lam, pts) < 1e-5
+    assert einstein_residual(logm, lam, pts)[0] < 1e-5
 
     # Polynomial path vs finite-difference path on the same potential.
     poly = polynomial_potential(
@@ -284,8 +283,8 @@ def test_criterion_7_numeric_pipeline():
         worst = max(worst, abs(exact - fd))
     assert worst < 1e-7
 
-    assert determinant_identity_residual(logm, (0.1, 0.2)) < 1e-7
-    assert determinant_identity_residual(poly, (0.2, -0.1)) < 1e-7
+    assert determinant_identity_residual(logm, [((0.1, 0.2), 0)])[0] < 1e-7
+    assert determinant_identity_residual(poly, [((0.2, -0.1), 0)])[0] < 1e-7
 
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0

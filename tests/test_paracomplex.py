@@ -8,18 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parakahler.errors import DomainError, NullConeError, SingularPointError
+from parakahler.errors import DomainError, SingularPointError
 from parakahler.paracomplex import (
     BLOCK,
     FD_STEP_OUTER,
-    E,
     ChartPotential,
     DerivativeTable,
-    ParaComplex,
     _gauss_jordan,
     _logdet_hessian,
     _metric_block,
-    christoffel,
     determinant_identity_residual,
     einstein_residual,
     fit_lambda,
@@ -28,14 +25,22 @@ from parakahler.paracomplex import (
     log_model_potential,
     metric_from_potential,
     metric_matrix,
-    mixed_partial_pc,
     parse_potential_config,
-    pc,
     polynomial_potential,
-    ricci,
 )
 import reference
-from reference import admissible, fd_partial, gauss_jordan, poly_mixed_hessian_exact
+from reference import (
+    E,
+    NullConeError,
+    ParaComplex,
+    admissible,
+    christoffel,
+    fd_partial,
+    gauss_jordan,
+    mixed_partial_pc,
+    pc,
+    poly_mixed_hessian_exact,
+)
 
 rational = st.fractions(min_value=-4, max_value=4, max_denominator=8)
 pc_rational = st.builds(ParaComplex, rational, rational)
@@ -108,7 +113,7 @@ def test_flat_metric_is_identity():
     flat = flat_potential(2)
     sample = metric_from_potential(flat, (0.3, -0.1, 0.2, 0.7))
     assert np.allclose(sample.g, np.eye(2), atol=0)
-    assert np.max(np.abs(ricci(flat, (0.3, -0.1, 0.2, 0.7)))) <= 1e-10
+    assert np.max(np.abs(sample.logdet_hessian)) <= 1e-10
 
 
 def test_log_model_metric_at_origin():
@@ -303,7 +308,7 @@ def test_ricci_against_christoffel_contraction():
 
     # Coarse outer step: gamma_trace carries its own stencil noise.
     via_contraction = -fd_partial(gamma_trace, point, (1,), 1e-2)
-    via_logdet = float(ricci(logm, point)[0][0])
+    via_logdet = -metric_from_potential(logm, point).logdet_hessian[0][0]
     assert abs(via_contraction - via_logdet) < 1e-4
 
 
@@ -317,17 +322,11 @@ def test_log_model_is_einstein_with_lambda_two():
         assert np.max(np.abs(ric - 2.0 * np.asarray(sample.g))) < 1e-5
 
 
-def test_ricci_is_negative_logdet_hessian():
-    logm = log_model_potential(1)
-    sample = metric_from_potential(logm, (0.1, 0.2))
-    assert np.allclose(ricci(logm, (0.1, 0.2)), -np.asarray(sample.logdet_hessian), atol=1e-6)
-
-
 def test_einstein_residual_flat_cases():
     flat = flat_potential(1)
     pts = grid_points(flat, 0.3, 3)
-    assert einstein_residual(flat, 0.0, pts) <= 1e-10
-    assert abs(einstein_residual(flat, 1.0, pts) - 1.0) <= 1e-10
+    assert einstein_residual(flat, 0.0, pts)[0] <= 1e-10
+    assert abs(einstein_residual(flat, 1.0, pts)[0] - 1.0) <= 1e-10
 
 
 def test_fit_lambda_log_model():
@@ -335,13 +334,13 @@ def test_fit_lambda_log_model():
     assert abs(fit_lambda(logm, (0.0, 0.0)) - 2.0) < 1e-4
     pts = grid_points(logm, 0.3, 9)
     assert len(pts) == 81
-    assert einstein_residual(logm, fit_lambda(logm, (0.0, 0.0)), pts) < 1e-5
+    assert einstein_residual(logm, fit_lambda(logm, (0.0, 0.0)), pts)[0] < 1e-5
 
 
 def test_determinant_identity():
     logm = log_model_potential(1)
     for point in [(0.1, 0.2), (-0.2, 0.3)]:
-        assert determinant_identity_residual(logm, point) < 1e-7
+        assert determinant_identity_residual(logm, [(point, 0)])[0] < 1e-7
     F = polynomial_potential(
         2,
         [
@@ -350,7 +349,7 @@ def test_determinant_identity():
             ((1, 1), (1, 1), Q(1, 2)),
         ],
     )
-    assert determinant_identity_residual(F, (0.1, 0.2, -0.1, 0.3), axis=1) < 1e-7
+    assert determinant_identity_residual(F, [((0.1, 0.2, -0.1, 0.3), 1)])[0] < 1e-7
 
 
 # -- admissibility and errors ---------------------------------------------------------
@@ -522,7 +521,7 @@ def test_log_model_einstein_to_rounding(n, scale):
     pts = grid_points(logm, 0.3, 9 if n == 1 else 4)
     lam = fit_lambda(logm, (0.0,) * (2 * n))
     assert abs(lam - (n + 1) / scale) < 1e-12
-    assert einstein_residual(logm, lam, pts) < 1e-12
+    assert einstein_residual(logm, lam, pts)[0] < 1e-12
 
 
 def test_log_model_christoffel_closed_form_n2():
@@ -541,11 +540,10 @@ def test_log_model_christoffel_closed_form_n2():
 def test_einstein_residual_locates_its_maximum():
     logm = log_model_potential(1)
     pts = grid_points(logm, 0.3, 3)
-    residual, where = einstein_residual(logm, 1.0, pts, locate=True)
-    assert residual == einstein_residual(logm, 1.0, pts)
+    residual, where = einstein_residual(logm, 1.0, pts)
     sample = metric_from_potential(logm, where)
     assert float(np.max(np.abs(-np.asarray(sample.logdet_hessian) - sample.g))) == residual
-    assert einstein_residual(logm, 1.0, [], locate=True) == (0.0, None)
+    assert einstein_residual(logm, 1.0, []) == (0.0, None)
 
 
 @pytest.mark.parametrize(
@@ -702,7 +700,7 @@ def test_determinant_identity_shares_its_stencil_points(monkeypatch):
         want = [_two_stencil_residual(F, point, axis) for axis in range(len(point))]
         for (point, axis), residual in zip(pairs, want):
             blocks.clear()
-            assert determinant_identity_residual(F, point, axis) == residual
+            assert determinant_identity_residual(F, [(point, axis)]) == [residual]
             assert blocks == [5]  # four stencil points and the centre, in one block
         blocks.clear()
         assert determinant_identity_residual(F, pairs) == want
@@ -715,7 +713,7 @@ def test_determinant_identity_block_raises_its_first_error():
     beyond = ((1.0, -0.995), 0)  # the stencil point u = 1.01 has P < 0; the centre is regular
     singular = ((0.0, 0.3), 1)  # the centre has g = 0
     regular = ((0.01, 0.3), 0)  # the stencil point u = 0 has det g = 0, which is allowed
-    log_error = _first_error(determinant_identity_residual, G, *beyond)
+    log_error = _first_error(determinant_identity_residual, G, [beyond])
     assert log_error[0] is SingularPointError and log_error[1].startswith("log argument -0.00")
     assert _first_error(determinant_identity_residual, G, [regular, beyond, singular]) == log_error
     assert _first_error(determinant_identity_residual, G, [regular, singular, beyond]) == (
@@ -727,7 +725,7 @@ def test_determinant_identity_block_raises_its_first_error():
 def test_metric_and_christoffel_slice_the_flat_values(n):
     F = log_model_potential(n)
     point = tuple(0.2 * (-1) ** k / (k + 1) for k in range(2 * n))
-    vals = F.derivatives.values(point)
+    vals = [x for (x,) in F.derivatives.columns([point])[0]]
     g = metric_matrix(F, point)
     assert g == [[vals[a * n + b] for b in range(n)] for a in range(n)]
     ginv = gauss_jordan(g)[0]
@@ -775,7 +773,7 @@ def test_blocks_match_the_per_point_reference_exactly(make, grid, extent):
     assert len(pts) % BLOCK  # the last block is a partial one
     for lam in (0.0, 1.0, -2.5):
         want = reference.einstein_residual(F, lam, pts)
-        assert einstein_residual(F, lam, pts, locate=True) == want
+        assert einstein_residual(F, lam, pts) == want
     n = F.n
     for start in range(0, len(pts), BLOCK):
         block = pts[start : start + BLOCK]
@@ -813,7 +811,7 @@ def test_block_errors_are_those_of_the_first_failing_point():
             SingularPointError, "metric is singular at (0.0, 0.25)")
         assert _first_error(reference.einstein_residual, F, 0.0, pts) == (
             SingularPointError, "metric is singular at (0.0, 0.25)")
-    assert einstein_residual(F, 0.0, regular, locate=True) == reference.einstein_residual(
+    assert einstein_residual(F, 0.0, regular) == reference.einstein_residual(
         F, 0.0, regular)
     # g = 1/P^2 - 1 with P = 1 + u v: singular at u v = 0 (where P = 1), log
     # argument 0.0 at u v = -1; whichever comes first in the block raises.

@@ -312,7 +312,7 @@ def chart_grid(repeats: int = 5) -> dict:
         F = log_model_potential(n)
         F.derivatives
         pts = grid_points(F, 0.3, grid) if grid else _fixed_points(n, 64)
-        best = _best(lambda: einstein_residual(F, float(n + 1), pts, locate=True), repeats)
+        best = _best(lambda: einstein_residual(F, float(n + 1), pts), repeats)
         out[str(n)] = {"grid": grid, "points": len(pts),
                        "per_point_ms": round(best / len(pts) * 1e3, 4)}
     return out
