@@ -39,7 +39,6 @@ so brackets and Killing values visit stored entries only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cached_property
 
@@ -50,13 +49,24 @@ from .rootsys import Root, RootSystem, bareiss_inverse, exact_div
 _NO_TERMS: dict[int, int] = {}  # every zero bracket; shared, never mutated
 
 
-@dataclass(frozen=True)
 class BasisIndex:
-    """Label of a Chevalley basis vector: Cartan H_i or root vector X_alpha."""
+    """Label of a Chevalley basis vector: Cartan H_i or root vector X_alpha.
 
-    kind: str  # "H" or "X"
-    cartan: int | None = None  # 1-based, when kind == "H"
-    root: Root | None = None  # when kind == "X"
+    Immutable by convention.
+    """
+
+    def __init__(self, kind: str, cartan: int | None = None, root: Root | None = None) -> None:
+        self.kind = kind  # "H" or "X"
+        self.cartan = cartan  # 1-based, when kind == "H"
+        self.root = root  # when kind == "X"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.cartan, self.root) == (other.kind, other.cartan, other.root)
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.cartan, self.root))
 
     @staticmethod
     def H(i: int) -> "BasisIndex":
@@ -243,18 +253,21 @@ class LieAlgebraData:
         return bareiss_inverse(self.cartan_block())
 
 
-@dataclass(frozen=True)
 class AlgebraElement:
     """An element of the algebra as sparse coordinates {basis index: coefficient}.
 
     Zero coefficients are dropped on construction, so equal elements have
-    equal ``coords``; the other values are kept as given.
+    equal ``coords``; the other values are kept as given.  Immutable by
+    convention, and unhashable, as ``coords`` is a dict.
     """
 
-    coords: dict[int, Q | int]
+    def __init__(self, coords: dict[int, Q | int]) -> None:
+        self.coords = {i: c for i, c in coords.items() if c}
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coords", {i: c for i, c in self.coords.items() if c})
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coords == other.coords
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         a, b = self.coords, other.coords

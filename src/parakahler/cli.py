@@ -13,7 +13,6 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction as Q
 from operator import mul
 from pathlib import Path
@@ -58,14 +57,11 @@ from .verify import run_sweep
 SCHEMA = "parakahler-report/1"
 
 
-@dataclass
 class Report:
     """One command's echo, inputs, payload, and verification summary."""
 
-    command: str
-    inputs: dict
-    payload: dict
-    checks: list[dict]
+    def __init__(self, command: str, inputs: dict, payload: dict, checks: list[dict]) -> None:
+        self.command, self.inputs, self.payload, self.checks = command, inputs, payload, checks
 
     def digest(self) -> str:
         canonical = json.dumps(self.inputs, sort_keys=True, default=str)

@@ -11,9 +11,8 @@ together.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 from fractions import Fraction as Q
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations
 from pathlib import Path
 
@@ -22,20 +21,26 @@ from .errors import DomainError
 from .rootsys import Root, RootSystem, SimpleType, build_root_system, ratio
 
 
-@dataclass(frozen=True)
 class CrossingSet:
-    """Crossed simple-root nodes, 1-based."""
+    """Crossed simple-root nodes, 1-based.  Immutable by convention."""
 
-    crossed: frozenset[int]
-
-    def __post_init__(self) -> None:
-        if not self.crossed:
+    def __init__(self, crossed: frozenset[int]) -> None:
+        if not crossed:
             raise DomainError(
                 "crossing set is empty: the gradation would be trivial and "
                 "carry no symplectic form"
             )
-        if not all(isinstance(i, int) and i >= 1 for i in self.crossed):
+        if not all(isinstance(i, int) and i >= 1 for i in crossed):
             raise DomainError("crossing nodes must be positive integers")
+        self.crossed = crossed
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.crossed == other.crossed
+
+    def __hash__(self) -> int:
+        return hash(self.crossed)
 
     @staticmethod
     def of(*nodes: int) -> "CrossingSet":
@@ -45,7 +50,6 @@ class CrossingSet:
         return sorted(self.crossed)
 
 
-@dataclass
 class Gradation:
     """A fundamental gradation: the degree of each positive root, grading element.
 
@@ -54,20 +58,18 @@ class Gradation:
     -deg(alpha) by definition, so m is closed under negation and K gives
     X_alpha and X_-alpha opposite signs.  ``degree``, ``ksign`` and ``depth``
     are readers of it; the grading element is built on first read.  Immutable
-    by convention.
+    by convention, and unhashable.
     """
 
-    rs: RootSystem
-    crossing: CrossingSet
-    root_degrees: tuple[int, ...] = field(repr=False)
+    __hash__ = None
 
-    def __post_init__(self) -> None:
-        n, count = len(self.root_degrees), len(self.rs.positive_roots)
+    def __init__(self, rs: RootSystem, crossing: CrossingSet,
+                 root_degrees: tuple[int, ...]) -> None:
+        n, count = len(root_degrees), len(rs.positive_roots)
         if n != count:
-            lacking = f": {self.rs.positive_roots[n]} has no degree" if n < count else ""
-            raise DomainError(
-                f"{n} degrees for the {count} positive roots of {self.rs.type}{lacking}"
-            )
+            lacking = f": {rs.positive_roots[n]} has no degree" if n < count else ""
+            raise DomainError(f"{n} degrees for the {count} positive roots of {rs.type}{lacking}")
+        self.rs, self.crossing, self.root_degrees = rs, crossing, root_degrees
 
     @property
     def depth(self) -> int:
@@ -159,30 +161,30 @@ def enumerate_crossings(rank: int) -> list[CrossingSet]:
 # -- Satake diagrams ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class SatakeDiagram:
-    """Dynkin diagram with black nodes and arrows (pairs one involution swaps)."""
+    """Dynkin diagram with black nodes and arrows (pairs one involution swaps).
 
-    type: SimpleType
-    black: frozenset[int]
-    arrows: frozenset[tuple[int, int]]
+    Immutable by convention.
+    """
 
-    def __post_init__(self) -> None:
-        rank = self.type.rank
-        for i in self.black:
+    def __init__(self, type: SimpleType, black: frozenset[int],
+                 arrows: frozenset[tuple[int, int]]) -> None:
+        rank = type.rank
+        for i in black:
             if not 1 <= i <= rank:
-                raise DomainError(f"black node {i} out of range for {self.type}")
-        for pair in self.arrows:
+                raise DomainError(f"black node {i} out of range for {type}")
+        for pair in arrows:
             i, j = pair
             if i == j or not (1 <= i <= rank and 1 <= j <= rank):
-                raise DomainError(f"bad arrow {pair} for {self.type}")
-            if i in self.black or j in self.black:
+                raise DomainError(f"bad arrow {pair} for {type}")
+            if i in black or j in black:
                 raise DomainError(f"arrow {pair} touches a black node")
-        pairs = {tuple(sorted(p)) for p in self.arrows}
-        if pairs and not any(pairs <= swap for swap in _diagram_involutions(self.type)):
+        pairs = {tuple(sorted(p)) for p in arrows}
+        if pairs and not any(pairs <= swap for swap in _diagram_involutions(type)):
             raise DomainError(
-                f"arrows {sorted(pairs)} are not one involution of {self.type}"
+                f"arrows {sorted(pairs)} are not one involution of {type}"
             )
+        self.type, self.black, self.arrows = type, black, arrows
 
     @staticmethod
     def make(stype: SimpleType, black=(), arrows=()) -> "SatakeDiagram":
@@ -218,7 +220,9 @@ def satake_violations(diagram: SatakeDiagram, crossing: CrossingSet) -> list[str
     return problems
 
 
+@cache
 def _builtin_catalog() -> dict[str, SatakeDiagram]:
+    """The built-in diagrams by name, built on first lookup."""
     cat: dict[str, SatakeDiagram] = {}
 
     def split(name: str, stype: SimpleType) -> None:
@@ -240,13 +244,11 @@ def _builtin_catalog() -> dict[str, SatakeDiagram]:
     return cat
 
 
-_CATALOG = _builtin_catalog()
-
 CATALOG_ENV = "PARAKAHLER_CATALOG"
 
 
 def catalog_names() -> list[str]:
-    return sorted(_CATALOG)
+    return sorted(_builtin_catalog())
 
 
 def catalog_lookup(name: str) -> SatakeDiagram:
@@ -259,7 +261,7 @@ def catalog_lookup(name: str) -> SatakeDiagram:
             if candidate.is_file():
                 return parse_diagram_config(candidate.read_text())
     try:
-        return _CATALOG[name]
+        return _builtin_catalog()[name]
     except KeyError:
         raise DomainError(f"unknown Satake diagram {name!r}") from None
 

@@ -18,7 +18,6 @@ metric is stored the same way, one value g(X_a, X_-a) per positive root a of m.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cached_property
 from operator import mul
@@ -38,23 +37,21 @@ from .gradation import Gradation
 from .rootsys import Root, RootSystem, Weight, ratio, weight_in_pi_basis
 
 
-@dataclass
 class TwoForm:
     """Antisymmetric pairing c_a = f(X_a, X_-a), a tuple by position over ``rs.positive_roots``.
 
     Cartan directions and pairs other than (a, -a) pair to zero, which is
-    exactly the shape of the differential of any Cartan 1-form.
+    exactly the shape of the differential of any Cartan 1-form.  Immutable by
+    convention.
     """
 
-    rs: RootSystem
-    coeffs: tuple[Q | int, ...]
-
-    def __post_init__(self) -> None:
-        roots, n = self.rs.positive_roots, len(self.coeffs)
-        if not isinstance(self.coeffs, tuple) or n > len(roots):
+    def __init__(self, rs: RootSystem, coeffs: tuple[Q | int, ...]) -> None:
+        roots, n = rs.positive_roots, len(coeffs)
+        if not isinstance(coeffs, tuple) or n > len(roots):
             raise DomainError(f"coefficients must be a tuple over the {len(roots)} positive roots")
         if n < len(roots):
             raise DomainError(f"coefficients missing for {roots[n]}")
+        self.rs, self.coeffs = rs, coeffs
 
     def over(self, g: Gradation) -> tuple[Q | int, ...]:
         """``coeffs``, once g is known to grade the same root system: both read by position."""
@@ -172,7 +169,6 @@ def killing_dual(L: LieAlgebraData, xi: Weight) -> AlgebraElement:
     return AlgebraElement({i: ratio(c, d) for i, c in dz.coords.items()})
 
 
-@dataclass
 class EinsteinStructure:
     """Para-Kahler Einstein data on the orbit tangent space.
 
@@ -181,13 +177,12 @@ class EinsteinStructure:
     same order.  The metric lambda^{-1} rho(X, K Y) pairs X_alpha with X_-alpha
     only, so ``metric`` holds its k values g_alpha = g(X_alpha, X_-alpha), by
     position over the first k entries of ``basis``: an int where integral,
-    else a Fraction.  ``lam`` is the Einstein constant.
+    else a Fraction.  ``lam`` is the Einstein constant.  Immutable by convention.
     """
 
-    gradation: Gradation
-    lam: Q
-    rho: TwoForm
-    metric: tuple[Q | int, ...]
+    def __init__(self, gradation: Gradation, lam: Q, rho: TwoForm,
+                 metric: tuple[Q | int, ...]) -> None:
+        self.gradation, self.lam, self.rho, self.metric = gradation, lam, rho, metric
 
     @cached_property
     def basis(self) -> tuple[BasisIndex, ...]:

@@ -30,7 +30,6 @@ import functools
 import itertools
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction as Q
 from operator import add, itemgetter, mul, neg, sub, truediv
 
@@ -45,34 +44,29 @@ Monomial = tuple[tuple[int, ...], tuple[int, ...], Q]  # (z exps, zbar exps, coe
 PolyTable = dict[tuple[tuple[int, ...], tuple[int, ...]], Q]
 
 
-@dataclass(frozen=True)
 class ChartPotential:
     """The real-valued potential f = c log P + Q on a chart of C^n.
 
     P and Q map (z exponents, zbar exponents) to rational coefficients; real
     values demand each table be symmetric under swapping the two.  Entries
-    that sum to 0 are dropped after that check.
+    that sum to 0 are dropped after that check.  Immutable by convention.
     """
 
-    n: int
-    c: Q
-    p: PolyTable
-    q: PolyTable
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
+    def __init__(self, n: int, c: Q, p: PolyTable, q: PolyTable) -> None:
+        if n < 1:
             raise DomainError("chart dimension must be at least 1")
-        for name in ("p", "q"):
-            table = getattr(self, name)
+        for table in (p, q):
             for (a, b), coeff in table.items():
-                if len(a) != self.n or len(b) != self.n:
+                if len(a) != n or len(b) != n:
                     raise DomainError("monomial exponent length != chart dimension")
                 if table.get((b, a), 0) != coeff:
                     raise DomainError(
                         "potential is not real-valued: coefficient of "
                         f"z^{a} zbar^{b} has no matching conjugate term"
                     )
-            object.__setattr__(self, name, {k: c for k, c in table.items() if c})
+        self.n, self.c = n, c
+        self.p = {k: v for k, v in p.items() if v}
+        self.q = {k: v for k, v in q.items() if v}
 
     # The split-plus coordinate function f(u, v); the full potential value at
     # an adapted point has split coordinates (f(u, v), f(v, u)).
@@ -290,7 +284,6 @@ def _stencil(m2, m1, p1, p2, denom: float):
 FD_STEP_OUTER = 1e-2
 
 
-@dataclass
 class MetricSample:
     """Metric data at one chart point, as lists of rows of floats.
 
@@ -300,9 +293,9 @@ class MetricSample:
     the Ricci block).
     """
 
-    point: tuple[float, ...]
-    g: list[list[float]]
-    logdet_hessian: list[list[float]]
+    def __init__(self, point: tuple[float, ...], g: list[list[float]],
+                 logdet_hessian: list[list[float]]) -> None:
+        self.point, self.g, self.logdet_hessian = point, g, logdet_hessian
 
 
 def metric_matrix(F: ChartPotential, point) -> list[list[float]]:

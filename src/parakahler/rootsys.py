@@ -21,7 +21,6 @@ exact: ints wherever a value is an integer, ``fractions.Fraction`` for the rest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import cached_property
 from operator import add, mul
@@ -52,22 +51,27 @@ _POSITIVE_COUNTS = {
 }
 
 
-@dataclass(frozen=True)
 class SimpleType:
-    """A simple Lie algebra type: family letter plus rank."""
+    """A simple Lie algebra type: family letter plus rank.  Immutable by convention."""
 
-    family: str
-    rank: int
-
-    def __post_init__(self) -> None:
-        if self.family not in FAMILIES:
-            raise DomainError(f"unknown family {self.family!r}")
-        lo, hi = _RANK_RULES[self.family]
-        if not (isinstance(self.rank, int) and lo <= self.rank <= hi):
+    def __init__(self, family: str, rank: int) -> None:
+        if family not in FAMILIES:
+            raise DomainError(f"unknown family {family!r}")
+        lo, hi = _RANK_RULES[family]
+        if not (isinstance(rank, int) and lo <= rank <= hi):
             raise DomainError(
-                f"invalid rank {self.rank} for family {self.family} "
+                f"invalid rank {rank} for family {family} "
                 f"(allowed {lo}..{hi})"
             )
+        self.family, self.rank = family, rank
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.family, self.rank) == (other.family, other.rank)
+
+    def __hash__(self) -> int:
+        return hash((self.family, self.rank))
 
     @staticmethod
     def parse(text: str) -> "SimpleType":
@@ -80,11 +84,19 @@ class SimpleType:
         return f"{self.family}{self.rank}"
 
 
-@dataclass(frozen=True)
 class Root:
-    """A root written as an integer vector over the simple roots."""
+    """A root written as an integer vector over the simple roots.  Immutable by convention."""
 
-    coeffs: tuple[int, ...]
+    def __init__(self, coeffs: tuple[int, ...]) -> None:
+        self.coeffs = coeffs
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
 
     @property
     def height(self) -> int:
@@ -112,11 +124,22 @@ class Root:
         return self.label
 
 
-@dataclass(frozen=True)
 class Weight:
-    """A rational vector in simple-root coordinates (ints when integral)."""
+    """A rational vector in simple-root coordinates (ints when integral).
 
-    coords: tuple[Q | int, ...]
+    Immutable by convention.
+    """
+
+    def __init__(self, coords: tuple[Q | int, ...]) -> None:
+        self.coords = coords
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coords == other.coords
+
+    def __hash__(self) -> int:
+        return hash(self.coords)
 
     @staticmethod
     def zero(rank: int) -> "Weight":
@@ -198,17 +221,31 @@ def _symmetrizers(cartan) -> tuple[int, ...]:
     return tuple(exact_div(v, min(d)) for v in d)
 
 
-@dataclass(frozen=True)
 class RootSystem:
-    """Root data of a simple type: Cartan matrix, positive roots, their pairings."""
+    """Root data of a simple type: Cartan matrix, positive roots, their pairings.
 
-    type: SimpleType
-    cartan: tuple[tuple[int, ...], ...]
-    d: tuple[int, ...]
-    positive_roots: tuple[Root, ...]
-    # By position over the positive roots: <beta, alpha_j^v> over j, and the int key.
-    pairings: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
-    positive_keys: tuple[int, ...] = field(repr=False, compare=False)
+    Two root systems are equal when their type, Cartan matrix, symmetrizers and
+    positive roots are; ``pairings`` and ``positive_keys`` follow from those.
+    Immutable by convention.
+    """
+
+    def __init__(self, type: SimpleType, cartan: tuple[tuple[int, ...], ...], d: tuple[int, ...],
+                 positive_roots: tuple[Root, ...], pairings: tuple[tuple[int, ...], ...],
+                 positive_keys: tuple[int, ...]) -> None:
+        self.type, self.cartan, self.d, self.positive_roots = type, cartan, d, positive_roots
+        # By position over the positive roots: <beta, alpha_j^v> over j, and the int key.
+        self.pairings, self.positive_keys = pairings, positive_keys
+
+    def _compared(self) -> tuple:
+        return self.type, self.cartan, self.d, self.positive_roots
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._compared() == other._compared()
+
+    def __hash__(self) -> int:
+        return hash(self._compared())
 
     @property
     def rank(self) -> int:

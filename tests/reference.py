@@ -48,7 +48,7 @@ def regraded(g: Gradation, changes: dict) -> Gradation:
         if p >= npos:
             raise ValueError(f"{root} is not a positive root: its degree is -deg({-root})")
         degrees[p] = d
-    return dataclasses.replace(g, root_degrees=tuple(degrees))
+    return Gradation(g.rs, g.crossing, tuple(degrees))
 
 
 def tuple_walk_positive_roots(stype: SimpleType) -> list[tuple[int, ...]]:

@@ -1,5 +1,5 @@
 """Smoke test of ``tools/bench_layers.py`` on the rank-2 sweep, the 155 queries, the
-exceptional bracket tables and the chart reports of one seed."""
+exceptional bracket tables, the chart reports of one seed and the start-up imports."""
 
 import importlib.util
 import json
@@ -78,6 +78,13 @@ def test_bench_layers_writes_one_record_and_restores_the_package(tmp_path):
             **({} if name.startswith("flat") else {"paracomplex.fit_lambda": 1})}
         assert set(section["layers_self_s"]) == set(section["calls"])
         assert section["wall_s"] > 0
+    # Start-up: ``import parakahler.cli`` in fresh interpreters, without bytecode and with it.
+    startup = record["startup"]
+    assert set(startup) == {"runs", "no_bytecode", "bytecode"}
+    assert startup["runs"] == tool.STARTUP_RUNS
+    for section in (startup["no_bytecode"], startup["bytecode"]):
+        assert set(section) == {"import_s", "self_us"} and section["import_s"] > 0
+        assert {"parakahler", "parakahler.cli", "parakahler.rootsys"} <= set(section["self_us"])
     # The timers are gone again.
     assert {name: getattr(verify, name) for name in tool.VERIFY_LAYERS} == before
     assert chevalley.LieAlgebraData.killing_basis is killing_basis

@@ -684,3 +684,14 @@ def test_reports_do_not_import_numpy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["command"] == "roots"
+
+
+def test_import_does_not_load_dataclasses():
+    # The value classes are plain classes, so no method is generated at import.
+    import parakahler
+
+    code = "import sys\nimport parakahler.cli\nsys.exit('dataclasses' in sys.modules)\n"
+    src = str(Path(parakahler.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr

@@ -1,4 +1,4 @@
-"""Per-layer timings of the exact oracle sweep, cold reports, bracket tables and the chart lab, as one JSON file.
+"""Per-layer timings of the oracle sweep, cold reports, bracket tables, chart lab and start-up, as one JSON file.
 
 Runs ``verify.run_sweep(max_rank)`` with a timer around every check and
 closed form it calls through ``verify``'s namespace, and around every
@@ -14,13 +14,16 @@ F4, E6, E7 and E8 (``algebra_tables``) it records what one
 ``chevalley_constants`` build holds: its median wall time over ``PASSES``
 builds, then the bytes of one build under ``tracemalloc`` (what the result
 keeps and the peak during the call), its stored bracket entries and the
-distinct dicts that hold them.  Last it times the log model per point for
-each chart dimension n, twice: ``metric_from_potential`` one point at a time
-(``chart_log_model``) and ``einstein_residual`` over a whole grid
-(``chart_grid``), and the stages of a ``potential --json`` report on each
-config of one seed of perfbench's ``chart`` workload (``chart_report``,
-``PASSES`` passes, median self times).  Nothing in the package is changed: the
-timers are installed from outside and removed after each pass.
+distinct dicts that hold them.  Then it times the log model per point for
+each chart dimension n, twice, as the median of ``PASSES`` passes over all n:
+``metric_from_potential`` one point at a time (``chart_log_model``) and
+``einstein_residual`` over a whole grid (``chart_grid``); and the stages of a
+``potential --json`` report on each config of one seed of perfbench's
+``chart`` workload (``chart_report``, ``PASSES`` passes, median self times).
+Last, ``startup`` takes the median time of ``import parakahler.cli`` over
+``STARTUP_RUNS`` fresh interpreters under ``-X importtime``, without bytecode
+and with it, and each module's median self time.  Nothing in the package is
+changed: the timers are installed from outside and removed after each pass.
 
 The output is ``BENCH_<commit>.json`` in ``--out``, with the ``src/`` line
 count, the Python version and the processor count beside the timings::
@@ -285,37 +288,45 @@ def _best(fn, repeats: int) -> float:
 
 
 def chart_per_point(points: int = 20, repeats: int = 5) -> dict:
-    """Table build, and the best-of-``repeats`` mean time per point of
+    """Per n, the medians over ``PASSES`` passes of the table build (a fresh table
+    each pass) and of the best-of-``repeats`` mean time per point of
     ``metric_from_potential`` called one point at a time, on the log model."""
     from parakahler.paracomplex import log_model_potential, metric_from_potential
 
-    out = {}
-    for n in CHART_DIMS:
-        F = log_model_potential(n)
-        start = time.perf_counter()
-        F.derivatives
-        build = time.perf_counter() - start
-        pts = _fixed_points(n, points)
-        best = _best(lambda: [metric_from_potential(F, p) for p in pts], repeats)
-        out[str(n)] = {"table_build_ms": round(build * 1e3, 3),
-                       "per_point_ms": round(best / points * 1e3, 4)}
-    return out
+    builds, per_point = defaultdict(list), defaultdict(list)
+    for _ in range(PASSES):
+        for n in CHART_DIMS:
+            F = log_model_potential(n)
+            start = time.perf_counter()
+            F.derivatives
+            builds[n].append(time.perf_counter() - start)
+            pts = _fixed_points(n, points)
+            per_point[n].append(_best(lambda: [metric_from_potential(F, p) for p in pts],
+                                      repeats) / points)
+    return {str(n): {"table_build_ms": round(statistics.median(builds[n]) * 1e3, 3),
+                     "per_point_ms": round(statistics.median(per_point[n]) * 1e3, 4)}
+            for n in CHART_DIMS}
 
 
 def chart_grid(repeats: int = 5) -> dict:
-    """Best-of-``repeats`` time per point of ``einstein_residual`` over a whole
-    point set of the log model (``CHART_GRIDS``), the table built beforehand."""
+    """Per n, the median over ``PASSES`` passes of the best-of-``repeats`` time per
+    point of ``einstein_residual`` over a whole point set of the log model
+    (``CHART_GRIDS``), the table built beforehand."""
     from parakahler.paracomplex import einstein_residual, grid_points, log_model_potential
 
-    out = {}
+    sets = {}
     for n, grid in CHART_GRIDS:
         F = log_model_potential(n)
         F.derivatives
-        pts = grid_points(F, 0.3, grid) if grid else _fixed_points(n, 64)
-        best = _best(lambda: einstein_residual(F, float(n + 1), pts), repeats)
-        out[str(n)] = {"grid": grid, "points": len(pts),
-                       "per_point_ms": round(best / len(pts) * 1e3, 4)}
-    return out
+        sets[n] = F, grid, grid_points(F, 0.3, grid) if grid else _fixed_points(n, 64)
+    per_point = defaultdict(list)
+    for _ in range(PASSES):
+        for n, (F, grid, pts) in sets.items():
+            best = _best(lambda: einstein_residual(F, float(n + 1), pts), repeats)
+            per_point[n].append(best / len(pts))
+    return {str(n): {"grid": grid, "points": len(pts),
+                     "per_point_ms": round(statistics.median(per_point[n]) * 1e3, 4)}
+            for n, (_, grid, pts) in sets.items()}
 
 
 # The stages of ``cli.cmd_potential``, with the derivative table's build apart
@@ -368,6 +379,60 @@ def chart_report(seed: int) -> dict:
     return out
 
 
+STARTUP_RUNS = 7  # fresh interpreters per start-up measurement
+IMPORT_TIMER = ("import time; start = time.perf_counter(); import parakahler.cli; "
+                "print(time.perf_counter() - start)")
+
+
+def _import_self_us(stderr: str) -> dict[str, int]:
+    """The self time in microseconds of each module that ``import parakahler.cli``
+    imports, read from ``-X importtime`` output (which lists a top-level import
+    after the modules nested in it)."""
+    out, group = {}, {}
+    for line in stderr.splitlines():
+        if not line.startswith("import time:") or "self [us]" in line:
+            continue
+        self_us, _, name = line.removeprefix("import time:").split("|")
+        group[name.strip()] = int(self_us)
+        if not name.startswith("  "):  # a top-level import closes its group
+            if name.strip().startswith("parakahler"):
+                out.update(group)
+            group = {}
+    return out
+
+
+def startup(src: Path, runs: int = STARTUP_RUNS) -> dict:
+    """The median wall time of ``import parakahler.cli`` from ``src`` over ``runs``
+    fresh interpreters under ``-X importtime``, and each imported module's median
+    self time there: without bytecode and with it.
+
+    Bytecode is read only under a temporary ``PYTHONPYCACHEPREFIX``, never from a
+    tree's ``__pycache__``.  Without bytecode the prefix stays empty and
+    ``PYTHONDONTWRITEBYTECODE=1``, so every module the import reaches is
+    compiled, the standard library's included; with it, one uncounted import
+    fills the prefix first.
+    """
+    out = {"runs": runs}
+    for mode in ("no_bytecode", "bytecode"):
+        with tempfile.TemporaryDirectory() as prefix:
+            env = dict(os.environ, PYTHONPATH=str(src), PYTHONPYCACHEPREFIX=prefix,
+                       PYTHONDONTWRITEBYTECODE="1")
+            if mode == "bytecode":
+                del env["PYTHONDONTWRITEBYTECODE"]
+                subprocess.run([sys.executable, "-c", "import parakahler.cli"], env=env, check=True)
+            walls, self_us = [], defaultdict(list)
+            for _ in range(runs):
+                proc = subprocess.run([sys.executable, "-X", "importtime", "-c", IMPORT_TIMER],
+                                      env=env, capture_output=True, text=True, check=True)
+                walls.append(float(proc.stdout))
+                for name, us in _import_self_us(proc.stderr).items():
+                    self_us[name].append(us)
+            medians = {name: statistics.median(us) for name, us in self_us.items()}
+            out[mode] = {"import_s": round(statistics.median(walls), 4),
+                         "self_us": dict(sorted(medians.items(), key=lambda item: -item[1]))}
+    return out
+
+
 def _commit(src: Path) -> str:
     try:
         proc = subprocess.run(["git", "-C", str(src), "describe", "--always", "--dirty"],
@@ -404,6 +469,7 @@ def main(argv=None) -> Path:
         "chart_log_model": chart_per_point(),
         "chart_grid": chart_grid(),
         "chart_report": chart_report(CHART_SEED),
+        "startup": startup(src),
     }
     args.out.mkdir(parents=True, exist_ok=True)
     path = args.out / f"BENCH_{commit}.json"
