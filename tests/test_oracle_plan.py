@@ -226,7 +226,8 @@ def test_grading_scales_a_fractional_grading_element(algebra):
     g = grade_from_crossing(rs, CrossingSet.of(1))
     assert g.grading_element == (Q(2, 3), Q(1, 3))
     assert verify.check_grading(L, g) == reference_grading(L, g) == _report()
-    halved = Gradation(g.rs, g.crossing, g.root_degrees)  # a copy; the grading element is built on first read
+    # A copy; the grading element is built on first read.
+    halved = Gradation(g.rs, g.crossing, g.root_degrees)
     halved.grading_element = (Q(1, 3), Q(1, 6))
     assert verify.check_grading(L, halved) == reference_grading(L, halved)
     assert verify.check_grading(L, halved)["first_failure"] == "grading element acts wrongly on 1a1"

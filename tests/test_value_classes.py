@@ -17,7 +17,7 @@ from parakahler.rootsys import Root, RootSystem, SimpleType, Weight, build_root_
     (lambda: CrossingSet.of(1, 3), CrossingSet.of(1)),
     (lambda: BasisIndex.X(Root((1, 0))), BasisIndex.X(Root((0, 1)))),
     (lambda: BasisIndex.H(1), BasisIndex.H(2)),
-])
+], ids=["Root", "Weight", "SimpleType", "CrossingSet", "BasisIndex.X", "BasisIndex.H"])
 def test_equal_fields_give_equal_values_and_hashes(make, other):
     a, b = make(), make()
     assert a is not b and a == b and not a != b and hash(a) == hash(b)
