@@ -3,7 +3,8 @@
 These checks recompute everything from first principles (basis brackets,
 honest traces, cyclic sums of rho over basis triples) so they can serve as
 oracles for the closed-form routes.  All arithmetic is exact; a check
-either passes or returns a description of the first failure.
+either passes or returns a description of the first failure, and never
+raises: a ``DomainError`` or ``ArithmeticError`` inside it is that failure.
 
 Jacobi is the derivation identity of the 2 rank generators X_{+-alpha_i}
 (``check_jacobi``): the x with [x, -] a derivation form a subalgebra, so with
@@ -68,14 +69,18 @@ def _first_failure(problems: list[str], **counts: int) -> dict:
 
 
 def _certified(check):
-    """Run ``check`` only once the weight grading certificate has passed."""
+    """Run ``check`` only once the weight grading certificate has passed; a
+    ``DomainError`` or ``ArithmeticError`` raised inside it is its first failure."""
 
     @functools.wraps(check)
     def guarded(L: LieAlgebraData, *args, **kwargs) -> dict:
         bad = L.grading_failure
         if bad is not None:
             return _first_failure([f"weight grading fails: {bad}"])
-        return check(L, *args, **kwargs)
+        try:
+            return check(L, *args, **kwargs)
+        except (DomainError, ArithmeticError) as err:
+            return _first_failure([str(err)])
 
     return guarded
 
@@ -179,13 +184,14 @@ def check_killing_cartan(L: LieAlgebraData) -> dict:
 
 
 def check_structure_constants(L: LieAlgebraData) -> dict:
-    """|N(a,b)| = p+1 against an independent root-string walk.
+    """|N(a,b)| = p+1 against an independent root-string walk, and a(H) = 2 on H = [X_a, X_-a].
 
     N(a, b) is read from the stored [X_a, X_b] with a + b != 0, which must be
     a single term on X_{a+b}; root sums and strings are walked on ``L.keys``
     against this check's own key -> index map.  Every stored pair must have a
     root sum, and every root pair with a root sum a constant; antisymmetry is
-    the first step of ``check_jacobi``.
+    the first step of ``check_jacobi``.  The coroot rule reads a(H_h) from the
+    stored [H_h, X_a], not from the coroots that built H.
     """
     rs, rk, roots, rows, keys = L.rs, L.rank, L.roots, L.brackets, L.keys
     where = {keys[k]: k for k in range(rk, L.dim)}  # root key -> basis index
@@ -195,8 +201,11 @@ def check_structure_constants(L: LieAlgebraData) -> dict:
             if j < rk:
                 continue  # the Cartan rule
             total = keys[i] + keys[j]
-            if not total:
-                continue  # the coroot rule [X_a, X_-a] = H_a
+            if not total:  # the coroot rule: a(H) = 2 on H = [X_a, X_-a]
+                v = sum(c * rows[h].get(i, _NO_TERMS).get(i, 0) for h, c in out.items() if h < rk)
+                if v != 2:
+                    return _first_failure([f"{al}([X[{al}], X[{-al}]]) = {v}, not 2"])
+                continue
             stored += 1
             be, t = roots[j - rk], where.get(total)
             if t is None:
@@ -306,11 +315,9 @@ def check_two_form(L: LieAlgebraData, g: Gradation, forms: ClosedForms | None = 
         if d and v <= 0:
             return _first_failure([f"coefficient on {root} not positive: {v}"])
     # 2 sum a_i pi_i = psi over the basis pi_i: psi(H_i) is 2 a_i on a crossed node, else 0.
-    acoef = koszul_coefficients(g)
+    acoef = koszul_coefficients(g)  # raises on a b_i < 0, that is on an a_i < 2
     if any(v != 2 * acoef.get(i, 0) for i, v in enumerate(weight_in_pi_basis(L.rs, psi), 1)):
         return _first_failure(["2 sum a_i pi_i != psi"])
-    if any(a < 2 for a in acoef.values()):
-        return _first_failure(["some a_i < 2"])
 
     # ad_h-invariance of rho for every basis element h of g_0; r[u] = rho(e_u, e_-u).
     r = (0,) * rk + c + tuple(-v for v in c)
@@ -343,10 +350,7 @@ def check_einstein(L: LieAlgebraData, g: Gradation, forms: ClosedForms | None = 
     (alpha, -alpha) and (-alpha, alpha); ``signature`` refuses a zero g_alpha.
     """
     (_, rho), deg = forms or closed_forms(L, g), basis_degrees(L, g)
-    try:
-        es = einstein_structure(g, L, 1, rho)
-    except DomainError as err:
-        return _first_failure([str(err)])
+    es = einstein_structure(g, L, 1, rho)
     rk, npos = L.rank, len(L.rs.positive_roots)
     gval: list[Q | int] = [0] * L.dim  # g(e_u, e_-u) by basis index
     for p, v in zip((p for p in range(npos) if deg[rk + p]), es.metric):
@@ -356,10 +360,7 @@ def check_einstein(L: LieAlgebraData, g: Gradation, forms: ClosedForms | None = 
     for z in (z for z, d in enumerate(deg) if not d):
         if any(deg[x] and deg[y] and a * gval[ny] + b * gval[x] for x, y, ny, a, b in terms[z]):
             return _first_failure(["metric not ad-invariant under g_0"])
-    try:
-        es.signature()
-    except DomainError as err:  # a zero g_alpha
-        return _first_failure([str(err)])
+    es.signature()  # refuses a zero g_alpha
     return _first_failure([])
 
 

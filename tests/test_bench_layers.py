@@ -1,5 +1,6 @@
 """Smoke test of ``tools/bench_layers.py`` on the rank-2 sweep, the 155 queries, the
-exceptional bracket tables, the chart reports of one seed and the start-up imports."""
+exceptional bracket tables, the chart reports of one seed and the start-up imports,
+at one pass per section, chart dimensions n <= 2 and one start-up run per mode."""
 
 import importlib.util
 import json
@@ -10,10 +11,20 @@ from parakahler import chevalley, cli, gradation, koszul, paracomplex, rootsys, 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_layers.py"
 
 
-def test_bench_layers_writes_one_record_and_restores_the_package(tmp_path):
+def test_bench_layers_writes_one_record_and_restores_the_package(tmp_path, monkeypatch):
     spec = importlib.util.spec_from_file_location("bench_layers", TOOL)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
+    tool.PASSES, tool.STARTUP_RUNS = 1, 1
+    tool.CHART_DIMS, tool.CHART_GRIDS = (1, 2), ((1, 9), (2, 4))
+    argvs = []  # every cli.main call the tool makes
+
+    def main(argv):
+        argvs.append(argv)
+        return cli_main(argv)
+
+    cli_main = cli.main
+    monkeypatch.setattr(cli, "main", main)
     before = {name: getattr(verify, name) for name in tool.VERIFY_LAYERS}
     killing_basis = chevalley.LieAlgebraData.killing_basis
     modules = (chevalley, cli, gradation, koszul, paracomplex, rootsys, verify)
@@ -35,6 +46,11 @@ def test_bench_layers_writes_one_record_and_restores_the_package(tmp_path):
     assert sweep["calls"]["LieAlgebraData.closedness_functionals"] == 4  # once per algebra
     queries = record["queries"]
     assert (queries["seed"], queries["reports"], queries["failed"]) == (1, 155, 0)
+    # The reports and chart configs are perfbench's own, not copies of them.
+    workloads = tool._workloads()
+    assert argvs[:155] == workloads.query_set(1, False)
+    charts = workloads.chart_inputs(1, False, tmp_path)["configs"]
+    assert [Path(argv[1]).stem for argv in argvs[155:]] == [c["name"] for c in charts]
     calls = queries["calls"]
     # One argv reading, root system and JSON rendering per report; five commands over 31
     # types.  Every argv is well formed, so no argparse parser is built.
@@ -57,17 +73,16 @@ def test_bench_layers_writes_one_record_and_restores_the_package(tmp_path):
         assert section["build_s"] > 0
         assert 0 < section["traced_bytes"] <= section["traced_peak_bytes"]
     assert (tables["E8"]["entries"], tables["E8"]["distinct_dicts"]) == (15504, 752)
-    assert set(record["chart_log_model"]) == {"1", "2", "4", "8"}
+    assert set(record["chart_log_model"]) == {"1", "2"}
     assert all(v["per_point_ms"] > 0 for v in record["chart_log_model"].values())
-    # Whole point sets through einstein_residual: grids at n = 1, 2, 4, 64 fixed points at n = 8.
+    # Whole point sets through einstein_residual: grids at n = 1 and 2.
     grids = record["chart_grid"]
-    assert {n: (v["grid"], v["points"]) for n, v in grids.items()} == {
-        "1": (9, 81), "2": (4, 256), "4": (2, 256), "8": (None, 64)}
+    assert {n: (v["grid"], v["points"]) for n, v in grids.items()} == {"1": (9, 81), "2": (4, 256)}
     assert all(v["per_point_ms"] > 0 for v in grids.values())
     # One potential report per chart config of seed 1, each stage once; the flat
     # config's lambda is given, so only the log models fit one.
     report = record["chart_report"]
-    assert set(report) == {"seed", "log-n1-grid9", "log-n2-grid4", "flat-n2-grid4"}
+    assert list(report) == ["seed"] + [c["name"] for c in charts]
     assert report.pop("seed") == 1
     for name, section in report.items():
         assert section["exit"] == 0 and section["passes"] == tool.PASSES

@@ -5,9 +5,9 @@ closed form it calls through ``verify``'s namespace, and around every
 cached per-algebra table of ``LieAlgebraData`` the measured tree has; each
 layer reports its self time (nested timed calls subtracted) and its call
 count.  Then it runs the 155 reports of one seed of perfbench's ``queries``
-workload (five commands over the 31 types of rank <= 8, ``--json``) through
-``cli.main`` with timers around the layers of a cold report
-(``QUERY_LAYERS``).  Each of the two sections runs ``PASSES`` times and
+workload (``workloads.query_set``: five commands over the 31 types of rank
+<= 8, ``--json``) through ``cli.main`` with timers around the layers of a
+cold report (``QUERY_LAYERS``).  Each of the two sections runs ``PASSES`` times and
 reports the median wall time and the median self time per layer; the call
 counts are those of the first pass (every pass makes the same calls).  For
 F4, E6, E7 and E8 (``algebra_tables``) it records what one
@@ -19,7 +19,8 @@ each chart dimension n, twice, as the median of ``PASSES`` passes over all n:
 ``metric_from_potential`` one point at a time (``chart_log_model``) and
 ``einstein_residual`` over a whole grid (``chart_grid``); and the stages of a
 ``potential --json`` report on each config of one seed of perfbench's
-``chart`` workload (``chart_report``, ``PASSES`` passes, median self times).
+``chart`` workload (``workloads.chart_inputs``; ``chart_report``, ``PASSES``
+passes, median self times).
 Last, ``startup`` takes the median time of ``import parakahler.cli`` over
 ``STARTUP_RUNS`` fresh interpreters under ``-X importtime``, without bytecode
 and with it, and each module's median self time.  Nothing in the package is
@@ -44,7 +45,6 @@ import io
 import json
 import os
 import platform
-import random
 import statistics
 import subprocess
 import sys
@@ -123,26 +123,40 @@ def timed_passes(install, run, digits: int = 4) -> tuple[object, dict]:
     }
 
 
-def _install(timer: LayerTimer, verify, chevalley) -> list[tuple[object, str, object]]:
-    """Wrap the sweep's layers; returns (owner, attribute, original) to restore."""
+def _install_layers(layers, timer: LayerTimer) -> list[tuple[object, str, object]]:
+    """Wrap ``layers``, (module, attribute) pairs with a method as ``Class.name``; returns
+    (owner, attribute, original) triples to restore.
+
+    A function is wrapped in every package namespace that holds it, a cached
+    property's function in place; a name the measured tree lacks is skipped.
+    """
     undo = []
-    for name in VERIFY_LAYERS:
-        if hasattr(verify, name):
-            undo.append((verify, name, getattr(verify, name)))
-            setattr(verify, name, timer.wrap(f"verify.{name}", getattr(verify, name)))
-    cls = chevalley.LieAlgebraData
-    for name, attr in vars(cls).items():
-        if isinstance(attr, cached_property):  # per-algebra tables, built on first use
-            undo.append((attr, "func", attr.func))
-            attr.func = timer.wrap(f"LieAlgebraData.{name}", attr.func)
-    undo.append((cls, "killing_basis", cls.killing_basis))
-    cls.killing_basis = timer.wrap("LieAlgebraData.killing_basis", cls.killing_basis)
+    for module, attr in layers:
+        owner = importlib.import_module(f"parakahler.{module}")
+        if "." in attr:
+            cls_name, name = attr.split(".")
+            cls = getattr(owner, cls_name)
+            member = cls.__dict__.get(name)
+            if isinstance(member, cached_property):
+                cls, name, member = member, "func", member.func
+            if callable(member):
+                undo.append((cls, name, member))
+                setattr(cls, name, timer.wrap(attr, member))
+            continue
+        original = getattr(owner, attr, None)
+        if original is None:
+            continue
+        wrapped = timer.wrap(f"{module}.{attr}", original)
+        for name, mod in list(sys.modules.items()):
+            if mod is not None and name.split(".")[0] == "parakahler":
+                for key, value in list(vars(mod).items()):
+                    if value is original:
+                        undo.append((mod, key, original))
+                        setattr(mod, key, wrapped)
     return undo
 
 
-# The layers of a cold report: (module, attribute), a method as ``Class.name``.
-# A function is wrapped in every package namespace that holds it; a name the
-# measured tree lacks is skipped.  The weights are ``bareiss_inverse`` (the
+# The layers of a cold report.  The weights are ``bareiss_inverse`` (the
 # inverse of A) and, where it is built on first read, ``RootSystem.weights``.
 QUERY_LAYERS = (
     ("rootsys", "build_root_system"),
@@ -153,63 +167,25 @@ QUERY_LAYERS = (
     ("cli", "Report.to_json"), ("cli", "read_argv"),
     ("cli", "build_parser"),  # once per report before read_argv; now help and usage errors only
 )
-QUERY_COMMANDS = ("roots", "gradations", "koszul", "rho", "einstein")
 QUERY_SEED = 1
 
 
-def query_set(seed: int) -> list[list[str]]:
-    """The reports of perfbench's ``queries`` workload: one per (command, type), seeded crossing."""
-    from parakahler.verify import sweep_types
+def _workloads():
+    """perfbench's workload module, imported once the measured ``parakahler`` is."""
+    path = str(ROOT / "perfbench")
+    if path not in sys.path:
+        sys.path.insert(0, path)
+    import workloads
 
-    rng = random.Random(seed)
-    queries = []
-    for command in QUERY_COMMANDS:
-        for stype in sweep_types(8):
-            argv = [command, stype.family, str(stype.rank)]
-            if command != "roots":
-                mask = rng.randrange(1, 2**stype.rank)
-                nodes = [str(i + 1) for i in range(stype.rank) if mask >> i & 1]
-                argv += ["--cross", ",".join(nodes)]
-            queries.append(argv + ["--json"])
-    return queries
-
-
-def _install_layers(layers, timer: LayerTimer) -> list[tuple[object, str, object]]:
-    """Wrap ``layers`` ((module, attribute) pairs); returns (owner, attribute, original)
-    to restore."""
-    undo = []
-    for module, attr in layers:
-        owner = importlib.import_module(f"parakahler.{module}")
-        label = f"{module}.{attr}" if "." not in attr else attr
-        if "." in attr:
-            cls_name, name = attr.split(".")
-            cls = getattr(owner, cls_name)
-            member = cls.__dict__.get(name)
-            if isinstance(member, cached_property):
-                undo.append((member, "func", member.func))
-                member.func = timer.wrap(label, member.func)
-            elif callable(member):
-                undo.append((cls, name, member))
-                setattr(cls, name, timer.wrap(label, member))
-            continue
-        original = getattr(owner, attr, None)
-        if original is None:
-            continue
-        wrapped = timer.wrap(label, original)
-        for name, mod in list(sys.modules.items()):
-            if mod is not None and name.split(".")[0] == "parakahler":
-                for key, value in list(vars(mod).items()):
-                    if value is original:
-                        undo.append((mod, key, original))
-                        setattr(mod, key, wrapped)
-    return undo
+    return workloads
 
 
 def query_layers(seed: int) -> dict:
-    """Median self times and calls of ``QUERY_LAYERS`` over the reports of ``query_set(seed)``."""
+    """Median self times and calls of ``QUERY_LAYERS`` over the reports of perfbench's
+    ``queries`` workload of one seed (``workloads.query_set``)."""
     from parakahler import cli
 
-    queries = query_set(seed)
+    queries = _workloads().query_set(seed, False)
 
     def run() -> int:
         with contextlib.redirect_stdout(io.StringIO()):
@@ -220,9 +196,16 @@ def query_layers(seed: int) -> dict:
 
 
 def sweep_layers(max_rank: int) -> dict:
-    from parakahler import chevalley, verify
+    """Median self times and calls of ``VERIFY_LAYERS`` and of ``LieAlgebraData``'s
+    ``killing_basis`` and cached per-algebra tables over ``run_sweep(max_rank)``."""
+    from parakahler import verify
+    from parakahler.chevalley import LieAlgebraData
 
-    result, record = timed_passes(lambda timer: _install(timer, verify, chevalley),
+    tables = [name for name, attr in vars(LieAlgebraData).items()
+              if isinstance(attr, cached_property)]
+    layers = [("verify", name) for name in VERIFY_LAYERS]
+    layers += [("chevalley", f"LieAlgebraData.{name}") for name in ("killing_basis", *tables)]
+    result, record = timed_passes(functools.partial(_install_layers, layers),
                                   lambda: verify.run_sweep(max_rank))
     return {
         "max_rank": max_rank,
@@ -330,52 +313,31 @@ def chart_grid(repeats: int = 5) -> dict:
 
 
 # The stages of ``cli.cmd_potential``, with the derivative table's build apart
-# (it happens in the first stage that evaluates the table), and the configs of
-# perfbench's ``chart`` workload: (name, n, grid, kind).
+# (it happens in the first stage that evaluates the table).
 CHART_LAYERS = (
     ("paracomplex", "parse_potential_config"), ("paracomplex", "grid_points"),
     ("paracomplex", "ChartPotential.derivatives"), ("paracomplex", "fit_lambda"),
     ("paracomplex", "einstein_residual"), ("paracomplex", "determinant_identity_residual"),
     ("cli", "Report.to_json"),
 )
-CHART_CONFIGS = (("log-n1-grid9", 1, 9, "log"), ("log-n2-grid4", 2, 4, "log"),
-                 ("flat-n2-grid4", 2, 4, "flat"))
 CHART_SEED = 1
-
-
-def chart_config_texts(seed: int) -> dict[str, str]:
-    """The config text of each of perfbench's ``chart`` configs of one seed."""
-    rng = random.Random(seed)
-    texts = {}
-    for name, n, grid, kind in CHART_CONFIGS:
-        scale = rng.choice((1, -1))
-        extent = round(0.3 - 0.03 * rng.random(), 6)
-        if kind == "log":
-            text = f"n = {n}\nkind = builtin\nbuiltin = log1p_zzbar\nscale = {scale}\n"
-        else:
-            monomials = "".join(f"monomial = 1 * z{k} * zbar{k}\n" for k in range(1, n + 1))
-            text = f"n = {n}\nkind = polynomial\n{monomials}lambda = 0\n"
-        texts[name] = text + f"grid = {grid}\nextent = {extent}\n"
-    return texts
 
 
 def chart_report(seed: int) -> dict:
     """Median self times of ``CHART_LAYERS`` in one ``potential --json`` report per
-    config of ``chart_config_texts(seed)``, each config on its own."""
+    config of perfbench's ``chart`` workload of one seed, each config on its own."""
     from parakahler import cli
 
     out = {"seed": seed}
     with tempfile.TemporaryDirectory() as tmp:
-        for name, text in chart_config_texts(seed).items():
-            path = Path(tmp) / f"{name}.cfg"
-            path.write_text(text)
+        for cfg in _workloads().chart_inputs(seed, False, Path(tmp))["configs"]:
 
-            def run(path=path) -> int:
+            def run(path=cfg["path"]) -> int:
                 with contextlib.redirect_stdout(io.StringIO()):
-                    return cli.main(["potential", str(path), "--json"])
+                    return cli.main(["potential", path, "--json"])
 
             code, record = timed_passes(functools.partial(_install_layers, CHART_LAYERS), run, 6)
-            out[name] = {"exit": code, **record}
+            out[cfg["name"]] = {"exit": code, **record}
     return out
 
 
@@ -401,7 +363,7 @@ def _import_self_us(stderr: str) -> dict[str, int]:
     return out
 
 
-def startup(src: Path, runs: int = STARTUP_RUNS) -> dict:
+def startup(src: Path, runs: int) -> dict:
     """The median wall time of ``import parakahler.cli`` from ``src`` over ``runs``
     fresh interpreters under ``-X importtime``, and each imported module's median
     self time there: without bytecode and with it.
@@ -469,7 +431,7 @@ def main(argv=None) -> Path:
         "chart_log_model": chart_per_point(),
         "chart_grid": chart_grid(),
         "chart_report": chart_report(CHART_SEED),
-        "startup": startup(src),
+        "startup": startup(src, STARTUP_RUNS),
     }
     args.out.mkdir(parents=True, exist_ok=True)
     path = args.out / f"BENCH_{commit}.json"
