@@ -198,29 +198,6 @@ class LieAlgebraData:
     # -- the gradation plan: per-gradation oracles compiled once per algebra --
 
     @cached_property
-    def closedness_functionals(self) -> tuple[tuple[tuple[int, int, int], tuple], ...]:
-        """(first triple, ((p, coefficient), ...)): d(f) on the zero-weight i < j < k.
-
-        A two-form with f(X_a, X_-a) = c_p (a the p-th positive root) pairs
-        e_m with e_t only for m = -t, so f([i,j],k) + f([j,k],i) - f([i,k],j)
-        is an int functional of c.  Each distinct nonzero one is kept once, in
-        walk order, with the first triple that produced it.
-        """
-        rk, npos, rows = self.rank, len(self.rs.positive_roots), self.brackets
-        first: dict[tuple, tuple[int, int, int]] = {}
-        for i, pairs in enumerate(self.zero_weight_pairs):
-            for j, k in (p for p in pairs if i < p[0] < p[1]):
-                f: dict[int, int] = {}
-                for u, v, t, sign in ((i, j, k, 1), (j, k, i, 1), (i, k, j, -1)):
-                    if t >= rk and (a := rows[u].get(v, _NO_TERMS).get(self.partners(t)[0])):
-                        # f(e_-t, e_t) is c_col for a negative root t, -c_col for a positive one.
-                        col = (t - rk) % npos
-                        f[col] = f.get(col, 0) + (sign if t >= rk + npos else -sign) * a
-                if key := tuple(sorted((col, a) for col, a in f.items() if a)):
-                    first.setdefault(key, (i, j, k))
-        return tuple((triple, key) for key, triple in first.items())
-
-    @cached_property
     def invariance_terms(self) -> list[tuple[tuple[int, int, int, int, int], ...]]:
         """``[z]``: (x, y, -y, [z,x]_-y, [z,y]_-x) for the root pairs of ``zero_weight_pairs[z]``.
 

@@ -1,37 +1,39 @@
 """Brute-force verification sweeps over algebras and gradations.
 
 These checks recompute everything from first principles (basis brackets,
-honest traces, cyclic sums of rho over basis triples) so they can serve as
-oracles for the closed-form routes.  All arithmetic is exact; a check
-either passes or returns a description of the first failure, and never
-raises: a ``DomainError`` or ``ArithmeticError`` inside it is that failure.
+honest traces, Killing Gram rows) so they can serve as oracles for the
+closed-form routes.  All arithmetic is exact; a check either passes or returns
+a description of the first failure, and never raises: a ``DomainError`` or
+``ArithmeticError`` inside it is that failure.
 
 Jacobi is the derivation identity of the 2 rank generators X_{+-alpha_i}
 (``check_jacobi``): the x with [x, -] a derivation form a subalgebra, so with
 antisymmetric stored brackets and generators that generate, it gives Jacobi
 on every triple; the all-triples walk is the tests' reference.  Killing
-invariance, closedness of rho and both ad_{g_0}-invariance checks pair
-[e_i, e_j] with e_k under a form that vanishes unless the weights cancel
-(the metric stores g(X_alpha, X_-alpha) only), so they visit the triples
-with wt(i) + wt(j) + wt(k) = 0 only (``LieAlgebraData.zero_weight_pairs``),
-once ``LieAlgebraData.grading_failure`` certifies that every bracket lands
-in weight wt(i) + wt(j); if it fails, they return ok: False with its
-location.  The same certificate leaves the trace oracle only the Cartan.
+invariance and the metric's ad_{g_0}-invariance visit the triples with
+wt(i) + wt(j) + wt(k) = 0 only (``LieAlgebraData.zero_weight_pairs``), as
+their forms vanish unless the weights cancel, once
+``LieAlgebraData.grading_failure`` certifies that every bracket lands in
+weight wt(i) + wt(j); if it fails, they return ok: False with its location.
+The same certificate leaves the trace oracle only the Cartan.
 
-Killing invariance walks those triples directly.  The per-gradation checks
-read a plan that ``LieAlgebraData`` compiles once per algebra from its bracket
-rows, since only a per-root int vector changes between gradations: closedness
-evaluates one int functional over rho's c_alpha (a tuple by position over
-``rs.positive_roots``) per distinct cyclic sum (``closedness_functionals``,
-each named by the first triple that produced it); both ad_{g_0}-invariance
-checks evaluate the terms of each acting index (``invariance_terms``) on rho's
-or the metric's value at each (alpha, -alpha), the metric's restricted to m;
-the grading check reads alpha(H_h) (``cartan_action``) against an int grading
-element; and ``scaled_killing_dual`` reads the int inverse (M, d) of the
-Killing Cartan block (``killing_cartan_inverse``) and gives d z in ints, which
-``omega_z`` pairs with the Killing Gram in ints and divides by d once.
-``run_sweep`` builds psi and rho of a gradation once (``closed_forms``) for
-the four checks that read them; a check called with (L, g) alone builds its
+No gradation checks that rho = d(psi) is closed or ad_{g_0}-invariant: with
+d(psi)(x, y) = psi([x, y]), d(rho) = d(d(psi)) = 0 is Jacobi (the
+Chevalley-Eilenberg complex), and for z = X_b in g_0 Jacobi makes
+rho([z, x], y) + rho(x, [z, y]) = psi([z, [x, y]]) = k psi(H_b), k an int,
+which the kernel step of ``check_two_form`` proves zero.  That holds once
+``check_algebra`` passes, whose coroot rule ties the coroot table C that
+``two_form_from_weight`` and ``omega_z`` expand over to the stored [X_a, X_-a],
+and ``check_killing_dual`` has shown rho = C psi_H.
+
+Per gradation, the metric's invariance evaluates the terms of each acting
+index (``invariance_terms``) on g_alpha; the grading check reads alpha(H_h)
+(``cartan_action``) against an int grading element; ``scaled_killing_dual``
+reads the int inverse (M, d) of the Killing Cartan block
+(``killing_cartan_inverse``) and gives d z in ints, which ``omega_z`` pairs
+with the Killing Gram in ints and divides by d once; all are compiled once per
+algebra.  ``run_sweep`` builds psi and rho once per gradation (``closed_forms``)
+for the four checks that read them; a check called with (L, g) alone builds its
 own, so a closed form patched here is seen.
 """
 
@@ -191,32 +193,36 @@ def check_structure_constants(L: LieAlgebraData) -> dict:
     against this check's own key -> index map.  Every stored pair must have a
     root sum, and every root pair with a root sum a constant; antisymmetry is
     the first step of ``check_jacobi``.  The coroot rule reads a(H_h) from the
-    stored [H_h, X_a], not from the coroots that built H.
+    stored [H_h, X_a], not from the coroots that built H, and ties H to the
+    coroot table ``rs.positive_coroots`` that rho and ``omega_z`` read, for a > 0.
     """
     rs, rk, roots, rows, keys = L.rs, L.rank, L.roots, L.brackets, L.keys
     where = {keys[k]: k for k in range(rk, L.dim)}  # root key -> basis index
+    cartan, zeros, tied = range(rk), (0,) * rk, rs.positive_coroots + (None,) * len(roots)
     stored = 0
-    for i, al in enumerate(roots, rk):
+    for i, al, ki, ha in zip(range(rk, L.dim), roots, keys[rk:], tied):  # ha: H_a if a > 0
         for j, out in rows[i].items():
             if j < rk:
                 continue  # the Cartan rule
-            total = keys[i] + keys[j]
-            if not total:  # the coroot rule: a(H) = 2 on H = [X_a, X_-a]
+            total = ki + keys[j]
+            if not total:  # the coroot rule: a(H) = 2 on H = [X_a, X_-a], H = H_a for a > 0
                 v = sum(c * rows[h].get(i, _NO_TERMS).get(i, 0) for h, c in out.items() if h < rk)
                 if v != 2:
                     return _first_failure([f"{al}([X[{al}], X[{-al}]]) = {v}, not 2"])
+                if ha is not None and tuple(map(out.get, cartan, zeros)) != ha:
+                    return _first_failure([f"[X[{al}], X[{-al}]] is not the coroot table's {ha}"])
                 continue
             stored += 1
-            be, t = roots[j - rk], where.get(total)
-            if t is None:
-                return _first_failure([f"N({al}, {be}) is stored for a pair without a root sum"])
-            if len(out) != 1 or t not in out:
-                return _first_failure([f"[X[{al}], X[{be}]] is not a single term on X[{al + be}]"])
-            n, p, cur = out[t], 0, keys[j] - keys[i]
+            if (t := where.get(total)) is None or len(out) != 1 or t not in out:
+                be = roots[j - rk]  # named on a failure only
+                return _first_failure([f"N({al}, {be}) is stored for a pair without a root sum"
+                                       if t is None else
+                                       f"[X[{al}], X[{be}]] is not a single term on X[{al + be}]"])
+            n, p, cur = out[t], 0, keys[j] - ki
             while cur in where:
-                p, cur = p + 1, cur - keys[i]
+                p, cur = p + 1, cur - ki
             if abs(n) != p + 1:
-                return _first_failure([f"|N| != p+1 on ({al}, {be}): {n} vs p={p}"])
+                return _first_failure([f"|N| != p+1 on ({al}, {roots[j - rk]}): {n} vs p={p}"])
     # The stored pairs are distinct and have root sums, so none is missing if
     # as many are stored as pairs have a root sum.  W permutes the roots of one
     # length transitively, so one root of each length counts its pairs.
@@ -294,21 +300,19 @@ def check_trace_oracle(L: LieAlgebraData, g: Gradation, forms: ClosedForms | Non
 
 @_certified
 def check_two_form(L: LieAlgebraData, g: Gradation, forms: ClosedForms | None = None) -> dict:
-    """Kernel, closedness, positivity, coefficient consistency, invariance.
+    """Kernel, positivity and coefficient consistency of rho = d(psi).
 
     Type (1,1) needs no check: rho pairs X_alpha with X_-alpha only, and the
     degree is linear, so the two degrees always cancel.  Closedness and
-    invariance evaluate the algebra's compiled functionals on rho's values c.
+    ad_{g_0}-invariance follow once ``check_algebra`` passes (Jacobi, the weight
+    certificate, the coroot tie) and ``check_killing_dual`` shows rho = C psi_H:
+    d(rho) = d(d(psi)) = 0 is Jacobi, and Jacobi turns invariance under X_b into
+    k psi(H_b) = k c_b, which the kernel step proves zero for b in g_0.
     """
     (psi, rho), rk = forms or closed_forms(L, g), L.rank
     deg, c = basis_degrees(L, g), rho.coeffs
     if not kernel_is_g0(rho, g):
         return _first_failure(["kernel of d(psi) is not g_0"])
-
-    # Closedness: the cyclic sum of rho([x,y],z) on the zero-weight triples.
-    for triple, f in L.closedness_functionals:
-        if sum(a * c[p] for p, a in f):
-            return _first_failure([f"d(rho) != 0 on triple {triple}"])
 
     # Positivity off g_0 (the kernel check gave c_alpha = 0 on g_0) and the a_i expansion.
     for root, d, v in zip(L.rs.positive_roots, deg[rk:], c):
@@ -318,12 +322,6 @@ def check_two_form(L: LieAlgebraData, g: Gradation, forms: ClosedForms | None = 
     acoef = koszul_coefficients(g)  # raises on a b_i < 0, that is on an a_i < 2
     if any(v != 2 * acoef.get(i, 0) for i, v in enumerate(weight_in_pi_basis(L.rs, psi), 1)):
         return _first_failure(["2 sum a_i pi_i != psi"])
-
-    # ad_h-invariance of rho for every basis element h of g_0; r[u] = rho(e_u, e_-u).
-    r = (0,) * rk + c + tuple(-v for v in c)
-    for z in (z for z, d in enumerate(deg) if not d):
-        if any(a * r[ny] + b * r[x] for x, _, ny, a, b in L.invariance_terms[z]):
-            return _first_failure([f"rho not ad-invariant under index {z}"])
     return _first_failure([])
 
 

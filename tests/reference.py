@@ -1,5 +1,6 @@
 """Reference code that only the tests use: predicates, dense forms, edits of gradations,
-and the chart lab's oracles (split-complex arithmetic, the Christoffel block).
+the closedness functionals of a bracket table, and the chart lab's oracles
+(split-complex arithmetic, the Christoffel block).
 """
 
 import dataclasses
@@ -10,7 +11,7 @@ from fractions import Fraction as Q
 from operator import add, mul
 
 from parakahler import ratlin
-from parakahler.chevalley import LieAlgebraData
+from parakahler.chevalley import _NO_TERMS, LieAlgebraData
 from parakahler.errors import DomainError, SingularPointError
 from parakahler.gradation import Gradation, unsplit_root
 from parakahler.koszul import EinsteinStructure, TwoForm
@@ -141,6 +142,29 @@ def invariance_triples(L: LieAlgebraData, acting, domain):
         for x, y in L.zero_weight_pairs[z]:
             if x in domain and y in domain:
                 yield z, x, y
+
+
+def closedness_functionals(L: LieAlgebraData) -> tuple[tuple[tuple[int, int, int], tuple], ...]:
+    """(first triple, ((p, coefficient), ...)): d(f) on the zero-weight i < j < k.
+
+    A two-form with f(X_a, X_-a) = c_p (a the p-th positive root) pairs
+    e_m with e_t only for m = -t, so f([i,j],k) + f([j,k],i) - f([i,k],j)
+    is an int functional of c.  Each distinct nonzero one is kept once, in
+    walk order, with the first triple that produced it.
+    """
+    rk, npos, rows = L.rank, len(L.rs.positive_roots), L.brackets
+    first: dict[tuple, tuple[int, int, int]] = {}
+    for i, pairs in enumerate(L.zero_weight_pairs):
+        for j, k in (p for p in pairs if i < p[0] < p[1]):
+            f: dict[int, int] = {}
+            for u, v, t, sign in ((i, j, k, 1), (j, k, i, 1), (i, k, j, -1)):
+                if t >= rk and (a := rows[u].get(v, _NO_TERMS).get(L.partners(t)[0])):
+                    # f(e_-t, e_t) is c_col for a negative root t, -c_col for a positive one.
+                    col = (t - rk) % npos
+                    f[col] = f.get(col, 0) + (sign if t >= rk + npos else -sign) * a
+            if key := tuple(sorted((col, a) for col, a in f.items() if a)):
+                first.setdefault(key, (i, j, k))
+    return tuple((triple, key) for key, triple in first.items())
 
 
 def jacobi_sums(rows: list[dict[int, dict[int, int]]]):

@@ -1,4 +1,5 @@
 import ast
+import copy
 from collections import Counter
 
 import pytest
@@ -323,6 +324,34 @@ def test_scaled_coroot_fails_structure_check_naming_the_root(algebra, factor, va
         f"{a}([X[{a}], X[{-a}]]) = {value}, not 2")
 
 
+@pytest.mark.parametrize(
+    "name, root, message",
+    [
+        # Rho and omega_z both double, so they agree: every other check passes.
+        ("A1", (1,), "[X[1a1], X[-1a1]] is not the coroot table's (2,)"),
+        # Only rho's closedness saw this one, when each gradation walked it.
+        ("G2", (2, 1), "[X[2a1+1a2], X[-2a1-1a2]] is not the coroot table's (4, 3)"),
+    ],
+)
+def test_coroot_table_off_the_brackets_fails_the_coroot_rule(algebra, name, root, message):
+    # The first entry of H_a in rs.positive_coroots, which rho and omega_z
+    # expand over, doubled after the bracket rows were built from it.
+    rs, L = algebra(name)
+    p, table = rs.positions[root], rs.positive_coroots
+    bad_rs = copy.copy(rs)
+    bad_rs.positive_coroots = (*table[:p], (2 * table[p][0], *table[p][1:]), *table[p + 1:])
+    bad = copy.copy(L)
+    bad.rs = bad_rs
+    reports = check_algebra(bad)
+    assert [check for check, report in reports.items() if not report["ok"]] == [
+        "structure_constants"]
+    assert reports["structure_constants"]["first_failure"] == message
+    for crossing in enumerate_crossings(rs.rank):
+        g = grade_from_crossing(bad_rs, crossing)
+        for check in (check_trace_oracle, check_two_form, check_killing_dual, check_einstein):
+            assert check(bad, g)["ok"], (check.__name__, crossing.crossed)
+
+
 def test_one_sided_negation_fails_jacobi_and_killing_invariance(algebra):
     # |N| = p + 1 still holds on both sides; antisymmetry is Jacobi's first step.
     rs, L = algebra("A2")
@@ -405,33 +434,38 @@ def test_trace_oracle_sees_a_wrong_cartan_action(algebra):
     assert report["first_failure"].endswith("on H1")
 
 
-def test_sign_flip_fails_closedness_at_every_crossing(algebra):
-    # Flipping N(a1, a2) alone breaks the cyclic sum on
-    # (X_a1, X_a2, X_-(a1+a2)), the first zero-weight triple it touches.
+def test_sign_flip_fails_jacobi_and_killing_invariance(algebra):
+    # Flipping N(a1, a2) with its reverse keeps antisymmetry and every bracket
+    # in its weight; rho's closedness is Jacobi, checked once per algebra.  Per
+    # gradation only the metric's invariance sees it, where a root acts from g_0.
     rs, L = algebra("A2")
     broken = _corrupted(L)
-    for crossing in enumerate_crossings(rs.rank):
-        report = check_two_form(broken, grade_from_crossing(rs, crossing))
-        assert not report["ok"], crossing
-        assert report["first_failure"] == "d(rho) != 0 on triple (2, 3, 7)"
+    reports = check_algebra(broken)
+    assert reports["jacobi"]["first_failure"] == "jacobi fails on basis triple (2, 3, 5)"
+    assert reports["killing_invariance"]["first_failure"] == "killing invariance fails on (2, 0, 5)"
+    for crossed, ok in (((1,), False), ((2,), False), ((1, 2), True)):
+        assert check_einstein(broken, grade_from_crossing(rs, CrossingSet.of(*crossed)))["ok"] is ok
 
 
-def test_wrong_cartan_action_fails_closedness(algebra):
-    # Negating [H1, X_a1] with its reverse keeps every bracket in its
-    # weight; the cyclic sum on (H1, X_a1, X_-a1) is the first to see it.
+def test_wrong_cartan_action_fails_jacobi_and_the_coroot_rule(algebra):
+    # Negating [H1, X_a1] with its reverse keeps every bracket in its weight;
+    # Jacobi sees it on (X_a1, H1, X_a2), and a1([X_a1, X_-a1]) reads -2.
     rs, shared = algebra("A2")
     L = _copy(shared)
     h, a = 0, L.index_of_root(Root((1, 0)))
     for p, q in ((h, a), (a, h)):
         L.brackets[p][q] = {m: -c for m, c in shared.basis_bracket(p, q).items()}
     assert L.grading_failure is None
-    report = check_two_form(L, grade_from_crossing(rs, CrossingSet.of(1)))
-    assert not report["ok"]
-    assert report["first_failure"] == "d(rho) != 0 on triple (0, 2, 5)"
+    reports = check_algebra(L)
+    assert reports["jacobi"]["first_failure"] == "jacobi fails on basis triple (2, 0, 3)"
+    assert reports["structure_constants"]["first_failure"] == "1a1([X[1a1], X[-1a1]]) = -2, not 2"
+    assert not reports["killing_invariance"]["ok"]
+    report = check_grading(L, grade_from_crossing(rs, CrossingSet.of(1)))
+    assert report["first_failure"] == "grading element acts wrongly on 1a1"
 
 
 def _reverse_flipped(L: LieAlgebraData) -> LieAlgebraData:
-    """Negate [X_a2, X_a1] alone; [X_a1, X_a2], which closedness reads, stays."""
+    """Negate [X_a2, X_a1] alone, keeping [X_a1, X_a2]."""
     bad = _copy(L)
     i, j = L.index_of_root(Root((1, 0))), L.index_of_root(Root((0, 1)))
     bad.brackets[j][i] = {t: -c for t, c in bad.brackets[j][i].items()}
@@ -440,12 +474,13 @@ def _reverse_flipped(L: LieAlgebraData) -> LieAlgebraData:
 
 @pytest.mark.parametrize("name", ["A2", "G2"])
 def test_reverse_sign_flip_fails_each_invariance_check(algebra, name):
-    # The flip keeps every bracket in its weight and closedness never reads
-    # the reverse, so only the three invariance checks can see it.  At {1}
-    # X_a2 (index 3) lies in g_0 and acts; at {2} and {1,2} it does not.
+    # The flip keeps every bracket in its weight; Jacobi's antisymmetry step and
+    # both invariance checks see it.  At {1} X_a2 (index 3) lies in g_0 and acts
+    # on the metric; at {2} and {1,2} it does not.
     rs, L = algebra(name)
     broken = _reverse_flipped(L)
     assert broken.grading_failure is None
+    assert check_jacobi(broken)["first_failure"] == "antisymmetry fails on basis pair (2, 3)"
 
     report = check_killing_invariance(broken)
     assert not report["ok"]
@@ -458,8 +493,6 @@ def test_reverse_sign_flip_fails_each_invariance_check(algebra, name):
     )
 
     g = grade_from_crossing(rs, CrossingSet.of(1))
-    report = check_two_form(broken, g)
-    assert report["first_failure"] == "rho not ad-invariant under index 3"
     report = check_einstein(broken, g)
     assert report["first_failure"] == "metric not ad-invariant under g_0"
     for crossed in ((2,), (1, 2)):
