@@ -94,9 +94,11 @@ class LieAlgebraData:
     def __init__(self, rs: RootSystem, brackets: list[dict[int, dict[int, int]]]):
         self.rs = rs
         self.brackets = brackets
-        self.rank = rs.rank
+        self.rank = rk = rs.rank
         self.roots = rs.all_roots()
-        self.dim = self.rank + len(self.roots)
+        self.dim = rk + len(self.roots)
+        npos = len(rs.positive_roots)  # the generators X_{alpha_i}, then X_{-alpha_i}
+        self.generators = (*range(rk, 2 * rk), *range(rk + npos, 2 * rk + npos))
         self._killing: list[list[int]] | None = None
 
     # -- basis bookkeeping -------------------------------------------------
@@ -127,17 +129,6 @@ class LieAlgebraData:
     def partners(self, i: int) -> tuple[int, ...]:
         """Indices k with wt(i) + wt(k) = 0."""
         return self._cancelling[self.keys[i]]
-
-    @cached_property
-    def zero_weight_pairs(self) -> list[list[tuple[int, int]]]:
-        """``[z]``: the sorted pairs x <= y with wt(z) + wt(x) + wt(y) = 0."""
-        keys, cancelling = self.keys, self._cancelling
-        pairs: list[list[tuple[int, int]]] = [[] for _ in range(self.dim)]
-        for x, kx in enumerate(keys):
-            for y in range(x, self.dim):
-                for z in cancelling.get(kx + keys[y], ()):
-                    pairs[z].append((x, y))
-        return pairs
 
     @cached_property
     def grading_failure(self) -> str | None:
@@ -198,23 +189,27 @@ class LieAlgebraData:
     # -- the gradation plan: per-gradation oracles compiled once per algebra --
 
     @cached_property
-    def invariance_terms(self) -> list[tuple[tuple[int, int, int, int, int], ...]]:
-        """``[z]``: (x, y, -y, [z,x]_-y, [z,y]_-x) for the root pairs of ``zero_weight_pairs[z]``.
+    def invariance_terms(self) -> dict[int, tuple[tuple[int, int, int, int, int], ...]]:
+        """``{z}``: (x, y, -y, [z,x]_-y, [z,y]_-x) on root pairs x <= y, z an H_i or a generator.
 
         A form pairing e_u with e_-u only, r[u] = f(e_u, e_-u), has
-        f([z,x],y) + f(x,[z,y]) = [z,x]_-y r[-y] + [z,y]_-x r[x]; terms zero
-        for every r are dropped.
+        f([z,x],y) + f(x,[z,y]) = [z,x]_-y r[-y] + [z,y]_-x r[x].  The pairs are
+        read off z's bracket row, a root term t of [z, x] pairing root x with
+        y = -t; terms zero for every r are dropped.
         """
-        rk, rows = self.rank, self.brackets
-        terms = []
-        for z, pairs in enumerate(self.zero_weight_pairs):
+        rk, rows, terms = self.rank, self.brackets, {}
+        for z in (*range(rk), *self.generators):
+            row, pairs = rows[z], set()
+            for x, out in row.items():
+                if x >= rk:
+                    pairs.update(tuple(sorted((x, *self.partners(t)))) for t in out if t >= rk)
             kept = []
-            for x, y in (p for p in pairs if p[0] >= rk):
+            for x, y in sorted(pairs):
                 (nx,), (ny,) = self.partners(x), self.partners(y)
-                a, b = rows[z].get(x, _NO_TERMS).get(ny, 0), rows[z].get(y, _NO_TERMS).get(nx, 0)
+                a, b = row.get(x, _NO_TERMS).get(ny, 0), row.get(y, _NO_TERMS).get(nx, 0)
                 if (a + b) if ny == x else (a or b):
                     kept.append((x, y, ny, a, b))
-            terms.append(tuple(kept))
+            terms[z] = tuple(kept)
         return terms
 
     @cached_property

@@ -6,16 +6,19 @@ closed-form routes.  All arithmetic is exact; a check either passes or returns
 a description of the first failure, and never raises: a ``DomainError`` or
 ``ArithmeticError`` inside it is that failure.
 
-Jacobi is the derivation identity of the 2 rank generators X_{+-alpha_i}
-(``check_jacobi``): the x with [x, -] a derivation form a subalgebra, so with
-antisymmetric stored brackets and generators that generate, it gives Jacobi
-on every triple; the all-triples walk is the tests' reference.  Killing
-invariance and the metric's ad_{g_0}-invariance visit the triples with
-wt(i) + wt(j) + wt(k) = 0 only (``LieAlgebraData.zero_weight_pairs``), as
-their forms vanish unless the weights cancel, once
-``LieAlgebraData.grading_failure`` certifies that every bracket lands in
-weight wt(i) + wt(j); if it fails, they return ok: False with its location.
-The same certificate leaves the trace oracle only the Cartan.
+Three checks, one argument: the x whose [x, -] is a derivation of the bracket,
+or is skew for a form, make up a subalgebra, so generators suffice.  One list,
+the 2 rank X_{+-alpha_i} (``LieAlgebraData.generators``), serves all three.
+``check_jacobi`` shows the stored brackets antisymmetric, L generated and each
+generator a derivation: Jacobi on every triple.  ``check_killing_invariance``
+shows each ad_z skew for the Killing form: invariance under L.
+``check_einstein`` evaluates the metric's terms (``invariance_terms``, compiled
+once per algebra from the bracket rows of the H_i and the generators) for the z
+of degree 0, which generate g_0, and brackets add degrees: ad_{g_0}-invariance.
+They read the weight grading that ``LieAlgebraData.grading_failure`` certifies
+(every bracket lands in weight wt(i) + wt(j)), or return ok: False with its
+location; it also leaves the trace oracle only the Cartan.  The walks over
+every triple, or every acting z, are the tests' reference.
 
 No gradation checks that rho = d(psi) is closed or ad_{g_0}-invariant: with
 d(psi)(x, y) = psi([x, y]), d(rho) = d(d(psi)) = 0 is Jacobi (the
@@ -26,15 +29,13 @@ which the kernel step of ``check_two_form`` proves zero.  That holds once
 ``two_form_from_weight`` and ``omega_z`` expand over to the stored [X_a, X_-a],
 and ``check_killing_dual`` has shown rho = C psi_H.
 
-Per gradation, the metric's invariance evaluates the terms of each acting
-index (``invariance_terms``) on g_alpha; the grading check reads alpha(H_h)
-(``cartan_action``) against an int grading element; ``scaled_killing_dual``
-reads the int inverse (M, d) of the Killing Cartan block
-(``killing_cartan_inverse``) and gives d z in ints, which ``omega_z`` pairs
-with the Killing Gram in ints and divides by d once; all are compiled once per
-algebra.  ``run_sweep`` builds psi and rho once per gradation (``closed_forms``)
-for the four checks that read them; a check called with (L, g) alone builds its
-own, so a closed form patched here is seen.
+Per gradation, the grading check reads alpha(H_h) (``cartan_action``) against
+an int grading element; ``scaled_killing_dual`` reads the int inverse (M, d) of
+the Killing Cartan block (``killing_cartan_inverse``) and gives d z in ints,
+which ``omega_z`` pairs with the Killing Gram in ints and divides by d once;
+both are compiled once per algebra.  ``run_sweep`` builds psi and rho once per
+gradation (``closed_forms``) for the four checks that read them; a check called
+with (L, g) alone builds its own, so a closed form patched here is seen.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from operator import mul
 
 from .chevalley import _NO_TERMS, LieAlgebraData, basis_element, chevalley_constants
 from .errors import DomainError
-from .gradation import Gradation, crossed_sums, enumerate_crossings, grade_from_crossing
+from .gradation import Gradation, enumerate_crossings, grade_from_crossing
 from .gradation import unsplit_root
 from .koszul import (
     TwoForm,
@@ -110,7 +111,7 @@ def check_jacobi(L: LieAlgebraData) -> dict:
     full rank); and [x,[y,z]] - [[x,y],z] - [y,[x,z]] = 0, Jacobi on (x, y, z), for
     each generator x and pair y < z with a nonzero term, which ``triples`` counts.
     """
-    rows, rk, dim, npos = L.brackets, L.rank, L.dim, len(L.rs.positive_roots)
+    rows, rk, dim, npos, gens = L.brackets, L.rank, L.dim, len(L.rs.positive_roots), L.generators
     d2, count = dim * dim, 0
     producers: list[list[tuple[int, int]]] = [[] for _ in rows]  # ((y dim + z) dim, c), y < z
     for i, row in enumerate(rows):
@@ -119,7 +120,6 @@ def check_jacobi(L: LieAlgebraData) -> dict:
                 return _first_failure([f"antisymmetry fails on basis pair {(i, j)}"], triples=0)
             for m, c in (out.items() if j > i else ()):  # c e_m in [e_i, e_j], i < j
                 producers[m].append((i * d2 + j * dim, c))
-    gens = [*range(rk, 2 * rk), *range(rk + npos, 2 * rk + npos)]
     reached = set(gens)
     for s in (queue := list(gens)):  # the queue grows while it is read
         for out in (rows[x].get(s, _NO_TERMS) for x in gens):
@@ -162,16 +162,20 @@ def check_jacobi(L: LieAlgebraData) -> dict:
 
 @_certified
 def check_killing_invariance(L: LieAlgebraData) -> dict:
-    """B([z,x],y) + B(x,[z,y]) = 0 on each z and x <= y of ``L.zero_weight_pairs[z]``.
+    """B([z,x],y) + B(x,[z,y]) = 0 for each z in ``L.generators``: invariance under L.
 
-    Read from the Killing rows; the pairs hold repeated indices too.
+    With m[y, x] = B(y, [z,x]) from z's bracket row and the Killing rows, that
+    is m[y, x] + m[x, y] = 0 for all x <= y.
     """
-    b, pair = L.killing_basis(), L.basis_bracket
-    for z, pairs in enumerate(L.zero_weight_pairs):
-        for x, y in pairs:
-            lhs = sum(c * b[m].get(y, 0) for m, c in pair(z, x).items())
-            if lhs + sum(c * b[x].get(m, 0) for m, c in pair(z, y).items()):
-                return _first_failure([f"killing invariance fails on {(z, x, y)}"])
+    b, rows = L.killing_basis(), L.brackets
+    for z in L.generators:
+        m: dict[tuple[int, int], int] = {}
+        for x, out in rows[z].items():
+            for t, c in out.items():
+                for y, v in b[t].items():
+                    m[y, x] = m.get((y, x), 0) + c * v
+        if bad := [(min(p), max(p)) for p, v in m.items() if v + m.get(p[::-1], 0)]:
+            return _first_failure([f"killing invariance fails on {(z, *min(bad))}"])
     return _first_failure([])
 
 
@@ -249,20 +253,16 @@ def check_algebra(L: LieAlgebraData) -> dict:
 
 @_certified
 def check_grading(L: LieAlgebraData, g: Gradation) -> dict:
-    """Brackets respect degrees and the grading element acts by the degree.
+    """The grading element acts by the degree, so brackets respect degrees.
 
-    Every bracket lands in weight wt(i) + wt(j) (the certificate), so brackets
-    add degrees once the degree is linear: the sum of crossed coefficients.
     [H_h, X_a] lies in weight a (the certificate), so [d, X_a] = a(d) X_a with
     a(H_h) from ``L.cartan_action``; d is scaled to ints by the common
     denominator D of its coordinates, and a(D d) is compared with D deg(a).
+    Then deg(a) = a(d) is linear in a, and as every bracket lands in weight
+    wt(i) + wt(j) (the certificate), brackets add degrees.
     """
     den = lcm(*(c.denominator for c in g.grading_element))
     d = [c.numerator * exact_div(den, c.denominator) for c in g.grading_element]
-    sums = crossed_sums(L.rs, g.crossing)
-    for root, deg, want in zip(L.rs.positive_roots, g.root_degrees, sums):
-        if deg != want:
-            return _first_failure([f"degree of {root} is not its crossed coefficient sum"])
     for root, deg, act in zip(L.roots, basis_degrees(L, g)[L.rank:], L.cartan_action):
         if sum(map(mul, d, act)) != deg * den:
             return _first_failure([f"grading element acts wrongly on {root}"])
@@ -344,8 +344,9 @@ def check_killing_dual(L: LieAlgebraData, g: Gradation, forms: ClosedForms | Non
 def check_einstein(L: LieAlgebraData, g: Gradation, forms: ClosedForms | None = None) -> dict:
     """The metric is built, ad_{g_0}-invariant and nondegenerate, in that order.
 
-    The invariance check evaluates ``L.invariance_terms`` on g_alpha at both
-    (alpha, -alpha) and (-alpha, alpha); ``signature`` refuses a zero g_alpha.
+    The invariance check evaluates ``L.invariance_terms`` of the z of degree 0,
+    which generate g_0, on g_alpha at both (alpha, -alpha) and (-alpha, alpha);
+    ``signature`` refuses a zero g_alpha.
     """
     (_, rho), deg = forms or closed_forms(L, g), basis_degrees(L, g)
     es = einstein_structure(g, L, 1, rho)
@@ -354,9 +355,9 @@ def check_einstein(L: LieAlgebraData, g: Gradation, forms: ClosedForms | None = 
     for p, v in zip((p for p in range(npos) if deg[rk + p]), es.metric):
         gval[rk + p] = gval[rk + npos + p] = v
 
-    terms = L.invariance_terms
-    for z in (z for z, d in enumerate(deg) if not d):
-        if any(deg[x] and deg[y] and a * gval[ny] + b * gval[x] for x, y, ny, a, b in terms[z]):
+    for z, terms in L.invariance_terms.items():
+        if not deg[z] and any(deg[x] and deg[y] and a * gval[ny] + b * gval[x]
+                              for x, y, ny, a, b in terms):
             return _first_failure(["metric not ad-invariant under g_0"])
     es.signature()  # refuses a zero g_alpha
     return _first_failure([])

@@ -1,9 +1,10 @@
 """Reference code that only the tests use: predicates, dense forms, edits of gradations,
-the closedness functionals of a bracket table, and the chart lab's oracles
-(split-complex arithmetic, the Christoffel block).
+the all-z invariance walks and closedness functionals of a bracket table, and the
+chart lab's oracles (split-complex arithmetic, the Christoffel block).
 """
 
 import dataclasses
+import functools
 import itertools
 import math
 from collections import defaultdict
@@ -132,16 +133,72 @@ def two_form_matrix(f: TwoForm, L: LieAlgebraData) -> list[list[Q]]:
     return [[row.get(j, Q(0)) for j in range(L.dim)] for row in two_form_rows(f, L)]
 
 
+@functools.cache
+def _zero_weight_pairs(weights: tuple) -> tuple[tuple[tuple[int, int], ...], ...]:
+    at = defaultdict(list)  # weight -> the basis indices that carry it
+    for k, w in enumerate(weights):
+        at[w].append(k)
+    pairs: list[list[tuple[int, int]]] = [[] for _ in weights]
+    for x, y in itertools.combinations_with_replacement(range(len(weights)), 2):
+        for z in at.get(tuple(-a - b for a, b in zip(weights[x], weights[y])), ()):
+            pairs[z].append((x, y))
+    return tuple(map(tuple, pairs))
+
+
+def zero_weight_pairs(L: LieAlgebraData) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """``[z]``: the sorted pairs x <= y with wt(z) + wt(x) + wt(y) = 0, from ``L.weights``."""
+    return _zero_weight_pairs(L.weights)
+
+
+def negatives(L: LieAlgebraData) -> list[int | None]:
+    """The basis index of X_-a for each X_a, from ``L.weights``; None for each H_i."""
+    at = {w: k for k, w in enumerate(L.weights) if any(w)}
+    return [at.get(tuple(-c for c in w)) for w in L.weights]
+
+
 def invariance_triples(L: LieAlgebraData, acting, domain):
     """Each (z, x, y) with z in ``acting``, x <= y in ``domain`` and zero weight sum.
 
-    Read from ``L.zero_weight_pairs[z]``, which holds repeated indices too.
+    Read from ``zero_weight_pairs(L)[z]``, which holds repeated indices too.
     """
-    domain = set(domain)
+    domain, pairs = set(domain), zero_weight_pairs(L)
     for z in acting:
-        for x, y in L.zero_weight_pairs[z]:
+        for x, y in pairs[z]:
             if x in domain and y in domain:
                 yield z, x, y
+
+
+def invariance_failure(L: LieAlgebraData, form, acting, domain) -> tuple | None:
+    """First (z, x, y) with form([z,x], y) + form(x, [z,y]) != 0, from dict rows.
+
+    The all-z walk: every z in ``acting``, where the checks visit generators only.
+    """
+    pair = L.basis_bracket
+    for z, x, y in invariance_triples(L, acting, domain):
+        lhs = sum(c * form[m].get(y, 0) for m, c in pair(z, x).items())
+        lhs += sum(c * form[x].get(m, 0) for m, c in pair(z, y).items())
+        if lhs:
+            return z, x, y
+    return None
+
+
+def invariance_terms(L: LieAlgebraData) -> list[tuple[tuple[int, int, int, int, int], ...]]:
+    """``[z]`` for every basis index z: (x, y, -y, [z,x]_-y, [z,y]_-x) on the root pairs
+    of ``zero_weight_pairs(L)[z]`` whose terms are not zero for every form.
+
+    ``LieAlgebraData.invariance_terms`` holds these for the H_i and the generators.
+    """
+    rk, rows, neg = L.rank, L.brackets, negatives(L)
+    terms = []
+    for z, pairs in enumerate(zero_weight_pairs(L)):
+        kept = []
+        for x, y in (p for p in pairs if p[0] >= rk):
+            nx, ny = neg[x], neg[y]
+            a, b = rows[z].get(x, _NO_TERMS).get(ny, 0), rows[z].get(y, _NO_TERMS).get(nx, 0)
+            if (a + b) if ny == x else (a or b):
+                kept.append((x, y, ny, a, b))
+        terms.append(tuple(kept))
+    return terms
 
 
 def closedness_functionals(L: LieAlgebraData) -> tuple[tuple[tuple[int, int, int], tuple], ...]:
@@ -152,13 +209,13 @@ def closedness_functionals(L: LieAlgebraData) -> tuple[tuple[tuple[int, int, int
     is an int functional of c.  Each distinct nonzero one is kept once, in
     walk order, with the first triple that produced it.
     """
-    rk, npos, rows = L.rank, len(L.rs.positive_roots), L.brackets
+    rk, npos, rows, neg = L.rank, len(L.rs.positive_roots), L.brackets, negatives(L)
     first: dict[tuple, tuple[int, int, int]] = {}
-    for i, pairs in enumerate(L.zero_weight_pairs):
+    for i, pairs in enumerate(zero_weight_pairs(L)):
         for j, k in (p for p in pairs if i < p[0] < p[1]):
             f: dict[int, int] = {}
             for u, v, t, sign in ((i, j, k, 1), (j, k, i, 1), (i, k, j, -1)):
-                if t >= rk and (a := rows[u].get(v, _NO_TERMS).get(L.partners(t)[0])):
+                if t >= rk and (a := rows[u].get(v, _NO_TERMS).get(neg[t])):
                     # f(e_-t, e_t) is c_col for a negative root t, -c_col for a positive one.
                     col = (t - rk) % npos
                     f[col] = f.get(col, 0) + (sign if t >= rk + npos else -sign) * a

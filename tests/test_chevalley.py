@@ -1,6 +1,5 @@
 import hashlib
 from fractions import Fraction as Q
-from itertools import combinations_with_replacement
 from operator import add
 
 import pytest
@@ -392,32 +391,3 @@ def test_bracket_bilinear_antisymmetric(algebra, xs, ys, c):
     assert bracket(L, x.scale(c), y) == bracket(L, x, y).scale(c)
     z = basis_element(L, 3)
     assert bracket(L, x + z, y) == bracket(L, x, y) + bracket(L, z, y)
-
-
-@pytest.mark.parametrize("name", ["A1", "A2", "B3", "G2", "F4"])
-def test_zero_weight_pairs_match_brute_force(algebra, name):
-    _, L = algebra(name)
-    wt = L.weights
-    everything = range(L.dim)
-    assert [L.partners(i) for i in everything] == [
-        tuple(k for k in everything if not any(map(add, wt[i], wt[k]))) for i in everything
-    ]
-    brute = [
-        [
-            (x, y)
-            for x, y in combinations_with_replacement(range(L.dim), 2)
-            if not any(map(sum, zip(wt[z], wt[x], wt[y])))
-        ]
-        for z in range(L.dim)
-    ]
-    assert L.zero_weight_pairs == brute
-    assert L.zero_weight_pairs is L.zero_weight_pairs
-
-
-def test_e8_zero_weight_pair_count(algebra):
-    # Each triple z < x < y appears once per place of z; the other 120 pairs
-    # repeat an index and lie in the Cartan.
-    _, L = algebra("E8")
-    pairs = L.zero_weight_pairs
-    assert sum(map(len, pairs)) == 9888
-    assert sum(z < x < y for z, zs in enumerate(pairs) for x, y in zs) == 3256

@@ -204,6 +204,10 @@ def test_report_digest(name, capsys):
     assert digest.hexdigest() == REPORTS_SHA256[name]
 
 
+# sha256 of `verify --max-rank 8 --json`, the whole advertised scope.
+VERIFY_RANK8_SHA256 = "336aad13d811575da5ccc5e12d1fedd5d1c10a4898a0e08716ec045322d74d21"
+
+
 @pytest.mark.slow
 def test_verify_rank8_sweep(capsys):
     # The whole advertised scope; deselected by default, run with -m slow.
@@ -216,6 +220,7 @@ def test_verify_rank8_sweep(capsys):
     assert code == 0
     assert (payload["algebras"], payload["gradations"]) == (31, 2455)
     assert payload["failures"] == []
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_RANK8_SHA256
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
     with capsys.disabled():
         print(f"\nverify --max-rank 8: {wall:.1f} s, peak RSS {peak_mb:.1f} MB")

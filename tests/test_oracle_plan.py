@@ -6,6 +6,12 @@ algebra's int Bareiss inverse.  The references below walk the bracket rows for
 every gradation, as the checks did before the plan existed; both routes must
 give identical reports, also on tampered algebras, two-forms and metrics.
 
+Killing invariance and the metric's ad_{g_0}-invariance are checked on
+generators only (``verify``); the all-z walks in ``reference`` must agree with
+them on every gradation of rank <= 4 (rank <= 8 under ``slow``), and the
+premise that the degree-0 generators generate g_0 is checked on every
+gradation of rank <= 8.
+
 No gradation checks rho's closedness or ad_{g_0}-invariance: both follow from
 Jacobi and the kernel step (``verify``).  The functionals that once checked
 closedness per gradation stay here as the independent route to that argument.
@@ -18,25 +24,26 @@ import pytest
 from parakahler import ratlin, verify
 from parakahler.errors import DomainError
 from parakahler.gradation import CrossingSet, Gradation, enumerate_crossings, grade_from_crossing
-from parakahler.koszul import EinsteinStructure, TwoForm, killing_dual, koszul_form
+from parakahler.koszul import (
+    EinsteinStructure,
+    TwoForm,
+    basis_degrees,
+    killing_dual,
+    koszul_form,
+)
 from parakahler.rootsys import Weight
-from reference import closedness_functionals, invariance_triples, metric_rows, regraded
+from reference import (
+    closedness_functionals,
+    invariance_failure,
+    invariance_terms,
+    metric_rows,
+    regraded,
+)
 from test_verify import _corrupted, _reverse_flipped
 
 
 def _report(problem: str | None = None) -> dict:
     return {"ok": problem is None, "first_failure": problem}
-
-
-def _invariance_failure(L, form, acting, domain) -> tuple | None:
-    """First (z, x, y) with form([z,x], y) + form(x, [z,y]) != 0, from dict rows."""
-    pair = L.basis_bracket
-    for z, x, y in invariance_triples(L, acting, domain):
-        lhs = sum(c * form[m].get(y, 0) for m, c in pair(z, x).items())
-        lhs += sum(c * form[x].get(m, 0) for m, c in pair(z, y).items())
-        if lhs:
-            return z, x, y
-    return None
 
 
 def reference_two_form(L, g) -> dict:
@@ -80,7 +87,7 @@ def reference_einstein(L, g) -> dict:
                 return _report(f"metric pairs {roots[a]} with {roots[b]}")
             metric[index[a]][index[b]] = v
     g0 = [*range(L.rank), *map(L.index_of_root, g.roots_of_degree(0))]
-    if _invariance_failure(L, metric, g0, index):
+    if invariance_failure(L, metric, g0, index):
         return _report("metric not ad-invariant under g_0")
     if empty := [x for x, row in zip(es.basis, rows) if not row]:
         return _report(f"metric is degenerate at {empty[0].label()}")
@@ -90,11 +97,8 @@ def reference_einstein(L, g) -> dict:
 
 def reference_grading(L, g) -> dict:
     """``check_grading`` with [d, X_a] from ``basis_bracket`` and Fraction d."""
-    crossed = [i - 1 for i in g.crossing.sorted()]
     d = [(h, c) for h, c in enumerate(g.grading_element) if c]
     for x, root in enumerate(L.roots, L.rank):
-        if g.degree(root) != sum(root.coeffs[i] for i in crossed):
-            return _report(f"degree of {root} is not its crossed coefficient sum")
         if sum(c * L.basis_bracket(h, x).get(x, 0) for h, c in d) != g.degree(root):
             return _report(f"grading element acts wrongly on {root}")
     return _report()
@@ -146,14 +150,15 @@ def test_tampered_algebras_fail_alike(algebra, name, tamper):
 
 @pytest.mark.parametrize("name", ["A2", "G2", "B3"])
 def test_nonlinear_degrees_fail_alike(algebra, name):
-    # Moving b, and with it -b, to degree 0 breaks linearity: g_0 then
-    # brackets into m, and only the m-domain filter keeps those terms out of
-    # the metric's invariance check, as the walk does.
+    # Moving b, and with it -b, to degree 0 breaks linearity: g_0 then brackets
+    # into m and is no subalgebra, so the generator argument of the metric's
+    # invariance check does not apply.  The grading check fails on each such vector.
     rs, L = algebra(name)
     g = grade_from_crossing(rs, CrossingSet.of(1))
     for beta in g.nonzero_positive():
         bad = regraded(g, {beta: 0})
-        _agree(L, bad)
+        report = verify.check_grading(L, bad)
+        assert report == reference_grading(L, bad) and not report["ok"], beta
 
 
 @pytest.mark.parametrize("name, crossed", [("A3", (1, 3)), ("B3", (2,)), ("G2", (1,))])
@@ -203,21 +208,63 @@ def test_closedness_functionals_are_one_per_positive_root_triple(algebra, name, 
 @pytest.mark.parametrize("name", [str(stype) for stype in verify.sweep_types(8)])
 def test_closedness_and_rho_invariance_follow_from_the_kernel(algebra, name):
     # rho = d(psi) has c = C psi_H, C the coroot table.  F C = 0 (d o d = 0 on
-    # Cartan 1-forms) makes rho closed for every psi.  Each invariance term,
-    # read as a functional of psi_H, is k H_b for z = X_b, so it vanishes once
-    # the kernel step gives psi(H_b) = c_b = 0 for b in g_0; a Cartan z keeps
-    # no term, as each cancels for every form.
+    # Cartan 1-forms) makes rho closed for every psi.  Each invariance term of
+    # the all-z walk, read as a functional of psi_H, is k H_b for z = X_b, so it
+    # vanishes once the kernel step gives psi(H_b) = c_b = 0 for b in g_0; a
+    # Cartan z keeps no term, as each cancels for every form.  The compiled
+    # terms are the walk's at the H_i and the generators.
     rs, L = algebra(name)
-    coroots, rk = rs.positive_coroots, L.rank
+    coroots, rk, every = rs.positive_coroots, L.rank, invariance_terms(L)
     for triple, f in closedness_functionals(L):
         assert not any(sum(a * coroots[p][h] for p, a in f) for h in range(rk)), triple
-    assert not any(L.invariance_terms[:rk])
+    assert L.invariance_terms == {z: every[z] for z in (*range(rk), *L.generators)}
+    assert not any(every[:rk])
     coroot = [None] * rk + [rs.coroot(root) for root in L.roots]  # H_{wt(u)} by basis index
-    for z, terms in enumerate(L.invariance_terms[rk:], rk):
+    for z, terms in enumerate(every[rk:], rk):
         for x, _, ny, a, b in terms:
             v = [a * p + b * q for p, q in zip(coroot[ny], coroot[x])]
             k = next((v[h] // c for h, c in enumerate(coroot[z]) if c), 0)
             assert v == [k * c for c in coroot[z]], (z, x, ny)
+
+
+@pytest.mark.parametrize("name", [str(stype) for stype in verify.sweep_types(8)])
+def test_degree_zero_generators_reach_every_degree_zero_root(algebra, name):
+    # The premise of the metric's invariance check: g_0 is generated by the
+    # Cartan and the degree-0 X_{+-alpha_i}.  Single-term brackets by those
+    # generators reach every root vector of degree 0, on every crossing.
+    rs, L = algebra(name)
+    rows, rk = L.brackets, L.rank
+    for crossing in enumerate_crossings(rs.rank):
+        deg = basis_degrees(L, grade_from_crossing(rs, crossing))
+        gens = [x for x in L.generators if not deg[x]]
+        reached = set(gens)
+        for s in (queue := list(gens)):  # the queue grows while it is read
+            for out in (rows[x].get(s, {}) for x in gens):
+                if len(out) == 1 and (t := next(iter(out))) >= rk and t not in reached:
+                    reached.add(t)
+                    queue.append(t)
+        assert reached == {x for x in range(rk, L.dim) if not deg[x]}, crossing.crossed
+
+
+def _walks_agree(L) -> None:
+    """The generator checks against the all-z walks: Killing invariance, then the
+    metric's ad_{g_0}-invariance on every crossing."""
+    walk = invariance_failure(L, L.killing_basis(), range(L.dim), range(L.dim))
+    assert verify.check_killing_invariance(L)["ok"] == (walk is None)
+    for crossing in enumerate_crossings(L.rank):
+        g = grade_from_crossing(L.rs, crossing)
+        assert verify.check_einstein(L, g) == reference_einstein(L, g), crossing.crossed
+
+
+@pytest.mark.parametrize("name", [str(stype) for stype in verify.sweep_types(4)])
+def test_generator_invariance_agrees_with_the_all_z_walks(algebra, name):
+    _walks_agree(algebra(name)[1])
+
+
+@pytest.mark.slow
+def test_generator_invariance_agrees_with_the_all_z_walks_to_rank_8(algebra):
+    for stype in verify.sweep_types(8):
+        _walks_agree(algebra(str(stype))[1])
 
 
 def test_missing_degree_names_the_root(algebra):

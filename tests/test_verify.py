@@ -669,9 +669,8 @@ def _dense_jacobi_triples(L: LieAlgebraData) -> list[tuple[int, int, int]]:
 
 
 def _generators(L: LieAlgebraData) -> list[int]:
-    """Basis indices of X_{alpha_i}, then X_{-alpha_i}, checked against the roots."""
-    npos = len(L.rs.positive_roots)
-    gens = [*range(L.rank, 2 * L.rank), *range(L.rank + npos, 2 * L.rank + npos)]
+    """``L.generators``, checked against the roots: X_{alpha_i}, then X_{-alpha_i}."""
+    gens = list(L.generators)
     unit = [tuple(int(i == j) for j in range(L.rank)) for i in range(L.rank)]
     assert [L.roots[x - L.rank].coeffs for x in gens] == unit + [
         tuple(-c for c in u) for u in unit
