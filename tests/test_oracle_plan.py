@@ -24,21 +24,10 @@ import pytest
 from parakahler import ratlin, verify
 from parakahler.errors import DomainError
 from parakahler.gradation import CrossingSet, Gradation, enumerate_crossings, grade_from_crossing
-from parakahler.koszul import (
-    EinsteinStructure,
-    TwoForm,
-    basis_degrees,
-    killing_dual,
-    koszul_form,
-)
+from parakahler.koszul import EinsteinStructure, TwoForm, basis_degrees, killing_dual, koszul_form
 from parakahler.rootsys import Weight
-from reference import (
-    closedness_functionals,
-    invariance_failure,
-    invariance_terms,
-    metric_rows,
-    regraded,
-)
+from reference import closedness_functionals, invariance_failure, invariance_terms
+from reference import metric_rows, regraded
 from test_verify import _corrupted, _reverse_flipped
 
 
