@@ -34,7 +34,11 @@ one shared dict: replace, never mutate); ``grading_failure`` certifies that each
 bracket lands in the sum of its arguments' weights, compared as those int keys.
 The Killing Gram is held the same way, as rows {v: B(e_u, e_v)} of its nonzero
 entries, and an ``AlgebraElement`` is one such row {basis index: coefficient},
-so brackets and Killing values visit stored entries only.
+so brackets and Killing values visit stored entries only.  Besides these,
+``LieAlgebraData`` caches only what the checks read for every gradation: the
+certificate, a(H_h) (``cartan_action``) and the int inverse of the Killing
+Cartan block.  The metric needs no table: ``verify.check_einstein`` reads
+psi([X_a, X_-a]) off the stored rows.
 """
 
 from __future__ import annotations
@@ -112,13 +116,9 @@ class LieAlgebraData:
     # -- weight grading --------------------------------------------------------
 
     @cached_property
-    def weights(self) -> tuple[tuple[int, ...], ...]:
-        """Weight of each basis index: 0 for H_i, the root for X_alpha."""
-        return ((0,) * self.rank,) * self.rank + tuple(r.coeffs for r in self.roots)
-
-    @cached_property
     def keys(self) -> tuple[int, ...]:
-        """``weights`` as ``RootSystem.keys`` ints, which add like the weights."""
+        """The weight of each basis index (0 for H_i, the root for X_alpha) as a
+        ``RootSystem.keys`` int; keys add like the weights."""
         return (0,) * self.rank + self.rs.keys
 
     @cached_property
@@ -185,32 +185,6 @@ class LieAlgebraData:
         """The Killing Gram on the Cartan H_1..H_l, as a dense matrix."""
         b = self.killing_basis()
         return [[b[i].get(j, 0) for j in range(self.rank)] for i in range(self.rank)]
-
-    # -- the gradation plan: per-gradation oracles compiled once per algebra --
-
-    @cached_property
-    def invariance_terms(self) -> dict[int, tuple[tuple[int, int, int, int, int], ...]]:
-        """``{z}``: (x, y, -y, [z,x]_-y, [z,y]_-x) on root pairs x <= y, z an H_i or a generator.
-
-        A form pairing e_u with e_-u only, r[u] = f(e_u, e_-u), has
-        f([z,x],y) + f(x,[z,y]) = [z,x]_-y r[-y] + [z,y]_-x r[x].  The pairs are
-        read off z's bracket row, a root term t of [z, x] pairing root x with
-        y = -t; terms zero for every r are dropped.
-        """
-        rk, rows, terms = self.rank, self.brackets, {}
-        for z in (*range(rk), *self.generators):
-            row, pairs = rows[z], set()
-            for x, out in row.items():
-                if x >= rk:
-                    pairs.update(tuple(sorted((x, *self.partners(t)))) for t in out if t >= rk)
-            kept = []
-            for x, y in sorted(pairs):
-                (nx,), (ny,) = self.partners(x), self.partners(y)
-                a, b = row.get(x, _NO_TERMS).get(ny, 0), row.get(y, _NO_TERMS).get(nx, 0)
-                if (a + b) if ny == x else (a or b):
-                    kept.append((x, y, ny, a, b))
-            terms[z] = tuple(kept)
-        return terms
 
     @cached_property
     def cartan_action(self) -> tuple[tuple[int, ...], ...]:

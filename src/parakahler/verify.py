@@ -6,19 +6,16 @@ closed-form routes.  All arithmetic is exact; a check either passes or returns
 a description of the first failure, and never raises: a ``DomainError`` or
 ``ArithmeticError`` inside it is that failure.
 
-Three checks, one argument: the x whose [x, -] is a derivation of the bracket,
+Two checks, one argument: the x whose [x, -] is a derivation of the bracket,
 or is skew for a form, make up a subalgebra, so generators suffice.  One list,
-the 2 rank X_{+-alpha_i} (``LieAlgebraData.generators``), serves all three.
+the 2 rank X_{+-alpha_i} (``LieAlgebraData.generators``), serves both.
 ``check_jacobi`` shows the stored brackets antisymmetric, L generated and each
 generator a derivation: Jacobi on every triple.  ``check_killing_invariance``
-shows each ad_z skew for the Killing form: invariance under L.
-``check_einstein`` evaluates the metric's terms (``invariance_terms``, compiled
-once per algebra from the bracket rows of the H_i and the generators) for the z
-of degree 0, which generate g_0, and brackets add degrees: ad_{g_0}-invariance.
-They read the weight grading that ``LieAlgebraData.grading_failure`` certifies
-(every bracket lands in weight wt(i) + wt(j)), or return ok: False with its
-location; it also leaves the trace oracle only the Cartan.  The walks over
-every triple, or every acting z, are the tests' reference.
+shows each ad_z skew for the Killing form: invariance under L.  They read the
+weight grading that ``LieAlgebraData.grading_failure`` certifies (every
+bracket lands in weight wt(i) + wt(j)), or return ok: False with its location;
+it also leaves the trace oracle only the Cartan.  The walks over every triple,
+or every acting z, are the tests' reference.
 
 No gradation checks that rho = d(psi) is closed or ad_{g_0}-invariant: with
 d(psi)(x, y) = psi([x, y]), d(rho) = d(d(psi)) = 0 is Jacobi (the
@@ -27,7 +24,9 @@ rho([z, x], y) + rho(x, [z, y]) = psi([z, [x, y]]) = k psi(H_b), k an int,
 which the kernel step of ``check_two_form`` proves zero.  That holds once
 ``check_algebra`` passes, whose coroot rule ties the coroot table C that
 ``two_form_from_weight`` and ``omega_z`` expand over to the stored [X_a, X_-a],
-and ``check_killing_dual`` has shown rho = C psi_H.
+and ``check_killing_dual`` has shown rho = C psi_H.  Nor does any gradation
+check the metric's ad_{g_0}-invariance: ``check_einstein`` shows that it is
+rho(., K .), and K commutes with ad_{g_0} once brackets add degrees.
 
 Per gradation, the grading check reads alpha(H_h) (``cartan_action``) against
 an int grading element; ``scaled_killing_dual`` reads the int inverse (M, d) of
@@ -42,7 +41,6 @@ from __future__ import annotations
 
 import functools
 from collections import Counter
-from fractions import Fraction as Q
 from itertools import product
 from math import lcm
 from operator import mul
@@ -342,23 +340,28 @@ def check_killing_dual(L: LieAlgebraData, g: Gradation, forms: ClosedForms | Non
 
 @_certified
 def check_einstein(L: LieAlgebraData, g: Gradation, forms: ClosedForms | None = None) -> dict:
-    """The metric is built, ad_{g_0}-invariant and nondegenerate, in that order.
+    """The metric is d(psi)(., K .) at lambda = 1, and nondegenerate, in that order.
 
-    The invariance check evaluates ``L.invariance_terms`` of the z of degree 0,
-    which generate g_0, on g_alpha at both (alpha, -alpha) and (-alpha, alpha);
-    ``signature`` refuses a zero g_alpha.
+    Each g_alpha of m+ is compared with -sign(deg alpha) psi([X_alpha, X_-alpha]),
+    the bracket read from its stored row and psi(H_h) from ``weight_in_pi_basis``;
+    rho's coefficients are never read for it, so this is a route to rho through
+    the bracket rows, beside the coroot table ``two_form_from_weight`` reads.
+    Invariance is argued, not evaluated: rho is ad_{g_0}-invariant (the module
+    docstring), and ``check_grading`` shows that brackets add degrees, so K
+    commutes with ad_{g_0} and g = rho(., K .) is invariant.  ``signature``
+    refuses a zero g_alpha.
     """
-    (_, rho), deg = forms or closed_forms(L, g), basis_degrees(L, g)
+    (psi, rho), deg = forms or closed_forms(L, g), basis_degrees(L, g)
     es = einstein_structure(g, L, 1, rho)
-    rk, npos = L.rank, len(L.rs.positive_roots)
-    gval: list[Q | int] = [0] * L.dim  # g(e_u, e_-u) by basis index
-    for p, v in zip((p for p in range(npos) if deg[rk + p]), es.metric):
-        gval[rk + p] = gval[rk + npos + p] = v
-
-    for z, terms in L.invariance_terms.items():
-        if not deg[z] and any(deg[x] and deg[y] and a * gval[ny] + b * gval[x]
-                              for x, y, ny, a, b in terms):
-            return _first_failure(["metric not ad-invariant under g_0"])
+    rk, npos, rows = L.rank, len(L.rs.positive_roots), L.brackets
+    psi_h = weight_in_pi_basis(L.rs, psi)
+    for x, v in zip((x for x in range(rk, rk + npos) if deg[x]), es.metric):
+        h = 0  # psi([X_a, X_-a])
+        for t, c in rows[x].get(x + npos, _NO_TERMS).items():
+            h += c * psi_h[t]
+        if v != (want := -h if deg[x] > 0 else h):
+            root = L.roots[x - rk]
+            return _first_failure([f"metric is not d(psi)(., K .) at {root}: {v} vs {want}"])
     es.signature()  # refuses a zero g_alpha
     return _first_failure([])
 

@@ -145,15 +145,21 @@ def _zero_weight_pairs(weights: tuple) -> tuple[tuple[tuple[int, int], ...], ...
     return tuple(map(tuple, pairs))
 
 
+def weights(L: LieAlgebraData) -> tuple[tuple[int, ...], ...]:
+    """The weight of each basis index as coefficients: 0 for H_i, the root for X_alpha."""
+    return ((0,) * L.rank,) * L.rank + tuple(r.coeffs for r in L.roots)
+
+
 def zero_weight_pairs(L: LieAlgebraData) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """``[z]``: the sorted pairs x <= y with wt(z) + wt(x) + wt(y) = 0, from ``L.weights``."""
-    return _zero_weight_pairs(L.weights)
+    """``[z]``: the sorted pairs x <= y with wt(z) + wt(x) + wt(y) = 0, from ``weights``."""
+    return _zero_weight_pairs(weights(L))
 
 
 def negatives(L: LieAlgebraData) -> list[int | None]:
-    """The basis index of X_-a for each X_a, from ``L.weights``; None for each H_i."""
-    at = {w: k for k, w in enumerate(L.weights) if any(w)}
-    return [at.get(tuple(-c for c in w)) for w in L.weights]
+    """The basis index of X_-a for each X_a, from ``weights``; None for each H_i."""
+    wt = weights(L)
+    at = {w: k for k, w in enumerate(wt) if any(w)}
+    return [at.get(tuple(-c for c in w)) for w in wt]
 
 
 def invariance_triples(L: LieAlgebraData, acting, domain):
@@ -185,8 +191,6 @@ def invariance_failure(L: LieAlgebraData, form, acting, domain) -> tuple | None:
 def invariance_terms(L: LieAlgebraData) -> list[tuple[tuple[int, int, int, int, int], ...]]:
     """``[z]`` for every basis index z: (x, y, -y, [z,x]_-y, [z,y]_-x) on the root pairs
     of ``zero_weight_pairs(L)[z]`` whose terms are not zero for every form.
-
-    ``LieAlgebraData.invariance_terms`` holds these for the H_i and the generators.
     """
     rk, rows, neg = L.rank, L.brackets, negatives(L)
     terms = []

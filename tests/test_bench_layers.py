@@ -43,7 +43,7 @@ def test_bench_layers_writes_one_record_and_restores_the_package(tmp_path, monke
     sweep = record["sweep"]
     assert (sweep["algebras"], sweep["gradations"], sweep["all_ok"]) == (4, 10, True)
     assert sweep["calls"]["verify.check_two_form"] == 10
-    assert sweep["calls"]["LieAlgebraData.invariance_terms"] == 4  # once per algebra
+    assert sweep["calls"]["LieAlgebraData.cartan_action"] == 4  # once per algebra
     queries = record["queries"]
     assert (queries["seed"], queries["reports"], queries["failed"]) == (1, 155, 0)
     # The reports and chart configs are perfbench's own, not copies of them.

@@ -1,16 +1,17 @@
-"""The compiled gradation plan against the dict-row walks it replaced.
+"""The checks against per-gradation walks over dict rows.
 
-``check_einstein`` and ``check_grading`` evaluate int data that
-``LieAlgebraData`` compiles once per algebra, and ``killing_dual`` reads the
-algebra's int Bareiss inverse.  The references below walk the bracket rows for
-every gradation, as the checks did before the plan existed; both routes must
-give identical reports, also on tampered algebras, two-forms and metrics.
+``check_grading`` evaluates int data that ``LieAlgebraData`` compiles once per
+algebra, and ``killing_dual`` reads the algebra's int Bareiss inverse;
+``check_einstein`` reads psi([X_a, X_-a]) off the stored bracket rows.  The
+references below walk the bracket rows, or bracket ``AlgebraElement``s, for
+every gradation; both routes must give identical reports, also on tampered
+algebras, two-forms and metrics.
 
-Killing invariance and the metric's ad_{g_0}-invariance are checked on
-generators only (``verify``); the all-z walks in ``reference`` must agree with
-them on every gradation of rank <= 4 (rank <= 8 under ``slow``), and the
-premise that the degree-0 generators generate g_0 is checked on every
-gradation of rank <= 8.
+Killing invariance is checked on generators only (``verify``); the all-z walk
+in ``reference`` must agree with it on every type of rank <= 4 (rank <= 8
+under ``slow``).  No check evaluates the metric's ad_{g_0}-invariance, which
+follows from rho's and from brackets adding degrees; the all-z walk shows it
+on the built metric of every gradation of the same ranks.
 
 No gradation checks rho's closedness or ad_{g_0}-invariance: both follow from
 Jacobi and the kernel step (``verify``).  The functionals that once checked
@@ -22,6 +23,7 @@ from fractions import Fraction as Q
 import pytest
 
 from parakahler import ratlin, verify
+from parakahler.chevalley import basis_element, bracket, root_vector
 from parakahler.errors import DomainError
 from parakahler.gradation import CrossingSet, Gradation, enumerate_crossings, grade_from_crossing
 from parakahler.koszul import EinsteinStructure, TwoForm, basis_degrees, killing_dual, koszul_form
@@ -57,15 +59,26 @@ def reference_two_form(L, g) -> dict:
     return _report("some a_i < 2" if any(a < 2 for a in acoef.values()) else None)
 
 
+def _indexed(L, es) -> list[dict]:
+    """The metric of ``es`` as dict rows over the basis indices of L."""
+    index = [L.index_of_root(r) for r in es.gradation.nonzero_roots()]
+    metric = [{} for _ in range(L.dim)]
+    for a, row in enumerate(metric_rows(es)):
+        for b, v in row.items():
+            metric[index[a]][index[b]] = v
+    return metric
+
+
 def reference_einstein(L, g) -> dict:
-    """``check_einstein`` with the metric as dict rows over basis indices."""
+    """``check_einstein`` with the metric as dict rows, and psi([X_a, X_-a]) from
+    ``chevalley.bracket`` and psi's coordinates: psi(H) = sum_j psi_j a_j(H), with
+    a_j(H) the coefficient of X_{a_j} in [H, X_{a_j}]."""
     try:
         es = verify.einstein_structure(g, L, 1)
     except DomainError as err:
         return _report(str(err))
     roots, rows = g.nonzero_roots(), metric_rows(es)
     index = [L.index_of_root(r) for r in roots]
-    metric = [{} for _ in range(L.dim)]
     for a, row in enumerate(rows):
         for b, v in row.items():
             if rows[b].get(a, 0) != v:
@@ -74,10 +87,16 @@ def reference_einstein(L, g) -> dict:
                 return _report("metric not K-skew")
             if v and L.keys[index[a]] + L.keys[index[b]]:
                 return _report(f"metric pairs {roots[a]} with {roots[b]}")
-            metric[index[a]][index[b]] = v
-    g0 = [*range(L.rank), *map(L.index_of_root, g.roots_of_degree(0))]
-    if invariance_failure(L, metric, g0, index):
-        return _report("metric not ad-invariant under g_0")
+    # a_j(H_i): the coefficient of X_{a_j}, basis index rank + j, in [H_i, X_{a_j}].
+    act = [[bracket(L, basis_element(L, i), basis_element(L, x)).coords.get(x, 0)
+            for x in range(L.rank, 2 * L.rank)] for i in range(L.rank)]
+    psi, k = verify.koszul_form(g).coords, len(es.metric)
+    for a, root in enumerate(roots[:k]):
+        h = bracket(L, root_vector(L, root), root_vector(L, -root)).coords
+        want = -g.ksign(root) * sum(c * p * act[i][j] for i, c in h.items()
+                                    for j, p in enumerate(psi))
+        if (v := rows[a].get(a + k, 0)) != want:
+            return _report(f"metric is not d(psi)(., K .) at {root}: {v} vs {want}")
     if empty := [x for x, row in zip(es.basis, rows) if not row]:
         return _report(f"metric is degenerate at {empty[0].label()}")
     sig = ratlin.symmetric_signature(rows)
@@ -123,25 +142,24 @@ def test_compiled_checks_match_the_walks(algebra, name, crossing):
     "name, tamper", [("A2", _corrupted), ("A2", _reverse_flipped), ("G2", _reverse_flipped)]
 )
 def test_tampered_algebras_fail_alike(algebra, name, tamper):
-    # Jacobi and Killing invariance kill both tampers once per algebra; per
-    # gradation the metric's invariance sees them where X_a2 acts from g_0.
+    # Jacobi and Killing invariance kill both tampers once per algebra.  Neither
+    # touches a [X_a, X_-a], so the metric's formula holds on every gradation.
     rs, L = algebra(name)
     broken = tamper(L)
     assert not verify.check_jacobi(broken)["ok"]
     assert not verify.check_killing_invariance(broken)["ok"]
-    failed = 0
     for crossing in enumerate_crossings(rs.rank):
         g = grade_from_crossing(rs, crossing)
         _agree(broken, g)
-        failed += not verify.check_einstein(broken, g)["ok"]
-    assert failed
+        assert verify.check_einstein(broken, g)["ok"], crossing.crossed
 
 
 @pytest.mark.parametrize("name", ["A2", "G2", "B3"])
 def test_nonlinear_degrees_fail_alike(algebra, name):
     # Moving b, and with it -b, to degree 0 breaks linearity: g_0 then brackets
-    # into m and is no subalgebra, so the generator argument of the metric's
-    # invariance check does not apply.  The grading check fails on each such vector.
+    # into m and is no subalgebra, so K does not commute with ad_{g_0} and the
+    # metric's invariance argument does not apply.  The grading check fails on
+    # each such vector.
     rs, L = algebra(name)
     g = grade_from_crossing(rs, CrossingSet.of(1))
     for beta in g.nonzero_positive():
@@ -174,15 +192,13 @@ def test_metric_with_one_pair_doubled_fails_alike(algebra, monkeypatch, name, cr
     rs, L = algebra(name)
     g = grade_from_crossing(rs, CrossingSet.of(*crossed))
     true_es = verify.einstein_structure(g, L, 1)
-    failed = 0
     for a, v in enumerate(true_es.metric):
         metric = true_es.metric[:a] + (2 * v,) + true_es.metric[a + 1:]
         es = EinsteinStructure(true_es.gradation, true_es.lam, true_es.rho, metric)
         monkeypatch.setattr(verify, "einstein_structure", lambda *args, es=es: es)
         report = verify.check_einstein(L, g)
         assert report == reference_einstein(L, g), a
-        failed += not report["ok"]
-    assert failed  # the doubled pair breaks ad_{g_0}-invariance somewhere
+        assert not report["ok"], a  # every doubled pair is off the formula
 
 
 @pytest.mark.parametrize("name, count", [("E8", 1120), ("E7", 336), ("D8", 224)])
@@ -200,13 +216,11 @@ def test_closedness_and_rho_invariance_follow_from_the_kernel(algebra, name):
     # Cartan 1-forms) makes rho closed for every psi.  Each invariance term of
     # the all-z walk, read as a functional of psi_H, is k H_b for z = X_b, so it
     # vanishes once the kernel step gives psi(H_b) = c_b = 0 for b in g_0; a
-    # Cartan z keeps no term, as each cancels for every form.  The compiled
-    # terms are the walk's at the H_i and the generators.
+    # Cartan z keeps no term, as each cancels for every form.
     rs, L = algebra(name)
     coroots, rk, every = rs.positive_coroots, L.rank, invariance_terms(L)
     for triple, f in closedness_functionals(L):
         assert not any(sum(a * coroots[p][h] for p, a in f) for h in range(rk)), triple
-    assert L.invariance_terms == {z: every[z] for z in (*range(rk), *L.generators)}
     assert not any(every[:rk])
     coroot = [None] * rk + [rs.coroot(root) for root in L.roots]  # H_{wt(u)} by basis index
     for z, terms in enumerate(every[rk:], rk):
@@ -218,9 +232,9 @@ def test_closedness_and_rho_invariance_follow_from_the_kernel(algebra, name):
 
 @pytest.mark.parametrize("name", [str(stype) for stype in verify.sweep_types(8)])
 def test_degree_zero_generators_reach_every_degree_zero_root(algebra, name):
-    # The premise of the metric's invariance check: g_0 is generated by the
-    # Cartan and the degree-0 X_{+-alpha_i}.  Single-term brackets by those
-    # generators reach every root vector of degree 0, on every crossing.
+    # g_0 is generated by the Cartan and the degree-0 X_{+-alpha_i}: single-term
+    # brackets by those generators reach every root vector of degree 0, on every
+    # crossing.
     rs, L = algebra(name)
     rows, rk = L.brackets, L.rank
     for crossing in enumerate_crossings(rs.rank):
@@ -236,13 +250,18 @@ def test_degree_zero_generators_reach_every_degree_zero_root(algebra, name):
 
 
 def _walks_agree(L) -> None:
-    """The generator checks against the all-z walks: Killing invariance, then the
-    metric's ad_{g_0}-invariance on every crossing."""
+    """The generator check of Killing invariance against the all-z walk; then, on
+    every crossing, check_einstein against its reference, and the all-z walk of
+    ad_{g_0}-invariance on the built metric, which no check evaluates."""
     walk = invariance_failure(L, L.killing_basis(), range(L.dim), range(L.dim))
     assert verify.check_killing_invariance(L)["ok"] == (walk is None)
     for crossing in enumerate_crossings(L.rank):
         g = grade_from_crossing(L.rs, crossing)
         assert verify.check_einstein(L, g) == reference_einstein(L, g), crossing.crossed
+        g0 = [*range(L.rank), *map(L.index_of_root, g.roots_of_degree(0))]
+        m = [L.index_of_root(r) for r in g.nonzero_roots()]
+        metric = _indexed(L, verify.einstein_structure(g, L, 1))
+        assert invariance_failure(L, metric, g0, m) is None, crossing.crossed
 
 
 @pytest.mark.parametrize("name", [str(stype) for stype in verify.sweep_types(4)])

@@ -31,6 +31,7 @@ from reference import (
     jacobi_all_triples,
     jacobi_sums,
     regraded,
+    weights,
 )
 from parakahler.verify import (
     check_algebra,
@@ -327,7 +328,8 @@ def test_scaled_coroot_fails_structure_check_naming_the_root(algebra, factor, va
 @pytest.mark.parametrize(
     "name, root, message",
     [
-        # Rho and omega_z both double, so they agree: every other check passes.
+        # Rho and omega_z both double, so they agree: of the other checks only
+        # the metric's formula, which reads H_a off the bracket rows, sees it.
         ("A1", (1,), "[X[1a1], X[-1a1]] is not the coroot table's (2,)"),
         # Only rho's closedness saw this one, when each gradation walked it.
         ("G2", (2, 1), "[X[2a1+1a2], X[-2a1-1a2]] is not the coroot table's (4, 3)"),
@@ -348,8 +350,14 @@ def test_coroot_table_off_the_brackets_fails_the_coroot_rule(algebra, name, root
     assert reports["structure_constants"]["first_failure"] == message
     for crossing in enumerate_crossings(rs.rank):
         g = grade_from_crossing(bad_rs, crossing)
-        for check in (check_trace_oracle, check_two_form, check_killing_dual, check_einstein):
+        for check in (check_trace_oracle, check_two_form, check_killing_dual):
             assert check(bad, g)["ok"], (check.__name__, crossing.crossed)
+        # Where the doubled entry meets psi(H_h) != 0, rho moves off the brackets.
+        moved = verify.closed_forms(bad, g)[1].coeffs != verify.closed_forms(L, g)[1].coeffs
+        report = check_einstein(bad, g)
+        assert report["ok"] is not moved, crossing.crossed
+        assert report["ok"] or report["first_failure"].startswith(
+            f"metric is not d(psi)(., K .) at {Root(root)}: ")
 
 
 def test_one_sided_negation_fails_jacobi_and_killing_invariance(algebra):
@@ -436,15 +444,15 @@ def test_trace_oracle_sees_a_wrong_cartan_action(algebra):
 
 def test_sign_flip_fails_jacobi_and_killing_invariance(algebra):
     # Flipping N(a1, a2) with its reverse keeps antisymmetry and every bracket
-    # in its weight; rho's closedness is Jacobi, checked once per algebra.  Per
-    # gradation only the metric's invariance sees it, where a root acts from g_0.
+    # in its weight; rho's closedness is Jacobi, checked once per algebra.  The
+    # metric reads only the [X_a, X_-a], which the flip leaves, so no crossing fails it.
     rs, L = algebra("A2")
     broken = _corrupted(L)
     reports = check_algebra(broken)
     assert reports["jacobi"]["first_failure"] == "jacobi fails on basis triple (2, 3, 5)"
     assert reports["killing_invariance"]["first_failure"] == "killing invariance fails on (2, 0, 5)"
-    for crossed, ok in (((1,), False), ((2,), False), ((1, 2), True)):
-        assert check_einstein(broken, grade_from_crossing(rs, CrossingSet.of(*crossed)))["ok"] is ok
+    for crossing in enumerate_crossings(rs.rank):
+        assert check_einstein(broken, grade_from_crossing(rs, crossing))["ok"], crossing.crossed
 
 
 def test_wrong_cartan_action_fails_jacobi_and_the_coroot_rule(algebra):
@@ -475,8 +483,8 @@ def _reverse_flipped(L: LieAlgebraData) -> LieAlgebraData:
 @pytest.mark.parametrize("name", ["A2", "G2"])
 def test_reverse_sign_flip_fails_each_invariance_check(algebra, name):
     # The flip keeps every bracket in its weight; Jacobi's antisymmetry step and
-    # both invariance checks see it.  At {1} X_a2 (index 3) lies in g_0 and acts
-    # on the metric; at {2} and {1,2} it does not.
+    # Killing invariance see it.  No gradation check reads [X_a2, X_a1]: the
+    # metric is compared with psi on the [X_a, X_-a] only.
     rs, L = algebra(name)
     broken = _reverse_flipped(L)
     assert broken.grading_failure is None
@@ -492,13 +500,10 @@ def test_reverse_sign_flip_fails_each_invariance_check(algebra, name):
         broken, x, bracket(broken, z, y)
     )
 
-    g = grade_from_crossing(rs, CrossingSet.of(1))
-    report = check_einstein(broken, g)
-    assert report["first_failure"] == "metric not ad-invariant under g_0"
-    for crossed in ((2,), (1, 2)):
-        g = grade_from_crossing(rs, CrossingSet.of(*crossed))
-        assert check_two_form(broken, g)["ok"], crossed
-        assert check_einstein(broken, g)["ok"], crossed
+    for crossing in enumerate_crossings(rs.rank):
+        g = grade_from_crossing(rs, crossing)
+        assert check_two_form(broken, g)["ok"], crossing.crossed
+        assert check_einstein(broken, g)["ok"], crossing.crossed
 
 
 @pytest.mark.parametrize("name", ["A2", "G2", "B3", "F4"])
@@ -508,7 +513,7 @@ def test_invariance_walk_yields_exactly_the_zero_weight_triples(algebra, name):
     g = grade_from_crossing(rs, CrossingSet.of(1))
     g0 = [*range(L.rank), *map(L.index_of_root, g.roots_of_degree(0))]
     m = [L.index_of_root(r) for r in g.nonzero_roots()]
-    wt = L.weights
+    wt = weights(L)
     shapes = {
         "all x all": (range(L.dim), range(L.dim)),
         "g_0 x roots": (g0, range(L.rank, L.dim)),
@@ -588,35 +593,49 @@ def test_coefficient_below_two_fails(algebra):
 
 
 @pytest.mark.parametrize(
-    "crossed, message",
+    "crossed, factor, message",
     [
-        ((1, 2), "metric is degenerate at X[1a1]"),
-        # At {1}, a2 lies in g_0 and the missing pair breaks invariance first.
-        ((1,), "metric not ad-invariant under g_0"),
+        ((1, 2), 2, "metric is not d(psi)(., K .) at 1a1: -8 vs -4"),
+        ((1, 2), -1, "metric is not d(psi)(., K .) at 1a1: 4 vs -4"),
+        ((1, 2), 0, "metric is not d(psi)(., K .) at 1a1: 0 vs -4"),
+        ((1,), 0, "metric is not d(psi)(., K .) at 1a1: 0 vs -6"),
     ],
 )
-def test_metric_without_a_root_pair_fails_einstein(algebra, monkeypatch, crossed, message):
-    # g(X_a1, X_-a1) = 0: invariance runs before the signature counts the pairs.
+def test_metric_off_its_formula_fails_einstein(algebra, monkeypatch, crossed, factor, message):
+    # g_a1 scaled.  At the Borel crossing {1,2} g_0 is the Cartan, under which
+    # every metric pairing X_a with X_-a only is invariant; the formula
+    # g_a = -sign(deg a) psi([X_a, X_-a]) sees the doubled or negated value, and
+    # it runs before the signature counts the pairs.
     rs, L = algebra("A2")
     g = grade_from_crossing(rs, CrossingSet.of(*crossed))
     es = einstein_structure(g, L, 1)
     assert es.basis[0].label() == "X[1a1]"
-    es.metric = (0, *es.metric[1:])
+    es.metric = (factor * es.metric[0], *es.metric[1:])
     monkeypatch.setattr(verify, "einstein_structure", lambda *args: es)
-    report = check_einstein(L, g)
-    assert not report["ok"]
-    assert report["first_failure"] == message
+    assert check_einstein(L, g) == {"ok": False, "first_failure": message}
 
 
 def test_metric_row_storing_a_zero_fails_einstein(algebra, monkeypatch):
-    # A zero g_a1 passes invariance (A1 has no root in g_0); the pair count
+    # A zero g_a1 on A1, which has no root in g_0 to act on it: the formula
     # refuses it, and check_einstein reports that instead of raising.
     rs, L = algebra("A1")
     g = grade_from_crossing(rs, CrossingSet.of(1))
     es = einstein_structure(g, L, 1)
     es.metric = (0,)
     monkeypatch.setattr(verify, "einstein_structure", lambda *args: es)
-    assert check_einstein(L, g) == {"ok": False, "first_failure": "metric is degenerate at X[1a1]"}
+    message = "metric is not d(psi)(., K .) at 1a1: 0 vs -4"
+    assert check_einstein(L, g) == {"ok": False, "first_failure": message}
+
+
+def test_psi_vanishing_on_m_fails_einstein_as_degenerate(algebra):
+    # psi = 2 pi_2 on A2 {1,2}: psi(H_a1) = 0, so rho and the metric agree with
+    # the formula and g_a1 = 0.  The pair count refuses it, and check_einstein
+    # reports that instead of raising.
+    rs, L = algebra("A2")
+    g = grade_from_crossing(rs, CrossingSet.of(1, 2))
+    psi = rs.weights[1].scale(2)
+    report = check_einstein(L, g, (psi, two_form_from_weight(rs, psi)))
+    assert report == {"ok": False, "first_failure": "metric is degenerate at X[1a1]"}
 
 
 def test_sign_flip_keeping_weights_fails_sparse_jacobi(algebra):
