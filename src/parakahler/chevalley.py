@@ -34,11 +34,10 @@ one shared dict: replace, never mutate); ``grading_failure`` certifies that each
 bracket lands in the sum of its arguments' weights, compared as those int keys.
 The Killing Gram is held the same way, as rows {v: B(e_u, e_v)} of its nonzero
 entries, and an ``AlgebraElement`` is one such row {basis index: coefficient},
-so brackets and Killing values visit stored entries only.  Besides these,
-``LieAlgebraData`` caches only what the checks read for every gradation: the
-certificate, a(H_h) (``cartan_action``) and the int inverse of the Killing
-Cartan block.  The metric needs no table: ``verify.check_einstein`` reads
-psi([X_a, X_-a]) off the stored rows.
+so brackets and Killing values visit stored entries only.  Of the per-algebra
+caches, the gradation checks read the certificate, a(H_h) (``cartan_action``)
+and the int inverse of the Killing Cartan block; the metric needs no table, as
+``verify.check_einstein`` reads psi([X_a, X_-a]) off the stored rows.
 """
 
 from __future__ import annotations
